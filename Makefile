@@ -2,7 +2,7 @@ GO ?= go
 J ?= 0
 SWEEP_SPEC ?= specs/ci-sweep.json
 
-.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard
+.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard bench-models
 
 all: check
 
@@ -132,6 +132,13 @@ shard-determinism:
 # allocs/op) at exactly 1e6 and 1e7 events into results/BENCH_engine.json.
 bench-engine:
 	sh scripts/bench-engine.sh
+
+# bench-models records the model-kernel benchmarks (buddy allocator, BSP
+# step noise, Figure 7 points) with repro -quick and internal/core wall
+# times into results/BENCH_models.json. BASE=<parent checkout> adds the
+# before side, the speedups and a byte-identity check of repro -quick.
+bench-models:
+	sh scripts/bench-models.sh
 
 # bench-shard records the 158,976-node full-machine sharded FWQ run
 # (wall time at -shards 1 vs 8, window/barrier/cross-shard overhead) into

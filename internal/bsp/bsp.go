@@ -195,9 +195,11 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 	stepBusy := compute + memMgmt + comm + barrier
 	nominal := init + time.Duration(w.Steps)*stepBusy
 
-	// Sample per-step noise delays: for every node, bucket its interruption
-	// timeline into step windows and keep the global per-step maximum.
-	noiseDelay := sampleStepNoise(m.OS.NoiseProfile(), m.Cores, nodes, w.Steps, init, stepBusy, nominal, seed)
+	// Sample per-step noise delays: for every node, bucket its interruptions
+	// into step windows and keep the global per-step maximum. The sink is
+	// resolved once for the whole run.
+	reg := telemetry.Default().Registry()
+	noiseDelay := sampleStepNoise(reg, m.OS.NoiseProfile(), m.Cores, nodes, w.Steps, init, stepBusy, nominal, seed)
 
 	var total time.Duration
 	for _, d := range noiseDelay {
@@ -222,8 +224,8 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 		runtime = time.Duration(float64(runtime) * factor)
 	}
 
-	telemetry.C("bsp.runs").Inc()
-	telemetry.H("bsp.runtime_s", runtimeBuckets).Observe(runtime.Seconds())
+	reg.Counter("bsp.runs").Inc()
+	reg.Histogram("bsp.runtime_s", runtimeBuckets).Observe(runtime.Seconds())
 	return Result{
 		App: w.Name, OS: m.OS.Name(), Nodes: nodes,
 		Runtime: runtime, Breakdown: b,
@@ -234,37 +236,64 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 var runtimeBuckets = telemetry.ExpBuckets(0.25, 2, 14)
 
 // sampleStepNoise returns, for each step, the maximum interruption time any
-// rank in the whole job suffers inside that step's window.
-func sampleStepNoise(profile *noise.Profile, cores []int, nodes, steps int,
+// rank in the whole job suffers inside that step's window, and publishes the
+// noise events it generated to reg. Each node's events are binned into a
+// dense core-by-step accumulator as they are generated: per-cell sums and
+// the maximum over cells do not depend on event order, so no per-node
+// timeline is grouped or sorted.
+func sampleStepNoise(reg *telemetry.Registry, profile *noise.Profile, cores []int, nodes, steps int,
 	init, stepBusy time.Duration, horizon time.Duration, seed int64) []time.Duration {
 
 	delays := make([]time.Duration, steps)
 	if stepBusy <= 0 {
 		return delays
 	}
+	// slot maps a core id (offset by lo) to its accumulator row, -1 for
+	// cores that run no rank.
+	lo, hi := cores[0], cores[0]
+	for _, c := range cores {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	slot := make([]int, hi-lo+1)
+	for i := range slot {
+		slot[i] = -1
+	}
+	for i, c := range cores {
+		slot[c-lo] = i
+	}
+	acc := make([]time.Duration, len(cores)*steps)
+	var touched []int // cells of acc written for the current node
+	var events []noise.Interruption
+	gen := profile.Generator()
 	base := sim.NewRand(seed)
 	for n := 0; n < nodes; n++ {
-		tl := profile.Timeline(horizon, base.Derive(int64(n)))
-		for _, core := range cores {
-			perStep := map[int]time.Duration{}
-			for _, iv := range tl.ForCPU(core) {
-				at := iv.Start.Duration() - init
-				if at < 0 {
-					continue
-				}
-				step := int(at / stepBusy)
-				if step >= steps {
-					break
-				}
-				perStep[step] += iv.Len
+		events = gen.AppendNode(events[:0], horizon, base.Derive(int64(n)))
+		for _, iv := range events {
+			c := iv.CPU - lo
+			if c < 0 || c >= len(slot) || slot[c] < 0 {
+				continue
 			}
-			for s, d := range perStep {
-				if d > delays[s] {
-					delays[s] = d
-				}
+			at := iv.Start.Duration() - init
+			if at < 0 {
+				continue
 			}
+			step := int(at / stepBusy)
+			if step >= steps {
+				continue
+			}
+			cell := slot[c]*steps + step
+			if acc[cell] == 0 {
+				touched = append(touched, cell)
+			}
+			acc[cell] += iv.Len
 		}
+		for _, cell := range touched {
+			delays[cell%steps] = max(delays[cell%steps], acc[cell])
+			acc[cell] = 0
+		}
+		touched = touched[:0]
 	}
+	gen.Publish(reg)
 	return delays
 }
 

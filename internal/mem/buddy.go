@@ -3,7 +3,7 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 )
 
 // Buddy allocator errors.
@@ -26,8 +26,8 @@ type Buddy struct {
 	base     int64
 	size     int64
 
-	free      []map[int64]struct{} // per-order set of free block bases
-	allocated map[int64]int        // block base -> order
+	free      []freeList    // per-order free block bases
+	allocated map[int64]int // block base -> order
 
 	allocCount uint64
 	freeCount  uint64
@@ -52,14 +52,14 @@ func NewBuddy(base, size, basePage int64, maxOrder int) (*Buddy, error) {
 		maxOrder:  maxOrder,
 		base:      base,
 		size:      size,
-		free:      make([]map[int64]struct{}, maxOrder+1),
+		free:      make([]freeList, maxOrder+1),
 		allocated: make(map[int64]int),
 	}
 	for i := range b.free {
-		b.free[i] = make(map[int64]struct{})
+		b.free[i].set = make(map[int64]struct{})
 	}
 	for off := int64(0); off < size; off += maxBlock {
-		b.free[maxOrder][base+off] = struct{}{}
+		b.free[maxOrder].add(base + off)
 	}
 	return b, nil
 }
@@ -76,8 +76,8 @@ func (b *Buddy) TotalBytes() int64 { return b.size }
 // FreeBytes returns the bytes currently free.
 func (b *Buddy) FreeBytes() int64 {
 	var n int64
-	for order, set := range b.free {
-		n += int64(len(set)) * (b.basePage << order)
+	for order := range b.free {
+		n += int64(b.free[order].len()) * (b.basePage << order)
 	}
 	return n
 }
@@ -100,18 +100,6 @@ func (b *Buddy) OrderFor(n int64) (int, error) {
 	return order, nil
 }
 
-// lowestFreeBase returns the smallest base in the set; deterministic
-// iteration is required because map order is randomized.
-func lowestFreeBase(set map[int64]struct{}) int64 {
-	best := int64(math.MaxInt64)
-	for base := range set {
-		if base < best {
-			best = base
-		}
-	}
-	return best
-}
-
 // AllocOrder allocates one block of the given order. It splits the smallest
 // suitable larger block when the order's free list is empty.
 func (b *Buddy) AllocOrder(order int) (Region, error) {
@@ -119,20 +107,19 @@ func (b *Buddy) AllocOrder(order int) (Region, error) {
 		return Region{}, fmt.Errorf("%w: %d", ErrBadOrder, order)
 	}
 	cur := order
-	for cur <= b.maxOrder && len(b.free[cur]) == 0 {
+	for cur <= b.maxOrder && b.free[cur].len() == 0 {
 		cur++
 	}
 	if cur > b.maxOrder {
 		return Region{}, fmt.Errorf("%w: order %d", ErrOutOfMemory, order)
 	}
-	base := lowestFreeBase(b.free[cur])
-	delete(b.free[cur], base)
+	base := b.free[cur].popLowest()
 	// Split down to the requested order, parking the upper buddies.
 	for cur > order {
 		cur--
 		b.splits++
 		buddy := base + (b.basePage << cur)
-		b.free[cur][buddy] = struct{}{}
+		b.free[cur].add(buddy)
 	}
 	b.allocated[base] = order
 	b.allocCount++
@@ -162,17 +149,16 @@ func (b *Buddy) Free(r Region) error {
 		blockSize := b.basePage << order
 		// The buddy address flips the block-size bit of the offset.
 		buddy := b.base + ((base - b.base) ^ blockSize)
-		if _, free := b.free[order][buddy]; !free {
+		if !b.free[order].remove(buddy) {
 			break
 		}
-		delete(b.free[order], buddy)
 		if buddy < base {
 			base = buddy
 		}
 		order++
 		b.coalesces++
 	}
-	b.free[order][base] = struct{}{}
+	b.free[order].add(base)
 	return nil
 }
 
@@ -181,7 +167,7 @@ func (b *Buddy) FreeBlocksAt(order int) int {
 	if order < 0 || order > b.maxOrder {
 		return 0
 	}
-	return len(b.free[order])
+	return b.free[order].len()
 }
 
 // Fragmentation returns the free-memory fragmentation index for a target
@@ -193,8 +179,8 @@ func (b *Buddy) Fragmentation(order int) float64 {
 		return 0
 	}
 	var usable, total int64
-	for o, set := range b.free {
-		bytes := int64(len(set)) * (b.basePage << o)
+	for o := range b.free {
+		bytes := int64(b.free[o].len()) * (b.basePage << o)
 		total += bytes
 		if o >= order {
 			usable += bytes
@@ -209,4 +195,84 @@ func (b *Buddy) Fragmentation(order int) float64 {
 // Stats returns operation counters: allocations, frees, splits, coalesces.
 func (b *Buddy) Stats() (allocs, frees, splits, coalesces uint64) {
 	return b.allocCount, b.freeCount, b.splits, b.coalesces
+}
+
+// freeList holds one order's free block bases: a set for membership and
+// removal of arbitrary blocks (coalescing), beside a min-heap that yields
+// the lowest base without scanning. Removal from the set leaves the heap
+// entry in place; popLowest discards such stale entries when they surface,
+// and compact drops them wholesale once they outnumber the live ones.
+type freeList struct {
+	set  map[int64]struct{}
+	heap []int64 // min-heap of bases; may hold stale and duplicate entries
+}
+
+func (l *freeList) len() int { return len(l.set) }
+
+func (l *freeList) add(base int64) {
+	l.set[base] = struct{}{}
+	l.heap = append(l.heap, base)
+	// Sift up.
+	h := l.heap
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	if len(l.heap) > 2*len(l.set)+64 {
+		l.compact()
+	}
+}
+
+// remove deletes base from the list, reporting whether it was free.
+func (l *freeList) remove(base int64) bool {
+	if _, ok := l.set[base]; !ok {
+		return false
+	}
+	delete(l.set, base)
+	return true
+}
+
+// popLowest removes and returns the lowest free base; the list must be
+// non-empty.
+func (l *freeList) popLowest() int64 {
+	for {
+		base := l.heap[0]
+		last := len(l.heap) - 1
+		l.heap[0] = l.heap[last]
+		l.heap = l.heap[:last]
+		// Sift down.
+		h := l.heap
+		for i := 0; ; {
+			small := i
+			if c := 2*i + 1; c < len(h) && h[c] < h[small] {
+				small = c
+			}
+			if c := 2*i + 2; c < len(h) && h[c] < h[small] {
+				small = c
+			}
+			if small == i {
+				break
+			}
+			h[i], h[small] = h[small], h[i]
+			i = small
+		}
+		if l.remove(base) {
+			return base
+		}
+	}
+}
+
+// compact rebuilds the heap from its live entries. A sorted slice is a
+// valid min-heap.
+func (l *freeList) compact() {
+	slices.Sort(l.heap)
+	l.heap = slices.Compact(l.heap)
+	l.heap = slices.DeleteFunc(l.heap, func(base int64) bool {
+		_, ok := l.set[base]
+		return !ok
+	})
 }

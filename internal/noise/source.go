@@ -1,8 +1,11 @@
 package noise
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"mkos/internal/sim"
@@ -74,52 +77,68 @@ func (s *Source) Validate() error {
 	if s.TailProb < 0 || s.TailProb > 1 {
 		return fmt.Errorf("noise: source %q tail probability %v out of range", s.Name, s.TailProb)
 	}
+	if s.TailProb > 0 && s.TailFactor <= 0 {
+		// Pareto(0, alpha) is 0: every tail event would silently become a
+		// zero-length interruption.
+		return fmt.Errorf("noise: source %q has tail probability %v but non-positive tail factor %v",
+			s.Name, s.TailProb, s.TailFactor)
+	}
 	return nil
 }
 
-func (s *Source) sampleInterval(rng *sim.Rand) time.Duration {
-	if s.EveryCV <= 0 {
-		return s.Every
-	}
-	d := rng.DurationLogNormal(s.Every, s.EveryCV)
-	if d < time.Nanosecond {
-		d = time.Nanosecond
-	}
-	return d
+// sampler is a Source with its draw distributions resolved once, so that
+// generating many nodes' events from one profile repeats no per-draw setup.
+// It draws exactly what, and in the order, the source's definition implies.
+type sampler struct {
+	src              *Source
+	interval, length sim.LogNormalDist
+	tailAlpha        float64
 }
 
-func (s *Source) sampleLength(rng *sim.Rand) time.Duration {
+func (s *Source) sampler() sampler {
+	alpha := s.TailAlpha
+	if alpha <= 0 {
+		alpha = 1.8
+	}
+	return sampler{
+		src:       s,
+		interval:  sim.NewLogNormalDist(float64(s.Every), s.EveryCV),
+		length:    sim.NewLogNormalDist(float64(s.Length), s.LengthCV),
+		tailAlpha: alpha,
+	}
+}
+
+func (g *sampler) sampleInterval(rng *sim.Rand) time.Duration {
+	if g.src.EveryCV <= 0 {
+		return g.src.Every
+	}
+	return max(time.Duration(g.interval.Sample(rng)), time.Nanosecond)
+}
+
+func (g *sampler) sampleLength(rng *sim.Rand) time.Duration {
+	s := g.src
 	if s.TailProb > 0 && rng.Bernoulli(s.TailProb) {
-		xm := float64(s.Length) * s.TailFactor
-		alpha := s.TailAlpha
-		if alpha <= 0 {
-			alpha = 1.8
-		}
-		return time.Duration(rng.Pareto(xm, alpha))
+		return time.Duration(rng.Pareto(float64(s.Length)*s.TailFactor, g.tailAlpha))
 	}
 	if s.LengthCV <= 0 {
 		return s.Length
 	}
-	d := rng.DurationLogNormal(s.Length, s.LengthCV)
-	if d < time.Nanosecond {
-		d = time.Nanosecond
-	}
-	return d
+	return max(time.Duration(g.length.Sample(rng)), time.Nanosecond)
 }
 
-// Generate produces the source's interruptions over [0, horizon) using the
-// provided RNG stream. Output is sorted by start time.
-func (s *Source) Generate(horizon time.Duration, rng *sim.Rand) []Interruption {
+// appendEvents appends the source's interruptions over [0, horizon), drawn
+// from rng, to out in start order.
+func (g *sampler) appendEvents(out []Interruption, horizon time.Duration, rng *sim.Rand) []Interruption {
+	s := g.src
 	if s.Disabled {
-		return nil
+		return out
 	}
-	var out []Interruption
 	rr := 0
 	// First arrival is uniform within one interval so independent sources
 	// are not phase-aligned at t=0.
 	t := sim.Time(rng.DurationUniform(0, s.Every))
 	for t < sim.Time(horizon) {
-		length := s.sampleLength(rng)
+		length := g.sampleLength(rng)
 		switch s.Mode {
 		case TargetAll:
 			for _, c := range s.Cores {
@@ -135,7 +154,7 @@ func (s *Source) Generate(horizon time.Duration, rng *sim.Rand) []Interruption {
 		default: // TargetOne
 			out = append(out, Interruption{Start: t, Len: length, CPU: s.Cores[0], Source: s.Name})
 		}
-		t = t.Add(s.sampleInterval(rng))
+		t = t.Add(g.sampleInterval(rng))
 	}
 	return out
 }
@@ -181,49 +200,135 @@ func (p *Profile) ByName(name string) *Source {
 // source does not perturb the others' draws — required for the Table 2
 // one-countermeasure-at-a-time methodology to isolate effects.
 func (p *Profile) Timeline(horizon time.Duration, rng *sim.Rand) *Timeline {
-	tl := &Timeline{perCPU: make(map[int][]Interruption)}
-	sub := p.Subsystem
-	if sub == "" {
-		sub = "noise"
+	g := p.Generator()
+	events := g.AppendNode(nil, horizon, rng)
+	if len(events) > 0 {
+		g.Publish(telemetry.Default().Registry())
 	}
-	for _, s := range p.Sources {
-		srcRng := rng.DeriveNamed(s.Name)
-		events := s.Generate(horizon, srcRng)
-		var stolen time.Duration
-		for _, iv := range events {
-			tl.perCPU[iv.CPU] = append(tl.perCPU[iv.CPU], iv)
-			stolen += iv.Len
+	return newTimeline(events)
+}
+
+// Generator draws node timelines from one profile with every source's
+// distributions resolved once. Callers that only aggregate the events (the
+// BSP step sampler) use it directly instead of building a Timeline per
+// node. It tallies what it generates until Publish.
+type Generator struct {
+	sub      string
+	samplers []sampler
+	events   []int64 // per source, since the last Publish
+	stolen   time.Duration
+}
+
+// Generator returns a generator for the profile's current sources.
+func (p *Profile) Generator() *Generator {
+	g := &Generator{
+		sub:      p.Subsystem,
+		samplers: make([]sampler, len(p.Sources)),
+		events:   make([]int64, len(p.Sources)),
+	}
+	if g.sub == "" {
+		g.sub = "noise"
+	}
+	for i, s := range p.Sources {
+		g.samplers[i] = s.sampler()
+	}
+	return g
+}
+
+// AppendNode appends one node's interruptions over [0, horizon) to buf,
+// source by source in profile order, each source's in start order. Source
+// s draws from rng.DeriveNamed(s.Name), whether or not it is disabled.
+func (g *Generator) AppendNode(buf []Interruption, horizon time.Duration, rng *sim.Rand) []Interruption {
+	for i := range g.samplers {
+		sp := &g.samplers[i]
+		n := len(buf)
+		buf = sp.appendEvents(buf, horizon, rng.DeriveNamed(sp.src.Name))
+		g.events[i] += int64(len(buf) - n)
+		for _, iv := range buf[n:] {
+			g.stolen += iv.Len
 		}
-		if len(events) > 0 {
-			telemetry.C(sub + ".noise.events." + s.Name).Add(int64(len(events)))
-			telemetry.C(sub + ".noise.stolen_ns").Add(int64(stolen))
+	}
+	return buf
+}
+
+// Publish adds the events generated since the last Publish to reg and
+// resets the tallies: <subsystem>.noise.events.<source> for every source
+// that produced events, and <subsystem>.noise.stolen_ns once any did.
+func (g *Generator) Publish(reg *telemetry.Registry) {
+	produced := false
+	for i, n := range g.events {
+		if n > 0 {
+			reg.Counter(g.sub + ".noise.events." + g.samplers[i].src.Name).Add(n)
+			produced = true
 		}
+		g.events[i] = 0
 	}
-	for cpu := range tl.perCPU {
-		ivs := tl.perCPU[cpu]
-		sort.Slice(ivs, func(i, j int) bool {
-			if ivs[i].Start != ivs[j].Start {
-				return ivs[i].Start < ivs[j].Start
-			}
-			return ivs[i].Source < ivs[j].Source
-		})
+	if produced {
+		reg.Counter(g.sub + ".noise.stolen_ns").Add(int64(g.stolen))
 	}
-	return tl
+	g.stolen = 0
 }
 
 // Timeline holds per-core interruption streams and answers "how long does a
 // quantum of work actually take on this core".
 type Timeline struct {
-	perCPU map[int][]Interruption
+	lo     int              // lowest core with interruptions
+	perCPU [][]Interruption // indexed by core - lo; nil for a quiet core
+}
+
+// newTimeline groups events by core, each core's sorted by start and then
+// by source name.
+func newTimeline(events []Interruption) *Timeline {
+	tl := &Timeline{}
+	if len(events) == 0 {
+		return tl
+	}
+	lo, hi := events[0].CPU, events[0].CPU
+	for _, iv := range events[1:] {
+		lo, hi = min(lo, iv.CPU), max(hi, iv.CPU)
+	}
+	counts := make([]int, hi-lo+1)
+	for _, iv := range events {
+		counts[iv.CPU-lo]++
+	}
+	// Carve every core's slice out of one backing array, capacity-capped so
+	// a caller appending to ForCPU's result cannot overwrite the next core.
+	backing := make([]Interruption, len(events))
+	tl.lo, tl.perCPU = lo, make([][]Interruption, len(counts))
+	off := 0
+	for i, c := range counts {
+		if c > 0 {
+			tl.perCPU[i] = backing[off : off : off+c]
+			off += c
+		}
+	}
+	for _, iv := range events {
+		i := iv.CPU - lo
+		tl.perCPU[i] = append(tl.perCPU[i], iv)
+	}
+	for _, ivs := range tl.perCPU {
+		slices.SortFunc(ivs, func(a, b Interruption) int {
+			if c := cmp.Compare(a.Start, b.Start); c != 0 {
+				return c
+			}
+			return strings.Compare(a.Source, b.Source)
+		})
+	}
+	return tl
 }
 
 // ForCPU returns the interruptions on one core, sorted by start.
-func (tl *Timeline) ForCPU(cpu int) []Interruption { return tl.perCPU[cpu] }
+func (tl *Timeline) ForCPU(cpu int) []Interruption {
+	if i := cpu - tl.lo; i >= 0 && i < len(tl.perCPU) {
+		return tl.perCPU[i]
+	}
+	return nil
+}
 
 // TotalStolen returns the summed interruption time on a core.
 func (tl *Timeline) TotalStolen(cpu int) time.Duration {
 	var d time.Duration
-	for _, iv := range tl.perCPU[cpu] {
+	for _, iv := range tl.ForCPU(cpu) {
 		d += iv.Len
 	}
 	return d
@@ -234,7 +339,7 @@ func (tl *Timeline) TotalStolen(cpu int) time.Duration {
 // completes (noise during the quantum extends it, potentially exposing it to
 // further noise — the same fixed-point the FWQ benchmark measures).
 func (tl *Timeline) Advance(cpu int, start sim.Time, work time.Duration) sim.Time {
-	ivs := tl.perCPU[cpu]
+	ivs := tl.ForCPU(cpu)
 	// Find first interruption ending after start.
 	idx := sort.Search(len(ivs), func(i int) bool { return ivs[i].End() > start })
 	end := start.Add(work)

@@ -17,6 +17,13 @@ func validSource() *Source {
 	}
 }
 
+// generate draws one source's interruptions over [0, horizon) the way a
+// node timeline does, through a one-source profile's Generator.
+func generate(s *Source, horizon time.Duration, rng *sim.Rand) []Interruption {
+	p := Profile{Sources: []*Source{s}}
+	return p.Generator().AppendNode(nil, horizon, rng)
+}
+
 func TestSourceValidate(t *testing.T) {
 	if err := validSource().Validate(); err != nil {
 		t.Fatal(err)
@@ -35,10 +42,36 @@ func TestSourceValidate(t *testing.T) {
 	}
 }
 
+// TestSourceValidateRejectsTailWithoutFactor is the regression test for a
+// tail probability with no tail factor: Pareto(0, alpha) is 0, so every
+// tail event used to become a silent zero-length interruption.
+func TestSourceValidateRejectsTailWithoutFactor(t *testing.T) {
+	for _, factor := range []float64{0, -3} {
+		s := validSource()
+		s.TailProb, s.TailFactor = 0.01, factor
+		if err := s.Validate(); err == nil {
+			t.Fatalf("tail probability 0.01 with tail factor %v passed validation", factor)
+		}
+		if err := (&Profile{}).Add(s); err == nil {
+			t.Fatalf("Profile.Add accepted tail factor %v", factor)
+		}
+	}
+	// Without a tail the factor is unused, so zero stays valid.
+	s := validSource()
+	s.TailFactor = 0
+	if err := s.Validate(); err != nil {
+		t.Fatalf("tail-free source with zero factor: %v", err)
+	}
+	s.TailProb, s.TailFactor = 0.01, 5
+	if err := s.Validate(); err != nil {
+		t.Fatalf("tail with positive factor: %v", err)
+	}
+}
+
 func TestSourceGenerateCountAndOrder(t *testing.T) {
 	s := validSource()
 	rng := sim.NewRand(1)
-	ivs := s.Generate(time.Second, rng)
+	ivs := generate(s, time.Second, rng)
 	// ~1000 events at 1ms intervals over 1s.
 	if len(ivs) < 800 || len(ivs) > 1200 {
 		t.Fatalf("event count = %d, want ~1000", len(ivs))
@@ -58,7 +91,7 @@ func TestSourceGenerateCountAndOrder(t *testing.T) {
 func TestSourceDisabled(t *testing.T) {
 	s := validSource()
 	s.Disabled = true
-	if got := s.Generate(time.Second, sim.NewRand(1)); got != nil {
+	if got := generate(s, time.Second, sim.NewRand(1)); got != nil {
 		t.Fatalf("disabled source generated %d events", len(got))
 	}
 }
@@ -69,7 +102,7 @@ func TestSourceTargetingModes(t *testing.T) {
 		s := validSource()
 		s.Cores = cores
 		s.Mode = mode
-		return s.Generate(100*time.Millisecond, sim.NewRand(7))
+		return generate(s, 100*time.Millisecond, sim.NewRand(7))
 	}
 
 	rr := mk(TargetRoundRobin)
@@ -116,7 +149,7 @@ func TestSourceTailEvents(t *testing.T) {
 	s := validSource()
 	s.TailProb = 0.1
 	s.TailFactor = 100
-	ivs := s.Generate(10*time.Second, sim.NewRand(3))
+	ivs := generate(s, 10*time.Second, sim.NewRand(3))
 	var tails int
 	for _, iv := range ivs {
 		if iv.Len >= 100*s.Length {
@@ -135,7 +168,7 @@ func TestSourceTailEvents(t *testing.T) {
 func TestSourcePeriodicWhenCVZero(t *testing.T) {
 	s := validSource()
 	s.EveryCV = 0
-	ivs := s.Generate(100*time.Millisecond, sim.NewRand(5))
+	ivs := generate(s, 100*time.Millisecond, sim.NewRand(5))
 	for i := 2; i < len(ivs); i++ {
 		gap := ivs[i].Start.Sub(ivs[i-1].Start)
 		if gap != time.Millisecond {
@@ -193,7 +226,7 @@ func TestProfileByName(t *testing.T) {
 }
 
 func TestTimelineAdvanceNoNoise(t *testing.T) {
-	tl := &Timeline{perCPU: map[int][]Interruption{}}
+	tl := newTimeline(nil)
 	end := tl.Advance(0, sim.Time(100), time.Microsecond)
 	if end != sim.Time(100).Add(time.Microsecond) {
 		t.Fatalf("end = %v", end)
@@ -201,9 +234,7 @@ func TestTimelineAdvanceNoNoise(t *testing.T) {
 }
 
 func TestTimelineAdvanceSimpleSteal(t *testing.T) {
-	tl := &Timeline{perCPU: map[int][]Interruption{
-		0: {{Start: sim.Time(500), Len: 100 * time.Nanosecond, CPU: 0}},
-	}}
+	tl := newTimeline([]Interruption{{Start: sim.Time(500), Len: 100 * time.Nanosecond, CPU: 0}})
 	// Work [0, 1000ns) overlaps the interruption: end pushed to 1100ns.
 	end := tl.Advance(0, 0, 1000*time.Nanosecond)
 	if end != sim.Time(1100) {
@@ -224,9 +255,7 @@ func TestTimelineAdvanceSimpleSteal(t *testing.T) {
 }
 
 func TestTimelineAdvancePartialOverlapAtStart(t *testing.T) {
-	tl := &Timeline{perCPU: map[int][]Interruption{
-		0: {{Start: sim.Time(0), Len: 1000 * time.Nanosecond, CPU: 0}},
-	}}
+	tl := newTimeline([]Interruption{{Start: sim.Time(0), Len: 1000 * time.Nanosecond, CPU: 0}})
 	// Work starting at 600 inside the [0,1000) interruption: the remaining
 	// 400ns steal applies.
 	end := tl.Advance(0, sim.Time(600), 100*time.Nanosecond)
@@ -239,12 +268,10 @@ func TestTimelineAdvanceCascade(t *testing.T) {
 	// Noise extending the window exposes the work to later noise: work of
 	// 1000ns from 0 with interruptions at 900 (len 200) and 1100 (len 300)
 	// ends at 1000+200+300 = 1500.
-	tl := &Timeline{perCPU: map[int][]Interruption{
-		0: {
-			{Start: sim.Time(900), Len: 200 * time.Nanosecond, CPU: 0},
-			{Start: sim.Time(1100), Len: 300 * time.Nanosecond, CPU: 0},
-		},
-	}}
+	tl := newTimeline([]Interruption{
+		{Start: sim.Time(900), Len: 200 * time.Nanosecond, CPU: 0},
+		{Start: sim.Time(1100), Len: 300 * time.Nanosecond, CPU: 0},
+	})
 	end := tl.Advance(0, 0, 1000*time.Nanosecond)
 	if end != sim.Time(1500) {
 		t.Fatalf("end = %v, want 1500 (cascading steal)", end)

@@ -10,17 +10,17 @@ import (
 
 // genTimeline builds a deterministic timeline from fuzz bytes.
 func genTimeline(spec []byte) *Timeline {
-	tl := &Timeline{perCPU: map[int][]Interruption{}}
+	var events []Interruption
 	t := sim.Time(0)
 	for _, b := range spec {
 		gap := time.Duration(b%97+1) * 10 * time.Microsecond
 		length := time.Duration(b%13+1) * 5 * time.Microsecond
 		t = t.Add(gap)
-		tl.perCPU[0] = append(tl.perCPU[0], Interruption{
+		events = append(events, Interruption{
 			Start: t, Len: length, CPU: 0, Source: "fuzz",
 		})
 	}
-	return tl
+	return newTimeline(events)
 }
 
 // Property: Advance never finishes before start+work, and the extra time

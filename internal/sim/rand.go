@@ -6,15 +6,23 @@ import (
 )
 
 // Rand is a deterministic random source with the distribution samplers the
-// OS-noise and workload models need. It wraps math/rand seeded explicitly;
-// nothing in this repository draws from a global or time-seeded source.
+// OS-noise and workload models need. Its draws are bit for bit those of
+// rand.New(rand.NewSource(seed)), but the source is seeded lazily (see
+// lazySource): a stream that draws a few values never pays for math/rand's
+// 607-word register. Nothing in this repository draws from a global or
+// time-seeded source.
 type Rand struct {
-	src *rand.Rand
+	lazy lazySource
+	src  *rand.Rand
 }
 
 // NewRand returns a generator seeded with seed.
 func NewRand(seed int64) *Rand {
-	return &Rand{src: rand.New(rand.NewSource(seed))}
+	r := &Rand{}
+	r.lazy.Seed(seed)
+	//simlint:allow globalrand — lazySource is rand.NewSource(seed) seeded on demand; TestLazySourceMatchesMathRand pins it bit for bit
+	r.src = rand.New(&r.lazy)
+	return r
 }
 
 // Derive returns an independent generator for a labelled sub-stream. Node- or
@@ -33,7 +41,7 @@ func (r *Rand) Derive(stream int64) *Rand {
 func (r *Rand) DeriveSeed(stream int64) int64 {
 	// SplitMix64-style mix of the parent's next value with the stream id so
 	// adjacent ids do not produce correlated sequences.
-	z := uint64(r.src.Int63()) ^ (uint64(stream) * 0x9E3779B97F4A7C15)
+	z := uint64(r.lazy.Int63()) ^ (uint64(stream) * 0x9E3779B97F4A7C15)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
@@ -50,11 +58,7 @@ func (r *Rand) DeriveSeed(stream int64) int64 {
 //	for n := lo; n < hi; n++ { use base.Derive(int64(n)) }
 //
 // which is what keeps sharded runs byte-identical to sequential ones.
-func (r *Rand) Skip(n int) {
-	for i := 0; i < n; i++ {
-		r.src.Int63()
-	}
-}
+func (r *Rand) Skip(n int) { r.lazy.skip(n) }
 
 // DeriveNamed derives a sub-stream keyed by a string label.
 func (r *Rand) DeriveNamed(label string) *Rand {
@@ -101,19 +105,38 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.src.NormFloat64())
 }
 
-// LogNormalMeanCV returns a lognormal sample parameterized by its arithmetic
-// mean and coefficient of variation, which is how the noise models are
-// calibrated (mean length, relative spread).
-func (r *Rand) LogNormalMeanCV(mean, cv float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	if cv <= 0 {
-		return mean
+// LogNormalDist is a lognormal distribution given by its arithmetic mean
+// and coefficient of variation, which is how the noise models are
+// calibrated (mean length, relative spread). The log-space parameters are
+// computed once, so a sampler that draws many values from one calibration
+// takes no logarithm per draw.
+type LogNormalDist struct {
+	fixed     float64 // the value when the distribution is degenerate
+	random    bool
+	mu, sigma float64
+}
+
+// NewLogNormalDist returns the lognormal distribution with arithmetic mean
+// mean and coefficient of variation cv.
+func NewLogNormalDist(mean, cv float64) LogNormalDist {
+	switch {
+	case mean <= 0:
+		return LogNormalDist{}
+	case cv <= 0:
+		return LogNormalDist{fixed: mean}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return r.LogNormal(mu, math.Sqrt(sigma2))
+	return LogNormalDist{random: true, mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
+}
+
+// Sample draws one value. A degenerate distribution returns its fixed value
+// without consuming a draw: 0 for a non-positive mean, the mean itself for
+// a non-positive CV.
+func (d LogNormalDist) Sample(r *Rand) float64 {
+	if !d.random {
+		return d.fixed
+	}
+	return r.LogNormal(d.mu, d.sigma)
 }
 
 // Pareto returns a Pareto(xm, alpha) sample: heavy-tailed, used for the rare
@@ -139,12 +162,6 @@ func (r *Rand) DurationExp(d Duration) Duration {
 // DurationUniform returns a Duration uniform in [lo, hi).
 func (r *Rand) DurationUniform(lo, hi Duration) Duration {
 	return Duration(r.Uniform(float64(lo), float64(hi)))
-}
-
-// DurationLogNormal returns a lognormal Duration with arithmetic mean d and
-// coefficient of variation cv.
-func (r *Rand) DurationLogNormal(d Duration, cv float64) Duration {
-	return Duration(r.LogNormalMeanCV(float64(d), cv))
 }
 
 // Jitter returns d scaled by a uniform factor in [1-frac, 1+frac].

@@ -76,11 +76,18 @@ func TestExpMean(t *testing.T) {
 }
 
 func TestLogNormalMeanCV(t *testing.T) {
-	r := NewRand(123)
+	r, ref := NewRand(123), NewRand(123)
+	d := NewLogNormalDist(10.0, 0.5)
+	// The closed form the precomputed parameters must reproduce draw for draw.
+	sigma2 := math.Log(1 + 0.5*0.5)
+	mu, sigma := math.Log(10.0)-sigma2/2, math.Sqrt(sigma2)
 	const n = 400000
 	sum, sumSq := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := r.LogNormalMeanCV(10.0, 0.5)
+		v := d.Sample(r)
+		if want := ref.LogNormal(mu, sigma); v != want {
+			t.Fatalf("draw %d: LogNormalDist sample %v, closed form %v", i, v, want)
+		}
 		sum += v
 		sumSq += v * v
 	}
@@ -88,20 +95,23 @@ func TestLogNormalMeanCV(t *testing.T) {
 	variance := sumSq/n - mean*mean
 	cv := math.Sqrt(variance) / mean
 	if math.Abs(mean-10.0) > 0.2 {
-		t.Fatalf("LogNormalMeanCV mean = %v, want ~10", mean)
+		t.Fatalf("LogNormalDist mean = %v, want ~10", mean)
 	}
 	if math.Abs(cv-0.5) > 0.05 {
-		t.Fatalf("LogNormalMeanCV cv = %v, want ~0.5", cv)
+		t.Fatalf("LogNormalDist cv = %v, want ~0.5", cv)
 	}
 }
 
 func TestLogNormalMeanCVDegenerate(t *testing.T) {
-	r := NewRand(4)
-	if v := r.LogNormalMeanCV(0, 0.5); v != 0 {
+	r, ref := NewRand(4), NewRand(4)
+	if v := NewLogNormalDist(0, 0.5).Sample(r); v != 0 {
 		t.Fatalf("mean<=0 should return 0, got %v", v)
 	}
-	if v := r.LogNormalMeanCV(3, 0); v != 3 {
+	if v := NewLogNormalDist(3, 0).Sample(r); v != 3 {
 		t.Fatalf("cv<=0 should return mean, got %v", v)
+	}
+	if r.Float64() != ref.Float64() {
+		t.Fatal("a degenerate distribution consumed a draw")
 	}
 }
 
@@ -148,8 +158,8 @@ func TestDurationSamplers(t *testing.T) {
 		if d := r.DurationUniform(time.Microsecond, time.Millisecond); d < time.Microsecond || d >= time.Millisecond {
 			t.Fatalf("DurationUniform out of range: %v", d)
 		}
-		if d := r.DurationLogNormal(time.Millisecond, 0.3); d <= 0 {
-			t.Fatalf("non-positive DurationLogNormal %v", d)
+		if d := Duration(NewLogNormalDist(float64(time.Millisecond), 0.3).Sample(r)); d <= 0 {
+			t.Fatalf("non-positive lognormal duration %v", d)
 		}
 	}
 }

@@ -11,8 +11,10 @@ import "runtime"
 //
 // The parse costs a few hundred nanoseconds. Default() only pays it while at
 // least one goroutine-local sink is registered (see the activeLocals fast
-// path), so serial runs and the instrumented hot paths outside a sweep are
-// unaffected.
+// path), so serial runs outside a sweep are unaffected. The simulator's hot
+// paths do run inside sweeps, so they resolve the sink once per unit of
+// work rather than per event: bsp.Run once per run, Profile.Timeline once
+// per timeline.
 func gid() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)

@@ -27,10 +27,16 @@ TOTAL=$(executed "$WORK/clean.txt")
 
 # Interrupted run: serial so the campaign is provably still in flight when
 # the signal lands, then SIGINT once — the first signal cancels and flushes.
+# The signal goes out as soon as the first trial is journaled rather than
+# after a fixed delay, so the gate does not depend on how fast trials run.
 "$WORK/sweep" -spec "$SPEC" -j 1 -cache-dir "$WORK/cache" -outdir "$WORK/partial" \
   > "$WORK/interrupted.txt" 2>&1 &
 PID=$!
-sleep 1.5
+for i in $(seq 1 1000); do
+  JOURNAL=$(ls "$WORK"/cache/*.journal 2>/dev/null | head -n 1) || true
+  if [ -n "$JOURNAL" ] && [ "$(wc -l < "$JOURNAL")" -ge 1 ]; then break; fi
+  sleep 0.01
+done
 kill -INT "$PID"
 STATUS=0
 wait "$PID" || STATUS=$?

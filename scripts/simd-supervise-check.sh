@@ -45,11 +45,11 @@ metric() { awk -v n="$1" '$1 == n { print $2 }' "$2" | tail -n 1; }
 TOTAL=$(executed "$WORK/clean.txt")
 
 # --- Phase 1: SIGKILL the worker twice mid-campaign. ----------------------
-# Serial trials take ~3s each (the campaign ~15s), so kill delays of 3-5s
-# after each spawn land while the worker is provably mid-campaign, usually
-# with at least one trial already journaled — exercising the cached-restore
-# resume across incarnations. Budget 2 means the third incarnation runs
-# undisturbed to completion.
+# Serial trials take ~3-4.5s each (five OFP GeoFEM points of five runs, the
+# campaign ~18s), so kill delays of 3-5s after each spawn land while the
+# worker is provably mid-campaign, usually with a trial already journaled —
+# exercising the cached-restore resume across incarnations. Budget 2 means
+# the third incarnation runs undisturbed to completion.
 "$WORK/simd" -store "$WORK/store" -addr "127.0.0.1:$PORT" -j 1 \
   -worker-chaos-kills 2 -worker-chaos-seed 7 \
   -worker-chaos-min 3s -worker-chaos-max 5s \
@@ -106,7 +106,7 @@ wait "$PID" || { echo "FAIL: phase-1 daemon did not drain cleanly" >&2; exit 1; 
 
 # --- Phase 2: crash-loop breaker isolates a poison campaign. --------------
 # Every worker of the poison campaign (name contains "poison") is killed
-# 100-300ms after spawn — before its first multi-second trial can journal —
+# 100-300ms after spawn — before its first trial (>=3s) can journal —
 # so each death is a no-progress death and the breaker must open after K=3.
 # The healthy campaign's workers are never touched and must complete.
 sed 's/"supervise"/"poison-supervise"/' "$SPEC" > "$WORK/poison.json"
