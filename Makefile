@@ -141,8 +141,8 @@ bench-models:
 	sh scripts/bench-models.sh
 
 # bench-shard records the 158,976-node full-machine sharded FWQ run
-# (wall time at -shards 1 vs 8, window/barrier/cross-shard overhead) into
-# results/BENCH_shard.json.
+# (wall and user+sys CPU time at -shards 1, 2 and 8, window/barrier/
+# cross-shard overhead) into results/BENCH_shard.json.
 bench-shard:
 	sh scripts/bench-shard.sh
 

@@ -36,7 +36,7 @@ func main() {
 	perNode := flag.Bool("per-node", false, "print per-node statistics")
 	ftq := flag.Bool("ftq", false, "run the FTQ (fixed time quanta) variant instead of FWQ")
 	shards := flag.Int("shards", 0, "run the sharded full-machine campaign on this many shards (0 = sequential per-node loop)")
-	worst := flag.Int("worst", 100, "sharded mode: worst nodes re-run with full recording (the paper keeps 100)")
+	worst := flag.Int("worst", 100, "sharded mode: worst nodes re-run for their exact iteration distribution (the paper keeps 100)")
 	coresPer := flag.Int("cores", 0, "sharded mode: measure at most this many cores per node (0 = all app cores)")
 	outFile := flag.String("out", "", "sharded mode: write the deterministic machine result JSON here")
 	opsFile := flag.String("ops-metrics", "", "sharded mode: write runner ops metrics (Prometheus text) here")

@@ -76,15 +76,6 @@ func (r *FWQRun) Analyze() (noise.Analysis, error) {
 	return noise.Merge(as)
 }
 
-// AllIterations flattens every core's samples, for CDF construction.
-func (r *FWQRun) AllIterations() []time.Duration {
-	var out []time.Duration
-	for _, core := range sortedKeys(r.PerCore) {
-		out = append(out, r.PerCore[core]...)
-	}
-	return out
-}
-
 func sortedKeys(m map[int][]time.Duration) []int {
 	keys := make([]int, 0, len(m))
 	for k := range m {

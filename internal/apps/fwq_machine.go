@@ -1,15 +1,17 @@
 package apps
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mkos/internal/noise"
 	"mkos/internal/shard"
 	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 // This file is the full-machine FWQ campaign of Sec. 6.3, restaged on the
@@ -18,8 +20,14 @@ import (
 // the digest over the interconnect to a collector node — exactly the
 // worst-100-of-158,976 selection the paper performed on Fugaku to avoid
 // writing 159k raw FWQ traces to the parallel filesystem. Only after the
-// in-situ selection are the worst nodes re-run with full per-iteration
-// recording.
+// in-situ selection are the worst nodes re-run, for their exact iteration
+// distribution: the clean count plus the perturbed durations, which is the
+// sorted iteration list without its clean run spelled out.
+//
+// A node's work is regenerating its timeline and walking it (fwqWalk), and
+// each shard does it on storage it reuses from node to node: one generator
+// per class, one timeline, one event and one duration buffer. The shard's
+// sink is resolved once in Setup.
 //
 // Everything here is inside the determinism boundary: with the same seed
 // the result is byte-identical at any shard count. Per-node RNG streams
@@ -50,9 +58,9 @@ type FWQMachineConfig struct {
 	// time only, never the result.
 	Shards int
 
-	// WorstK is how many worst nodes (by total noise) are re-run with full
-	// per-iteration recording after the in-situ selection. The paper keeps
-	// the worst 100.
+	// WorstK is how many worst nodes (by total noise) are re-run for their
+	// exact iteration distribution after the in-situ selection. The paper
+	// keeps the worst 100.
 	WorstK int
 
 	// Lookahead is the conservative window bound, normally the fabric's
@@ -91,9 +99,9 @@ type FWQDigest struct {
 	Rate         float64 `json:"rate"`
 }
 
-// FWQWorstNode is one of the worst-K nodes after the full re-run: the
-// digest it reported in situ plus iteration-time quantiles from the
-// complete per-iteration data, the raw material of Figure 3.
+// FWQWorstNode is one of the worst-K nodes after the re-run: the digest it
+// reported in situ plus iteration-time quantiles of every iteration it ran,
+// the raw material of Figure 3.
 type FWQWorstNode struct {
 	Node   int       `json:"node"`
 	Class  int       `json:"class"`
@@ -135,6 +143,8 @@ type fwqMachineModel struct {
 }
 
 func (m *fwqMachineModel) Setup(s *shard.Shard) error {
+	w := newFWQNodeWalker(&m.cfg)
+	reg := s.Sink.Registry()
 	base := sim.NewRand(m.cfg.Seed)
 	base.Skip(s.Nodes.Lo)
 	at := sim.Time(m.cfg.Duration)
@@ -145,20 +155,18 @@ func (m *fwqMachineModel) Setup(s *shard.Shard) error {
 			return fmt.Errorf("%w: node %d maps to class %d of %d",
 				ErrBadMachineConfig, n, cls, len(m.cfg.Classes))
 		}
-		node, class := n, m.cfg.Classes[cls]
+		node := n
 		s.Engine.ScheduleAt(at, "fwq-node", func(e *sim.Engine) {
 			// The node's whole benchmark collapses into this one event: it
 			// fires at the instant the run completes, builds the timeline
-			// from the node's derived stream, sketches the iterations and
+			// from the node's derived stream, walks the iterations and
 			// reports the digest. A failure is a typed panic the runner
 			// converts into a shard error.
-			tl := class.Profile.Timeline(m.cfg.Duration, sim.NewRand(seed))
-			sk, err := RunFWQSketch(FWQConfig{
-				Work: m.cfg.Work, Duration: m.cfg.Duration, Cores: class.Cores,
-			}, tl)
+			d, err := w.digest(node, cls, seed)
 			if err != nil {
 				panic(fmt.Errorf("fwq machine: node %d: %w", node, err))
 			}
+			w.gens[cls].Publish(reg)
 			lat, err := m.report(node, 0, m.cfg.DigestBytes)
 			if err != nil {
 				panic(fmt.Errorf("fwq machine: node %d report: %w", node, err))
@@ -166,7 +174,7 @@ func (m *fwqMachineModel) Setup(s *shard.Shard) error {
 			if lat < m.cfg.Lookahead {
 				lat = m.cfg.Lookahead
 			}
-			s.Send(node, 0, e.Now().Add(lat), "fwq-digest", digestOf(node, sk.Analysis))
+			s.Send(node, 0, e.Now().Add(lat), "fwq-digest", d)
 		})
 	}
 	return nil
@@ -179,19 +187,58 @@ func (m *fwqMachineModel) Deliver(s *shard.Shard, msg shard.Message) {
 	s.Sink.Registry().Counter("fwq.machine.digests").Inc()
 }
 
-// digestOf reduces an analysis to its scalar digest. The total is the sum
-// of per-iteration noise lengths — the quantity WorstBy ranks on.
-func digestOf(node int, a noise.Analysis) FWQDigest {
-	var total time.Duration
-	for _, l := range a.Lengths {
-		total += l
+// fwqNodeWalker runs nodes one after another on reused storage: one noise
+// generator per class, one timeline, and the event and perturbed-duration
+// buffers. It belongs to one goroutine.
+type fwqNodeWalker struct {
+	cfg       *FWQMachineConfig
+	gens      []*noise.Generator
+	tl        noise.Timeline
+	events    []noise.Interruption
+	perturbed []time.Duration // the last node's, in walk order
+}
+
+func newFWQNodeWalker(cfg *FWQMachineConfig) *fwqNodeWalker {
+	w := &fwqNodeWalker{cfg: cfg, gens: make([]*noise.Generator, len(cfg.Classes))}
+	for i, c := range cfg.Classes {
+		w.gens[i] = c.Profile.Generator()
 	}
+	return w
+}
+
+// digest regenerates the node's timeline from its seed, walks it and
+// reduces the walk to the node's digest: field for field the digest of
+// RunFWQSketch's analysis of the same timeline, computed with
+// noise.Analyze's operations in the same order but without building the
+// per-iteration Lengths. The walk's perturbed durations stay in
+// w.perturbed until the next call.
+func (w *fwqNodeWalker) digest(node, cls int, seed int64) (FWQDigest, error) {
+	class := w.cfg.Classes[cls]
+	w.events = w.gens[cls].NodeInto(&w.tl, w.events, w.cfg.Duration, sim.NewRand(seed))
+	var clean int64
+	clean, w.perturbed = fwqWalk(FWQConfig{Work: w.cfg.Work, Duration: w.cfg.Duration, Cores: class.Cores},
+		&w.tl, w.perturbed[:0])
+	// As in newFWQSketch: one clean iteration stands for all of them in the
+	// analysis, and the rate is re-weighted to every iteration afterwards.
+	iters := w.perturbed
+	if clean > 0 {
+		iters = append(iters, w.cfg.Work)
+	}
+	a, err := noise.Summarize(iters)
+	if err != nil {
+		return FWQDigest{}, err
+	}
+	var total time.Duration
+	for _, t := range iters {
+		total += t - a.Tmin
+	}
+	n := clean + int64(len(w.perturbed))
 	return FWQDigest{
-		Node: node, N: a.N,
+		Node: node, N: int(n),
 		TminNS: int64(a.Tmin), TmaxNS: int64(a.Tmax),
 		MaxNoiseNS: int64(a.MaxNoise), TotalNoiseNS: int64(total),
-		Rate: a.Rate,
-	}
+		Rate: a.Rate * float64(len(iters)) / float64(n),
+	}, nil
 }
 
 // FWQMachine runs the full-machine campaign: the sharded sweep, the in-situ
@@ -256,12 +303,18 @@ func FWQMachineContext(ctx context.Context, cfg FWQMachineConfig) (*FWQMachineRe
 		Digests: m.digests,
 		Worst:   []FWQWorstNode{},
 	}
+	w := newFWQNodeWalker(&cfg)
 	for _, n := range worstNodes(m.digests, cfg.WorstK) {
-		w, err := rerunWorst(cfg, m.classOf, n, m.digests[n])
+		wn, err := w.rerunWorst(m.classOf(n), m.digests[n])
 		if err != nil {
 			return nil, sres, err
 		}
-		res.Worst = append(res.Worst, w)
+		res.Worst = append(res.Worst, wn)
+	}
+	// The re-run's noise counters land in the calling goroutine's sink.
+	reg := telemetry.Default().Registry()
+	for _, g := range w.gens {
+		g.Publish(reg)
 	}
 	return res, sres, nil
 }
@@ -296,38 +349,46 @@ func worstNodes(ds []FWQDigest, k int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return ds[idx[a]].TotalNoiseNS > ds[idx[b]].TotalNoiseNS
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Compare(ds[b].TotalNoiseNS, ds[a].TotalNoiseNS)
 	})
 	return idx[:k]
 }
 
-// rerunWorst replays one selected node with full per-iteration recording.
-// Skip(node) advances the base generator exactly as the node's predecessors
-// did in the sequential derivation, so the re-run sees the identical
-// timeline the sketch summarized.
-func rerunWorst(cfg FWQMachineConfig, classOf func(int) int, node int, d FWQDigest) (FWQWorstNode, error) {
-	cls := classOf(node)
-	class := cfg.Classes[cls]
-	base := sim.NewRand(cfg.Seed)
-	base.Skip(node)
-	tl := class.Profile.Timeline(cfg.Duration, sim.NewRand(base.DeriveSeed(int64(node))))
-	run, err := RunFWQ(FWQConfig{Work: cfg.Work, Duration: cfg.Duration, Cores: class.Cores}, tl)
+// rerunWorst replays one selected node and returns the quantiles of its
+// exact iteration distribution. Skip(node) advances the base generator
+// exactly as the node's predecessors did in the sequential derivation, so
+// the re-run sees the identical timeline the node walked in situ, and its
+// whole digest must match the one the node reported.
+//
+// Clean iterations all last exactly Work and no perturbed one is shorter
+// (noise only delays), so the sorted iteration list is clean copies of
+// Work followed by the sorted perturbed durations, and each quantile is
+// read from it by index.
+func (w *fwqNodeWalker) rerunWorst(cls int, d FWQDigest) (FWQWorstNode, error) {
+	base := sim.NewRand(w.cfg.Seed)
+	base.Skip(d.Node)
+	got, err := w.digest(d.Node, cls, base.DeriveSeed(int64(d.Node)))
 	if err != nil {
-		return FWQWorstNode{}, fmt.Errorf("fwq machine: re-running node %d: %w", node, err)
+		return FWQWorstNode{}, fmt.Errorf("fwq machine: re-running node %d: %w", d.Node, err)
 	}
-	iters := run.AllIterations()
-	if len(iters) != d.N {
-		return FWQWorstNode{}, fmt.Errorf("fwq machine: node %d re-run saw %d iterations, digest says %d",
-			node, len(iters), d.N)
+	if got != d {
+		return FWQWorstNode{}, fmt.Errorf("fwq machine: node %d re-run digest %+v differs from its in-situ digest %+v",
+			d.Node, got, d)
 	}
-	sort.Slice(iters, func(a, b int) bool { return iters[a] < iters[b] })
-	q := func(p float64) int64 {
-		return int64(iters[int(p*float64(len(iters)-1))])
+	perturbed := w.perturbed
+	slices.Sort(perturbed)
+	clean := d.N - len(perturbed)
+	at := func(i int) int64 {
+		if i < clean {
+			return int64(w.cfg.Work)
+		}
+		return int64(perturbed[i-clean])
 	}
+	q := func(p float64) int64 { return at(int(p * float64(d.N-1))) }
 	return FWQWorstNode{
-		Node: node, Class: cls, Digest: d,
+		Node: d.Node, Class: cls, Digest: d,
 		P50NS: q(0.50), P90NS: q(0.90), P99NS: q(0.99), P999NS: q(0.999),
-		MaxNS: int64(iters[len(iters)-1]),
+		MaxNS: at(d.N - 1),
 	}, nil
 }

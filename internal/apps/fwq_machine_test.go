@@ -3,6 +3,7 @@ package apps
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -29,6 +30,32 @@ func machineTestConfig(nodes, shards int) FWQMachineConfig {
 		},
 		ClassOf: func(n int) int { return n % 2 },
 	}
+}
+
+// DigestOf reduces an analysis to the digest a node reports: the total is
+// the sum of per-iteration noise lengths, the quantity WorstBy ranks on.
+// It is the reference the in-situ digest is tested against, exported for
+// the external equivalence tests.
+func DigestOf(node int, a noise.Analysis) FWQDigest {
+	var total time.Duration
+	for _, l := range a.Lengths {
+		total += l
+	}
+	return FWQDigest{
+		Node: node, N: a.N,
+		TminNS: int64(a.Tmin), TmaxNS: int64(a.Tmax),
+		MaxNoiseNS: int64(a.MaxNoise), TotalNoiseNS: int64(total),
+		Rate: a.Rate,
+	}
+}
+
+// AllIterations flattens every core's samples in core order.
+func (r *FWQRun) AllIterations() []time.Duration {
+	var out []time.Duration
+	for _, core := range sortedKeys(r.PerCore) {
+		out = append(out, r.PerCore[core]...)
+	}
+	return out
 }
 
 func TestFWQMachineByteIdenticalAcrossShardCounts(t *testing.T) {
@@ -75,7 +102,7 @@ func TestFWQMachineDigestsMatchSequentialSketches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n, sk := range sks {
-		want := digestOf(n, sk.Analysis)
+		want := DigestOf(n, sk.Analysis)
 		if res.Digests[n] != want {
 			t.Errorf("node %d digest = %+v, sequential sketch says %+v", n, res.Digests[n], want)
 		}
@@ -117,6 +144,39 @@ func TestFWQMachineWorstSelection(t *testing.T) {
 	for i, idx := range noise.WorstBy(as, 3) {
 		if res.Worst[i].Node != idx {
 			t.Errorf("worst[%d] = node %d, noise.WorstBy says %d", i, res.Worst[i].Node, idx)
+		}
+	}
+}
+
+// TestFWQMachineRerunRejectsTamperedDigest checks that a worst node's
+// re-run compares its whole digest with the one reported in situ, so a
+// digest wrong in any field is an error, not a quietly re-ranked node.
+func TestFWQMachineRerunRejectsTamperedDigest(t *testing.T) {
+	cfg := machineTestConfig(6, 2)
+	res, _, err := FWQMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := res.Worst[0].Digest
+	w := newFWQNodeWalker(&cfg)
+	if _, err := w.rerunWorst(cfg.ClassOf(d.Node), d); err != nil {
+		t.Fatalf("re-run of the reported digest: %v", err)
+	}
+	for _, c := range []struct {
+		field  string
+		tamper func(*FWQDigest)
+	}{
+		{"N", func(d *FWQDigest) { d.N-- }},
+		{"Tmin", func(d *FWQDigest) { d.TminNS++ }},
+		{"Tmax", func(d *FWQDigest) { d.TmaxNS-- }},
+		{"MaxNoise", func(d *FWQDigest) { d.MaxNoiseNS++ }},
+		{"TotalNoise", func(d *FWQDigest) { d.TotalNoiseNS++ }},
+		{"Rate", func(d *FWQDigest) { d.Rate = math.Nextafter(d.Rate, 1) }},
+	} {
+		bad := d
+		c.tamper(&bad)
+		if _, err := w.rerunWorst(cfg.ClassOf(d.Node), bad); err == nil {
+			t.Errorf("digest with a tampered %s accepted by the re-run", c.field)
 		}
 	}
 }

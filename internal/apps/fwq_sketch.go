@@ -5,6 +5,7 @@ import (
 
 	"mkos/internal/noise"
 	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 // FWQSketch is the memory-efficient FWQ result for one node: per-core noise
@@ -23,9 +24,17 @@ func RunFWQSketch(cfg FWQConfig, tl *noise.Timeline) (*FWQSketch, error) {
 	if cfg.Work <= 0 || cfg.Duration <= 0 || len(cfg.Cores) == 0 {
 		return nil, ErrBadFWQConfig
 	}
+	clean, perturbed := fwqWalk(cfg, tl, nil)
+	return newFWQSketch(cfg.Work, clean, perturbed)
+}
+
+// fwqWalk runs the benchmark on every core of cfg over tl's interruption
+// stream. It returns how many iterations no interruption touched, each of
+// which lasts exactly cfg.Work, and appends the duration of every other
+// iteration to perturbed, core by core in time order. cfg must be valid.
+func fwqWalk(cfg FWQConfig, tl *noise.Timeline, perturbed []time.Duration) (int64, []time.Duration) {
 	deadline := sim.Time(cfg.Duration)
 	var clean int64
-	var perturbed []time.Duration
 	for _, core := range cfg.Cores {
 		ivs := tl.ForCPU(core)
 		t := sim.Time(0)
@@ -55,10 +64,16 @@ func RunFWQSketch(cfg FWQConfig, tl *noise.Timeline) (*FWQSketch, error) {
 			t = end
 		}
 	}
+	return clean, perturbed
+}
+
+// newFWQSketch builds a sketch from a walk's clean count and perturbed
+// durations; it keeps no reference to perturbed.
+func newFWQSketch(work time.Duration, clean int64, perturbed []time.Duration) (*FWQSketch, error) {
 	iters := append([]time.Duration(nil), perturbed...)
-	// Analysis needs Tmin; clean iterations all equal cfg.Work.
+	// Analysis needs Tmin; clean iterations all equal work.
 	if clean > 0 {
-		iters = append(iters, cfg.Work)
+		iters = append(iters, work)
 	}
 	a, err := noise.Analyze(iters)
 	if err != nil {
@@ -67,32 +82,40 @@ func RunFWQSketch(cfg FWQConfig, tl *noise.Timeline) (*FWQSketch, error) {
 	// Correct the rate for the clean iterations the analysis did not see:
 	// Eq. 2 averages (Ti - Tmin)/Tmin over all n iterations.
 	total := clean + int64(len(perturbed))
-	if total > 0 {
-		a.Rate = a.Rate * float64(len(iters)) / float64(total)
-		a.N = int(total)
-	}
+	a.Rate = a.Rate * float64(len(iters)) / float64(total)
+	a.N = int(total)
 	return &FWQSketch{
 		Analysis: a,
-		Dist:     noise.NewIterationDist(cfg.Work, clean, perturbed),
+		Dist:     noise.NewIterationDist(work, clean, perturbed),
 	}, nil
 }
 
 // FWQSketchAcrossNodes runs the sketch on n independent nodes with the same
-// per-node RNG streams as FWQAcrossNodes.
+// per-node RNG streams as FWQAcrossNodes. The nodes share one generator,
+// timeline and buffers, and the noise counters of all of them are
+// published to the calling goroutine's sink once.
 func FWQSketchAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]*FWQSketch, error) {
-	if nodes <= 0 {
+	if nodes <= 0 || cfg.Work <= 0 || cfg.Duration <= 0 || len(cfg.Cores) == 0 {
 		return nil, ErrBadFWQConfig
 	}
-	p := prof.NoiseProfile()
+	g := prof.NoiseProfile().Generator()
 	base := sim.NewRand(seed)
+	var (
+		tl        noise.Timeline
+		events    []noise.Interruption
+		perturbed []time.Duration
+	)
 	out := make([]*FWQSketch, 0, nodes)
 	for n := 0; n < nodes; n++ {
-		tl := p.Timeline(cfg.Duration, base.Derive(int64(n)))
-		sk, err := RunFWQSketch(cfg, tl)
+		events = g.NodeInto(&tl, events, cfg.Duration, base.Derive(int64(n)))
+		var clean int64
+		clean, perturbed = fwqWalk(cfg, &tl, perturbed[:0])
+		sk, err := newFWQSketch(cfg.Work, clean, perturbed)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, sk)
 	}
+	g.Publish(telemetry.Default().Registry())
 	return out, nil
 }

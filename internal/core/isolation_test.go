@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mkos/internal/apps"
+	"mkos/internal/cluster"
 	"mkos/internal/cpu"
 )
 
@@ -39,6 +40,37 @@ func TestMemorySystemContention(t *testing.T) {
 	}
 	if m.SlowdownWith(100e9, 100e9) != 1 {
 		t.Fatal("light load must not slow anybody")
+	}
+}
+
+// TestTenantNoiseProfileNamesUnique checks that the shared-kernel tenant's
+// bleed source joins every OS profile without colliding with a source name
+// already there, which Profile.Add refuses.
+func TestTenantNoiseProfileNamesUnique(t *testing.T) {
+	tenant := AnalyticsTenant()
+	for _, platform := range []apps.PlatformName{apps.OnFugaku, apps.OnOFP} {
+		app, err := apps.ByName("GeoFEM", platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []cluster.OSKind{cluster.Linux, cluster.McKernel} {
+			machine, _, err := PlatformFor(platform).Machine(kind, app.Geometry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := tenantNoiseOS{OS: machine.OS, tenant: tenant, cores: machine.Cores}.NoiseProfile()
+			seen := map[string]bool{}
+			for _, s := range p.Sources {
+				if seen[s.Name] {
+					t.Fatalf("%s %v: source %q appears twice", platform, kind, s.Name)
+				}
+				seen[s.Name] = true
+			}
+			if !seen["tenant-"+tenant.Name] || len(p.Sources) != len(machine.OS.NoiseProfile().Sources)+1 {
+				t.Fatalf("%s %v: tenant profile %d sources, want the OS's plus tenant-%s",
+					platform, kind, len(p.Sources), tenant.Name)
+			}
+		}
 	}
 }
 

@@ -32,6 +32,21 @@ var ErrNoSamples = errors.New("noise: no FWQ samples")
 
 // Analyze computes the paper's FWQ metrics over iteration times.
 func Analyze(iterations []time.Duration) (Analysis, error) {
+	a, err := Summarize(iterations)
+	if err != nil {
+		return a, err
+	}
+	a.Lengths = make([]time.Duration, len(iterations))
+	for i, t := range iterations {
+		a.Lengths[i] = t - a.Tmin
+	}
+	return a, nil
+}
+
+// Summarize computes every metric Analyze does except the per-iteration
+// Lengths, which it leaves nil, and allocates nothing. Its fields are
+// bit-identical to Analyze's.
+func Summarize(iterations []time.Duration) (Analysis, error) {
 	if len(iterations) == 0 {
 		return Analysis{}, ErrNoSamples
 	}
@@ -45,10 +60,8 @@ func Analyze(iterations []time.Duration) (Analysis, error) {
 		}
 	}
 	a.MaxNoise = a.Tmax - a.Tmin
-	a.Lengths = make([]time.Duration, len(iterations))
 	sum := 0.0
-	for i, t := range iterations {
-		a.Lengths[i] = t - a.Tmin
+	for _, t := range iterations {
 		sum += float64(t-a.Tmin) / float64(a.Tmin)
 	}
 	a.Rate = sum / float64(len(iterations))

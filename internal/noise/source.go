@@ -168,10 +168,17 @@ type Profile struct {
 	Subsystem string
 }
 
-// Add appends a source after validation.
+// Add appends a source after validation. Source names must be unique
+// within a profile: a source's name picks its RNG stream, its telemetry
+// counter and its place among same-instant events on a core, so two
+// same-named sources would be perfectly correlated, share one counter and
+// interleave in no defined order.
 func (p *Profile) Add(s *Source) error {
 	if err := s.Validate(); err != nil {
 		return err
+	}
+	if p.ByName(s.Name) != nil {
+		return fmt.Errorf("noise: profile already has a source named %q", s.Name)
 	}
 	p.Sources = append(p.Sources, s)
 	return nil
@@ -201,36 +208,44 @@ func (p *Profile) ByName(name string) *Source {
 // one-countermeasure-at-a-time methodology to isolate effects.
 func (p *Profile) Timeline(horizon time.Duration, rng *sim.Rand) *Timeline {
 	g := p.Generator()
-	events := g.AppendNode(nil, horizon, rng)
-	if len(events) > 0 {
+	tl := &Timeline{}
+	if len(g.NodeInto(tl, nil, horizon, rng)) > 0 {
 		g.Publish(telemetry.Default().Registry())
 	}
-	return newTimeline(events)
+	return tl
 }
 
 // Generator draws node timelines from one profile with every source's
 // distributions resolved once. Callers that only aggregate the events (the
 // BSP step sampler) use it directly instead of building a Timeline per
-// node. It tallies what it generates until Publish.
+// node. It tallies what it generates until Publish, and reuses its
+// per-source streams from node to node, so it belongs to one goroutine.
 type Generator struct {
-	sub      string
 	samplers []sampler
-	events   []int64 // per source, since the last Publish
+	counters []string // per source: <subsystem>.noise.events.<source>
+	stolenNS string   // <subsystem>.noise.stolen_ns
+	events   []int64  // per source, since the last Publish
 	stolen   time.Duration
+	rngs     []*sim.Rand // per source, reseeded for every node
 }
 
 // Generator returns a generator for the profile's current sources.
 func (p *Profile) Generator() *Generator {
-	g := &Generator{
-		sub:      p.Subsystem,
-		samplers: make([]sampler, len(p.Sources)),
-		events:   make([]int64, len(p.Sources)),
+	sub := p.Subsystem
+	if sub == "" {
+		sub = "noise"
 	}
-	if g.sub == "" {
-		g.sub = "noise"
+	g := &Generator{
+		samplers: make([]sampler, len(p.Sources)),
+		counters: make([]string, len(p.Sources)),
+		stolenNS: sub + ".noise.stolen_ns",
+		events:   make([]int64, len(p.Sources)),
+		rngs:     make([]*sim.Rand, len(p.Sources)),
 	}
 	for i, s := range p.Sources {
 		g.samplers[i] = s.sampler()
+		g.counters[i] = sub + ".noise.events." + s.Name
+		g.rngs[i] = sim.NewRand(0)
 	}
 	return g
 }
@@ -242,12 +257,24 @@ func (g *Generator) AppendNode(buf []Interruption, horizon time.Duration, rng *s
 	for i := range g.samplers {
 		sp := &g.samplers[i]
 		n := len(buf)
-		buf = sp.appendEvents(buf, horizon, rng.DeriveNamed(sp.src.Name))
+		rng.DeriveNamedInto(g.rngs[i], sp.src.Name)
+		buf = sp.appendEvents(buf, horizon, g.rngs[i])
 		g.events[i] += int64(len(buf) - n)
 		for _, iv := range buf[n:] {
 			g.stolen += iv.Len
 		}
 	}
+	return buf
+}
+
+// NodeInto refills tl with one node's interruptions over [0, horizon), the
+// ones AppendNode draws from rng, and returns buf holding them in
+// AppendNode's order. tl's storage and buf's backing array are reused, so a
+// caller drawing node after node allocates only while they grow; slices tl
+// handed out before the call are overwritten.
+func (g *Generator) NodeInto(tl *Timeline, buf []Interruption, horizon time.Duration, rng *sim.Rand) []Interruption {
+	buf = g.AppendNode(buf[:0], horizon, rng)
+	tl.group(buf)
 	return buf
 }
 
@@ -258,49 +285,52 @@ func (g *Generator) Publish(reg *telemetry.Registry) {
 	produced := false
 	for i, n := range g.events {
 		if n > 0 {
-			reg.Counter(g.sub + ".noise.events." + g.samplers[i].src.Name).Add(n)
+			reg.Counter(g.counters[i]).Add(n)
 			produced = true
 		}
 		g.events[i] = 0
 	}
 	if produced {
-		reg.Counter(g.sub + ".noise.stolen_ns").Add(int64(g.stolen))
+		reg.Counter(g.stolenNS).Add(int64(g.stolen))
 	}
 	g.stolen = 0
 }
 
 // Timeline holds per-core interruption streams and answers "how long does a
-// quantum of work actually take on this core".
+// quantum of work actually take on this core". The zero value is an empty
+// timeline; Generator.NodeInto refills one in place.
 type Timeline struct {
-	lo     int              // lowest core with interruptions
-	perCPU [][]Interruption // indexed by core - lo; nil for a quiet core
+	lo      int              // lowest core with interruptions
+	perCPU  [][]Interruption // indexed by core - lo; empty for a quiet core
+	counts  []int            // per core, group's working counts
+	backing []Interruption   // every core's events, perCPU's storage
 }
 
-// newTimeline groups events by core, each core's sorted by start and then
-// by source name.
-func newTimeline(events []Interruption) *Timeline {
-	tl := &Timeline{}
+// group replaces tl's contents with events grouped by core, each core's
+// sorted by start and then by source name, reusing tl's storage.
+func (tl *Timeline) group(events []Interruption) {
+	tl.lo, tl.perCPU = 0, tl.perCPU[:0]
 	if len(events) == 0 {
-		return tl
+		return
 	}
 	lo, hi := events[0].CPU, events[0].CPU
 	for _, iv := range events[1:] {
 		lo, hi = min(lo, iv.CPU), max(hi, iv.CPU)
 	}
-	counts := make([]int, hi-lo+1)
+	cores := hi - lo + 1
+	tl.counts = slices.Grow(tl.counts[:0], cores)[:cores]
+	clear(tl.counts)
 	for _, iv := range events {
-		counts[iv.CPU-lo]++
+		tl.counts[iv.CPU-lo]++
 	}
 	// Carve every core's slice out of one backing array, capacity-capped so
 	// a caller appending to ForCPU's result cannot overwrite the next core.
-	backing := make([]Interruption, len(events))
-	tl.lo, tl.perCPU = lo, make([][]Interruption, len(counts))
+	tl.backing = slices.Grow(tl.backing[:0], len(events))[:len(events)]
+	tl.lo, tl.perCPU = lo, slices.Grow(tl.perCPU, cores)[:cores]
 	off := 0
-	for i, c := range counts {
-		if c > 0 {
-			tl.perCPU[i] = backing[off : off : off+c]
-			off += c
-		}
+	for i, c := range tl.counts {
+		tl.perCPU[i] = tl.backing[off : off : off+c]
+		off += c
 	}
 	for _, iv := range events {
 		i := iv.CPU - lo
@@ -314,7 +344,6 @@ func newTimeline(events []Interruption) *Timeline {
 			return strings.Compare(a.Source, b.Source)
 		})
 	}
-	return tl
 }
 
 // ForCPU returns the interruptions on one core, sorted by start.

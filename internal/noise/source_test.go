@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -213,6 +214,33 @@ func TestProfileAddValidates(t *testing.T) {
 	p.MustAdd(&Source{})
 }
 
+// TestProfileAddRejectsDuplicateName checks that a second source with a
+// name already in the profile is refused, whatever its other settings: it
+// would draw the first one's RNG stream and share its counter.
+func TestProfileAddRejectsDuplicateName(t *testing.T) {
+	var p Profile
+	p.MustAdd(validSource())
+	dup := validSource()
+	dup.Cores, dup.Mode = []int{1, 2}, TargetAll
+	if err := p.Add(dup); err == nil || !strings.Contains(err.Error(), `"daemon"`) {
+		t.Fatalf("duplicate source name: err = %v, want one naming it", err)
+	}
+	if len(p.Sources) != 1 {
+		t.Fatalf("profile holds %d sources after a refused Add, want 1", len(p.Sources))
+	}
+	other := validSource()
+	other.Name = "daemon2"
+	if err := p.Add(other); err != nil {
+		t.Fatalf("distinct name refused: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MustAdd must panic on a duplicate name")
+		}
+	}()
+	p.MustAdd(validSource())
+}
+
 func TestProfileByName(t *testing.T) {
 	var p Profile
 	s := validSource()
@@ -223,6 +251,13 @@ func TestProfileByName(t *testing.T) {
 	if p.ByName("nope") != nil {
 		t.Fatal("ByName false positive")
 	}
+}
+
+// newTimeline groups hand-built events into a fresh timeline.
+func newTimeline(events []Interruption) *Timeline {
+	tl := &Timeline{}
+	tl.group(events)
+	return tl
 }
 
 func TestTimelineAdvanceNoNoise(t *testing.T) {

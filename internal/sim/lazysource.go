@@ -38,12 +38,14 @@ var lehmerPow = func() (p [lehmerSkip + 3*rngLen + 1]uint64) {
 type lazySource struct {
 	x0   uint64         // seed reduced to the Lehmer state, in [1, 2^31-1)
 	n    int            // draws made while the register is unbuilt
-	vec  *[rngLen]int64 // feedback register, nil until draw rngTap
+	vec  *[rngLen]int64 // feedback register storage, kept across Seed
+	live bool           // vec holds the register: draw rngTap has come
 	tap  int
 	feed int
 }
 
-// Seed resets the source to the state rand.NewSource(seed) starts in.
+// Seed resets the source to the state rand.NewSource(seed) starts in. It
+// keeps the register's storage for the next build.
 func (s *lazySource) Seed(seed int64) {
 	seed %= int32max
 	if seed < 0 {
@@ -52,7 +54,7 @@ func (s *lazySource) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	*s = lazySource{x0: uint64(seed)}
+	*s = lazySource{x0: uint64(seed), vec: s.vec}
 }
 
 // word returns original register word i.
@@ -67,7 +69,10 @@ func (s *lazySource) word(i int) int64 {
 // build fills the register and replays the rngTap lazy draws onto it,
 // leaving the source exactly where rand.NewSource's would be.
 func (s *lazySource) build() {
-	s.vec = new([rngLen]int64)
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
+	s.live = true
 	for i := range s.vec {
 		s.vec[i] = s.word(i)
 	}
@@ -79,7 +84,7 @@ func (s *lazySource) build() {
 
 // Uint64 returns the next 64-bit value.
 func (s *lazySource) Uint64() uint64 {
-	if s.vec == nil {
+	if !s.live {
 		if s.n < rngTap {
 			k := s.n
 			s.n++
@@ -105,7 +110,7 @@ func (s *lazySource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
 // skip discards n draws; draws before the register is built cost nothing.
 func (s *lazySource) skip(n int) {
-	if s.vec == nil {
+	if !s.live {
 		k := min(n, rngTap-s.n)
 		s.n += k
 		n -= k

@@ -62,12 +62,25 @@ func (r *Rand) Skip(n int) { r.lazy.skip(n) }
 
 // DeriveNamed derives a sub-stream keyed by a string label.
 func (r *Rand) DeriveNamed(label string) *Rand {
+	return r.Derive(labelStream(label))
+}
+
+// DeriveNamedInto resets dst, a generator made by NewRand, to the one
+// DeriveNamed(label) would return, consuming the same parent draw, and
+// reuses dst's storage: a caller deriving the same labelled stream for
+// node after node allocates nothing.
+func (r *Rand) DeriveNamedInto(dst *Rand, label string) {
+	dst.src.Seed(r.DeriveSeed(labelStream(label)))
+}
+
+// labelStream is the stream id of a label: its FNV-64 hash.
+func labelStream(label string) int64 {
 	var h uint64 = 1469598103934665603 // FNV-64 offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
 		h *= 1099511628211
 	}
-	return r.Derive(int64(h))
+	return int64(h)
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -14,7 +14,9 @@ import "runtime"
 // path), so serial runs outside a sweep are unaffected. The simulator's hot
 // paths do run inside sweeps, so they resolve the sink once per unit of
 // work rather than per event: bsp.Run once per run, Profile.Timeline once
-// per timeline.
+// per timeline, apps.FWQSketchAcrossNodes once per call. The full-machine
+// FWQ path does not look it up per node at all: each shard resolves its
+// own sink once, in Setup, and the worst-K re-run once per campaign.
 func gid() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
