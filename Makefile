@@ -18,8 +18,8 @@ vet:
 	$(GO) vet ./...
 
 # lint runs simlint, the bespoke determinism-and-invariant multichecker
-# (walltime, globalrand, maporder, sinkdiscipline, simtime, opsbound,
-# lockguard, ctxflow, opstaint — see internal/lint/README.md). Exits 1 on
+# (walltime, globalrand, maporder, simtime, opsbound, lockguard,
+# ctxflow, opstaint — see internal/lint/README.md). Exits 1 on
 # any finding; suppress a justified one with
 # //simlint:allow <check> — <reason>.
 lint:

@@ -122,7 +122,7 @@ func BenchmarkFigure4(b *testing.B) {
 	var curves []core.CDFCurve
 	for i := 0; i < b.N; i++ {
 		var err error
-		curves, err = core.Figure4(cfg)
+		curves, err = core.Figure4(cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -586,7 +586,7 @@ func BenchmarkIsolationColocation(b *testing.B) {
 			var r core.IsolationResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = core.RunIsolation(apps.OnFugaku, mode, "GeoFEM", 128, core.AnalyticsTenant(), 9)
+				r, err = core.RunIsolation(apps.OnFugaku, mode, "GeoFEM", 128, core.AnalyticsTenant(), 9, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

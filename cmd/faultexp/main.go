@@ -46,8 +46,9 @@ func main() {
 	profilePath := flag.String("profile", "", "write the engine profiler report (host wall times, non-deterministic)")
 	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 	flag.Parse()
+	sink := telemetry.NewSink()
 	if *tracePath != "" {
-		telemetry.EnableTrace()
+		sink.Recorder().Enable()
 	}
 
 	var p *cluster.Platform
@@ -83,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	o.MergeTelemetry(telemetry.Default())
+	o.MergeTelemetry(sink)
 
 	fmt.Printf("fault-injection sweep: %s, %d jobs/point x %d nodes, seed %d\n",
 		p.Name, *jobs, *nodes, *seed)
@@ -133,9 +134,9 @@ func main() {
 		path string
 		fn   func(string) error
 	}{
-		{*metricsPath, telemetry.WriteMetricsFile},
-		{*tracePath, telemetry.WriteTraceFile},
-		{*profilePath, telemetry.WriteProfileFile},
+		{*metricsPath, sink.WriteMetricsFile},
+		{*tracePath, sink.WriteTraceFile},
+		{*profilePath, sink.WriteProfileFile},
 	} {
 		if w.path != "" {
 			if err := w.fn(w.path); err != nil {

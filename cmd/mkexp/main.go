@@ -50,20 +50,21 @@ func main() {
 	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 	flag.Parse()
 	showMetrics = *fom
+	sink := telemetry.NewSink()
 	if *tracePath != "" {
-		telemetry.EnableTrace()
+		sink.Recorder().Enable()
 	}
 	writeArtifacts := func() {
-		if err := telemetry.WriteMetricsFile(*metricsPath); err != nil {
+		if err := sink.WriteMetricsFile(*metricsPath); err != nil {
 			log.Fatal(err)
 		}
-		if err := telemetry.WriteTraceFile(*tracePath); err != nil {
+		if err := sink.WriteTraceFile(*tracePath); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	if *isolation {
-		runIsolation(*platform, *appName, *nodeList, *seed)
+		runIsolation(*platform, *appName, *nodeList, *seed, sink)
 		writeArtifacts()
 		return
 	}
@@ -123,7 +124,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	o.MergeTelemetry(telemetry.Default())
+	o.MergeTelemetry(sink)
 	for _, spec := range specs {
 		printFigure(o, spec)
 	}
@@ -134,8 +135,9 @@ func main() {
 	}
 }
 
-// runIsolation executes the Sec. 8 co-location experiment.
-func runIsolation(platform, appName, nodeList string, seed int64) {
+// runIsolation executes the Sec. 8 co-location experiment, publishing its
+// telemetry into sink.
+func runIsolation(platform, appName, nodeList string, seed int64, sink *telemetry.Sink) {
 	p := apps.OnOFP
 	if strings.HasPrefix(strings.ToLower(platform), "fugaku") {
 		p = apps.OnFugaku
@@ -151,7 +153,7 @@ func runIsolation(platform, appName, nodeList string, seed int64) {
 		}
 		nodes = ns[0]
 	}
-	cg, mk, err := core.CompareIsolation(p, appName, nodes, core.AnalyticsTenant(), seed)
+	cg, mk, err := core.CompareIsolation(p, appName, nodes, core.AnalyticsTenant(), seed, sink)
 	if err != nil {
 		log.Fatal(err)
 	}

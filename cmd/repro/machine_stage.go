@@ -12,6 +12,7 @@ import (
 	"mkos/internal/apps"
 	"mkos/internal/cluster"
 	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 // runMachineStage is stage [6/6]: the full-machine sharded FWQ campaign with
@@ -19,14 +20,16 @@ import (
 // deterministic and shard-count invariant; -shards only changes how the
 // simulation is parallelized. Node count and duration are scaled well below
 // the 158,976-node flagship run (cmd/fwq -shards covers that) so the stage
-// stays a small slice of the repro's budget.
-func runMachineStage(ctx context.Context, quick bool, shards int, outdir string, flushOps func() error) {
+// stays a small slice of the repro's budget. The worst-node re-run's noise
+// counters go to sink.
+func runMachineStage(ctx context.Context, quick bool, shards int, outdir string, flushOps func() error, sink *telemetry.Sink) {
 	nodes, duration, worstK := 4096, 4*time.Second, 100
 	if quick {
 		nodes, duration, worstK = 256, 2*time.Second, 10
 	}
 	fmt.Printf("[6/6] full-machine sharded FWQ (%d nodes, %d shards)...\n", nodes, shards)
 	p := cluster.Fugaku()
+	p.Sink = sink
 	cfg, err := p.MachineFWQ(cluster.Linux, nodes, 6500*time.Microsecond, duration, 42, shards, worstK)
 	if err != nil {
 		log.Fatal(err)

@@ -48,8 +48,12 @@ func main() {
 	shards := flag.Int("shards", 4, "shard count for the full-machine FWQ stage (result is shard-count invariant)")
 	flag.Parse()
 
+	// sink collects the whole run's telemetry: every stage's campaign
+	// outcome is merged into it, and the engine-driven stages publish into
+	// it directly.
+	sink := telemetry.NewSink()
 	if *tracePath != "" {
-		telemetry.EnableTrace()
+		sink.Recorder().Enable()
 	}
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		log.Fatal(err)
@@ -63,8 +67,8 @@ func main() {
 	ctx, flushOps := ops.TraceFile(ctx, *opsTrace)
 
 	// runCampaign shards one stage's trials over the worker pool and folds
-	// the merged telemetry into the process-wide sink, so the -metrics and
-	// -trace artifacts see every stage exactly as the serial path did.
+	// the merged telemetry into sink, so the -metrics and -trace artifacts
+	// see every stage exactly as the serial path did.
 	runCampaign := func(c *sweep.Campaign) *sweep.Outcome {
 		o, err := sweep.RunContext(ctx, c, sweep.Options{
 			Workers: *workers, CacheDir: *cacheDir,
@@ -83,7 +87,7 @@ func main() {
 		if err := o.FirstErr(); err != nil {
 			log.Fatal(err)
 		}
-		o.MergeTelemetry(telemetry.Default())
+		o.MergeTelemetry(sink)
 		return o
 	}
 
@@ -189,10 +193,10 @@ func main() {
 	// discrete-event machinery (resilient batch system, syscall delegation)
 	// so the telemetry artifacts carry live sim/cluster/fault/mckernel data.
 	fmt.Printf("[5/6] operational stage (fault recovery + syscall offload)...\n")
-	runOpsStage(ctx, *quick)
+	runOpsStage(ctx, *quick, sink)
 
 	// --- Full-machine sharded FWQ (Sec. 6.3 in-situ selection) ---
-	runMachineStage(ctx, *quick, *shards, *outdir, flushOps)
+	runMachineStage(ctx, *quick, *shards, *outdir, flushOps, sink)
 
 	// --- Telemetry artifacts ---
 	for _, w := range []struct {
@@ -200,9 +204,9 @@ func main() {
 		fn   func(string) error
 		kind string
 	}{
-		{*metricsPath, telemetry.WriteMetricsFile, "metrics"},
-		{*tracePath, telemetry.WriteTraceFile, "trace"},
-		{*profilePath, telemetry.WriteProfileFile, "profile"},
+		{*metricsPath, sink.WriteMetricsFile, "metrics"},
+		{*tracePath, sink.WriteTraceFile, "trace"},
+		{*profilePath, sink.WriteProfileFile, "profile"},
 	} {
 		if w.path == "" {
 			continue
@@ -245,10 +249,12 @@ func main() {
 // touch: a small fault-injected batch on the resilient scheduler (cluster,
 // fault and sim engine telemetry) and a syscall chain through the McKernel
 // delegator (LWK-local vs offloaded calls, IKC traffic, proxy queueing).
-// ctx (the process signal context) cancels the engine runs cooperatively.
-func runOpsStage(ctx context.Context, quick bool) {
+// ctx (the process signal context) cancels the engine runs cooperatively;
+// the telemetry goes to sink.
+func runOpsStage(ctx context.Context, quick bool, sink *telemetry.Sink) {
 	const seed = 7
 	p := cluster.OFP()
+	p.Sink = sink
 
 	// Fault-injected batch: rates high enough that a quarter-second job sees
 	// panics, hangs and OOM kills, so detection and recovery machinery runs.
@@ -286,7 +292,7 @@ func runOpsStage(ctx context.Context, quick bool) {
 	}
 	eng := sim.NewEngine()
 	eng.SetCancelHook(func() bool { return ctx.Err() != nil }, 0)
-	telemetry.AttachEngine(eng)
+	sink.AttachEngine(eng)
 	d := mckernel.NewDelegator(node.LWK, eng)
 	proc, err := node.LWK.Spawn("ops-probe", 1)
 	if err != nil {

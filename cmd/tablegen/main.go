@@ -51,7 +51,7 @@ func main() {
 			interrupted = true
 			break
 		}
-		row, err := core.Table2Variant(cfg, name)
+		row, err := core.Table2Variant(cfg, name, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

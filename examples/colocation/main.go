@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("(primary slowdown vs running alone; 1.000 = perfect isolation)\n\n")
 	fmt.Printf("%-24s %14s %14s\n", "tenant", "cgroups", "multikernel")
 	for _, tenant := range tenants {
-		cg, mk, err := core.CompareIsolation(apps.OnFugaku, "GeoFEM", 256, tenant, 9)
+		cg, mk, err := core.CompareIsolation(apps.OnFugaku, "GeoFEM", 256, tenant, 9, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

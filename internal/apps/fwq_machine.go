@@ -26,8 +26,8 @@ import (
 //
 // A node's work is regenerating its timeline and walking it (fwqWalk), and
 // each shard does it on storage it reuses from node to node: one generator
-// per class, one timeline, one event and one duration buffer. The shard's
-// sink is resolved once in Setup.
+// per class, one timeline, one event and one duration buffer. Each node's
+// noise counters go to its shard's sink.
 //
 // Everything here is inside the determinism boundary: with the same seed
 // the result is byte-identical at any shard count. Per-node RNG streams
@@ -84,6 +84,10 @@ type FWQMachineConfig struct {
 
 	Cancel   func() bool
 	Observer shard.Observer
+
+	// Sink receives the noise counters of the worst-K re-run. The sharded
+	// sweep publishes into the per-shard sinks (shard.Result.Sinks).
+	Sink *telemetry.Sink
 }
 
 // FWQDigest is the compact per-node summary a node reduces its run to
@@ -144,7 +148,6 @@ type fwqMachineModel struct {
 
 func (m *fwqMachineModel) Setup(s *shard.Shard) error {
 	w := newFWQNodeWalker(&m.cfg)
-	reg := s.Sink.Registry()
 	base := sim.NewRand(m.cfg.Seed)
 	base.Skip(s.Nodes.Lo)
 	at := sim.Time(m.cfg.Duration)
@@ -166,7 +169,7 @@ func (m *fwqMachineModel) Setup(s *shard.Shard) error {
 			if err != nil {
 				panic(fmt.Errorf("fwq machine: node %d: %w", node, err))
 			}
-			w.gens[cls].Publish(reg)
+			w.gens[cls].Publish(s.Sink)
 			lat, err := m.report(node, 0, m.cfg.DigestBytes)
 			if err != nil {
 				panic(fmt.Errorf("fwq machine: node %d report: %w", node, err))
@@ -184,7 +187,7 @@ func (m *fwqMachineModel) Deliver(s *shard.Shard, msg shard.Message) {
 	d := msg.Payload.(FWQDigest)
 	m.digests[d.Node] = d
 	m.got++
-	s.Sink.Registry().Counter("fwq.machine.digests").Inc()
+	s.Sink.Counter("fwq.machine.digests").Inc()
 }
 
 // fwqNodeWalker runs nodes one after another on reused storage: one noise
@@ -311,10 +314,8 @@ func FWQMachineContext(ctx context.Context, cfg FWQMachineConfig) (*FWQMachineRe
 		}
 		res.Worst = append(res.Worst, wn)
 	}
-	// The re-run's noise counters land in the calling goroutine's sink.
-	reg := telemetry.Default().Registry()
 	for _, g := range w.gens {
-		g.Publish(reg)
+		g.Publish(cfg.Sink)
 	}
 	return res, sres, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"mkos/internal/noise"
 	"mkos/internal/sim"
-	"mkos/internal/telemetry"
 )
 
 // FWQSketch is the memory-efficient FWQ result for one node: per-core noise
@@ -93,12 +92,13 @@ func newFWQSketch(work time.Duration, clean int64, perturbed []time.Duration) (*
 // FWQSketchAcrossNodes runs the sketch on n independent nodes with the same
 // per-node RNG streams as FWQAcrossNodes. The nodes share one generator,
 // timeline and buffers, and the noise counters of all of them are
-// published to the calling goroutine's sink once.
+// published to the profile's sink once.
 func FWQSketchAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]*FWQSketch, error) {
 	if nodes <= 0 || cfg.Work <= 0 || cfg.Duration <= 0 || len(cfg.Cores) == 0 {
 		return nil, ErrBadFWQConfig
 	}
-	g := prof.NoiseProfile().Generator()
+	p := prof.NoiseProfile()
+	g := p.Generator()
 	base := sim.NewRand(seed)
 	var (
 		tl        noise.Timeline
@@ -116,6 +116,6 @@ func FWQSketchAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int
 		}
 		out = append(out, sk)
 	}
-	g.Publish(telemetry.Default().Registry())
+	g.Publish(p.Sink)
 	return out, nil
 }

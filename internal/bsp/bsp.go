@@ -104,6 +104,8 @@ type Machine struct {
 	Cores          []int // application cores on each node
 	RanksPerNode   int
 	ThreadsPerRank int
+	// Sink receives each run's bsp and noise counters.
+	Sink *telemetry.Sink
 }
 
 // Validate reports configuration errors.
@@ -196,10 +198,8 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 	nominal := init + time.Duration(w.Steps)*stepBusy
 
 	// Sample per-step noise delays: for every node, bucket its interruptions
-	// into step windows and keep the global per-step maximum. The sink is
-	// resolved once for the whole run.
-	reg := telemetry.Default().Registry()
-	noiseDelay := sampleStepNoise(reg, m.OS.NoiseProfile(), m.Cores, nodes, w.Steps, init, stepBusy, nominal, seed)
+	// into step windows and keep the global per-step maximum.
+	noiseDelay := sampleStepNoise(m.Sink, m.OS.NoiseProfile(), m.Cores, nodes, w.Steps, init, stepBusy, nominal, seed)
 
 	var total time.Duration
 	for _, d := range noiseDelay {
@@ -224,8 +224,8 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 		runtime = time.Duration(float64(runtime) * factor)
 	}
 
-	reg.Counter("bsp.runs").Inc()
-	reg.Histogram("bsp.runtime_s", runtimeBuckets).Observe(runtime.Seconds())
+	m.Sink.Counter("bsp.runs").Inc()
+	m.Sink.Histogram("bsp.runtime_s", runtimeBuckets).Observe(runtime.Seconds())
 	return Result{
 		App: w.Name, OS: m.OS.Name(), Nodes: nodes,
 		Runtime: runtime, Breakdown: b,
@@ -237,11 +237,11 @@ var runtimeBuckets = telemetry.ExpBuckets(0.25, 2, 14)
 
 // sampleStepNoise returns, for each step, the maximum interruption time any
 // rank in the whole job suffers inside that step's window, and publishes the
-// noise events it generated to reg. Each node's events are binned into a
+// noise events it generated to sink. Each node's events are binned into a
 // dense core-by-step accumulator as they are generated: per-cell sums and
 // the maximum over cells do not depend on event order, so no per-node
 // timeline is grouped or sorted.
-func sampleStepNoise(reg *telemetry.Registry, profile *noise.Profile, cores []int, nodes, steps int,
+func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, nodes, steps int,
 	init, stepBusy time.Duration, horizon time.Duration, seed int64) []time.Duration {
 
 	delays := make([]time.Duration, steps)
@@ -293,7 +293,7 @@ func sampleStepNoise(reg *telemetry.Registry, profile *noise.Profile, cores []in
 		}
 		touched = touched[:0]
 	}
-	gen.Publish(reg)
+	gen.Publish(sink)
 	return delays
 }
 

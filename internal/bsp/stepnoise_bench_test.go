@@ -31,10 +31,10 @@ func BenchmarkStepNoise(b *testing.B) {
 	bd := r.Breakdown
 	stepBusy := (bd.Compute + bd.MemMgmt + bd.Comm + bd.Barrier) / time.Duration(steps)
 	horizon := bd.Init + time.Duration(steps)*stepBusy
-	reg := telemetry.NewRegistry()
+	sink := telemetry.NewSink()
 	profile := m.OS.NoiseProfile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bsp.SampleStepNoise(reg, profile, m.Cores, nodes, steps, bd.Init, stepBusy, horizon, int64(i))
+		bsp.SampleStepNoise(sink, profile, m.Cores, nodes, steps, bd.Init, stepBusy, horizon, int64(i))
 	}
 }

@@ -75,13 +75,13 @@ func TestSampleStepNoiseMatchesTimelineBinning(t *testing.T) {
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 2, 99} {
 			horizon := tc.init + time.Duration(tc.steps)*tc.stepBusy
+			// The oracle's Profile.Timeline calls publish into the
+			// profile's sink.
 			ref := telemetry.NewSink()
-			var want []time.Duration
-			telemetry.RunWith(ref, func() {
-				want = timelineStepNoise(p, tc.cores, tc.nodes, tc.steps, tc.init, tc.stepBusy, horizon, seed)
-			})
+			p.Sink = ref
+			want := timelineStepNoise(p, tc.cores, tc.nodes, tc.steps, tc.init, tc.stepBusy, horizon, seed)
 			sink := telemetry.NewSink()
-			got := sampleStepNoise(sink.Registry(), p, tc.cores, tc.nodes, tc.steps, tc.init, tc.stepBusy, horizon, seed)
+			got := sampleStepNoise(sink, p, tc.cores, tc.nodes, tc.steps, tc.init, tc.stepBusy, horizon, seed)
 			for s := range want {
 				if got[s] != want[s] {
 					t.Fatalf("%s seed %d step %d: streaming %v, timeline binning %v", tc.name, seed, s, got[s], want[s])

@@ -15,6 +15,7 @@ import (
 	"mkos/internal/interconnect"
 	"mkos/internal/linux"
 	"mkos/internal/mckernel"
+	"mkos/internal/telemetry"
 )
 
 // OSKind selects the node operating system.
@@ -66,6 +67,11 @@ type Platform struct {
 	// LWKReserveBytesPerDomain is how much memory IHK detaches per app NUMA
 	// domain when booting McKernel.
 	LWKReserveBytesPerDomain int64
+
+	// Sink receives the telemetry of everything built on the platform: its
+	// nodes' kernels, the machines and FWQ configurations it assembles, and
+	// the schedulers that run on it. The presets leave it nil.
+	Sink *telemetry.Sink
 }
 
 // OFP returns the Oakforest-PACS preset: 8,192 KNL nodes, Omni-Path,
@@ -172,6 +178,7 @@ func (p *Platform) NewNodeAtWithHooks(idx int, kind OSKind, hooks ihk.Hooks) (*N
 	if err != nil {
 		return nil, fmt.Errorf("cluster: booting Linux on %s: %w", p.Name, err)
 	}
+	host.Sink = p.Sink
 	node := &Node{Platform: p, Kind: kind, Host: host}
 	if kind == Linux {
 		return node, nil
@@ -280,6 +287,7 @@ func (p *Platform) Machine(kind OSKind, g bsp.Geometry) (bsp.Machine, *Node, err
 		Cores:          node.AppCores(),
 		RanksPerNode:   g.RanksPerNode,
 		ThreadsPerRank: g.ThreadsPerRank,
+		Sink:           p.Sink,
 	}, node, nil
 }
 

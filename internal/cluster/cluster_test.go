@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"mkos/internal/bsp"
+	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 func TestPlatformPresetsMatchTable1(t *testing.T) {
@@ -66,6 +69,29 @@ func TestNewNodeMcKernel(t *testing.T) {
 		// Memory was detached from Linux.
 		if n.IHK.ReservedMemoryBytes() == 0 {
 			t.Fatal("no memory reserved for the LWK")
+		}
+	}
+}
+
+// TestNodeTelemetryReachesPlatformSink checks the plumbing from the
+// platform to the kernels booted on it: the LWK's allocator and panic
+// counters and the host's noise counters land in the platform's sink.
+func TestNodeTelemetryReachesPlatformSink(t *testing.T) {
+	p := OFP()
+	p.Sink = telemetry.NewSink()
+	node, err := p.NewNode(McKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.LWK.LWKMem.Alloc(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	_ = node.LWK.Panic("test")
+	node.Host.NoiseProfile().Timeline(10*time.Second, sim.NewRand(1))
+	reg := p.Sink.Registry()
+	for _, name := range []string{"mckernel.mem.alloc_calls", "mckernel.panics", "linux.noise.stolen_ns"} {
+		if reg.CounterValue(name) == 0 {
+			t.Errorf("%s is not in the platform's sink", name)
 		}
 	}
 }

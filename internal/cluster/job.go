@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mkos/internal/bsp"
-	"mkos/internal/telemetry"
 )
 
 // Integration is how IHK/McKernel hooks into the platform's batch system
@@ -121,7 +120,7 @@ func (js *JobScheduler) fail(job *Job, err error) error {
 	job.State = JobFailed
 	job.Err = err
 	js.failed = append(js.failed, job)
-	telemetry.C("cluster.jobs.failed").Inc()
+	js.Platform.Sink.Counter("cluster.jobs.failed").Inc()
 	return err
 }
 
@@ -134,7 +133,7 @@ func (js *JobScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, os OSK
 		ID: js.nextID, Workload: w, Geometry: g, Nodes: nodes, OS: os,
 		StopPMUReads: true, Seed: seed, State: JobQueued, Attempts: 1,
 	}
-	telemetry.C("cluster.jobs.submitted").Inc()
+	js.Platform.Sink.Counter("cluster.jobs.submitted").Inc()
 	if nodes < 1 || nodes > js.Platform.MaxNodes {
 		return job, js.fail(job, fmt.Errorf("%w: %d > %d", ErrTooManyNodes, nodes, js.Platform.MaxNodes))
 	}
@@ -159,7 +158,7 @@ func (js *JobScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, os OSK
 	job.Result = res
 	job.State = JobCompleted
 	js.completed = append(js.completed, job)
-	telemetry.C("cluster.jobs.completed").Inc()
+	js.Platform.Sink.Counter("cluster.jobs.completed").Inc()
 	return job, nil
 }
 
@@ -171,7 +170,7 @@ func (js *JobScheduler) SubmitWithPMUReads(w bsp.Workload, g bsp.Geometry, nodes
 		ID: js.nextID, Workload: w, Geometry: g, Nodes: nodes, OS: os,
 		StopPMUReads: false, Seed: seed, State: JobQueued, Attempts: 1,
 	}
-	telemetry.C("cluster.jobs.submitted").Inc()
+	js.Platform.Sink.Counter("cluster.jobs.submitted").Inc()
 	if err := js.Platform.Validate(g); err != nil {
 		return job, js.fail(job, err)
 	}
@@ -191,7 +190,7 @@ func (js *JobScheduler) SubmitWithPMUReads(w bsp.Workload, g bsp.Geometry, nodes
 	job.Result = res
 	job.State = JobCompleted
 	js.completed = append(js.completed, job)
-	telemetry.C("cluster.jobs.completed").Inc()
+	js.Platform.Sink.Counter("cluster.jobs.completed").Inc()
 	return job, nil
 }
 

@@ -90,5 +90,6 @@ func (p *Platform) MachineFWQ(kind OSKind, nodes int, work, duration time.Durati
 		Classes:       classes,
 		ClassOf:       func(n int) int { return remap[classOf(n)] },
 		ReportLatency: report,
+		Sink:          p.Sink,
 	}, nil
 }

@@ -116,9 +116,9 @@ func NewResilientScheduler(p *Platform, inj *fault.Injector, pol RecoveryPolicy)
 		inj = fault.NewInjector(fault.Rates{}, 0)
 	}
 	eng := sim.NewEngine()
-	// Every event the recovery machinery schedules lands in the shared
-	// profiler: per-handler counts, queue-depth high-water mark.
-	telemetry.AttachEngine(eng)
+	// Every event the recovery machinery schedules lands in the platform
+	// sink's profiler: per-handler counts, queue-depth high-water mark.
+	p.Sink.AttachEngine(eng)
 	return &ResilientScheduler{
 		JobScheduler: NewJobScheduler(p),
 		Injector:     inj,
@@ -155,8 +155,8 @@ func (rs *ResilientScheduler) noteNodeFailure(node int) {
 	if rs.Policy.BlacklistAfter > 0 && rs.nodeFailures[node] >= rs.Policy.BlacklistAfter && !rs.blacklisted[node] {
 		rs.blacklisted[node] = true
 		rs.Report.Blacklist(node)
-		telemetry.C("cluster.nodes.blacklisted").Inc()
-		telemetry.Instant("cluster", "blacklist", node, 0, rs.Engine.Now())
+		rs.Platform.Sink.Counter("cluster.nodes.blacklisted").Inc()
+		rs.Platform.Sink.Instant("cluster", "blacklist", node, 0, rs.Engine.Now())
 	}
 }
 
@@ -173,6 +173,7 @@ func (rs *ResilientScheduler) buildMachine(kind OSKind, g bsp.Geometry, hooks ih
 		Cores:          node.AppCores(),
 		RanksPerNode:   g.RanksPerNode,
 		ThreadsPerRank: g.ThreadsPerRank,
+		Sink:           rs.Platform.Sink,
 	}, node, nil
 }
 
@@ -187,7 +188,7 @@ func (rs *ResilientScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, 
 		StopPMUReads: true, Seed: seed, State: JobQueued,
 	}
 	rs.Report.Jobs++
-	telemetry.C("cluster.jobs.submitted").Inc()
+	rs.Platform.Sink.Counter("cluster.jobs.submitted").Inc()
 	if nodes < 1 || nodes > rs.Platform.MaxNodes {
 		return job, rs.fail(job, fmt.Errorf("%w: %d > %d", ErrTooManyNodes, nodes, rs.Platform.MaxNodes))
 	}
@@ -248,7 +249,7 @@ func (rs *ResilientScheduler) runAttempt(job *Job, os OSKind, seed int64, n, lwk
 	job.Attempts = n + 1
 	job.OS = os
 	job.State = JobRunning
-	telemetry.C("cluster.attempts").Inc()
+	rs.Platform.Sink.Counter("cluster.attempts").Inc()
 	a := &attempt{job: job, os: os, seed: seed, n: n, lwkFailures: lwkFailures, start: e.Now()}
 
 	nodeIDs, ok := rs.assignNodes(job.Nodes)
@@ -344,7 +345,8 @@ func (rs *ResilientScheduler) runAttempt(job *Job, os OSKind, seed int64, n, lwk
 // attempt's first node, the span runs from prologue start to the instant the
 // outcome was known (completion, or detection for dead attempts).
 func (rs *ResilientScheduler) attemptSpan(a *attempt, outcome string) {
-	if !telemetry.TraceEnabled() {
+	sink := rs.Platform.Sink
+	if !sink.TraceEnabled() {
 		return
 	}
 	pid := 0
@@ -352,7 +354,7 @@ func (rs *ResilientScheduler) attemptSpan(a *attempt, outcome string) {
 		pid = a.nodeIDs[0]
 	}
 	now := rs.Engine.Now()
-	telemetry.Span("cluster", fmt.Sprintf("job%d/a%d", a.job.ID, a.n), pid, 0,
+	sink.Span("cluster", fmt.Sprintf("job%d/a%d", a.job.ID, a.n), pid, 0,
 		a.start, sim.Duration(now.Sub(a.start)),
 		telemetry.Arg{Key: "outcome", Val: outcome},
 		telemetry.Arg{Key: "os", Val: a.os.String()})
@@ -365,8 +367,8 @@ func (rs *ResilientScheduler) onFault(a *attempt, f fault.Fault) {
 	a.dead = true
 	a.theFault = f
 	a.faultAt = e.Now()
-	rs.Report.AddFault(f.Kind)
-	telemetry.Instant("cluster", "fault:"+f.Kind.String(), f.Node, 0, e.Now())
+	rs.Report.AddFault(f.Kind, rs.Platform.Sink)
+	rs.Platform.Sink.Instant("cluster", "fault:"+f.Kind.String(), f.Node, 0, e.Now())
 	e.Cancel(a.complete)
 
 	switch f.Kind {
@@ -401,9 +403,9 @@ func (rs *ResilientScheduler) onFault(a *attempt, f fault.Fault) {
 // job whose LWK boot fails re-runs on native Linux.
 func (rs *ResilientScheduler) onPrologueFailure(a *attempt, failedNodes []int, bootErr error) {
 	for range failedNodes {
-		rs.Report.AddFault(fault.IHKReserveFail)
+		rs.Report.AddFault(fault.IHKReserveFail, rs.Platform.Sink)
 	}
-	rs.Report.AddDetection(0)
+	rs.Report.AddDetection(0, rs.Platform.Sink)
 	rs.Report.AddWaste(a.job.Nodes, prologueBootCost)
 	for _, nd := range failedNodes {
 		rs.noteNodeFailure(nd)
@@ -433,7 +435,7 @@ func (rs *ResilientScheduler) onDetect(a *attempt) {
 	e := rs.Engine
 	a.heartbeat.Stop()
 	a.watchdog.Stop()
-	rs.Report.AddDetection(e.Now().Sub(a.faultAt))
+	rs.Report.AddDetection(e.Now().Sub(a.faultAt), rs.Platform.Sink)
 	rs.Report.AddWaste(a.job.Nodes, e.Now().Sub(a.start))
 	rs.attemptSpan(a, "fault:"+a.theFault.Kind.String())
 	rs.noteNodeFailure(a.theFault.Node)
@@ -462,10 +464,10 @@ func (rs *ResilientScheduler) retry(a *attempt, nextOS OSKind, lwkFailures int, 
 	}
 	if fellBack {
 		job.FellBack = true
-		telemetry.C("cluster.fallbacks").Inc()
+		rs.Platform.Sink.Counter("cluster.fallbacks").Inc()
 	}
 	rs.Report.Retries++
-	telemetry.C("cluster.retries").Inc()
+	rs.Platform.Sink.Counter("cluster.retries").Inc()
 	backoff := rs.Policy.Backoff(a.n)
 	rs.Engine.Schedule(backoff, fmt.Sprintf("job%d-retry%d", job.ID, a.n+1), func(*sim.Engine) {
 		rs.runAttempt(job, nextOS, a.seed, a.n+1, lwkFailures)
@@ -486,7 +488,7 @@ func (rs *ResilientScheduler) onComplete(a *attempt, res bsp.Result) {
 	job.Err = nil
 	rs.completed = append(rs.completed, job)
 	rs.Report.Completed++
-	telemetry.C("cluster.jobs.completed").Inc()
+	rs.Platform.Sink.Counter("cluster.jobs.completed").Inc()
 	if job.FellBack {
 		rs.Report.Fallbacks++
 	}

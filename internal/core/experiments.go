@@ -13,6 +13,7 @@ import (
 	"mkos/internal/cluster"
 	"mkos/internal/noise"
 	"mkos/internal/stats"
+	"mkos/internal/telemetry"
 )
 
 // Comparison is one (app, node count) Linux-vs-McKernel measurement:
@@ -196,8 +197,9 @@ func Table2Variants() []string {
 }
 
 // Table2Variant reruns the FWQ experiment with one countermeasure disabled
-// ("None" keeps all of them on) — a single row of Table 2.
-func Table2Variant(cfg Table2Config, disabled string) (Table2Row, error) {
+// ("None" keeps all of them on) — a single row of Table 2. Its telemetry
+// goes to sink.
+func Table2Variant(cfg Table2Config, disabled string, sink *telemetry.Sink) (Table2Row, error) {
 	var variant *table2Variant
 	for i := range table2Variants {
 		if table2Variants[i].name == disabled {
@@ -209,6 +211,7 @@ func Table2Variant(cfg Table2Config, disabled string) (Table2Row, error) {
 		return Table2Row{}, fmt.Errorf("core: unknown Table 2 countermeasure %q", disabled)
 	}
 	p := cluster.Fugaku()
+	p.Sink = sink
 	variant.mutate(p)
 	node, err := p.NewNode(cluster.Linux)
 	if err != nil {
@@ -231,10 +234,10 @@ func Table2Variant(cfg Table2Config, disabled string) (Table2Row, error) {
 
 // Table2 reruns the FWQ experiment once per countermeasure, disabling one at
 // a time (plus the all-enabled baseline), exactly like Sec. 6.3.
-func Table2(cfg Table2Config) ([]Table2Row, error) {
+func Table2(cfg Table2Config, sink *telemetry.Sink) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, name := range Table2Variants() {
-		row, err := Table2Variant(cfg, name)
+		row, err := Table2Variant(cfg, name, sink)
 		if err != nil {
 			return nil, err
 		}
@@ -306,12 +309,13 @@ func Figure4CurveSpecs(cfg Figure4Config) []Figure4CurveSpec {
 	}
 }
 
-// Figure4Curve computes one curve.
-func Figure4Curve(s Figure4CurveSpec) (CDFCurve, error) {
+// Figure4Curve computes one curve, publishing its telemetry into sink.
+func Figure4Curve(s Figure4CurveSpec, sink *telemetry.Sink) (CDFCurve, error) {
 	platform := cluster.OFP()
 	if s.Platform == "fugaku" {
 		platform = cluster.Fugaku()
 	}
+	platform.Sink = sink
 	kind := cluster.Linux
 	if s.OS == "mckernel" {
 		kind = cluster.McKernel
@@ -340,10 +344,10 @@ func Figure4Curve(s Figure4CurveSpec) (CDFCurve, error) {
 }
 
 // Figure4 produces the five curves of Figure 4.
-func Figure4(cfg Figure4Config) ([]CDFCurve, error) {
+func Figure4(cfg Figure4Config, sink *telemetry.Sink) ([]CDFCurve, error) {
 	var curves []CDFCurve
 	for _, s := range Figure4CurveSpecs(cfg) {
-		c, err := Figure4Curve(s)
+		c, err := Figure4Curve(s, sink)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"mkos/internal/cluster"
 	"mkos/internal/cpu"
 	"mkos/internal/noise"
+	"mkos/internal/telemetry"
 )
 
 // Performance isolation under co-location — the paper's closing future-work
@@ -91,9 +92,10 @@ type tenantNoiseOS struct {
 }
 
 func (o tenantNoiseOS) NoiseProfile() *noise.Profile {
-	p := o.OS.NoiseProfile()
-	out := &noise.Profile{}
-	out.Sources = append(out.Sources, p.Sources...)
+	// A copy of the OS's profile, so the tenant's noise is attributed to
+	// the OS's subsystem and published into its sink.
+	out := *o.OS.NoiseProfile()
+	out.Sources = append([]*noise.Source(nil), out.Sources...)
 	iv := o.tenant.KernelActivityEvery / time.Duration(max(1, len(o.cores)))
 	if iv < time.Microsecond {
 		iv = time.Microsecond
@@ -103,7 +105,7 @@ func (o tenantNoiseOS) NoiseProfile() *noise.Profile {
 		Every: iv, EveryCV: 0.6,
 		Length: o.tenant.KernelActivity, LengthCV: 0.7,
 	})
-	return out
+	return &out
 }
 
 func (o tenantNoiseOS) CacheInterferenceFactor() float64 {
@@ -112,13 +114,15 @@ func (o tenantNoiseOS) CacheInterferenceFactor() float64 {
 	return o.OS.CacheInterferenceFactor() * 1.015
 }
 
-// RunIsolation measures the primary's co-location slowdown.
-func RunIsolation(platform apps.PlatformName, mode IsolationMode, appName string, nodes int, tenant Tenant, seed int64) (IsolationResult, error) {
+// RunIsolation measures the primary's co-location slowdown, publishing its
+// telemetry into sink.
+func RunIsolation(platform apps.PlatformName, mode IsolationMode, appName string, nodes int, tenant Tenant, seed int64, sink *telemetry.Sink) (IsolationResult, error) {
 	app, err := apps.ByName(appName, platform)
 	if err != nil {
 		return IsolationResult{}, err
 	}
 	p := PlatformFor(platform)
+	p.Sink = sink
 	nodes = p.ClampNodes(nodes)
 
 	kind := cluster.Linux
@@ -174,12 +178,12 @@ func primaryBandwidthDemand(w bsp.Workload, cores int) float64 {
 }
 
 // CompareIsolation runs both schemes and returns (cgroups, multikernel).
-func CompareIsolation(platform apps.PlatformName, appName string, nodes int, tenant Tenant, seed int64) (IsolationResult, IsolationResult, error) {
-	cg, err := RunIsolation(platform, CgroupIsolation, appName, nodes, tenant, seed)
+func CompareIsolation(platform apps.PlatformName, appName string, nodes int, tenant Tenant, seed int64, sink *telemetry.Sink) (IsolationResult, IsolationResult, error) {
+	cg, err := RunIsolation(platform, CgroupIsolation, appName, nodes, tenant, seed, sink)
 	if err != nil {
 		return IsolationResult{}, IsolationResult{}, fmt.Errorf("core: cgroup isolation: %w", err)
 	}
-	mk, err := RunIsolation(platform, MultikernelIsolation, appName, nodes, tenant, seed)
+	mk, err := RunIsolation(platform, MultikernelIsolation, appName, nodes, tenant, seed, sink)
 	if err != nil {
 		return IsolationResult{}, IsolationResult{}, fmt.Errorf("core: multikernel isolation: %w", err)
 	}

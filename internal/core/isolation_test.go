@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
+	"time"
 
 	"mkos/internal/apps"
 	"mkos/internal/cluster"
 	"mkos/internal/cpu"
+	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 func TestMemorySystemContention(t *testing.T) {
@@ -74,6 +79,45 @@ func TestTenantNoiseProfileNamesUnique(t *testing.T) {
 	}
 }
 
+// TestTenantNoiseKeepsOSSubsystem is the regression test for co-location
+// noise attribution: the tenant profile is the OS's profile plus the
+// tenant source, so a Fugaku Linux tenant timeline publishes its counters
+// under linux.noise.* into the OS's sink, never under the generic
+// noise.noise.* namespace.
+func TestTenantNoiseKeepsOSSubsystem(t *testing.T) {
+	app, err := apps.ByName("GeoFEM", apps.OnFugaku)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := PlatformFor(apps.OnFugaku)
+	p.Sink = telemetry.NewSink()
+	machine, _, err := p.Machine(cluster.Linux, app.Geometry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenant := AnalyticsTenant()
+	prof := tenantNoiseOS{OS: machine.OS, tenant: tenant, cores: machine.Cores}.NoiseProfile()
+	tl := prof.Timeline(10*time.Second, sim.NewRand(1))
+	stolen := tl.TotalStolen(machine.Cores[0])
+	if stolen == 0 {
+		t.Fatal("the tenant timeline steals nothing on the first app core; the test needs noise")
+	}
+	reg := p.Sink.Registry()
+	if reg.CounterValue("linux.noise.events.tenant-"+tenant.Name) == 0 {
+		t.Error("no linux.noise.events.tenant-" + tenant.Name + " in the platform's sink")
+	}
+	if reg.CounterValue("linux.noise.stolen_ns") == 0 {
+		t.Error("no linux.noise.stolen_ns in the platform's sink")
+	}
+	var dump bytes.Buffer
+	if _, err := reg.WriteTo(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(dump.String(), "noise.noise.") {
+		t.Errorf("tenant noise published under the generic namespace:\n%s", dump.String())
+	}
+}
+
 func TestIsolationModeString(t *testing.T) {
 	if CgroupIsolation.String() != "cgroups" || MultikernelIsolation.String() != "multikernel" {
 		t.Fatal("mode strings wrong")
@@ -87,7 +131,7 @@ func TestMultikernelIsolatesBetter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application runs")
 	}
-	cg, mk, err := CompareIsolation(apps.OnFugaku, "GeoFEM", 256, AnalyticsTenant(), 9)
+	cg, mk, err := CompareIsolation(apps.OnFugaku, "GeoFEM", 256, AnalyticsTenant(), 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +162,7 @@ func TestIsolationBandwidthBoundTenant(t *testing.T) {
 	}
 	hog := Tenant{Name: "bw-hog", BandwidthDemand: 900e9,
 		KernelActivity: 10 * 1000, KernelActivityEvery: 10 * 1e9}
-	cg, mk, err := CompareIsolation(apps.OnFugaku, "LQCD", 128, hog, 4)
+	cg, mk, err := CompareIsolation(apps.OnFugaku, "LQCD", 128, hog, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +179,7 @@ func TestIsolationBandwidthBoundTenant(t *testing.T) {
 }
 
 func TestRunIsolationValidation(t *testing.T) {
-	if _, err := RunIsolation(apps.OnFugaku, CgroupIsolation, "NoSuchApp", 16, AnalyticsTenant(), 1); err == nil {
+	if _, err := RunIsolation(apps.OnFugaku, CgroupIsolation, "NoSuchApp", 16, AnalyticsTenant(), 1, nil); err == nil {
 		t.Fatal("unknown app must fail")
 	}
 }

@@ -13,7 +13,7 @@ func TestTable2Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("FWQ sweep")
 	}
-	rows, err := Table2(Table2Config{Nodes: 2, Duration: 30 * time.Second, Seed: 11})
+	rows, err := Table2(Table2Config{Nodes: 2, Duration: 30 * time.Second, Seed: 11}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFigure4Driver(t *testing.T) {
 		OFPNodes: 64, FugakuFullNodes: 768, Fugaku24Racks: 45,
 		Duration: 2 * time.Minute, WorstNodes: 100, Seed: 20211114,
 	}
-	curves, err := Figure4(cfg)
+	curves, err := Figure4(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

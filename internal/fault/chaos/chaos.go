@@ -2,12 +2,16 @@
 // internal/fault injects failures *inside* the simulated machine, this
 // package injects them *around* a live service process — the operational
 // hazards a long-running campaign daemon on a shared pre-exascale front-end
-// actually faces. Three injectors cover the paper's "experiences" at the
+// actually faces. Its injectors cover the paper's "experiences" at the
 // service layer:
 //
-//   - daemon-kill: a Killer manages a subprocess and SIGKILLs it at a
-//     planned instant, the service analogue of a node crash — no drain, no
-//     flush, the on-disk journal is all that survives.
+//   - worker-kill: WorkerKiller SIGKILLs the worker processes a daemon
+//     supervises at planned instants after their spawn, the service
+//     analogue of a node crash — no drain, no flush. (Killing the daemon
+//     itself needs no injector: scripts/simd-chaos-check.sh does it with
+//     a plain kill -9 and checks that the on-disk journal is all it needs.)
+//   - store faults: StoreFaults subjects the daemon's store writes to
+//     seeded short writes and a full disk.
 //   - slow-client: SlowReader/SlowWriter trickle bytes through an io stream
 //     in small planned chunks, modelling clients on congested or throttled
 //     links that hold server connections open for seconds.
@@ -17,7 +21,7 @@
 //
 // Like the simulator-side injectors, every schedule is derived from a seed
 // (Plan), so a chaos run that exposes a bug is re-runnable: the same seed
-// kills the daemon at the same offset and trickles the same chunk sizes.
+// kills the same worker at the same offset and trickles the same chunk sizes.
 // Unlike them, actuation here is host-side by nature (real sleeps, real
 // signals), so this package lives outside the determinism contract enforced
 // on model packages.

@@ -6,10 +6,8 @@ import (
 	"time"
 )
 
-// WorkerKiller is the worker-sandbox analogue of Killer: where Killer owns
-// and SIGKILLs a whole service process, WorkerKiller assassinates the
-// supervised *worker* children a daemon spawns, at seeded delays after each
-// spawn. It does not own the processes — the supervisor does, and restarting
+// WorkerKiller assassinates the supervised *worker* children a daemon
+// spawns, at seeded delays after each spawn. It does not own the processes — the supervisor does, and restarting
 // the victim is exactly the behavior under test — so the injector is armed
 // from the supervisor's spawn hook with the fresh pid and fires from its own
 // timer goroutine.

@@ -177,11 +177,11 @@ func TestWatchdogDetection(t *testing.T) {
 
 func TestReportRendering(t *testing.T) {
 	r := &FailureReport{Seed: 9, Jobs: 3, Completed: 2, Fallbacks: 1, Failed: 1, Retries: 4}
-	r.AddFault(LWKPanic)
-	r.AddFault(LWKPanic)
-	r.AddFault(NodeCrash)
-	r.AddDetection(2 * time.Second)
-	r.AddDetection(4 * time.Second)
+	r.AddFault(LWKPanic, nil)
+	r.AddFault(LWKPanic, nil)
+	r.AddFault(NodeCrash, nil)
+	r.AddDetection(2*time.Second, nil)
+	r.AddDetection(4*time.Second, nil)
 	r.AddWaste(16, 10*time.Second)
 	r.Blacklist(7)
 	r.Blacklist(3)

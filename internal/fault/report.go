@@ -55,21 +55,22 @@ func (r *FailureReport) MeanDetectionLatency() time.Duration {
 // detectLatencyBuckets buckets detection latency in milliseconds.
 var detectLatencyBuckets = telemetry.ExpBuckets(1, 4, 8)
 
-// AddFault records one injected fault.
-func (r *FailureReport) AddFault(k Kind) {
+// AddFault records one injected fault, also counting it in sink.
+func (r *FailureReport) AddFault(k Kind, sink *telemetry.Sink) {
 	r.Injected[k]++
-	telemetry.C("fault.injected." + k.String()).Inc()
+	sink.Counter("fault.injected." + k.String()).Inc()
 }
 
-// AddDetection records the monitor noticing a fault lat after it struck.
-func (r *FailureReport) AddDetection(lat time.Duration) {
+// AddDetection records the monitor noticing a fault lat after it struck,
+// also counting it and its latency in sink.
+func (r *FailureReport) AddDetection(lat time.Duration, sink *telemetry.Sink) {
 	r.Detections++
 	r.DetectLatSum += lat
 	if lat > r.DetectLatMax {
 		r.DetectLatMax = lat
 	}
-	telemetry.C("fault.detections").Inc()
-	telemetry.H("fault.detect_latency_ms", detectLatencyBuckets).
+	sink.Counter("fault.detections").Inc()
+	sink.Histogram("fault.detect_latency_ms", detectLatencyBuckets).
 		Observe(float64(lat) / float64(time.Millisecond))
 }
 

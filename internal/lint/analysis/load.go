@@ -40,8 +40,7 @@ type Loader struct {
 	Fset *token.FileSet
 	// IncludeTests makes the loader keep _test.go files. simlint ships
 	// with it off: the determinism contract binds shipped simulation
-	// code, while tests legitimately reset process-wide sinks and
-	// measure wall time.
+	// code, while tests legitimately measure wall time.
 	IncludeTests bool
 
 	std  types.Importer      // stdlib / out-of-module fallthrough

@@ -1,7 +1,7 @@
-// Package checks holds the nine simlint analyzers. Each one encodes a
+// Package checks holds the eight simlint analyzers. Each one encodes a
 // determinism or safety invariant of the simulator that the end-to-end
 // double-run cmp gates can only witness after the fact; the analyzers
-// catch the violation at the offending line instead. Six are per-file
+// catch the violation at the offending line instead. Five are per-file
 // syntax-and-types checks; lockguard, ctxflow and opstaint use the
 // framework's cross-package facts and dataflow. See
 // internal/lint/README.md for the catalogue, example findings and the
@@ -19,13 +19,13 @@ import (
 // All returns the full analyzer suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Walltime, Globalrand, Maporder, Sinkdiscipline, Simtime, Opsbound,
+		Walltime, Globalrand, Maporder, Simtime, Opsbound,
 		Lockguard, Ctxflow, Opstaint,
 	}
 }
 
 // opsPrefixes lists the package-path prefixes where wall-clock time and
-// process-wide telemetry are legal: the sweep orchestrator's pool and
+// process-wide operational state are legal: the sweep orchestrator's pool and
 // progress machinery, CLI plumbing under cmd/, the runnable examples,
 // and the lint tooling itself. Everything else in the module is
 // trial-unit code bound by the determinism contract: with the same seed

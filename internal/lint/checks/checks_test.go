@@ -36,10 +36,6 @@ func TestMaporder(t *testing.T) {
 	linttest.Run(t, checks.Maporder, "testdata/maporder", "mkos/internal/fake/maporder")
 }
 
-func TestSinkdiscipline(t *testing.T) {
-	linttest.Run(t, checks.Sinkdiscipline, "testdata/sinkdiscipline", "mkos/internal/fake/sinkdiscipline")
-}
-
 func TestSimtime(t *testing.T) {
 	linttest.Run(t, checks.Simtime, "testdata/simtime", "mkos/internal/fake/simtime")
 }

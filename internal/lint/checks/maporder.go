@@ -152,7 +152,7 @@ var outputMethods = map[string]bool{
 // reads like Counter.Value or Registry.Snapshot are order-free and
 // legal inside a map range.
 var telemetryPublish = map[string]bool{
-	"C": true, "G": true, "H": true, "Span": true, "Instant": true,
+	"Counter": true, "Gauge": true, "Histogram": true, "Span": true, "Instant": true,
 	"Add": true, "Inc": true, "Set": true, "SetMax": true, "Observe": true,
 	"MergeFrom": true, "AddSnapshot": true,
 }

@@ -3,6 +3,7 @@ package checks
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"mkos/internal/lint/analysis"
 )
@@ -309,15 +310,16 @@ func (op *opstaintPass) checkSinks(fd *ast.FuncDecl) {
 	})
 }
 
-// deterministicSink reports whether call publishes into the
-// goroutine-local deterministic sink. Package-level telemetry functions
-// (C, G, H, Span, Instant) always do; a metric method (Observe, Set,
-// Add) does only when its receiver chain originates in one of those
-// helpers — telemetry.G("x").Set(v) — because a handle held in a field
-// typically points at a private ops registry (simd's submit latency,
-// shardops' barrier waits), where host observations are the point.
+// deterministicSink reports whether call publishes into a deterministic
+// telemetry.Sink. Package-level telemetry functions and the Sink's own
+// methods (Counter, Span, Instant, ...) always do; any other method — a
+// metric's Observe, Set or Add — does only when its receiver chain
+// originates in a Sink method call — sink.Gauge("x").Set(v) — because a
+// handle held in a field typically points at a private ops registry
+// (simd's submit latency, shardops' barrier waits), where host
+// observations are the point.
 func (op *opstaintPass) deterministicSink(call *ast.CallExpr, obj types.Object) bool {
-	if !isMethod(obj) {
+	if !isMethod(obj) || isSinkMethod(obj) {
 		return true
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -327,8 +329,7 @@ func (op *opstaintPass) deterministicSink(call *ast.CallExpr, obj types.Object) 
 	for e := ast.Unparen(sel.X); ; {
 		switch x := e.(type) {
 		case *ast.CallExpr:
-			if o := calleeObj(op.pass.TypesInfo, x); o != nil &&
-				fromPkg(o, "internal/telemetry") && !isMethod(o) {
+			if o := calleeObj(op.pass.TypesInfo, x); o != nil && isSinkMethod(o) {
 				return true
 			}
 			e = ast.Unparen(x.Fun)
@@ -340,6 +341,16 @@ func (op *opstaintPass) deterministicSink(call *ast.CallExpr, obj types.Object) 
 			return false
 		}
 	}
+}
+
+// isSinkMethod reports whether obj is a method of telemetry.Sink.
+func isSinkMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && strings.HasSuffix(types.TypeString(recv.Type(), nil), "/internal/telemetry.Sink")
 }
 
 // isSimTime reports whether t is the sim package's Time type.

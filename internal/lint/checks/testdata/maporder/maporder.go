@@ -49,8 +49,8 @@ func badBuilder(m map[string]int) string {
 	return b.String()
 }
 
-func badTelemetry(m map[string]float64) {
-	h := telemetry.H("corpus.hist", nil)
+func badTelemetry(m map[string]float64, sink *telemetry.Sink) {
+	h := sink.Histogram("corpus.hist", nil)
 	for _, v := range m {
 		h.Observe(v) // want "telemetry call Observe inside a map range"
 	}

@@ -27,9 +27,9 @@ func badConversion() sim.Time {
 	return sim.Time(n) // want "converted to sim\\.Time"
 }
 
-func badTelemetry() {
+func badTelemetry(sink *telemetry.Sink) {
 	secs := elapsed(time.Now()).Seconds()
-	telemetry.G("latency").Set(secs) // want "recorded in deterministic telemetry"
+	sink.Gauge("latency").Set(secs) // want "recorded in deterministic telemetry"
 }
 
 // goodHostSide keeps the host observation in host-side state: no sink,

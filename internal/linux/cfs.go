@@ -20,6 +20,9 @@ import (
 type CFS struct {
 	engine *sim.Engine
 	cores  map[int]*cfsCore
+
+	// Sink receives the preemption counter and spans.
+	Sink *telemetry.Sink
 }
 
 type cfsCore struct {
@@ -128,9 +131,9 @@ func (c *CFS) dispatch(cc *cfsCore) {
 	if run > cfsSlice {
 		run = cfsSlice
 	}
-	telemetry.C("linux.cfs.preemptions").Inc()
-	if telemetry.TraceEnabled() {
-		telemetry.Span("linux", "cfs:"+next.name, 0, cc.id, now, run,
+	c.Sink.Counter("linux.cfs.preemptions").Inc()
+	if c.Sink.TraceEnabled() {
+		c.Sink.Span("linux", "cfs:"+next.name, 0, cc.id, now, run,
 			telemetry.Arg{Key: "kind", Val: next.kind.String()})
 	}
 	c.engine.Schedule(run, "cfs:"+next.name, func(e *sim.Engine) {

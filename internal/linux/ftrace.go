@@ -22,9 +22,11 @@ type Tracer struct {
 	events  []TraceEvent
 	limit   int
 	dropped uint64
-	// Node keys the events this tracer forwards to the shared telemetry
+	// Node keys the events this tracer forwards to the telemetry
 	// recorder; zero for single-node profiles.
 	Node int
+	// Sink receives the tracer's counters and forwarded spans.
+	Sink *telemetry.Sink
 }
 
 // TraceEvent is one scheduling event in the trace buffer.
@@ -55,9 +57,9 @@ func (t *Tracer) Enabled() bool { return t.enabled }
 
 // Record appends one event, dropping the oldest when the buffer is full
 // (ftrace ring-buffer semantics). Drops are counted — never silent — and
-// surfaced both via Dropped and the shared linux.ftrace.dropped counter, so
+// surfaced both via Dropped and the sink's linux.ftrace.dropped counter, so
 // a truncated attribution is visible in the metrics dump. Every recorded
-// event is also forwarded to the shared telemetry recorder, putting Linux
+// event is also forwarded to the sink's trace recorder, putting Linux
 // scheduling noise on the same timeline as the rest of the stack.
 func (t *Tracer) Record(at sim.Time, cpu int, task string, kind kernel.TaskKind, d time.Duration) {
 	if !t.enabled {
@@ -67,12 +69,12 @@ func (t *Tracer) Record(at sim.Time, cpu int, task string, kind kernel.TaskKind,
 		copy(t.events, t.events[1:])
 		t.events = t.events[:len(t.events)-1]
 		t.dropped++
-		telemetry.C("linux.ftrace.dropped").Inc()
+		t.Sink.Counter("linux.ftrace.dropped").Inc()
 	}
 	t.events = append(t.events, TraceEvent{At: at, CPU: cpu, Task: task, Kind: kind, Len: d})
-	telemetry.C("linux.ftrace.events").Inc()
-	if telemetry.TraceEnabled() {
-		telemetry.Span("linux", task, t.Node, cpu, at, d,
+	t.Sink.Counter("linux.ftrace.events").Inc()
+	if t.Sink.TraceEnabled() {
+		t.Sink.Span("linux", task, t.Node, cpu, at, d,
 			telemetry.Arg{Key: "kind", Val: kind.String()})
 	}
 }
@@ -131,6 +133,7 @@ func (t *Tracer) AttributeOn(cpus map[int]bool) []Attribution {
 func (k *Kernel) AttributeProfile(horizon time.Duration, seed int64) []Attribution {
 	tl := k.NoiseProfile().Timeline(horizon, sim.NewRand(seed))
 	tr := NewTracer(1 << 20)
+	tr.Sink = k.Sink
 	tr.Enable()
 	appSet := map[int]bool{}
 	for _, c := range k.AppCores() {

@@ -124,10 +124,9 @@ func TestAttributeProfileKinds(t *testing.T) {
 }
 
 func TestTracerDropAccounting(t *testing.T) {
-	old := telemetry.SetDefault(telemetry.NewSink())
-	defer telemetry.SetDefault(old)
-
+	sink := telemetry.NewSink()
 	tr := NewTracer(4)
+	tr.Sink = sink
 	tr.Enable()
 	for i := 0; i < 6; i++ {
 		tr.Record(sim.Time(i*10), 0, "churner", kernel.KworkerTask, time.Microsecond)
@@ -142,25 +141,25 @@ func TestTracerDropAccounting(t *testing.T) {
 	if tr.Events()[0].At != sim.Time(20) {
 		t.Fatalf("oldest retained event at %v, want 20ns", tr.Events()[0].At)
 	}
-	reg := telemetry.Default().Registry()
+	reg := sink.Registry()
 	if got := reg.CounterValue("linux.ftrace.dropped"); got != 2 {
-		t.Fatalf("shared drop counter = %d, want 2", got)
+		t.Fatalf("sink drop counter = %d, want 2", got)
 	}
 	if got := reg.CounterValue("linux.ftrace.events"); got != 6 {
-		t.Fatalf("shared event counter = %d, want 6", got)
+		t.Fatalf("sink event counter = %d, want 6", got)
 	}
 }
 
 func TestTracerForwardsToRecorder(t *testing.T) {
-	old := telemetry.SetDefault(telemetry.NewSink())
-	defer telemetry.SetDefault(old)
-	telemetry.Default().Recorder().Enable()
+	sink := telemetry.NewSink()
+	sink.Recorder().Enable()
 
 	tr := NewTracer(16)
 	tr.Node = 3
+	tr.Sink = sink
 	tr.Enable()
 	tr.Record(sim.Time(100), 2, "kworker/2:1", kernel.KworkerTask, 50*time.Microsecond)
-	rec := telemetry.Default().Recorder()
+	rec := sink.Recorder()
 	if rec.Len() != 1 {
 		t.Fatalf("recorder holds %d events, want 1", rec.Len())
 	}

@@ -7,6 +7,7 @@ import (
 	"mkos/internal/cpu"
 	"mkos/internal/kernel"
 	"mkos/internal/mem"
+	"mkos/internal/telemetry"
 )
 
 // Kernel is one node's Linux instance: topology, tuning, cgroup tree, system
@@ -27,6 +28,10 @@ type Kernel struct {
 	IRQs     []*kernel.IRQ
 
 	Runtime *ContainerRuntime
+
+	// Sink receives the kernel's telemetry, including the noise counters
+	// of the profiles it derives and of a McKernel booted beside it.
+	Sink *telemetry.Sink
 
 	nextTaskID int
 }

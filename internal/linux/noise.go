@@ -121,7 +121,7 @@ func (k *Kernel) NoiseProfile() *noise.Profile {
 	app := k.Topo.AppCores()
 	sys := k.Topo.AssistantCores()
 	all := append(append([]int{}, app...), sys...)
-	p := &noise.Profile{Subsystem: "linux"}
+	p := &noise.Profile{Subsystem: "linux", Sink: k.Sink}
 
 	if k.Topo.ISA == cpu.X86_64 {
 		k.ofpProfile(p, app, all)

@@ -23,6 +23,9 @@ type TCSCollector struct {
 
 	samples []TCSSample
 	readOps uint64
+
+	// Sink receives the PMU-read counter and sweep instants.
+	Sink *telemetry.Sink
 }
 
 // TCSSample is one fleet-wide counter snapshot.
@@ -77,8 +80,8 @@ func (t *TCSCollector) collect(at sim.Time) {
 		s.FPOps += snap.FPOps
 		t.readOps++
 	}
-	telemetry.C("linux.tcs.pmu_reads").Add(int64(len(t.pmus)))
-	telemetry.Instant("linux", "tcs-pmu-sweep", 0, 0, at)
+	t.Sink.Counter("linux.tcs.pmu_reads").Add(int64(len(t.pmus)))
+	t.Sink.Instant("linux", "tcs-pmu-sweep", 0, 0, at)
 	for _, p := range t.pmus {
 		s.MemReads += p.MemReads
 		s.MemWrites += p.MemWrites

@@ -47,19 +47,20 @@ var proxyQueueBuckets = telemetry.ExpBuckets(0.5, 2, 12)
 
 // Issue schedules syscall sc from thread th at the current simulated time;
 // done is invoked when the call completes, with the thread runnable again.
-// The thread must be running.
+// The thread must be running. Telemetry goes to the host kernel's sink.
 func (d *Delegator) Issue(th *Thread, sc kernel.Syscall, done func(at sim.Time)) error {
 	if th.State != ThreadRunning {
 		return fmt.Errorf("mckernel: syscall %v from non-running tid %d", sc, th.TID)
 	}
+	sink := d.inst.Host.Sink
 	if sc.PerformanceSensitive() {
 		// Served in the LWK: the thread never blocks, the call is pure
 		// service time on its own core.
 		d.localCalls++
-		telemetry.C("mckernel.syscall.local").Inc()
+		sink.Counter("mckernel.syscall.local").Inc()
 		cost := localSyscallCosts().Cost(sc)
-		if telemetry.TraceEnabled() {
-			telemetry.Span("mckernel", "lwk:"+sc.String(), d.Node, th.Core, d.engine.Now(), cost)
+		if sink.TraceEnabled() {
+			sink.Span("mckernel", "lwk:"+sc.String(), d.Node, th.Core, d.engine.Now(), cost)
 		}
 		d.engine.Schedule(cost, "lwk:"+sc.String(), func(e *sim.Engine) {
 			done(e.Now())
@@ -68,8 +69,8 @@ func (d *Delegator) Issue(th *Thread, sc kernel.Syscall, done func(at sim.Time))
 	}
 	// Delegated: block the thread, ride the IKC, queue at the proxy.
 	d.delegatedCalls++
-	telemetry.C("mckernel.syscall.delegated").Inc()
-	telemetry.C("mckernel.ikc.messages").Add(2) // request + response crossing
+	sink.Counter("mckernel.syscall.delegated").Inc()
+	sink.Counter("mckernel.ikc.messages").Add(2) // request + response crossing
 	if err := d.inst.Scheduler.Block(th); err != nil {
 		return err
 	}
@@ -79,16 +80,16 @@ func (d *Delegator) Issue(th *Thread, sc kernel.Syscall, done func(at sim.Time))
 	if d.proxyBusyUntil.After(start) {
 		queued := d.proxyBusyUntil.Sub(start)
 		d.queueingTime += queued
-		telemetry.H("mckernel.proxy.queueing_us", proxyQueueBuckets).
+		sink.Histogram("mckernel.proxy.queueing_us", proxyQueueBuckets).
 			Observe(float64(queued) / float64(time.Microsecond))
 		start = d.proxyBusyUntil
 	}
 	service := d.inst.Host.SyscallCosts().Cost(sc)
 	d.proxyBusyUntil = start.Add(service)
 	finish := d.proxyBusyUntil.Add(ikc.OneWay)
-	if telemetry.TraceEnabled() {
+	if sink.TraceEnabled() {
 		now := d.engine.Now()
-		telemetry.Span("mckernel", "offload:"+sc.String(), d.Node, th.Core, now, finish.Sub(now),
+		sink.Span("mckernel", "offload:"+sc.String(), d.Node, th.Core, now, finish.Sub(now),
 			telemetry.Arg{Key: "tid", Val: fmt.Sprint(th.TID)})
 	}
 	d.engine.ScheduleAt(finish, "proxy:"+sc.String(), func(e *sim.Engine) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mkos/internal/mem"
-	"mkos/internal/telemetry"
 )
 
 // Mcexec models the mcexec launcher, the user-facing entry to McKernel: it
@@ -80,7 +79,7 @@ func (in *Instance) Mcexec(name string, opts McexecOptions) (*McexecJob, error) 
 			vma.Populated = true // premap: faults paid at load time
 			rp.HeapVMA = vma
 			pages := mem.Page2M.PagesFor(opts.HeapBytes)
-			telemetry.C("mckernel.pagefault.premapped").Add(pages)
+			in.Host.Sink.Counter("mckernel.pagefault.premapped").Add(pages)
 			job.SetupCost += time.Duration(pages) * in.PageFaultCost(mem.Page2M)
 		}
 		job.Ranks = append(job.Ranks, rp)

@@ -18,7 +18,6 @@ import (
 	"mkos/internal/linux"
 	"mkos/internal/mem"
 	"mkos/internal/noise"
-	"mkos/internal/telemetry"
 )
 
 // Config selects optional McKernel features.
@@ -72,7 +71,7 @@ var ErrKernelPanic = errors.New("mckernel: kernel panic")
 func (in *Instance) Panic(reason string) error {
 	in.panicked = true
 	in.panicReason = reason
-	telemetry.C("mckernel.panics").Inc()
+	in.Host.Sink.Counter("mckernel.panics").Inc()
 	return fmt.Errorf("%w: %s", ErrKernelPanic, reason)
 }
 
@@ -82,14 +81,15 @@ func (in *Instance) Healthy() bool { return !in.panicked }
 // PanicReason returns the recorded cause of death, "" while healthy.
 func (in *Instance) PanicReason() string { return in.panicReason }
 
-// Boot starts McKernel on an IHK partition of the given host.
+// Boot starts McKernel on an IHK partition of the given host. The instance
+// publishes its telemetry into the host kernel's sink.
 func Boot(host *linux.Kernel, part *ihk.Partition, cfg Config) (*Instance, error) {
 	if part == nil || len(part.Cores) == 0 {
 		return nil, ErrNoPartition
 	}
 	inst := &Instance{
 		Host: host, Part: part, IKC: ihk.DefaultIKC(), Cfg: cfg,
-		LWKMem:    NewMemory(part.Memory),
+		LWKMem:    NewMemory(part.Memory, host.Sink),
 		Scheduler: NewScheduler(part.Cores),
 	}
 	return inst, nil
@@ -276,7 +276,7 @@ const (
 // partition cores.
 func (in *Instance) NoiseProfile() *noise.Profile {
 	cores := in.Part.Cores
-	p := &noise.Profile{Subsystem: "mckernel"}
+	p := &noise.Profile{Subsystem: "mckernel", Sink: in.Host.Sink}
 	ikcLen, hwLen, hwCV := ikcLength, hwShareLength, hwShareLenCV
 	if in.Host.Topo.ISA == cpu.X86_64 {
 		ikcLen, hwLen, hwCV = ofpIkcLength, ofpHwShareLength, ofpHwShareCV

@@ -8,7 +8,7 @@ import (
 )
 
 func testMemory(totalMB int64) *Memory {
-	return NewMemory([]mem.Region{{Base: 1 << 30, Bytes: totalMB << 20}})
+	return NewMemory([]mem.Region{{Base: 1 << 30, Bytes: totalMB << 20}}, nil)
 }
 
 func TestFreeRejectsDoubleFree(t *testing.T) {

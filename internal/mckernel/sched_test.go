@@ -154,7 +154,7 @@ func TestLWKMemoryCarveAndCache(t *testing.T) {
 }
 
 func TestLWKMemoryExhaustion(t *testing.T) {
-	m := NewMemory(nil)
+	m := NewMemory(nil, nil)
 	if _, err := m.Alloc(1); !errors.Is(err, ErrLWKOutOfMemory) {
 		t.Fatalf("err = %v", err)
 	}

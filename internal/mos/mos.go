@@ -144,7 +144,7 @@ const (
 
 // NoiseProfile returns the embedded-LWK residual noise.
 func (in *Instance) NoiseProfile() *noise.Profile {
-	p := &noise.Profile{}
+	p := &noise.Profile{Sink: in.Host.Sink}
 	p.MustAdd(&noise.Source{
 		Name: "rcu-callbacks", Cores: in.LWKCores, Mode: noise.TargetRandom,
 		Every: spread(rcuInterval, len(in.LWKCores)), EveryCV: 0.4,

@@ -28,10 +28,9 @@ func counterProfile() *Profile {
 // produced any, and the summed stolen time; silent sources publish nothing.
 func TestTimelinePublishesNoiseCounters(t *testing.T) {
 	sink := telemetry.NewSink()
-	var tl *Timeline
-	telemetry.RunWith(sink, func() {
-		tl = counterProfile().Timeline(50*time.Millisecond, sim.NewRand(3))
-	})
+	p := counterProfile()
+	p.Sink = sink
+	tl := p.Timeline(50*time.Millisecond, sim.NewRand(3))
 	events := map[string]int64{}
 	var stolen time.Duration
 	for cpu := 0; cpu < 3; cpu++ {
@@ -65,7 +64,8 @@ func TestTimelinePublishesNoiseCounters(t *testing.T) {
 // generated since the previous Publish, and only those.
 func TestGeneratorPublishSumsAndResets(t *testing.T) {
 	g := counterProfile().Generator()
-	reg := telemetry.NewRegistry()
+	sink := telemetry.NewSink()
+	reg := sink.Registry()
 	var events []Interruption
 	var stolen time.Duration
 	var ticks int64
@@ -90,10 +90,10 @@ func TestGeneratorPublishSumsAndResets(t *testing.T) {
 	for n := int64(0); n < 3; n++ {
 		node(n)
 	}
-	g.Publish(reg)
-	g.Publish(reg)
+	g.Publish(sink)
+	g.Publish(sink)
 	check("three nodes and a repeated Publish")
 	node(3)
-	g.Publish(reg)
+	g.Publish(sink)
 	check("a fourth node")
 }

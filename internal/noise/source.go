@@ -166,6 +166,9 @@ type Profile struct {
 	// telemetry counters this profile emits are attributable; empty means
 	// the generic "noise" namespace.
 	Subsystem string
+	// Sink receives the noise counters of the timelines the profile
+	// generates; the OS model that derives the profile sets it to its own.
+	Sink *telemetry.Sink
 }
 
 // Add appends a source after validation. Source names must be unique
@@ -210,7 +213,7 @@ func (p *Profile) Timeline(horizon time.Duration, rng *sim.Rand) *Timeline {
 	g := p.Generator()
 	tl := &Timeline{}
 	if len(g.NodeInto(tl, nil, horizon, rng)) > 0 {
-		g.Publish(telemetry.Default().Registry())
+		g.Publish(p.Sink)
 	}
 	return tl
 }
@@ -278,20 +281,20 @@ func (g *Generator) NodeInto(tl *Timeline, buf []Interruption, horizon time.Dura
 	return buf
 }
 
-// Publish adds the events generated since the last Publish to reg and
+// Publish adds the events generated since the last Publish to sink and
 // resets the tallies: <subsystem>.noise.events.<source> for every source
 // that produced events, and <subsystem>.noise.stolen_ns once any did.
-func (g *Generator) Publish(reg *telemetry.Registry) {
+func (g *Generator) Publish(sink *telemetry.Sink) {
 	produced := false
 	for i, n := range g.events {
 		if n > 0 {
-			reg.Counter(g.counters[i]).Add(n)
+			sink.Counter(g.counters[i]).Add(n)
 			produced = true
 		}
 		g.events[i] = 0
 	}
 	if produced {
-		reg.Counter(g.stolenNS).Add(int64(g.stolen))
+		sink.Counter(g.stolenNS).Add(int64(g.stolen))
 	}
 	g.stolen = 0
 }

@@ -36,7 +36,7 @@
 //     histograms.
 //
 // The package sits inside the determinism boundary: no wall clock, no
-// process-wide telemetry, no internal/telemetry/ops import. Wall-side
+// internal/telemetry/ops import. Wall-side
 // instrumentation (window count, barrier waits, cross-shard traffic) hangs
 // off the Observer callbacks, implemented outside the boundary in
 // shard/shardops.
@@ -172,8 +172,8 @@ type Shard struct {
 	Nodes Range
 	// Engine is the shard's private event loop.
 	Engine *sim.Engine
-	// Sink is the shard's goroutine-local telemetry sink; package-level
-	// telemetry helpers called from model code on this goroutine land here.
+	// Sink is the shard's own telemetry sink. Model code publishes into it,
+	// and the runner folds it into Result.Registry in shard order.
 	Sink *telemetry.Sink
 
 	run    *runner
@@ -205,7 +205,7 @@ func (s *Shard) Send(src, dst int, at sim.Time, kind string, payload any) {
 	seq := s.seqs[src]
 	s.seqs[src] = seq + 1
 	s.outbox = append(s.outbox, Message{At: at, Src: src, Dst: dst, Kind: kind, Payload: payload, seq: seq})
-	s.Sink.Registry().Counter("shard.sent").Inc()
+	s.Sink.Counter("shard.sent").Inc()
 }
 
 // command releases one window to a shard (or, with run=false, ends its loop).
@@ -300,12 +300,7 @@ func RunContext(ctx context.Context, cfg Config, m Model) (*Result, error) {
 		wg.Add(1)
 		go func(s *Shard) {
 			defer wg.Done()
-			// The shard goroutine is the one place a sink is installed
-			// outside internal/sweep: this runner IS an orchestrator — each
-			// shard is isolated on its own sink exactly like a sweep trial,
-			// and the snapshots fold in shard order afterwards.
-			//simlint:allow sinkdiscipline — shard runner is orchestrator plumbing: per-shard sink isolation, folded deterministically in shard order
-			telemetry.RunWith(s.Sink, func() { r.shardLoop(ctx, s) })
+			r.shardLoop(ctx, s)
 		}(shards[i])
 	}
 

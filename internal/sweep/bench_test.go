@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mkos/internal/sweep"
-	"mkos/internal/telemetry"
 )
 
 // cpuTrial is a deterministic CPU-bound unit sized around a few milliseconds
@@ -29,7 +28,7 @@ func benchCampaign(trials int) *sweep.Campaign {
 			Spec: synthSpec{ID: i, Scale: 1},
 			Run: func(t *sweep.T) (any, error) {
 				v := cpuTrial(t.Seed)
-				telemetry.C("bench.trials").Inc()
+				t.Sink.Counter("bench.trials").Inc()
 				return map[string]float64{"v": v}, nil
 			},
 		})

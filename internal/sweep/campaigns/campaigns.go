@@ -95,7 +95,9 @@ func runFigurePoint(ps FigurePointSpec, t *sweep.T) (core.Comparison, error) {
 			seeds = append(seeds, t.Seed+int64(i))
 		}
 	}
-	return core.Compare(core.PlatformFor(apps.PlatformName(ps.Platform)), app, ps.Nodes, seeds)
+	p := core.PlatformFor(apps.PlatformName(ps.Platform))
+	p.Sink = t.Sink
+	return core.Compare(p, app, ps.Nodes, seeds)
 }
 
 // --- Table 2: countermeasure matrix ----------------------------------------
@@ -122,10 +124,10 @@ func Table2(cfg core.Table2Config, campaignSeed int64) *sweep.Campaign {
 		c.Trials = append(c.Trials, sweep.Trial{
 			Key:  Table2Key(i, disabled),
 			Spec: ts,
-			Run: func(*sweep.T) (any, error) {
+			Run: func(t *sweep.T) (any, error) {
 				return core.Table2Variant(core.Table2Config{
 					Nodes: ts.Nodes, Duration: ts.Duration, Seed: ts.Seed,
-				}, ts.Disabled)
+				}, ts.Disabled, t.Sink)
 			},
 		})
 	}
@@ -158,8 +160,8 @@ func Figure4(cfg core.Figure4Config, iterations int, campaignSeed int64) *sweep.
 			c.Trials = append(c.Trials, sweep.Trial{
 				Key:  Figure4Key(it, ci, cs.Label),
 				Spec: cs,
-				Run: func(*sweep.T) (any, error) {
-					return core.Figure4Curve(cs)
+				Run: func(t *sweep.T) (any, error) {
+					return core.Figure4Curve(cs, t.Sink)
 				},
 			})
 		}
@@ -243,6 +245,7 @@ func runFaultPoint(t *sweep.T, s FaultPointSpec) (FaultPointResult, error) {
 	default:
 		return FaultPointResult{}, fmt.Errorf("campaigns: unknown platform %q", s.Platform)
 	}
+	p.Sink = t.Sink
 	os := cluster.Linux
 	if s.OS == "mckernel" {
 		os = cluster.McKernel

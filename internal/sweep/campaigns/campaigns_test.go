@@ -47,7 +47,7 @@ func smallFigure4() core.Figure4Config {
 // serial core.Figure4 curves exactly (same labels, tails and CDF points).
 func TestFigure4CampaignMatchesSerial(t *testing.T) {
 	cfg := smallFigure4()
-	serial, err := core.Figure4(cfg)
+	serial, err := core.Figure4(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 // whole contract here:
 //
 //   - Each trial runs on one worker goroutine against its own telemetry sink
-//     (telemetry.RunWith), so concurrent trials never share mutable state.
+//     (T.Sink), so concurrent trials never share mutable state.
 //   - Per-trial seeds derive from the campaign seed and the trial key
 //     (DeriveSeed) — never from worker index or completion order — so adding
 //     workers cannot change any trial's inputs.
@@ -59,8 +59,8 @@ type Trial struct {
 	// part of the cache key, so any parameter change re-executes the trial.
 	Spec any
 	// Run executes the trial and returns its payload, which must marshal to
-	// JSON (it is cached and handed back to the merge step). Run executes
-	// with t.Sink installed as the goroutine's telemetry sink.
+	// JSON (it is cached and handed back to the merge step). Run publishes
+	// its telemetry into t.Sink.
 	Run func(t *T) (any, error)
 }
 
@@ -71,9 +71,9 @@ type T struct {
 	// Seed is the trial's deterministic seed, derived from the campaign seed
 	// and the trial key. Trials whose spec pins explicit seeds may ignore it.
 	Seed int64
-	// Sink is the trial's isolated telemetry sink. It is already installed
-	// as the goroutine-local default, so instrumented subsystems need no
-	// plumbing; it is exposed for trials that want direct access.
+	// Sink is the trial's isolated telemetry sink. The trial hands it to
+	// what it builds (cluster.Platform.Sink and the like); the orchestrator
+	// snapshots it into the trial's result and merges it in key order.
 	Sink *telemetry.Sink
 
 	// canceled is raised by the orchestrator when the trial must stop: its
@@ -279,7 +279,7 @@ func (o *Outcome) FirstErr() error {
 // MergeTelemetry folds the campaign's deterministic telemetry into sink: the
 // merged registry is added as a snapshot and, when tracing was on, the merged
 // trace buffer is appended to the sink's recorder. Commands use it to land
-// campaign telemetry in the process-wide sink before writing -metrics/-trace
+// campaign telemetry in their own sink before writing -metrics/-trace
 // artifacts.
 func (o *Outcome) MergeTelemetry(sink *telemetry.Sink) {
 	if sink == nil {
@@ -575,9 +575,7 @@ func runTrial(ctx context.Context, t Trial, seed int64, opts Options) (TrialResu
 					err = fmt.Errorf("panic: %v\n%s", p, stack)
 				}
 			}()
-			telemetry.RunWith(sink, func() {
-				payload, err = t.Run(tc)
-			})
+			payload, err = t.Run(tc)
 		}()
 		done <- outcome{payload, err}
 	}()

@@ -36,10 +36,10 @@ func synthCampaign(name string, n int, campaignSeed int64) *sweep.Campaign {
 					v := rng.Float64() * spec.Scale
 					sum += v
 					h.Observe(v)
-					telemetry.C("synth.iterations").Inc()
+					t.Sink.Counter("synth.iterations").Inc()
 				}
-				telemetry.G("synth.hwm").SetMax(sum)
-				telemetry.Span("synth", t.Key, spec.ID, 0, 0, 100)
+				t.Sink.Gauge("synth.hwm").SetMax(sum)
+				t.Sink.Span("synth", t.Key, spec.ID, 0, 0, 100)
 				return map[string]any{"sum": sum, "seed": t.Seed}, nil
 			},
 		})
@@ -165,7 +165,7 @@ func TestDuplicateKeysRejected(t *testing.T) {
 func TestTrialErrorsAreNotFatal(t *testing.T) {
 	c := synthCampaign("err", 4, 1)
 	c.Trials[0].Run = func(t *sweep.T) (any, error) {
-		telemetry.C("errtrial.partial").Inc()
+		t.Sink.Counter("errtrial.partial").Inc()
 		return nil, fmt.Errorf("benchmark input missing")
 	}
 	o, err := sweep.Run(c, sweep.Options{Workers: 2})

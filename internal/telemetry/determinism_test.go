@@ -1,12 +1,15 @@
 // Determinism regression: two identical fault-injected batch sweeps must
-// produce byte-identical metrics dumps and trace JSON. This is the contract
-// that makes the telemetry artifacts diffable in CI — any wall-clock or
-// map-iteration leakage into the Registry or Recorder breaks it.
+// produce byte-identical metrics dumps and trace JSON, whether they run one
+// after the other or at the same time on their own sinks. This is the
+// contract that makes the telemetry artifacts diffable in CI — any
+// wall-clock or map-iteration leakage into the Registry or Recorder, or any
+// state shared between sinks, breaks it.
 package telemetry_test
 
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,21 +20,22 @@ import (
 )
 
 // sweep runs a small faultexp-equivalent batch on a fresh sink and returns
-// the metrics dump and trace JSON.
+// the metrics dump and trace JSON. It reports failures with t.Error, so it
+// may run on any goroutine.
 func sweep(t *testing.T) (metrics, trace string) {
-	t.Helper()
-	old := telemetry.SetDefault(telemetry.NewSink())
-	defer telemetry.SetDefault(old)
-	telemetry.EnableTrace()
+	sink := telemetry.NewSink()
+	sink.Recorder().Enable()
 
 	p := cluster.OFP()
+	p.Sink = sink
 	rates := fault.Rates{
 		NodeCrashPerHour: 500, LWKPanicPerHour: 2000, LWKHangPerHour: 1000,
 		IHKReserveFailProb: 0.05, IKCTimeoutProb: 0.05, LWKOOMProb: 0.05,
 	}
 	rs, err := cluster.NewResilientScheduler(p, fault.NewInjector(rates, 42), cluster.DefaultRecoveryPolicy())
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return "", ""
 	}
 	w := bsp.Workload{
 		Name: "determinism", Scaling: bsp.StrongScaling, RefNodes: 4,
@@ -45,11 +49,11 @@ func sweep(t *testing.T) (metrics, trace string) {
 	}
 
 	var mb, tb bytes.Buffer
-	if _, err := telemetry.Default().Registry().WriteTo(&mb); err != nil {
-		t.Fatal(err)
+	if _, err := sink.Registry().WriteTo(&mb); err != nil {
+		t.Error(err)
 	}
-	if err := telemetry.Default().Recorder().WriteChromeTrace(&tb); err != nil {
-		t.Fatal(err)
+	if err := sink.Recorder().WriteChromeTrace(&tb); err != nil {
+		t.Error(err)
 	}
 	return mb.String(), tb.String()
 }
@@ -62,6 +66,30 @@ func TestSweepTelemetryDeterministic(t *testing.T) {
 	}
 	if t1 != t2 {
 		t.Errorf("trace JSON differs between identical runs")
+	}
+}
+
+// Two sweeps at once, each on its own sink, must each produce the serial
+// run's bytes: nothing one publishes may reach the other's sink.
+func TestSweepTelemetryConcurrentSinks(t *testing.T) {
+	m0, t0 := sweep(t)
+	var m, tr [2]string
+	var wg sync.WaitGroup
+	for i := range m {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m[i], tr[i] = sweep(t)
+		}(i)
+	}
+	wg.Wait()
+	for i := range m {
+		if m[i] != m0 {
+			t.Errorf("goroutine %d: metrics dump differs from the serial run:\n%s\n---\n%s", i, m[i], m0)
+		}
+		if tr[i] != t0 {
+			t.Errorf("goroutine %d: trace JSON differs from the serial run", i)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mkos/internal/sim"
 )
 
 func TestCounter(t *testing.T) {
@@ -162,28 +164,43 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 	}
 }
 
-func TestDefaultSinkHelpers(t *testing.T) {
-	old := SetDefault(NewSink())
-	defer SetDefault(old)
-	C("x").Inc()
-	G("y").Set(2)
-	H("z", []float64{1}).Observe(0.5)
-	reg := Default().Registry()
-	if reg.CounterValue("x") != 1 {
-		t.Fatal("C did not hit the default registry")
+func TestSinkHelpers(t *testing.T) {
+	s := NewSink()
+	s.Counter("x").Inc()
+	s.Gauge("y").Set(2)
+	s.Histogram("z", []float64{1}).Observe(0.5)
+	reg := s.Registry()
+	if reg.CounterValue("x") != 1 || reg.Gauge("y").Value() != 2 || reg.Histogram("z", nil).Count() != 1 {
+		t.Fatal("sink helpers did not hit the sink's registry")
 	}
-	if !TraceEnabled() {
-		EnableTrace()
+	if s.TraceEnabled() {
+		t.Fatal("a new sink traces")
 	}
-	if !TraceEnabled() {
-		t.Fatal("EnableTrace did not enable the default recorder")
+	s.Recorder().Enable()
+	if !s.TraceEnabled() {
+		t.Fatal("enabling the recorder did not enable tracing")
 	}
-	// Reset installs a fresh sink: old metrics gone, tracing off again.
-	Reset()
-	if Default().Registry().CounterValue("x") != 0 {
-		t.Fatal("Reset kept old metrics")
+	s.Span("cat", "span", 0, 0, 0, 1)
+	s.Instant("cat", "instant", 0, 0, 1)
+	if s.Recorder().Len() != 2 {
+		t.Fatalf("recorder holds %d events, want 2", s.Recorder().Len())
 	}
-	if TraceEnabled() {
-		t.Fatal("Reset kept tracing enabled")
+}
+
+// A nil sink is what a component built without one carries: every helper
+// works and nothing is kept.
+func TestNilSinkDiscards(t *testing.T) {
+	var s *Sink
+	s.Counter("x").Inc()
+	if got := s.Counter("x").Value(); got != 0 {
+		t.Fatalf("nil sink kept a counter: %d", got)
+	}
+	s.Gauge("y").Set(2)
+	s.Histogram("z", []float64{1}).Observe(0.5)
+	s.Span("cat", "span", 0, 0, 0, 1)
+	s.Instant("cat", "instant", 0, 0, 1)
+	s.AttachEngine(sim.NewEngine())
+	if s.TraceEnabled() {
+		t.Fatal("nil sink traces")
 	}
 }

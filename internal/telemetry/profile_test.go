@@ -46,15 +46,14 @@ func TestProfilerAggregates(t *testing.T) {
 }
 
 func TestProfilerEngineIntegration(t *testing.T) {
-	old := SetDefault(NewSink())
-	defer SetDefault(old)
+	sink := NewSink()
 	e := sim.NewEngine()
-	AttachEngine(e)
+	sink.AttachEngine(e)
 	e.Schedule(10, "named-event", func(*sim.Engine) {})
 	e.Schedule(20, "", func(*sim.Engine) {}) // unnamed: labelled by callsite
 	e.Run()
 
-	p := Default().Profiler()
+	p := sink.Profiler()
 	if p.Fired() != 2 {
 		t.Fatalf("fired = %d", p.Fired())
 	}
@@ -70,7 +69,7 @@ func TestProfilerEngineIntegration(t *testing.T) {
 	if !strings.Contains(joined, "(telemetry)") {
 		t.Fatalf("unnamed event not aggregated by callsite package: %v", labels)
 	}
-	if Default().Registry().CounterValue("sim.events_fired") != 2 {
+	if sink.Registry().CounterValue("sim.events_fired") != 2 {
 		t.Fatal("engine dispatches not mirrored into registry")
 	}
 }

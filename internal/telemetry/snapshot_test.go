@@ -58,10 +58,7 @@ func TestSnapshotRoundTripAndMerge(t *testing.T) {
 	}
 }
 
-func TestRunWithIsolatesGoroutines(t *testing.T) {
-	prev := telemetry.Reset()
-	defer telemetry.SetDefault(prev)
-
+func TestSinksIsolateGoroutines(t *testing.T) {
 	const workers = 8
 	sinks := make([]*telemetry.Sink, workers)
 	var wg sync.WaitGroup
@@ -70,11 +67,9 @@ func TestRunWithIsolatesGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			telemetry.RunWith(sinks[i], func() {
-				for j := 0; j <= i; j++ {
-					telemetry.C("trial.work").Inc()
-				}
-			})
+			for j := 0; j <= i; j++ {
+				sinks[i].Counter("trial.work").Inc()
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -82,26 +77,6 @@ func TestRunWithIsolatesGoroutines(t *testing.T) {
 		if got := s.Registry().CounterValue("trial.work"); got != int64(i+1) {
 			t.Fatalf("sink %d saw %d increments, want %d", i, got, i+1)
 		}
-	}
-	if got := telemetry.Default().Registry().CounterValue("trial.work"); got != 0 {
-		t.Fatalf("default sink leaked %d increments from RunWith goroutines", got)
-	}
-}
-
-func TestRunWithNests(t *testing.T) {
-	outer, inner := telemetry.NewSink(), telemetry.NewSink()
-	telemetry.RunWith(outer, func() {
-		telemetry.C("depth").Inc()
-		telemetry.RunWith(inner, func() {
-			telemetry.C("depth").Inc()
-		})
-		telemetry.C("depth").Inc()
-	})
-	if got := outer.Registry().CounterValue("depth"); got != 2 {
-		t.Fatalf("outer sink = %d, want 2", got)
-	}
-	if got := inner.Registry().CounterValue("depth"); got != 1 {
-		t.Fatalf("inner sink = %d, want 1", got)
 	}
 }
 

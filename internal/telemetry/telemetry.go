@@ -8,9 +8,22 @@
 // Sec. 4.2.1 attributes noise to its source with ftrace and execution-time
 // profiling, and Eqs. 1-2 quantify what was observed. The instrumented
 // subsystems (sim, mckernel, linux, cluster, fault, bsp, noise) all publish
-// into one shared Sink so cross-layer questions — "how many syscall
-// offloads, page faults and IKC round trips did this job cost, and where did
-// the wall time go?" — have one answer surface.
+// into one Sink so cross-layer questions — "how many syscall offloads, page
+// faults and IKC round trips did this job cost, and where did the wall time
+// go?" — have one answer surface.
+//
+// Plumbing: there is no process-wide sink. Whoever owns a run creates one
+// with NewSink — a sweep trial (sweep.T.Sink), a shard (shard.Shard.Sink),
+// a command — and hands it to the objects it builds: cluster.Platform, the
+// Linux kernel and the McKernel instance booted on it, the noise profiles
+// they derive, the bsp.Machine and the FWQ machine configuration. Event
+// sites publish through the sink their object carries.
+//
+// A component built without a sink carries a nil *Sink, and a nil *Sink
+// keeps nothing: Counter, Gauge and Histogram return working handles that
+// belong to no registry, Span and Instant record nothing, TraceEnabled
+// reports false and AttachEngine attaches nothing. That is the only rule
+// for the sinkless case; event sites never test for nil themselves.
 //
 // Determinism contract: everything recorded into the Registry and the
 // Recorder derives from simulated time and seeded randomness only. Host
@@ -19,16 +32,12 @@
 // (enforced by the determinism regression test).
 package telemetry
 
-import (
-	"sync"
-	"sync/atomic"
+import "mkos/internal/sim"
 
-	"mkos/internal/sim"
-)
-
-// Sink bundles the three telemetry surfaces. Components reach the process
-// default through the package-level helpers; experiments that need isolation
-// (tests, repeated in-process runs) swap it with SetDefault or Reset.
+// Sink bundles the three telemetry surfaces of one run. Its methods are
+// safe for concurrent use. The publishing methods also accept a nil *Sink
+// (see the package doc); the accessors, Snapshot and the export methods
+// are for the sink's owner and need a sink made by NewSink.
 type Sink struct {
 	reg  *Registry
 	rec  *Recorder
@@ -50,111 +59,54 @@ func (s *Sink) Recorder() *Recorder { return s.rec }
 // Profiler returns the sink's engine profiler.
 func (s *Sink) Profiler() *Profiler { return s.prof }
 
+// Counter returns the named counter of the sink's registry, creating it on
+// first use.
+func (s *Sink) Counter(name string) *Counter {
+	if s == nil {
+		return &Counter{}
+	}
+	return s.reg.Counter(name)
+}
+
+// Gauge returns the named gauge of the sink's registry, creating it on
+// first use.
+func (s *Sink) Gauge(name string) *Gauge {
+	if s == nil {
+		return &Gauge{}
+	}
+	return s.reg.Gauge(name)
+}
+
+// Histogram returns the named histogram of the sink's registry, creating it
+// with the given bounds on first use.
+func (s *Sink) Histogram(name string, bounds []float64) *Histogram {
+	if s == nil {
+		return NewHistogram(bounds)
+	}
+	return s.reg.Histogram(name, bounds)
+}
+
+// Span records a complete span on the sink's recorder.
+func (s *Sink) Span(cat, name string, node, cpu int, start sim.Time, dur sim.Duration, args ...Arg) {
+	if s != nil {
+		s.rec.Span(cat, name, node, cpu, start, dur, args...)
+	}
+}
+
+// Instant records a point event on the sink's recorder.
+func (s *Sink) Instant(cat, name string, node, cpu int, at sim.Time, args ...Arg) {
+	if s != nil {
+		s.rec.Instant(cat, name, node, cpu, at, args...)
+	}
+}
+
+// TraceEnabled reports whether the sink's recorder is capturing; hot paths
+// use it to skip building span arguments entirely.
+func (s *Sink) TraceEnabled() bool { return s != nil && s.rec.Enabled() }
+
 // AttachEngine wires the sink's profiler into an engine's dispatch loop.
-func (s *Sink) AttachEngine(e *sim.Engine) { s.prof.Attach(e) }
-
-var (
-	defaultMu sync.RWMutex
-	std       = NewSink()
-
-	// Goroutine-local sink overrides, installed by RunWith. activeLocals
-	// gates the gid lookup so Default() costs one atomic load extra when no
-	// sweep is running.
-	localMu      sync.Mutex
-	localSinks   = map[uint64]*Sink{}
-	activeLocals atomic.Int64
-)
-
-// Default returns the sink for the calling goroutine: the one installed by a
-// surrounding RunWith if there is one, the process-wide sink otherwise.
-func Default() *Sink {
-	if activeLocals.Load() != 0 {
-		id := gid()
-		localMu.Lock()
-		s := localSinks[id]
-		localMu.Unlock()
-		if s != nil {
-			return s
-		}
+func (s *Sink) AttachEngine(e *sim.Engine) {
+	if s != nil {
+		s.prof.Attach(e)
 	}
-	defaultMu.RLock()
-	defer defaultMu.RUnlock()
-	return std
 }
-
-// RunWith runs fn with s installed as the calling goroutine's sink: every
-// package-level helper (C, G, H, Span, Instant, TraceEnabled, AttachEngine)
-// reached from fn on this goroutine publishes into s instead of the
-// process-wide sink. This is what lets a parallel sweep give each simulation
-// trial an isolated registry and recorder — the instrumented subsystems keep
-// their zero-plumbing call sites, and per-trial telemetry can be merged in a
-// deterministic order afterwards.
-//
-// The override covers only the calling goroutine; goroutines spawned from fn
-// see the process-wide sink (the simulator itself never spawns any — each
-// trial runs its whole event loop on one goroutine). Calls nest: the previous
-// override is restored when fn returns. A nil s installs a fresh empty sink.
-func RunWith(s *Sink, fn func()) {
-	if s == nil {
-		s = NewSink()
-	}
-	id := gid()
-	localMu.Lock()
-	prev, nested := localSinks[id]
-	localSinks[id] = s
-	localMu.Unlock()
-	activeLocals.Add(1)
-	defer func() {
-		localMu.Lock()
-		if nested {
-			localSinks[id] = prev
-		} else {
-			delete(localSinks, id)
-		}
-		localMu.Unlock()
-		activeLocals.Add(-1)
-	}()
-	fn()
-}
-
-// SetDefault replaces the process-wide sink and returns the previous one.
-func SetDefault(s *Sink) *Sink {
-	if s == nil {
-		s = NewSink()
-	}
-	defaultMu.Lock()
-	old := std
-	std = s
-	defaultMu.Unlock()
-	return old
-}
-
-// Reset installs a fresh empty sink, returning the previous one. Tests and
-// repeated in-process experiment runs use it to start from zero.
-func Reset() *Sink { return SetDefault(NewSink()) }
-
-// C returns the named counter from the default sink.
-func C(name string) *Counter { return Default().reg.Counter(name) }
-
-// G returns the named gauge from the default sink.
-func G(name string) *Gauge { return Default().reg.Gauge(name) }
-
-// H returns the named histogram from the default sink.
-func H(name string, bounds []float64) *Histogram { return Default().reg.Histogram(name, bounds) }
-
-// Span records a complete span on the default sink's recorder.
-func Span(cat, name string, node, cpu int, start sim.Time, dur sim.Duration, args ...Arg) {
-	Default().rec.Span(cat, name, node, cpu, start, dur, args...)
-}
-
-// Instant records a point event on the default sink's recorder.
-func Instant(cat, name string, node, cpu int, at sim.Time, args ...Arg) {
-	Default().rec.Instant(cat, name, node, cpu, at, args...)
-}
-
-// TraceEnabled reports whether the default recorder is capturing; hot paths
-// can use it to skip building span arguments entirely.
-func TraceEnabled() bool { return Default().rec.Enabled() }
-
-// AttachEngine wires the default profiler into an engine.
-func AttachEngine(e *sim.Engine) { Default().AttachEngine(e) }
