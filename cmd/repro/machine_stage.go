@@ -20,8 +20,10 @@ import (
 // deterministic and shard-count invariant; -shards only changes how the
 // simulation is parallelized. Node count and duration are scaled well below
 // the 158,976-node flagship run (cmd/fwq -shards covers that) so the stage
-// stays a small slice of the repro's budget. The worst-node re-run's noise
-// counters go to sink.
+// stays a small slice of the repro's budget. Both halves of the stage report
+// to sink: the sharded sweep's registries (shard.Result.Registry, folded in
+// shard order and shard-count invariant) and the worst-node re-runs' noise
+// counters.
 func runMachineStage(ctx context.Context, quick bool, shards int, outdir string, flushOps func() error, sink *telemetry.Sink) {
 	nodes, duration, worstK := 4096, 4*time.Second, 100
 	if quick {
@@ -46,6 +48,7 @@ func runMachineStage(ctx context.Context, quick bool, shards int, outdir string,
 	if err != nil {
 		log.Fatal(err)
 	}
+	sink.Registry().AddSnapshot(sres.Registry.Snapshot())
 	fmt.Printf("  %d windows, %d digests (%d cross-shard), worst node %d (total noise %v)\n",
 		res.Windows, sres.Stats.Messages, sres.Stats.CrossMessages,
 		res.Worst[0].Node, time.Duration(res.Worst[0].Digest.TotalNoiseNS))

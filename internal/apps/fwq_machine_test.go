@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +80,34 @@ func TestFWQMachineByteIdenticalAcrossShardCounts(t *testing.T) {
 		}
 		if shards > 1 && sres.Stats.CrossMessages == 0 {
 			t.Errorf("%d shards: no cross-shard digest traffic", shards)
+		}
+	}
+}
+
+// TestFWQMachineRegistryAcrossShardCounts: the fold of the per-shard
+// registries, which repro -metrics publishes, dumps byte-identically at 1
+// and 4 shards.
+func TestFWQMachineRegistryAcrossShardCounts(t *testing.T) {
+	const nodes = 12
+	var want string
+	for _, shards := range []int{1, 4} {
+		_, sres, err := FWQMachine(machineTestConfig(nodes, shards))
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		var dump strings.Builder
+		if _, err := sres.Registry.WriteTo(&dump); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(dump.String(), "fwq.machine.digests 12") {
+			t.Fatalf("%d shards: registry dump lacks the digest count:\n%s", shards, dump.String())
+		}
+		if shards == 1 {
+			want = dump.String()
+			continue
+		}
+		if dump.String() != want {
+			t.Errorf("%d shards: registry dump differs from 1 shard\n got:\n%s\nwant:\n%s", shards, dump.String(), want)
 		}
 	}
 }

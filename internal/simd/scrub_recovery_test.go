@@ -16,8 +16,8 @@ import (
 func TestScrubQuarantinesAndRerunsCorruptResults(t *testing.T) {
 	ctx := testCtx(t)
 	store := t.TempDir()
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: store, Build: h.build})
+	h := newHarness(t)
+	d := startDaemon(t, simd.Options{Store: store, Worker: h.worker()})
 	cl := d.client("scrub")
 
 	st, err := cl.Submit(ctx, specJSON("scrubme", 4, 3))
@@ -39,8 +39,8 @@ func TestScrubQuarantinesAndRerunsCorruptResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h2 := newHarness()
-	d2 := startDaemon(t, simd.Options{Store: store, Build: h2.build})
+	h2 := newHarness(t)
+	d2 := startDaemon(t, simd.Options{Store: store, Worker: h2.worker()})
 	defer d2.stop()
 	cl2 := d2.client("scrub")
 
@@ -52,8 +52,11 @@ func TestScrubQuarantinesAndRerunsCorruptResults(t *testing.T) {
 	if st2.Executed != 0 || st2.Cached != 3 {
 		t.Fatalf("recovered campaign executed=%d cached=%d, want 0/3", st2.Executed, st2.Cached)
 	}
-	if n := h2.entries.Load(); n != 0 {
+	if n := h2.entries(); n != 0 {
 		t.Fatalf("%d trial bodies re-executed after corruption; the journal must carry them all", n)
+	}
+	if n := journalEntries(t, store, "scrubme", 4); n != 3 {
+		t.Fatalf("journal holds %d entries, want 3 — a recount means a trial re-executed", n)
 	}
 	restored, err := cl2.Results(ctx, st.ID)
 	if err != nil {

@@ -1,7 +1,6 @@
 package simd
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -56,8 +55,9 @@ type campaign struct {
 	waitSpan *ops.Span
 }
 
-// Server is the campaign daemon: admission, fair queueing, execution through
-// the sweep orchestrator, persistence, and recovery.
+// Server is the campaign daemon: admission, fair queueing, dispatch to
+// supervised worker processes, persistence, and recovery. Trial code never
+// runs in its process.
 type Server struct {
 	opts   Options
 	store  *store
@@ -90,6 +90,9 @@ type Server struct {
 func NewServer(opts Options) (*Server, error) {
 	if opts.Store == "" {
 		return nil, errors.New("simd: Options.Store is required")
+	}
+	if len(opts.Worker.Cmd) == 0 {
+		return nil, errors.New("simd: Options.Worker.Cmd is required")
 	}
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 1
@@ -133,7 +136,7 @@ func NewServer(opts Options) (*Server, error) {
 	s.buildMux()
 	// Scrub before recovery: recovery must never trust a corrupt spec or mark
 	// a campaign done on the strength of corrupt results.
-	rep, err := st.scrub()
+	rep, err := st.Scrub()
 	if err != nil {
 		return nil, fmt.Errorf("simd: store scrub: %w", err)
 	}
@@ -172,7 +175,7 @@ func (s *Server) recover() error {
 			// A done status must have verifiable results behind it; if the
 			// scrubber quarantined them (or they vanished), the journal still
 			// holds every trial, so re-running is cheap and restores them.
-			if _, rerr := s.store.results(sc.id); rerr != nil {
+			if _, rerr := s.store.ReadArtifact(s.store.Path(sc.id, "results.json")); rerr != nil {
 				resume = true
 				s.log.Warn(fmt.Sprintf("campaign %s results missing or corrupt; re-running from journal", sc.id),
 					oplog.F("campaign", sc.id), oplog.F("err", rerr.Error()))
@@ -182,11 +185,7 @@ func (s *Server) recover() error {
 			s.camps[sc.id] = c
 			continue
 		}
-		spec, perr := campaigns.ParseSpec(sc.spec)
-		var built *sweep.Campaign
-		if perr == nil {
-			built, perr = s.opts.Build(spec)
-		}
+		built, perr := s.build(sc.spec)
 		if perr != nil {
 			c.st.State = StateFailed
 			c.st.Err = fmt.Sprintf("recovery: %v", perr)
@@ -221,6 +220,15 @@ func (s *Server) recover() error {
 	}
 	s.gaugeDepth()
 	return nil
+}
+
+// build enumerates a persisted campaign from its canonical spec.
+func (s *Server) build(canon []byte) (*sweep.Campaign, error) {
+	spec, err := campaigns.ParseSpec(canon)
+	if err != nil {
+		return nil, err
+	}
+	return s.opts.Build(spec)
 }
 
 // openSpans starts a campaign's flight-recorder spans: the campaign root
@@ -293,20 +301,14 @@ func (s *Server) Kill() {
 	s.events.closeAll()
 }
 
-// runCampaign executes one campaign — in process through the sweep
-// orchestrator, or out of process through a supervised worker when
-// Options.Worker.Cmd is set — and settles its state. ctx is the dispatcher's
-// run context: canceling it (drain deadline, hard kill) cancels the sweep.
+// runCampaign executes one campaign through a supervised worker and settles
+// its state. ctx is the dispatcher's run context: canceling it (drain
+// deadline, hard kill) cancels the worker.
 func (s *Server) runCampaign(ctx context.Context, c *campaign) {
-	workerMode := len(s.opts.Worker.Cmd) > 0
 	if c.built == nil {
 		// Requeued after a terminal state (crash_loop, journal conflict) by a
 		// daemon that recovered it from disk: rebuild from the canonical spec.
-		spec, perr := campaigns.ParseSpec(c.canon)
-		var built *sweep.Campaign
-		if perr == nil {
-			built, perr = s.opts.Build(spec)
-		}
+		built, perr := s.build(c.canon)
 		if perr != nil {
 			s.mu.Lock()
 			c.waitSpan.End(ops.Arg{Key: "outcome", Val: "rejected"})
@@ -324,9 +326,7 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 	c.cancel = cancel
 	preCanceled := c.cancelReq
 	c.st.State = StateRunning
-	if workerMode {
-		c.st.Breaker = "closed"
-	}
+	c.st.Breaker = "closed"
 	c.runStart = time.Now()
 	st := c.st
 	span, waitSpan := c.span, c.waitSpan
@@ -335,7 +335,7 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 	if preCanceled {
 		// A cancel accepted between the dispatcher's pop and this point found
 		// c.cancel still nil; honor it now so the 202 the operator already
-		// holds is not lost and the sweep does not run to completion.
+		// holds is not lost and the campaign does not run to completion.
 		cancel()
 	}
 	if !s.hardKill.Load() {
@@ -348,91 +348,11 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 
 	// The dispatcher runs on its own context (cancellation: drain or an
 	// operator cancel), so the flight-recorder linkage is re-attached
-	// explicitly: spans opened inside the sweep parent under the campaign
+	// explicitly: the run span and its trial spans parent under the campaign
 	// span the submit request opened.
 	rctx := ops.WithSpan(ops.Attach(ctx, s.tracer), span)
 	rctx, runSpan := ops.Start(rctx, "run")
-	if workerMode {
-		s.runWorker(rctx, runSpan, c)
-		return
-	}
-	o, err := sweep.RunContext(rctx, c.built, sweep.Options{
-		Workers:      s.opts.Workers,
-		CacheDir:     s.store.cacheDir(),
-		Version:      s.opts.Version,
-		TrialTimeout: s.opts.TrialTimeout,
-		CancelGrace:  s.opts.CancelGrace,
-		OnTrial:      func(ev sweep.TrialEvent) { s.publishTrial(c, ev) },
-	})
-	if o != nil {
-		s.ops.Counter("simd.trials.executed").Add(int64(o.Executed))
-		s.ops.Counter("simd.trials.cached").Add(int64(o.Cached))
-		s.ops.Counter("simd.trials.failed").Add(int64(o.Failed))
-		s.ops.AddSnapshot(o.Ops.Snapshot())
-		runSpan.End(
-			ops.Arg{Key: "executed", Val: strconv.Itoa(o.Executed)},
-			ops.Arg{Key: "cached", Val: strconv.Itoa(o.Cached)},
-			ops.Arg{Key: "failed", Val: strconv.Itoa(o.Failed)})
-	} else {
-		runSpan.End(ops.Arg{Key: "err", Val: fmt.Sprint(err)})
-	}
-
-	s.mu.Lock()
-	c.cancel = nil
-	canceled := c.cancelReq
-	s.mu.Unlock()
-
-	switch {
-	case err == nil:
-		results := resultsJSON(o)
-		var metrics bytes.Buffer
-		if _, werr := o.Registry.WriteTo(&metrics); werr != nil {
-			s.settle(c, StateFailed, outcomeTally(o), fmt.Sprintf("rendering metrics: %v", werr))
-			return
-		}
-		if aerr := s.store.putArtifacts(c.id, results, metrics.Bytes()); aerr != nil {
-			s.settle(c, StateFailed, outcomeTally(o), fmt.Sprintf("writing artifacts: %v", aerr))
-			return
-		}
-		s.settle(c, StateDone, outcomeTally(o), "")
-		s.log.Info(fmt.Sprintf("campaign %s: %d trials: %d executed, %d cached, %d failed",
-			c.id, len(o.Results), o.Executed, o.Cached, o.Failed),
-			oplog.F("campaign", c.id), oplog.F("executed", o.Executed),
-			oplog.F("cached", o.Cached), oplog.F("failed", o.Failed))
-
-	case errors.Is(err, sweep.ErrInterrupted):
-		switch {
-		case canceled:
-			s.settle(c, StateCanceled, outcomeTally(o), "")
-			s.log.Info(fmt.Sprintf("campaign %s canceled (%d trials unfinished)", c.id, o.Canceled),
-				oplog.F("campaign", c.id), oplog.F("unfinished", o.Canceled))
-		default:
-			// Drain or hard kill: the campaign is not over, it is paused.
-			// Finished trials are already journaled; persist the
-			// interruption (unless we are simulating a crash, which gets no
-			// courtesy writes) so the next incarnation requeues it.
-			s.settle(c, StateInterrupted, outcomeTally(o), "")
-			s.log.Info(fmt.Sprintf("campaign %s interrupted: %d trials journaled for resume", c.id, o.Executed+o.Cached),
-				oplog.F("campaign", c.id), oplog.F("journaled", o.Executed+o.Cached))
-		}
-
-	case errors.Is(err, sweep.ErrJournalBusy):
-		// Another daemon holds this campaign's journal — a deployment
-		// overlap, not a campaign defect. The state is failed (this daemon
-		// cannot run it) but the conflict is transient: results requests
-		// answer 409 and a resubmission requeues the campaign.
-		s.mu.Lock()
-		c.busy = true
-		s.mu.Unlock()
-		s.settle(c, StateFailed, outcomeTally(o), err.Error())
-		s.log.Warn(fmt.Sprintf("campaign %s journal is held by another daemon", c.id),
-			oplog.F("campaign", c.id), oplog.F("err", err.Error()))
-
-	default:
-		s.settle(c, StateFailed, outcomeTally(o), err.Error())
-		s.log.Error(fmt.Sprintf("campaign %s failed", c.id),
-			oplog.F("campaign", c.id), oplog.F("err", err.Error()))
-	}
+	s.runWorker(rctx, runSpan, c)
 }
 
 // runWorker executes one campaign out of process through a supervised worker
@@ -447,15 +367,12 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 	// probe releases the flock on every path (it belongs to the probe's
 	// descriptor); other probe errors are left for the worker to report with
 	// full context.
-	if _, perr := sweep.ProbeJournal(s.store.cacheDir(), s.opts.Version, c.built.Name, c.built.Seed); errors.Is(perr, sweep.ErrJournalBusy) {
+	if _, perr := sweep.ProbeJournal(s.store.CacheDir(), s.opts.Version, c.built.Name, c.built.Seed); errors.Is(perr, sweep.ErrJournalBusy) {
 		s.mu.Lock()
 		c.cancel = nil
-		c.busy = true
 		s.mu.Unlock()
 		runSpan.End(ops.Arg{Key: "err", Val: perr.Error()})
-		s.settle(c, StateFailed, nil, perr.Error())
-		s.log.Warn(fmt.Sprintf("campaign %s journal is held by another daemon", c.id),
-			oplog.F("campaign", c.id), oplog.F("err", perr.Error()))
+		s.settleBusy(c, nil, perr.Error())
 		return
 	}
 	sup := &worker.Supervisor{
@@ -467,7 +384,7 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 		CrashLoopK:       w.CrashLoopK,
 		BackoffBase:      w.BackoffBase,
 		BackoffMax:       w.BackoffMax,
-		JournalPath:      sweep.JournalPath(s.store.cacheDir(), s.opts.Version, c.built.Name, c.built.Seed),
+		JournalPath:      sweep.JournalPath(s.store.CacheDir(), s.opts.Version, c.built.Name, c.built.Seed),
 		OnSpawn: func(attempt, pid int) {
 			s.log.Info(fmt.Sprintf("campaign %s worker spawned (attempt %d, pid %d)", c.id, attempt, pid),
 				oplog.F("campaign", c.id), oplog.F("attempt", attempt), oplog.F("pid", pid))
@@ -476,9 +393,9 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 			}
 		},
 		OnTrial: func(ev worker.Event) {
-			// Mirror the sweep's per-trial flight-recorder span so /v1/trace
-			// tells the same story in either execution mode. Wall time already
-			// elapsed in the worker; the span records it as an annotation.
+			// One flight-recorder span per trial, so /v1/trace shows the
+			// campaign's trials under its run span. Wall time already elapsed
+			// in the worker; the span records it as an annotation.
 			_, tspan := ops.StartTrack(ctx, "trial", ops.Arg{Key: "key", Val: ev.Key})
 			args := []ops.Arg{{Key: "wall_ms", Val: fmt.Sprintf("%.3f", ev.WallMS)}}
 			if ev.Cached {
@@ -488,11 +405,7 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 				args = append(args, ops.Arg{Key: "err", Val: ev.Err})
 			}
 			tspan.End(args...)
-			s.publishTrial(c, sweep.TrialEvent{
-				Key: ev.Key, Err: ev.Err, Cached: ev.Cached,
-				Wall: time.Duration(ev.WallMS * float64(time.Millisecond)),
-				Done: ev.Done, Total: ev.Total,
-			})
+			s.publishTrial(c, ev)
 		},
 		OnExit: func(attempt int, cause string) {
 			s.mu.Lock()
@@ -514,8 +427,8 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 	}
 	res, err := sup.Run(ctx, worker.Request{
 		Spec:           json.RawMessage(c.canon),
-		CacheDir:       s.store.cacheDir(),
-		ArtifactDir:    s.store.dir(c.id),
+		CacheDir:       s.store.CacheDir(),
+		ArtifactDir:    s.store.CampaignDir(c.id),
 		Workers:        s.opts.Workers,
 		TrialTimeoutMS: int64(s.opts.TrialTimeout / time.Millisecond),
 		CancelGraceMS:  int64(s.opts.CancelGrace / time.Millisecond),
@@ -532,17 +445,17 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 		return
 	}
 
-	t := &tally{executed: res.Summary.Executed, cached: res.Summary.Cached, failed: res.Summary.Failed}
-	s.ops.Counter("simd.trials.executed").Add(int64(t.executed))
-	s.ops.Counter("simd.trials.cached").Add(int64(t.cached))
-	s.ops.Counter("simd.trials.failed").Add(int64(t.failed))
+	t := &res.Summary
+	s.ops.Counter("simd.trials.executed").Add(int64(t.Executed))
+	s.ops.Counter("simd.trials.cached").Add(int64(t.Cached))
+	s.ops.Counter("simd.trials.failed").Add(int64(t.Failed))
 	if res.Ops != nil {
 		s.ops.AddSnapshot(res.Ops)
 	}
 	runSpan.End(
-		ops.Arg{Key: "executed", Val: strconv.Itoa(t.executed)},
-		ops.Arg{Key: "cached", Val: strconv.Itoa(t.cached)},
-		ops.Arg{Key: "failed", Val: strconv.Itoa(t.failed)},
+		ops.Arg{Key: "executed", Val: strconv.Itoa(t.Executed)},
+		ops.Arg{Key: "cached", Val: strconv.Itoa(t.Cached)},
+		ops.Arg{Key: "failed", Val: strconv.Itoa(t.Failed)},
 		ops.Arg{Key: "restarts", Val: strconv.Itoa(res.Restarts)})
 
 	s.mu.Lock()
@@ -561,9 +474,9 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 		// event; nothing to persist here but the status.
 		s.settle(c, StateDone, t, "")
 		s.log.Info(fmt.Sprintf("campaign %s: %d trials: %d executed, %d cached, %d failed (%d worker restarts)",
-			c.id, total, t.executed, t.cached, t.failed, res.Restarts),
-			oplog.F("campaign", c.id), oplog.F("executed", t.executed),
-			oplog.F("cached", t.cached), oplog.F("failed", t.failed),
+			c.id, total, t.Executed, t.Cached, t.Failed, res.Restarts),
+			oplog.F("campaign", c.id), oplog.F("executed", t.Executed),
+			oplog.F("cached", t.Cached), oplog.F("failed", t.Failed),
 			oplog.F("restarts", res.Restarts))
 
 	case worker.StateInterrupted:
@@ -571,9 +484,13 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 			s.settle(c, StateCanceled, t, "")
 			s.log.Info(fmt.Sprintf("campaign %s canceled", c.id), oplog.F("campaign", c.id))
 		} else {
+			// Drain or hard kill: the campaign is paused, not over. Its
+			// finished trials are journaled; settle persists the interruption
+			// (except under a simulated crash) so the next incarnation
+			// requeues it.
 			s.settle(c, StateInterrupted, t, "")
-			s.log.Info(fmt.Sprintf("campaign %s interrupted: %d trials journaled for resume", c.id, t.executed+t.cached),
-				oplog.F("campaign", c.id), oplog.F("journaled", t.executed+t.cached))
+			s.log.Info(fmt.Sprintf("campaign %s interrupted: %d trials journaled for resume", c.id, t.Executed+t.Cached),
+				oplog.F("campaign", c.id), oplog.F("journaled", t.Executed+t.Cached))
 		}
 
 	case worker.StateCrashLoop:
@@ -584,12 +501,7 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 
 	default: // worker.StateFailed
 		if res.Reason == worker.ReasonJournalBusy {
-			s.mu.Lock()
-			c.busy = true
-			s.mu.Unlock()
-			s.settle(c, StateFailed, t, res.Err)
-			s.log.Warn(fmt.Sprintf("campaign %s journal is held by another daemon", c.id),
-				oplog.F("campaign", c.id), oplog.F("err", res.Err))
+			s.settleBusy(c, t, res.Err)
 			return
 		}
 		s.settle(c, StateFailed, t, res.Err)
@@ -598,29 +510,16 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 	}
 }
 
-// tally is the trial accounting a settling campaign reports, shared by the
-// in-process path (from sweep.Outcome) and the worker path (from the done
-// event's Summary).
-type tally struct {
-	executed, cached, failed int
-}
-
-func outcomeTally(o *sweep.Outcome) *tally {
-	if o == nil {
-		return nil
-	}
-	return &tally{executed: o.Executed, cached: o.Cached, failed: o.Failed}
-}
-
 // settle moves a campaign to its post-run state, persists it (except under a
 // simulated crash), publishes the state transition to live streams, and
-// records the latency observation for terminal outcomes.
-func (s *Server) settle(c *campaign, state string, t *tally, errMsg string) {
+// records the latency observation for terminal outcomes. t, when non-nil, is
+// the worker's trial accounting.
+func (s *Server) settle(c *campaign, state string, t *worker.Summary, errMsg string) {
 	s.mu.Lock()
 	c.st.State = state
 	c.st.Err = errMsg
 	if t != nil {
-		c.st.Executed, c.st.Cached, c.st.Failed = t.executed, t.cached, t.failed
+		c.st.Executed, c.st.Cached, c.st.Failed = t.Executed, t.Cached, t.Failed
 	}
 	st := c.st
 	elapsed := time.Since(c.submitted)
@@ -643,18 +542,30 @@ func (s *Server) settle(c *campaign, state string, t *tally, errMsg string) {
 	}
 }
 
+// settleBusy fails a campaign whose journal another daemon holds — a
+// deployment overlap, not a campaign defect. The state is failed (this
+// daemon cannot run it) but the conflict is transient: results requests
+// answer 409 and a resubmission requeues the campaign.
+func (s *Server) settleBusy(c *campaign, t *worker.Summary, errMsg string) {
+	s.mu.Lock()
+	c.busy = true
+	s.mu.Unlock()
+	s.settle(c, StateFailed, t, errMsg)
+	s.log.Warn(fmt.Sprintf("campaign %s journal is held by another daemon", c.id),
+		oplog.F("campaign", c.id), oplog.F("err", errMsg))
+}
+
 // publishState emits a lifecycle transition on the campaign's event stream.
 func (s *Server) publishState(id, state, errMsg string) {
 	s.events.publish(id, Event{Type: "state", State: state, Err: errMsg})
 }
 
-// publishTrial relays one finished trial from the sweep hook onto the event
-// stream, adding the wall-clock ETA estimate.
-func (s *Server) publishTrial(c *campaign, ev sweep.TrialEvent) {
+// publishTrial relays one finished trial from the worker's event stream onto
+// the campaign's event stream, adding the wall-clock ETA estimate.
+func (s *Server) publishTrial(c *campaign, ev worker.Event) {
 	e := Event{
 		Type: "trial", Key: ev.Key, Cached: ev.Cached, TrialErr: ev.Err,
-		WallMS: float64(ev.Wall) / float64(time.Millisecond),
-		Done:   ev.Done, Total: ev.Total,
+		WallMS: ev.WallMS, Done: ev.Done, Total: ev.Total,
 	}
 	if ev.Done > 0 && ev.Done < ev.Total {
 		s.mu.Lock()
@@ -666,20 +577,6 @@ func (s *Server) publishTrial(c *campaign, ev sweep.TrialEvent) {
 		}
 	}
 	s.events.publish(c.id, e)
-}
-
-// resultsJSON renders the deterministic results artifact in exactly the
-// complete-run format cmd/sweep writes, so a campaign served by the daemon
-// byte-compares against one run by the CLI.
-func resultsJSON(o *sweep.Outcome) []byte {
-	blob, err := json.MarshalIndent(o.Results, "", "  ")
-	if err != nil {
-		// Results marshaled once already (per trial); a failure here is a
-		// programming error surfaced as an empty artifact rather than a
-		// daemon crash.
-		return []byte("[]\n")
-	}
-	return append(blob, '\n')
 }
 
 // Handler returns the daemon's HTTP API, wrapped in the observability
@@ -890,7 +787,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// respond after both.
 	if err := s.store.admit(id, canon, &st); err != nil {
 		s.forget(id)
-		s.store.remove(id)
+		s.store.Remove(id)
 		c.waitSpan.End(ops.Arg{Key: "outcome", Val: "rejected"})
 		c.span.End(ops.Arg{Key: "state", Val: "rejected"})
 		if cas.IsNoSpace(err) {
@@ -908,7 +805,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// the rejection: recovery would otherwise resurrect and run a
 		// campaign whose client was explicitly refused.
 		s.forget(id)
-		s.store.remove(id)
+		s.store.Remove(id)
 		c.waitSpan.End(ops.Arg{Key: "outcome", Val: "rejected"})
 		c.span.End(ops.Arg{Key: "state", Val: "rejected"})
 		switch {
@@ -1031,7 +928,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("campaign is %s%s", st.State, errSuffix(st.Err)), time.Second)
 		return
 	}
-	blob, err := s.store.results(id)
+	blob, err := s.store.ReadArtifact(s.store.Path(id, "results.json"))
 	if err != nil {
 		reject(w, http.StatusInternalServerError, "store_error", err.Error(), 0)
 		return

@@ -2,64 +2,66 @@ package simd
 
 import (
 	"context"
+	"os"
 	"testing"
 	"time"
 
 	"mkos/internal/sweep"
-	"mkos/internal/sweep/campaigns"
 )
+
+// newRaceServer starts a Server whose campaigns run in a re-exec of this test
+// binary: TestMain (worker_integration_test.go, same binary) turns it into a
+// worker when SIMD_TEST_WORKER=1. The "slow-" campaigns the race tests submit
+// pace each trial at ~60ms on one sweep worker, so a lost cancel lets the
+// campaign run to completion and settle Done — a state the assertions catch
+// — rather than hang.
+func newRaceServer(t *testing.T) *Server {
+	t.Helper()
+	s, err := NewServer(Options{
+		Store:   t.TempDir(),
+		Workers: 1,
+		Worker: WorkerOptions{
+			Cmd: []string{os.Args[0]},
+			Env: append(os.Environ(), "SIMD_TEST_WORKER=1"),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// raceCampaign is an admitted campaign as a dispatcher holds it right after
+// the pop: enumerated (20 trials), queued, not yet running.
+func raceCampaign(t *testing.T, name string) *campaign {
+	t.Helper()
+	spec := []byte(`{"name":"` + name + `","seed":1,"runs":20}`)
+	id, _, err := SpecID(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &campaign{
+		id: id, canon: spec, built: &sweep.Campaign{Name: name, Seed: 1}, submitted: time.Now(),
+		st: Status{ID: id, Client: name, State: StateQueued, Total: 20},
+	}
+}
 
 // TestPreDispatchCancelTakesEffect reproduces the lost-cancel race: DELETE
 // lands after a dispatcher popped the campaign but before runCampaign
 // installed c.cancel. handleCancel then only sets cancelReq (returning 202);
 // runCampaign must notice the flag when it installs the cancel func and
-// cancel its own context, or the sweep runs to completion and settles Done
-// despite the accepted cancel.
+// cancel its own context, or the worker runs the campaign to completion and
+// it settles Done despite the accepted cancel.
 func TestPreDispatchCancelTakesEffect(t *testing.T) {
-	build := func(spec *campaigns.Spec) (*sweep.Campaign, error) {
-		c := &sweep.Campaign{Name: spec.Name, Seed: spec.Seed}
-		c.Trials = append(c.Trials, sweep.Trial{
-			Key:  spec.Name + "/t000",
-			Spec: map[string]int{"i": 0},
-			Run: func(tr *sweep.T) (any, error) {
-				// Poll cancellation, finishing successfully after a budget: a
-				// lost cancel becomes a Done state the assertion catches,
-				// rather than a hang.
-				for i := 0; i < 200; i++ {
-					if tr.Canceled() {
-						return nil, sweep.ErrTrialCanceled
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-				return map[string]int64{"seed": tr.Seed}, nil
-			},
-		})
-		return c, nil
-	}
-	s, err := NewServer(Options{Store: t.TempDir(), Build: build})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newRaceServer(t)
 	defer s.Kill()
 
-	spec := []byte(`{"name":"race","seed":1,"runs":1}`)
-	id, parsed, err := SpecID(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := build(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &campaign{
-		id: id, canon: spec, built: built, submitted: time.Now(),
-		st: Status{ID: id, Client: "race", State: StateQueued, Total: 1},
-	}
+	c := raceCampaign(t, "slow-race")
 	// Leave the campaign exactly where the race does: popped from the queue,
 	// cancel accepted (cancelReq set), cancel func not yet installed.
 	c.cancelReq = true
 	s.mu.Lock()
-	s.camps[id] = c
+	s.camps[c.id] = c
 	s.mu.Unlock()
 
 	s.runCampaign(s.runCtx, c)
@@ -75,47 +77,15 @@ func TestPreDispatchCancelTakesEffect(t *testing.T) {
 // TestRunCampaignHonorsDispatcherContext pins the ctx-threading contract:
 // runCampaign's cancellation scope is the context its dispatcher passes in,
 // not a context reached through Server fields. A dispatcher context that is
-// already dead must interrupt the sweep (trials journaled, campaign left
+// already dead must interrupt the worker (trials journaled, campaign left
 // resumable) rather than let it run to completion and settle Done.
 func TestRunCampaignHonorsDispatcherContext(t *testing.T) {
-	build := func(spec *campaigns.Spec) (*sweep.Campaign, error) {
-		c := &sweep.Campaign{Name: spec.Name, Seed: spec.Seed}
-		c.Trials = append(c.Trials, sweep.Trial{
-			Key:  spec.Name + "/t000",
-			Spec: map[string]int{"i": 0},
-			Run: func(tr *sweep.T) (any, error) {
-				for i := 0; i < 200; i++ {
-					if tr.Canceled() {
-						return nil, sweep.ErrTrialCanceled
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-				return map[string]int64{"seed": tr.Seed}, nil
-			},
-		})
-		return c, nil
-	}
-	s, err := NewServer(Options{Store: t.TempDir(), Build: build})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newRaceServer(t)
 	defer s.Kill()
 
-	spec := []byte(`{"name":"ctxdead","seed":1,"runs":1}`)
-	id, parsed, err := SpecID(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := build(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &campaign{
-		id: id, canon: spec, built: built, submitted: time.Now(),
-		st: Status{ID: id, Client: "ctxdead", State: StateQueued, Total: 1},
-	}
+	c := raceCampaign(t, "slow-ctxdead")
 	s.mu.Lock()
-	s.camps[id] = c
+	s.camps[c.id] = c
 	s.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())

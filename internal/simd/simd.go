@@ -1,9 +1,10 @@
 // Package simd is simulation-as-a-service: a long-lived HTTP/JSON daemon
 // that accepts the declarative campaign specs the CLIs already consume
-// (internal/sweep/campaigns), runs them through the sweep orchestrator, and
-// is engineered to stay up and stay correct under failure and overload —
-// the operational regime of the paper's pre-exascale campaigns, where node
-// failures, daemons dying mid-run and oversubscribed queues are routine.
+// (internal/sweep/campaigns), runs each one through the sweep orchestrator in
+// a supervised worker process (internal/simd/worker), and is engineered to
+// stay up and stay correct under failure and overload — the operational
+// regime of the paper's pre-exascale campaigns, where node failures, daemons
+// dying mid-run and oversubscribed queues are routine.
 //
 // The robustness story rests on four legs:
 //
@@ -110,9 +111,9 @@ type Options struct {
 	MaxQueue int
 	// MaxPerClient bounds one client's queued campaigns; <= 0 means 8.
 	MaxPerClient int
-	// TrialTimeout and CancelGrace thread through to sweep.Options: a
-	// runaway trial is canceled cooperatively after TrialTimeout and its
-	// goroutine abandoned after CancelGrace.
+	// TrialTimeout and CancelGrace thread through to the worker's
+	// sweep.Options: a runaway trial is canceled cooperatively after
+	// TrialTimeout and its goroutine abandoned after CancelGrace.
 	TrialTimeout time.Duration
 	CancelGrace  time.Duration
 	// DrainGrace is how long running campaigns get to finish naturally on
@@ -133,23 +134,22 @@ type Options struct {
 	// probes log at debug.
 	LogLevel string
 
-	// Worker, when Worker.Cmd is non-empty, moves trial execution out of
-	// process: each campaign is dispatched to a supervised child running
-	// Worker.Cmd against the shared cache dir, with restarts, heartbeats,
-	// resource ceilings and a crash-loop breaker. Empty Cmd keeps the
-	// original in-process path.
+	// Worker configures the supervised child process every campaign runs
+	// in: Worker.Cmd is spawned against the shared cache dir, with
+	// restarts, heartbeats, resource ceilings and a crash-loop breaker.
+	// Worker.Cmd is required; NewServer refuses an empty one.
 	Worker WorkerOptions
 
 	// StoreFault, when non-nil, intercepts every atomic store write (chaos /
 	// test hook — see store.WriteFault and chaos.StoreFaults).
 	StoreFault cas.WriteFault
 
-	// Build converts a parsed spec into the runnable campaign. Nil selects
-	// the production path, campaigns.Spec.Campaign; tests substitute
-	// synthetic trial bodies while keeping the whole admission, queueing,
-	// persistence and resume machinery real. Ignored by the out-of-process
-	// path: workers always build the production campaign (worker test
-	// binaries substitute their own BuildFunc).
+	// Build enumerates a parsed spec on the daemon side: the trial total a
+	// status reports, the bad_spec check at admission, and the rebuild of a
+	// campaign recovered from disk. Its trial bodies never run here — the
+	// worker builds and runs the campaign through its own worker.BuildFunc.
+	// Nil selects the production path, campaigns.Spec.Campaign; tests
+	// substitute the enumeration of their synthetic campaigns.
 	Build func(*campaigns.Spec) (*sweep.Campaign, error)
 	// Observe, when non-nil, is called on every campaign state transition
 	// (test hook; called with the server lock released).
@@ -160,8 +160,7 @@ type Options struct {
 // containment policy; see internal/simd/worker).
 type WorkerOptions struct {
 	// Cmd is the worker argv; element 0 is the binary. cmd/simd passes its
-	// own executable plus the hidden -worker flag. Empty disables the
-	// out-of-process path.
+	// own executable plus the hidden -worker flag. Required.
 	Cmd []string
 	// Env is the worker environment; nil inherits the daemon's.
 	Env []string
@@ -234,9 +233,9 @@ type Status struct {
 	// Deduped marks a submit response that matched an existing campaign
 	// instead of admitting a new one.
 	Deduped bool `json:"deduped,omitempty"`
-	// Restarts counts worker deaths this campaign has survived (out-of-
-	// process mode only); LastExit names the most recent death's cause
-	// ("signal: killed", "exit status 2", "rss_limit", "heartbeat_stall").
+	// Restarts counts worker deaths this campaign has survived; LastExit
+	// names the most recent death's cause ("signal: killed", "exit status
+	// 2", "rss_limit", "heartbeat_stall").
 	Restarts int    `json:"restarts,omitempty"`
 	LastExit string `json:"last_exit,omitempty"`
 	// Breaker is the crash-loop circuit breaker's position: "closed" while a

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,94 +22,229 @@ import (
 	"mkos/internal/sweep/campaigns"
 )
 
-// harness wires a Server to synthetic campaigns so tests exercise the real
-// admission, queueing, persistence and resume machinery with fast,
-// controllable trial bodies. Spec names select behavior: "block-" trials
-// park until released (polling cancellation), anything else returns
-// immediately. Trial entries and successful completions are counted, which
-// is how the resume tests assert zero re-execution.
-type harness struct {
-	entries     atomic.Int64 // trial bodies entered
-	completions atomic.Int64 // trial bodies returned successfully
+// Environment of the re-exec'd test worker (see TestMain): workerEnv turns
+// the test binary into a worker, gateEnv names the harness directory its
+// trial bodies talk through.
+const (
+	workerEnv = "SIMD_TEST_WORKER"
+	gateEnv   = "SIMD_TEST_GATE"
+)
 
-	gate   chan struct{} // closed by release: every blocking trial may finish
-	tokens chan struct{} // grant lets exactly n blocking trials finish
+// harness wires daemons to synthetic campaigns so tests exercise the real
+// admission, queueing, dispatch, worker supervision, persistence and resume
+// machinery with fast, controllable trial bodies. Every campaign runs in a
+// re-exec of this test binary, so the harness reaches its trial bodies
+// through files in its own directory: "block-" trials park until release
+// creates the release file or they claim a token file from grant (polling
+// cancellation meanwhile), and every trial body drops an entry-* file when
+// it starts and a done-* file when it returns successfully. Counting those
+// files is how tests wait for progress across the process boundary.
+type harness struct {
+	t   *testing.T
+	dir string
 }
 
-func newHarness() *harness {
-	return &harness{gate: make(chan struct{}), tokens: make(chan struct{}, 64)}
+func newHarness(t *testing.T) *harness {
+	return &harness{t: t, dir: t.TempDir()}
+}
+
+// worker re-execs this test binary as the daemon's worker, wired to the
+// harness directory, with fast restart backoff so crash-loop tests converge
+// quickly. Under -race the worker skips the race runtime's default 1s sleep
+// at exit, which the supervisor would otherwise wait out on every campaign.
+func (h *harness) worker() simd.WorkerOptions {
+	race := strings.TrimSpace(os.Getenv("GORACE") + " atexit_sleep_ms=0")
+	return simd.WorkerOptions{
+		Cmd:         []string{os.Args[0]},
+		Env:         append(os.Environ(), workerEnv+"=1", gateEnv+"="+h.dir, "GORACE="+race),
+		BackoffBase: time.Millisecond,
+		BackoffMax:  20 * time.Millisecond,
+	}
 }
 
 // release lets every parked blocking trial finish.
-func (h *harness) release() { close(h.gate) }
+func (h *harness) release() {
+	if err := os.WriteFile(filepath.Join(h.dir, "release"), nil, 0o644); err != nil {
+		h.t.Fatal(err)
+	}
+}
 
-// grant lets exactly n parked blocking trials finish.
+// grant lets exactly n parked blocking trials finish: each claims (deletes)
+// one token file.
 func (h *harness) grant(n int) {
 	for i := 0; i < n; i++ {
-		h.tokens <- struct{}{}
+		f, err := os.CreateTemp(h.dir, "token-*")
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		f.Close()
 	}
 }
 
-// awaitCompletions blocks until n trial bodies have finished successfully.
-func (h *harness) awaitCompletions(t *testing.T, n int64) {
-	t.Helper()
+func (h *harness) count(kind string) int64 {
+	marks, err := filepath.Glob(filepath.Join(h.dir, kind+"-*"))
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return int64(len(marks))
+}
+
+// entries counts trial bodies entered; completions counts trial bodies that
+// returned successfully.
+func (h *harness) entries() int64     { return h.count("entry") }
+func (h *harness) completions() int64 { return h.count("done") }
+
+// awaitEntries and awaitCompletions block until n trial bodies have been
+// entered or have returned successfully.
+func (h *harness) awaitEntries(n int64)     { h.t.Helper(); h.await("entry", n) }
+func (h *harness) awaitCompletions(n int64) { h.t.Helper(); h.await("done", n) }
+
+func (h *harness) await(kind string, n int64) {
+	h.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for h.completions.Load() < n {
+	for h.count(kind) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d trial completions arrived", h.completions.Load(), n)
+			h.t.Fatalf("only %d of %d trial %s marks arrived", h.count(kind), n, kind)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// awaitEntries blocks until n trial bodies have been entered.
-func (h *harness) awaitEntries(t *testing.T, n int64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for h.entries.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d trial entries arrived", h.entries.Load(), n)
-		}
-		time.Sleep(2 * time.Millisecond)
+// gate is the trial bodies' side of a harness directory; empty outside a
+// harness (an in-process reference run), where it marks nothing and never
+// parks.
+type gate string
+
+func (g gate) mark(kind string) {
+	if g == "" {
+		return
+	}
+	if f, err := os.CreateTemp(string(g), kind+"-*"); err == nil {
+		f.Close()
 	}
 }
 
-// build is the Options.Build hook: spec.Runs trials (default 3), keyed on
-// the spec name, each returning a value derived from the trial seed only —
-// deterministic no matter which daemon incarnation executes it.
-func (h *harness) build(spec *campaigns.Spec) (*sweep.Campaign, error) {
+// open reports whether a parked trial may finish: the harness released every
+// trial, or this trial claimed one granted token (os.Remove succeeds for
+// exactly one claimant).
+func (g gate) open() bool {
+	if g == "" {
+		return true
+	}
+	if _, err := os.Stat(filepath.Join(string(g), "release")); err == nil {
+		return true
+	}
+	tokens, _ := filepath.Glob(filepath.Join(string(g), "token-*"))
+	for _, tok := range tokens {
+		if os.Remove(tok) == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// testBuild is the worker's BuildFunc: spec.Runs trials (default 3), keyed
+// on the spec name, each returning a value derived from the trial seed only
+// — deterministic no matter which worker incarnation executes it. Name
+// prefixes select behavior: "block-" parks each trial on the harness gate,
+// "poison-" kills the process inside the first trial body (before anything
+// journals — the no-progress crash loop), "slow-" paces each trial at ~60ms
+// so chaos kills and cancels land mid-campaign.
+func testBuild(spec *campaigns.Spec) (*sweep.Campaign, error) {
 	n := spec.Runs
 	if n <= 0 {
 		n = 3
 	}
-	c := &sweep.Campaign{Name: spec.Name, Seed: spec.Seed}
+	g := gate(os.Getenv(gateEnv))
 	blocking := strings.HasPrefix(spec.Name, "block-")
+	poison := strings.HasPrefix(spec.Name, "poison-")
+	slow := strings.HasPrefix(spec.Name, "slow-")
+	c := &sweep.Campaign{Name: spec.Name, Seed: spec.Seed}
 	for i := 0; i < n; i++ {
 		c.Trials = append(c.Trials, sweep.Trial{
 			Key:  fmt.Sprintf("%s/t%03d", spec.Name, i),
 			Spec: map[string]int{"i": i},
 			Run: func(t *sweep.T) (any, error) {
-				h.entries.Add(1)
-				if blocking {
-					for {
-						select {
-						case <-h.gate:
-						case <-h.tokens:
-						case <-time.After(2 * time.Millisecond):
-							if t.Canceled() {
-								return nil, sweep.ErrTrialCanceled
-							}
-							continue
-						}
-						break
-					}
+				if poison {
+					os.Exit(3)
 				}
-				h.completions.Add(1)
+				g.mark("entry")
+				if slow {
+					time.Sleep(60 * time.Millisecond)
+				}
+				for blocking && !g.open() {
+					if t.Canceled() {
+						return nil, sweep.ErrTrialCanceled
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+				g.mark("done")
 				return map[string]int64{"seed": t.Seed}, nil
 			},
 		})
 	}
 	return c, nil
+}
+
+// daemonTrials counts trial bodies run by the test process acting as the
+// daemon. Nothing may ever increment it: trial code runs only in workers.
+var daemonTrials atomic.Int64
+
+// daemonBuild is the daemons' Options.Build: testBuild's enumeration (keys
+// and trial total) with every trial body replaced by a tripwire.
+func daemonBuild(spec *campaigns.Spec) (*sweep.Campaign, error) {
+	c, err := testBuild(spec)
+	if err != nil {
+		return nil, err
+	}
+	for i := range c.Trials {
+		c.Trials[i].Run = func(*sweep.T) (any, error) {
+			daemonTrials.Add(1)
+			return nil, errors.New("trial body ran inside the daemon")
+		}
+	}
+	return c, nil
+}
+
+// awaitJournaled blocks until the journals under a daemon store hold n
+// complete lines. It reads without the journal's lock, so it can watch a
+// campaign a worker is still running.
+func awaitJournaled(t *testing.T, store string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		paths, err := filepath.Glob(filepath.Join(store, "cache", "*.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		for _, p := range paths {
+			blob, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines += bytes.Count(blob, []byte("\n"))
+		}
+		if lines >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d trials journaled", lines, n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// journalEntries counts the trials journaled for the campaign (name, seed)
+// under a daemon store: the durable record from which zero re-execution is
+// asserted — a trial journaled twice would be counted twice.
+func journalEntries(t *testing.T, store, name string, seed int64) int {
+	t.Helper()
+	n, err := sweep.ProbeJournal(filepath.Join(store, "cache"), "", name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // specJSON builds a minimal spec body for the harness.
@@ -121,8 +259,12 @@ type testDaemon struct {
 	http *httptest.Server
 }
 
+// startDaemon starts an incarnation; a nil opts.Build selects daemonBuild.
 func startDaemon(t *testing.T, opts simd.Options) *testDaemon {
 	t.Helper()
+	if opts.Build == nil {
+		opts.Build = daemonBuild
+	}
 	srv, err := simd.NewServer(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +308,9 @@ func testCtx(t *testing.T) context.Context {
 // dedupe: two submissions of the same spec (one after completion) converge
 // on one campaign and one execution.
 func TestSubmitAwaitResults(t *testing.T) {
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build})
+	h := newHarness(t)
+	store := t.TempDir()
+	d := startDaemon(t, simd.Options{Store: store, Worker: h.worker()})
 	defer d.stop()
 	ctx := testCtx(t)
 	c := d.client("alice")
@@ -197,8 +340,11 @@ func TestSubmitAwaitResults(t *testing.T) {
 	if err != nil || !again.Deduped || again.ID != st.ID {
 		t.Fatalf("reformatted resubmit: %+v, %v", again, err)
 	}
-	if n := h.completions.Load(); n != 4 {
+	if n := h.completions(); n != 4 {
 		t.Fatalf("trials executed %d times, want 4", n)
+	}
+	if n := journalEntries(t, store, "fast-a", 7); n != 4 {
+		t.Fatalf("journal holds %d entries, want 4", n)
 	}
 
 	blob, err := c.Results(ctx, st.ID)
@@ -216,9 +362,9 @@ func TestSubmitAwaitResults(t *testing.T) {
 // requests are still arriving. Run under -race this is the server's data-
 // race certificate; the assertions check the books still balance.
 func TestConcurrentSubmitCancelDrain(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	d := startDaemon(t, simd.Options{
-		Store: t.TempDir(), Build: h.build,
+		Store: t.TempDir(), Worker: h.worker(),
 		MaxQueue: 128, MaxPerClient: 64, Concurrency: 2,
 		DrainGrace: 2 * time.Second,
 	})
@@ -279,9 +425,9 @@ func TestConcurrentSubmitCancelDrain(t *testing.T) {
 // telemetry — and that a rejected client gets through after the flood
 // clears.
 func TestBackpressure(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	d := startDaemon(t, simd.Options{
-		Store: t.TempDir(), Build: h.build,
+		Store: t.TempDir(), Worker: h.worker(),
 		MaxQueue: 3, MaxPerClient: 2,
 	})
 	defer d.stop()
@@ -338,11 +484,11 @@ func TestBackpressure(t *testing.T) {
 // dispatched after at most one more of A's campaigns (round-robin), not
 // after A's whole backlog.
 func TestFairness(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	var order []string
 	var mu sync.Mutex
 	d := startDaemon(t, simd.Options{
-		Store: t.TempDir(), Build: h.build,
+		Store: t.TempDir(), Worker: h.worker(),
 		MaxQueue: 16, MaxPerClient: 8,
 		Observe: func(id, state string) {
 			if state == simd.StateRunning {
@@ -363,7 +509,7 @@ func TestFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.awaitEntries(t, 1) // a0 is on the dispatcher before anything else queues
+	h.awaitEntries(1) // a0 is on the dispatcher before anything else queues
 	var aIDs []string
 	for i := 1; i <= 4; i++ {
 		st, err := a.Submit(ctx, specJSON(fmt.Sprintf("fast-a%d", i), 1, 1))
@@ -404,9 +550,9 @@ func TestFairness(t *testing.T) {
 // deterministic slow readers — slow consumers must neither fail nor wedge
 // the daemon for others.
 func TestSlowClients(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	d := startDaemon(t, simd.Options{
-		Store: t.TempDir(), Build: h.build,
+		Store: t.TempDir(), Worker: h.worker(),
 		MaxQueue: 64, MaxPerClient: 16,
 	})
 	defer d.stop()
@@ -439,8 +585,8 @@ func TestSlowClients(t *testing.T) {
 	}
 }
 
-// TestKillResume is the crash-tolerance contract end to end, in process: a
-// daemon is killed with a campaign mid-flight, a successor on the same
+// TestKillResume is the crash-tolerance contract end to end: a daemon is
+// killed with a campaign mid-flight in its worker, a successor on the same
 // store resumes it, no trial executes twice, and the artifacts byte-match a
 // never-crashed run of the same spec.
 func TestKillResume(t *testing.T) {
@@ -448,20 +594,23 @@ func TestKillResume(t *testing.T) {
 	spec := specJSON("block-big", 42, 6)
 	ctx := testCtx(t)
 
-	h1 := newHarness()
-	d1 := startDaemon(t, simd.Options{Store: store, Build: h1.build})
+	h1 := newHarness(t)
+	d1 := startDaemon(t, simd.Options{Store: store, Worker: h1.worker()})
 	st, err := d1.client("k").Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := st.ID
 
-	// Let exactly two of the six trials finish (and land in the journal),
-	// then kill the daemon mid-campaign.
+	// Let exactly two of the six trials finish and land in the journal, then
+	// kill the daemon mid-campaign. A trial whose body has returned but whose
+	// result the worker has not yet journaled would be discarded by the
+	// kill's cancellation, so the wait is on the journal, not the bodies.
 	h1.grant(2)
-	h1.awaitCompletions(t, 2)
+	h1.awaitCompletions(2)
+	awaitJournaled(t, store, 2)
 	d1.kill()
-	ran1 := h1.completions.Load()
+	ran1 := h1.completions()
 	if ran1 != 2 {
 		t.Fatalf("%d trials completed before the kill, want 2", ran1)
 	}
@@ -469,9 +618,9 @@ func TestKillResume(t *testing.T) {
 	// Successor on the same store: the campaign must be resumed, finish the
 	// balance, and in total each of the 6 trials completes exactly once
 	// across both incarnations.
-	h2 := newHarness()
+	h2 := newHarness(t)
 	h2.release()
-	d2 := startDaemon(t, simd.Options{Store: store, Build: h2.build})
+	d2 := startDaemon(t, simd.Options{Store: store, Worker: h2.worker()})
 	defer d2.stop()
 	if got := d2.srv.Stats().Resumed; got != 1 {
 		t.Fatalf("successor resumed %d campaigns, want 1", got)
@@ -480,12 +629,15 @@ func TestKillResume(t *testing.T) {
 	if err != nil || fin.State != simd.StateDone {
 		t.Fatalf("resumed campaign: %+v, %v", fin, err)
 	}
-	ran2 := h2.completions.Load()
+	ran2 := h2.completions()
 	if ran1+ran2 != 6 {
 		t.Fatalf("%d + %d trial completions across incarnations, want exactly 6", ran1, ran2)
 	}
 	if fin.Executed != int(ran2) || fin.Cached != int(ran1) {
 		t.Fatalf("resumed status %+v does not account executions %d/%d", fin, ran1, ran2)
+	}
+	if n := journalEntries(t, store, "block-big", 42); n != 6 {
+		t.Fatalf("journal holds %d entries, want 6 — a recount means a trial re-executed", n)
 	}
 
 	// Byte-identity: a never-crashed daemon on a fresh store produces the
@@ -494,9 +646,9 @@ func TestKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3 := newHarness()
+	h3 := newHarness(t)
 	h3.release()
-	d3 := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h3.build})
+	d3 := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h3.worker()})
 	defer d3.stop()
 	st3, err := d3.client("k").Submit(ctx, spec)
 	if err != nil {
@@ -521,9 +673,9 @@ func TestDrainRequeue(t *testing.T) {
 	store := t.TempDir()
 	ctx := testCtx(t)
 
-	h1 := newHarness()
+	h1 := newHarness(t)
 	d1 := startDaemon(t, simd.Options{
-		Store: store, Build: h1.build,
+		Store: store, Worker: h1.worker(),
 		DrainGrace: 20 * time.Millisecond,
 	})
 	st, err := d1.client("d").Submit(ctx, specJSON("block-drain", 3, 2))
@@ -533,11 +685,11 @@ func TestDrainRequeue(t *testing.T) {
 	// Wait for the campaign to be running (its trials parked), then drain
 	// without ever releasing: the grace expires and the campaign is
 	// interrupted, not finished.
-	h1.awaitEntries(t, 1)
+	h1.awaitEntries(1)
 	d1.stop()
-	h2 := newHarness()
+	h2 := newHarness(t)
 	h2.release()
-	after, err := simd.NewServer(simd.Options{Store: store, Build: h2.build})
+	after, err := simd.NewServer(simd.Options{Store: store, Build: daemonBuild, Worker: h2.worker()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,8 +711,8 @@ func TestDrainRequeue(t *testing.T) {
 // TestDrainRejectsSubmissions asserts the draining daemon refuses new work
 // with the typed reason.
 func TestDrainRejectsSubmissions(t *testing.T) {
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build})
+	h := newHarness(t)
+	d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h.worker()})
 	d.srv.Drain()
 	defer d.http.Close()
 	c := d.client("late")
@@ -568,6 +720,20 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 	_, err := c.Submit(testCtx(t), specJSON("fast-late", 1, 1))
 	if err == nil || !strings.Contains(err.Error(), simd.ReasonDraining) {
 		t.Fatalf("submit to draining daemon: %v", err)
+	}
+}
+
+// TestNewServerRequiresWorker: every campaign runs in a supervised worker,
+// so a Server without a worker command is refused rather than built with no
+// way to execute anything.
+func TestNewServerRequiresWorker(t *testing.T) {
+	srv, err := simd.NewServer(simd.Options{Store: t.TempDir(), Build: daemonBuild})
+	if err == nil {
+		srv.Kill()
+		t.Fatal("NewServer accepted Options without Worker.Cmd")
+	}
+	if !strings.Contains(err.Error(), "Worker.Cmd") {
+		t.Fatalf("NewServer error %q does not name Worker.Cmd", err)
 	}
 }
 
@@ -602,9 +768,9 @@ func TestRecoveryBypassesAdmissionBounds(t *testing.T) {
 
 	// Incarnation 1, generous bounds: one blocking campaign occupies the
 	// dispatcher while five more queue behind it for the same client.
-	h1 := newHarness()
+	h1 := newHarness(t)
 	d1 := startDaemon(t, simd.Options{
-		Store: store, Build: h1.build,
+		Store: store, Worker: h1.worker(),
 		MaxQueue: 16, MaxPerClient: 10, Concurrency: 1,
 		DrainGrace: 20 * time.Millisecond,
 	})
@@ -615,7 +781,7 @@ func TestRecoveryBypassesAdmissionBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids = append(ids, st.ID)
-	h1.awaitEntries(t, 1)
+	h1.awaitEntries(1)
 	for i := 0; i < 5; i++ {
 		st, err := c1.Submit(ctx, specJSON(fmt.Sprintf("fast-bulk%d", i), 1, 1))
 		if err != nil {
@@ -627,10 +793,10 @@ func TestRecoveryBypassesAdmissionBounds(t *testing.T) {
 
 	// Incarnation 2, tight bounds: all six persisted campaigns exceed both
 	// MaxQueue and MaxPerClient, yet every one must resume and finish.
-	h2 := newHarness()
+	h2 := newHarness(t)
 	h2.release()
 	d2 := startDaemon(t, simd.Options{
-		Store: store, Build: h2.build,
+		Store: store, Worker: h2.worker(),
 		MaxQueue: 3, MaxPerClient: 2, Concurrency: 1,
 	})
 	defer d2.stop()
@@ -652,9 +818,9 @@ func TestRejectedSubmissionNotPersisted(t *testing.T) {
 	store := t.TempDir()
 	ctx := testCtx(t)
 
-	h1 := newHarness()
+	h1 := newHarness(t)
 	d1 := startDaemon(t, simd.Options{
-		Store: store, Build: h1.build,
+		Store: store, Worker: h1.worker(),
 		MaxQueue: 1, MaxPerClient: 1, Concurrency: 1,
 	})
 	c1 := d1.client("full")
@@ -662,7 +828,7 @@ func TestRejectedSubmissionNotPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1.awaitEntries(t, 1) // on the dispatcher; the queue itself is empty
+	h1.awaitEntries(1) // on the dispatcher; the queue itself is empty
 
 	queued, err := d1.client("other").Submit(ctx, specJSON("fast-fills", 1, 1))
 	if err != nil {
@@ -688,9 +854,9 @@ func TestRejectedSubmissionNotPersisted(t *testing.T) {
 
 	// Crash and restart: the rejected campaign must not come back.
 	d1.kill()
-	h2 := newHarness()
+	h2 := newHarness(t)
 	h2.release()
-	d2 := startDaemon(t, simd.Options{Store: store, Build: h2.build})
+	d2 := startDaemon(t, simd.Options{Store: store, Worker: h2.worker()})
 	defer d2.stop()
 	for _, id := range d2.srv.CampaignIDs() {
 		if id == rejID {
@@ -707,8 +873,8 @@ func TestRejectedSubmissionNotPersisted(t *testing.T) {
 // TestBadSpecRejected asserts malformed specs get a typed 400, are not
 // retried by the client, and leave nothing behind in the store.
 func TestBadSpecRejected(t *testing.T) {
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build})
+	h := newHarness(t)
+	d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h.worker()})
 	defer d.stop()
 	c := d.client("bad")
 	start := time.Now()

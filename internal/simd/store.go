@@ -7,8 +7,9 @@ import (
 	cas "mkos/internal/simd/store"
 )
 
-// store adapts the integrity-checked campaign store (internal/simd/store) to
-// the daemon's vocabulary. Layout:
+// store is the integrity-checked campaign store (internal/simd/store) plus
+// the daemon's own records: the Status JSON and the spec/status file names.
+// Layout:
 //
 //	<root>/cache/                    shared trial cache + campaign journals
 //	<root>/campaigns/<id>/spec.json   canonical spec (written once, at admit)
@@ -18,11 +19,12 @@ import (
 //
 // Every write is atomic (temp file + rename), so a SIGKILL at any instant
 // leaves each file either absent, previous, or current — never torn. The
-// deterministic artifacts additionally carry sha256 sidecars, verified on
-// read and scrubbed at startup; status.json is exempt (it is rewritten on
-// every transition and recovery already tolerates a stale or missing one).
+// deterministic artifacts (written by the campaign's worker) additionally
+// carry sha256 sidecars, verified on read and scrubbed at startup;
+// status.json is exempt (it is rewritten on every transition and recovery
+// already tolerates a stale or missing one).
 type store struct {
-	d *cas.Dir
+	*cas.Dir
 }
 
 func openStore(root string, fault cas.WriteFault) (*store, error) {
@@ -31,19 +33,15 @@ func openStore(root string, fault cas.WriteFault) (*store, error) {
 		return nil, fmt.Errorf("simd: creating store: %w", err)
 	}
 	d.Fault = fault
-	return &store{d: d}, nil
+	return &store{Dir: d}, nil
 }
-
-func (s *store) cacheDir() string            { return s.d.CacheDir() }
-func (s *store) dir(id string) string        { return s.d.CampaignDir(id) }
-func (s *store) path(id, name string) string { return s.d.Path(id, name) }
 
 // admit persists a newly admitted campaign: its spec (the canonical form its
 // ID hashes, sidecar-checksummed — a corrupted spec is unresumable) and its
 // queued status. Persist-then-respond ordering is what makes admission
 // durable: once a client holds a 202, a crash cannot lose the campaign.
 func (s *store) admit(id string, canonSpec []byte, st *Status) error {
-	if err := s.d.WriteArtifact(s.d.Path(id, "spec.json"), canonSpec); err != nil {
+	if err := s.WriteArtifact(s.Path(id, "spec.json"), canonSpec); err != nil {
 		return err
 	}
 	return s.putStatus(id, st)
@@ -55,36 +53,8 @@ func (s *store) putStatus(id string, st *Status) error {
 	if err != nil {
 		return err
 	}
-	return s.d.WriteFile(s.d.Path(id, "status.json"), append(blob, '\n'))
+	return s.WriteFile(s.Path(id, "status.json"), append(blob, '\n'))
 }
-
-// putArtifacts persists the deterministic campaign artifacts with sidecars.
-// results.json is written before status flips to done, so a "done" status
-// always has results behind it; a crash between the two re-runs the campaign
-// from the journal and rewrites byte-identical artifacts.
-func (s *store) putArtifacts(id string, results, metrics []byte) error {
-	if err := s.d.WriteArtifact(s.d.Path(id, "results.json"), results); err != nil {
-		return err
-	}
-	return s.d.WriteArtifact(s.d.Path(id, "metrics.txt"), metrics)
-}
-
-// remove deletes a campaign's directory — the undo of admit, for campaigns
-// whose admission did not complete (queue rejection after the spec was
-// persisted). A queued status left behind would resurrect the rejected
-// submission at the next recovery, bypassing admission control.
-func (s *store) remove(id string) error { return s.d.Remove(id) }
-
-// results loads the deterministic results artifact, verifying its sidecar; a
-// mismatch quarantines the file and returns store.ErrCorrupt.
-func (s *store) results(id string) ([]byte, error) {
-	return s.d.ReadArtifact(s.d.Path(id, "results.json"))
-}
-
-// scrub verifies every checksummed artifact in the store, quarantining
-// mismatches and backfilling missing sidecars (pre-integrity stores upgrade
-// in place).
-func (s *store) scrub() (cas.ScrubReport, error) { return s.d.Scrub() }
 
 // storedCampaign is one recovered campaign from a store scan.
 type storedCampaign struct {
@@ -98,7 +68,7 @@ type storedCampaign struct {
 // spec is quarantined by rename — it cannot be resumed and must not shadow a
 // future resubmission of the same id.
 func (s *store) scan() ([]storedCampaign, error) {
-	stored, err := s.d.Scan()
+	stored, err := s.Scan()
 	if err != nil {
 		return nil, err
 	}

@@ -53,9 +53,9 @@ func journalTrialKeys(t *testing.T, store string) []string {
 // byte-for-byte the journal's line order (both are emitted under the same
 // lock), and the stream ends with a terminal state event.
 func TestTailOrderMatchesJournal(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	store := t.TempDir()
-	d := startDaemon(t, simd.Options{Store: store, Build: h.build, Workers: 4})
+	d := startDaemon(t, simd.Options{Store: store, Worker: h.worker(), Workers: 4})
 	defer d.stop()
 	ctx := testCtx(t)
 	c := d.client("tail")
@@ -118,8 +118,8 @@ func TestTailOrderMatchesJournal(t *testing.T) {
 // then releases it: the live stream must deliver the remaining trial events
 // and terminate cleanly on the done state.
 func TestTailLiveCompletion(t *testing.T) {
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build, Workers: 2})
+	h := newHarness(t)
+	d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h.worker(), Workers: 2})
 	defer d.stop()
 	ctx := testCtx(t)
 	c := d.client("live")
@@ -128,7 +128,7 @@ func TestTailLiveCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.awaitEntries(t, 1) // campaign is running and parked
+	h.awaitEntries(1) // campaign is running and parked
 
 	tailed := make(chan error, 1)
 	var evs []simd.Event
@@ -162,8 +162,8 @@ func TestTailLiveCompletion(t *testing.T) {
 // returns the context error, and the daemon goes on to finish the campaign
 // as if the subscriber never existed.
 func TestTailClientCancel(t *testing.T) {
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build})
+	h := newHarness(t)
+	d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h.worker()})
 	defer d.stop()
 	ctx := testCtx(t)
 	c := d.client("cancel")
@@ -172,7 +172,7 @@ func TestTailClientCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.awaitEntries(t, 1)
+	h.awaitEntries(1)
 
 	tctx, cancel := context.WithCancel(ctx)
 	tailed := make(chan error, 1)
@@ -196,9 +196,9 @@ func TestTailClientCancel(t *testing.T) {
 // since the campaign never settled, the client sees ErrStreamClosed — the
 // signal to re-tail after the next incarnation resumes the campaign.
 func TestTailDaemonDrain(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	d := startDaemon(t, simd.Options{
-		Store: t.TempDir(), Build: h.build,
+		Store: t.TempDir(), Worker: h.worker(),
 		DrainGrace: 10 * time.Millisecond,
 	})
 	ctx := testCtx(t)
@@ -208,7 +208,7 @@ func TestTailDaemonDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.awaitEntries(t, 1)
+	h.awaitEntries(1)
 
 	tailed := make(chan error, 1)
 	go func() {
@@ -231,9 +231,9 @@ func TestTailDaemonDrain(t *testing.T) {
 // answers 200 while serving and flips to 503 with draining:true the moment
 // drain begins, so orchestrators stop routing to a daemon on its way out.
 func TestHealthzReportsDraining(t *testing.T) {
-	h := newHarness()
+	h := newHarness(t)
 	d := startDaemon(t, simd.Options{
-		Store: t.TempDir(), Build: h.build,
+		Store: t.TempDir(), Worker: h.worker(),
 		DrainGrace: 10 * time.Millisecond,
 	})
 	ctx := testCtx(t)
@@ -259,7 +259,7 @@ func TestHealthzReportsDraining(t *testing.T) {
 	if _, err := c.Submit(ctx, specJSON("block-hz", 4, 2)); err != nil {
 		t.Fatal(err)
 	}
-	h.awaitEntries(t, 1)
+	h.awaitEntries(1)
 	drained := make(chan struct{})
 	go func() { d.srv.Drain(); close(drained) }()
 
@@ -288,9 +288,9 @@ func TestHealthzReportsDraining(t *testing.T) {
 // a generic 500), and resubmitting requeues the campaign so it can succeed
 // once the first daemon lets go.
 func TestJournalBusyIs409(t *testing.T) {
-	h1 := newHarness()
+	h1 := newHarness(t)
 	store := t.TempDir()
-	d1 := startDaemon(t, simd.Options{Store: store, Build: h1.build})
+	d1 := startDaemon(t, simd.Options{Store: store, Worker: h1.worker()})
 	ctx := testCtx(t)
 	c1 := d1.client("owner")
 
@@ -299,12 +299,12 @@ func TestJournalBusyIs409(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1.awaitEntries(t, 1)
+	h1.awaitEntries(1)
 
 	// Daemon 2 on the same store re-admits the (persisted, running) campaign
 	// and hits the held flock when it dispatches it.
-	h2 := newHarness()
-	d2 := startDaemon(t, simd.Options{Store: store, Build: h2.build})
+	h2 := newHarness(t)
+	d2 := startDaemon(t, simd.Options{Store: store, Worker: h2.worker()})
 	c2 := d2.client("intruder")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -360,8 +360,8 @@ func TestJournalBusyIs409(t *testing.T) {
 // cover the causal chain campaign → queue-wait → run → trial with correct
 // parentage.
 func TestMetricsAndTrace(t *testing.T) {
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build})
+	h := newHarness(t)
+	d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h.worker()})
 	defer d.stop()
 	ctx := testCtx(t)
 	c := d.client("obs")

@@ -21,8 +21,8 @@ import (
 
 // BuildFunc converts a parsed spec into the runnable campaign. The nil
 // default is the production path, campaigns.Spec.Campaign; test binaries
-// acting as workers substitute synthetic trial bodies, exactly as simd
-// Options.Build does in-process.
+// acting as workers substitute synthetic trial bodies (the daemon side
+// enumerates the same campaigns through simd Options.Build).
 type BuildFunc func(*campaigns.Spec) (*sweep.Campaign, error)
 
 // Main is the worker-mode entry point: cmd/simd calls it (and exits with
@@ -131,9 +131,12 @@ func isInterrupted(err error) bool { return errors.Is(err, sweep.ErrInterrupted)
 func isJournalBusy(err error) bool { return errors.Is(err, sweep.ErrJournalBusy) }
 
 // writeArtifacts renders and lands the deterministic campaign artifacts in
-// exactly the format cmd/sweep and the in-process daemon path produce, so a
-// supervised campaign byte-compares against both. results.json is written
-// before metrics.txt; both carry sha256 sidecars.
+// exactly the format cmd/sweep produces, so a campaign served by the daemon
+// byte-compares against one run by the CLI. results.json is written before
+// metrics.txt; both carry sha256 sidecars, and both land before the done
+// event, so a "done" status always has results behind it (a daemon crash
+// between the two re-runs the campaign from the journal and rewrites
+// byte-identical artifacts).
 func writeArtifacts(dir string, o *sweep.Outcome) error {
 	if dir == "" {
 		return nil

@@ -1,6 +1,8 @@
 package simd_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,70 +19,30 @@ import (
 
 // TestMain doubles this test binary as the daemon's worker process: when the
 // supervisor re-execs it with SIMD_TEST_WORKER=1 it runs the real worker
-// protocol (worker.Main) with synthetic trial bodies, so the out-of-process
-// tests exercise the entire daemon → supervisor → child → journal → store
-// pipeline with nothing mocked.
+// protocol (worker.Main) with testBuild's synthetic trial bodies, so every
+// test that starts a Server exercises the entire daemon → supervisor → child
+// → journal → store pipeline with nothing mocked.
 func TestMain(m *testing.M) {
-	if os.Getenv("SIMD_TEST_WORKER") == "1" {
-		os.Exit(worker.Main(os.Stdin, os.Stdout, os.Stderr, testWorkerBuild))
+	if os.Getenv(workerEnv) == "1" {
+		os.Exit(worker.Main(os.Stdin, os.Stdout, os.Stderr, testBuild))
 	}
 	os.Exit(m.Run())
 }
 
-// testWorkerBuild mirrors harness.build exactly — same keys, same trial
-// specs, same seed-derived values — so worker-mode results byte-compare
-// against in-process runs of the same campaign. Name prefixes select failure
-// behavior: "poison-" kills the process inside the first trial body (before
-// anything journals — the no-progress crash loop), "slow-" paces each trial
-// at ~60ms so chaos kills land mid-campaign.
-func testWorkerBuild(spec *campaigns.Spec) (*sweep.Campaign, error) {
-	n := spec.Runs
-	if n <= 0 {
-		n = 3
-	}
-	poison := strings.HasPrefix(spec.Name, "poison-")
-	slow := strings.HasPrefix(spec.Name, "slow-")
-	c := &sweep.Campaign{Name: spec.Name, Seed: spec.Seed}
-	for i := 0; i < n; i++ {
-		c.Trials = append(c.Trials, sweep.Trial{
-			Key:  fmt.Sprintf("%s/t%03d", spec.Name, i),
-			Spec: map[string]int{"i": i},
-			Run: func(t *sweep.T) (any, error) {
-				if poison {
-					os.Exit(3)
-				}
-				if slow {
-					time.Sleep(60 * time.Millisecond)
-				}
-				return map[string]int64{"seed": t.Seed}, nil
-			},
-		})
-	}
-	return c, nil
-}
-
-// testWorkerOpts re-execs this test binary as the worker, with fast restart
-// backoff so crash-loop tests converge quickly.
-func testWorkerOpts() simd.WorkerOptions {
-	return simd.WorkerOptions{
-		Cmd:         []string{os.Args[0]},
-		Env:         append(os.Environ(), "SIMD_TEST_WORKER=1"),
-		BackoffBase: time.Millisecond,
-		BackoffMax:  20 * time.Millisecond,
-	}
-}
-
-// TestWorkerModeMatchesInProcess: the same campaign run out of process and in
-// process produces byte-identical results.json — and in worker mode not one
-// trial body executes inside the daemon.
-func TestWorkerModeMatchesInProcess(t *testing.T) {
+// TestWorkerMatchesSweepReference: a campaign served by the daemon produces
+// results.json and metrics.txt byte-identical to sweep.RunContext over the
+// same build, rendered the way cmd/sweep renders them — and not one trial
+// body executes inside the daemon.
+func TestWorkerMatchesSweepReference(t *testing.T) {
 	ctx := testCtx(t)
-	h := newHarness()
-	dw := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build, Worker: testWorkerOpts()})
-	defer dw.stop()
-	cl := dw.client("iso")
+	h := newHarness(t)
+	store := t.TempDir()
+	d := startDaemon(t, simd.Options{Store: store, Worker: h.worker()})
+	defer d.stop()
+	cl := d.client("iso")
 
-	st, err := cl.Submit(ctx, specJSON("wmode", 5, 4))
+	spec := specJSON("wmode", 5, 4)
+	st, err := cl.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,37 +51,51 @@ func TestWorkerModeMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.State != simd.StateDone || st.Executed != 4 || st.Cached != 0 {
-		t.Fatalf("worker-mode campaign = %+v, want done with 4 executed", st)
+		t.Fatalf("campaign = %+v, want done with 4 executed", st)
 	}
 	if st.Restarts != 0 || st.Breaker == "open" {
 		t.Fatalf("undisturbed campaign reports restarts=%d breaker=%q", st.Restarts, st.Breaker)
 	}
-	if n := h.entries.Load(); n != 0 {
-		t.Fatalf("%d trial bodies ran inside the daemon; worker mode must execute out of process", n)
+	if n := daemonTrials.Load(); n != 0 {
+		t.Fatalf("%d trial bodies ran inside the daemon; campaigns must execute out of process", n)
 	}
 	wres, err := cl.Results(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wmetrics, err := os.ReadFile(filepath.Join(store, "campaigns", st.ID, "metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// The reference: same spec, in-process daemon, fresh store.
-	h2 := newHarness()
-	dp := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h2.build})
-	defer dp.stop()
-	cl2 := dp.client("ref")
-	st2, err := cl2.Submit(ctx, specJSON("wmode", 5, 4))
+	// The reference: the same build run in this process with no cache, its
+	// artifacts rendered as cmd/sweep renders a complete run.
+	parsed, err := campaigns.ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2, err = cl2.Await(ctx, st2.ID); err != nil || st2.State != simd.StateDone {
-		t.Fatalf("reference campaign: %+v, %v", st2, err)
-	}
-	pres, err := cl2.Results(ctx, st2.ID)
+	built, err := testBuild(parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(wres) != string(pres) {
-		t.Fatalf("worker-mode results (%d bytes) differ from in-process results (%d bytes)", len(wres), len(pres))
+	o, err := sweep.RunContext(ctx, built, sweep.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, err := json.MarshalIndent(o.Results, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres = append(pres, '\n')
+	var pmetrics bytes.Buffer
+	if _, err := o.Registry.WriteTo(&pmetrics); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wres, pres) {
+		t.Fatalf("daemon results (%d bytes) differ from the sweep reference (%d bytes)", len(wres), len(pres))
+	}
+	if !bytes.Equal(wmetrics, pmetrics.Bytes()) {
+		t.Fatalf("daemon metrics.txt differs from the sweep reference:\n--- daemon ---\n%s\n--- reference ---\n%s", wmetrics, pmetrics.Bytes())
 	}
 }
 
@@ -137,10 +113,10 @@ func TestWorkerKilledTwiceResumes(t *testing.T) {
 		Min:   80 * time.Millisecond,
 		Max:   150 * time.Millisecond,
 	}
-	wo := testWorkerOpts()
+	h := newHarness(t)
+	wo := h.worker()
 	wo.SpawnHook = func(campaign string, attempt, pid int) { killer.Arm(pid) }
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: store, Build: h.build, Worker: wo})
+	d := startDaemon(t, simd.Options{Store: store, Worker: wo})
 	defer d.stop()
 	cl := d.client("chaos")
 
@@ -175,8 +151,8 @@ func TestWorkerKilledTwiceResumes(t *testing.T) {
 	}
 
 	// The unharassed reference in a fresh store.
-	h2 := newHarness()
-	d2 := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h2.build, Worker: testWorkerOpts()})
+	h2 := newHarness(t)
+	d2 := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h2.worker()})
 	defer d2.stop()
 	cl2 := d2.client("calm")
 	st2, err := cl2.Submit(ctx, specJSON("slow-prey", 9, 8))
@@ -201,10 +177,10 @@ func TestWorkerKilledTwiceResumes(t *testing.T) {
 // completes untouched. Resubmitting the poison spec re-arms the breaker.
 func TestCrashLoopBreakerIsolates(t *testing.T) {
 	ctx := testCtx(t)
-	wo := testWorkerOpts()
+	h := newHarness(t)
+	wo := h.worker()
 	wo.CrashLoopK = 3
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build, Concurrency: 2, Worker: wo})
+	d := startDaemon(t, simd.Options{Store: t.TempDir(), Concurrency: 2, Worker: wo})
 	defer d.stop()
 	cl := d.client("ops")
 
@@ -268,8 +244,8 @@ func TestCrashLoopBreakerIsolates(t *testing.T) {
 func TestWorkerJournalBusyPreflight(t *testing.T) {
 	ctx := testCtx(t)
 	store := t.TempDir()
-	h := newHarness()
-	d := startDaemon(t, simd.Options{Store: store, Build: h.build, Worker: testWorkerOpts()})
+	h := newHarness(t)
+	d := startDaemon(t, simd.Options{Store: store, Worker: h.worker()})
 	defer d.stop()
 	cl := d.client("overlap")
 
@@ -345,9 +321,9 @@ func TestWorkerJournalBusyPreflight(t *testing.T) {
 // the client never retries.
 func TestSubmitNoSpace(t *testing.T) {
 	ctx := testCtx(t)
-	h := newHarness()
+	h := newHarness(t)
 	faults := &chaos.StoreFaults{NoSpaceAfter: 1}
-	d := startDaemon(t, simd.Options{Store: t.TempDir(), Build: h.build, StoreFault: faults.Fault})
+	d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h.worker(), StoreFault: faults.Fault})
 	defer d.stop()
 	cl := d.client("full")
 	cl.MaxAttempts = 5

@@ -65,9 +65,9 @@ func campaignID(version, name string, seed int64) string {
 }
 
 // JournalPath returns the on-disk path of the campaign's journal under dir
-// for the given cache version ("" selects CodeVersion()), name and seed —
-// the same derivation openJournal uses. Supervisors watch this file's mtime
-// as a liveness signal for an out-of-process campaign run.
+// for the given cache version ("" selects CodeVersion()), name and seed.
+// openJournal opens exactly this path; supervisors watch its mtime as a
+// liveness signal for an out-of-process campaign run.
 func JournalPath(dir, version, name string, seed int64) string {
 	if version == "" {
 		version = CodeVersion()
@@ -121,7 +121,7 @@ func ProbeJournal(dir, version, name string, seed int64) (entries int, err error
 // concurrent run of the same campaign identity against the same cache dir
 // fails fast with ErrJournalBusy instead of interleaving completion records.
 func openJournal(dir, version, name string, seed int64) (*journal, error) {
-	path := filepath.Join(dir, fmt.Sprintf("%s-%s.journal", slugName(name), campaignID(version, name, seed)))
+	path := JournalPath(dir, version, name, seed)
 	j := &journal{path: path, entries: make(map[string]TrialResult)}
 	// Lock before reading: entries appended by a concurrent owner between a
 	// read and a failed lock would otherwise be half-observed.

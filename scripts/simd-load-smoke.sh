@@ -101,7 +101,7 @@ trap - EXIT
 mkdir -p "$(dirname "$OUT")"
 cat > "$OUT" <<EOF
 {
-  "note": "cmd/simd load smoke: $N concurrent clients submit one identical tiny campaign (must collapse to 1 admission, 1 trial execution), then $DISTINCT clients submit distinct campaigns against a 4-deep queue (accepted ones are pure cache hits; the overflow must be refused with typed 429s that telemetry accounts). Latency is admitted-to-terminal per campaign, dominated by the single ~1.3 s cold trial and the journal-open cost per cached campaign. Regenerate with 'make simd-load'.",
+  "note": "cmd/simd load smoke: $N concurrent clients submit one identical tiny campaign (must collapse to 1 admission, 1 trial execution), then $DISTINCT clients submit distinct campaigns against a 4-deep queue (accepted ones are pure cache hits; the overflow must be refused with typed 429s that telemetry accounts). Latency is admitted-to-terminal per campaign, dominated by the single cold trial, then per cached campaign by its worker spawn and journal open. Regenerate with 'make simd-load'.",
   "recorded": "$(date -u +%F)",
   "host": {
     "goos": "$($GO env GOOS)",
