@@ -158,9 +158,9 @@ func NewServer(opts Options) (*Server, error) {
 
 // recover re-admits persisted campaigns: terminal ones become servable
 // history, non-terminal ones (queued, running or interrupted at the moment
-// of a crash or drain) are rebuilt and requeued. The sweep journal makes the
+// of a crash or drain) are rebuilt and requeued. The sweep cache makes the
 // requeued work nearly free: every trial that finished in a previous
-// incarnation restores from it without re-executing.
+// incarnation restores from its verified entry without re-executing.
 func (s *Server) recover() error {
 	stored, err := s.store.scan()
 	if err != nil {
@@ -173,11 +173,11 @@ func (s *Server) recover() error {
 		resume := !c.st.Terminal()
 		if !resume && c.st.State == StateDone {
 			// A done status must have verifiable results behind it; if the
-			// scrubber quarantined them (or they vanished), the journal still
-			// holds every trial, so re-running is cheap and restores them.
+			// scrubber quarantined them (or they vanished), the sweep cache
+			// still holds every trial, so re-running is cheap and restores them.
 			if _, rerr := s.store.ReadArtifact(s.store.Path(sc.id, "results.json")); rerr != nil {
 				resume = true
-				s.log.Warn(fmt.Sprintf("campaign %s results missing or corrupt; re-running from journal", sc.id),
+				s.log.Warn(fmt.Sprintf("campaign %s results missing or corrupt; re-running from the trial cache", sc.id),
 					oplog.F("campaign", sc.id), oplog.F("err", rerr.Error()))
 			}
 		}

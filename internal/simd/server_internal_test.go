@@ -3,6 +3,7 @@ package simd
 import (
 	"context"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,15 +15,17 @@ import (
 // worker when SIMD_TEST_WORKER=1. The "slow-" campaigns the race tests submit
 // pace each trial at ~60ms on one sweep worker, so a lost cancel lets the
 // campaign run to completion and settle Done — a state the assertions catch
-// — rather than hang.
+// — rather than hang. Under -race the worker skips the race runtime's
+// default 1s sleep at exit, which the supervisor would otherwise wait out.
 func newRaceServer(t *testing.T) *Server {
 	t.Helper()
+	race := strings.TrimSpace(os.Getenv("GORACE") + " atexit_sleep_ms=0")
 	s, err := NewServer(Options{
 		Store:   t.TempDir(),
 		Workers: 1,
 		Worker: WorkerOptions{
 			Cmd: []string{os.Args[0]},
-			Env: append(os.Environ(), "SIMD_TEST_WORKER=1"),
+			Env: append(os.Environ(), "SIMD_TEST_WORKER=1", "GORACE="+race),
 		},
 	})
 	if err != nil {

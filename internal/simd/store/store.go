@@ -17,9 +17,13 @@
 //
 //   - A scrubber. Scrub walks every campaign at daemon startup, verifies
 //     each artifact against its sidecar, quarantines mismatches by renaming
-//     them to *.corrupt (the same mechanism the sweep cache applies to its
-//     entries) and backfills sidecars for artifacts written before
+//     them to *.corrupt and backfills sidecars for artifacts written before
 //     checksumming existed, so the store converges instead of rotting.
+//
+// The sweep cache writes and reads its trial entries with WriteArtifact and
+// ReadArtifact on a Dir rooted at the cache directory, so a cache entry —
+// the only copy of a trial result — has the same atomic write, sidecar and
+// quarantine as a campaign artifact.
 //
 // Degradation is typed, not silent: a write that fails with ENOSPC is
 // recognizable via IsNoSpace so the daemon can refuse new work with a 507

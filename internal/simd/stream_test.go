@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mkos/internal/simd"
-	"mkos/internal/sweep"
 )
 
 // journalTrialKeys reads the campaign journals under the store's cache dir
@@ -35,12 +34,12 @@ func journalTrialKeys(t *testing.T, store string) []string {
 		sc := bufio.NewScanner(f)
 		for sc.Scan() {
 			var e struct {
-				Result sweep.TrialResult `json:"result"`
+				Key string `json:"key"`
 			}
 			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 				t.Fatalf("journal line: %v", err)
 			}
-			keys = append(keys, e.Result.Key)
+			keys = append(keys, e.Key)
 		}
 		f.Close()
 	}

@@ -135,7 +135,7 @@ func isJournalBusy(err error) bool { return errors.Is(err, sweep.ErrJournalBusy)
 // byte-compares against one run by the CLI. results.json is written before
 // metrics.txt; both carry sha256 sidecars, and both land before the done
 // event, so a "done" status always has results behind it (a daemon crash
-// between the two re-runs the campaign from the journal and rewrites
+// between the two re-runs the campaign from the trial cache and rewrites
 // byte-identical artifacts).
 func writeArtifacts(dir string, o *sweep.Outcome) error {
 	if dir == "" {

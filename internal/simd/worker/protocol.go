@@ -7,11 +7,11 @@
 // campaign's worker — never the daemon and never the other tenants.
 //
 // Correctness under worker death costs nothing new: every finished trial is
-// already in the campaign's crash-safe journal (internal/sweep), so a
-// SIGKILLed worker is indistinguishable from a SIGKILLed daemon — the
-// supervisor restarts it, the journal restores every finished trial, zero
-// trials re-execute and the merged artifacts are byte-identical to an
-// uninterrupted run.
+// already a durable cache entry indexed by the campaign's crash-safe journal
+// (internal/sweep), so a SIGKILLed worker is indistinguishable from a
+// SIGKILLed daemon — the supervisor restarts it, the cache restores every
+// finished trial, zero trials re-execute and the merged artifacts are
+// byte-identical to an uninterrupted run.
 //
 // The protocol is deliberately minimal: the supervisor writes one Request
 // (JSON) to the worker's stdin and the worker answers newline-delimited JSON

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,8 +134,13 @@ func buildDieEach(spec *campaigns.Spec) (*sweep.Campaign, error) {
 	return c, nil
 }
 
-// env builds a fake-worker environment on top of the test's own.
-func env(pairs ...string) []string { return append(os.Environ(), pairs...) }
+// env builds a fake-worker environment on top of the test's own. Under -race
+// the worker skips the race runtime's default 1s sleep at exit, which the
+// supervisor would otherwise wait out on every reap.
+func env(pairs ...string) []string {
+	race := strings.TrimSpace(os.Getenv("GORACE") + " atexit_sleep_ms=0")
+	return append(append(os.Environ(), "GORACE="+race), pairs...)
+}
 
 func specJSON(name string, seed int64, runs int) json.RawMessage {
 	return json.RawMessage(fmt.Sprintf(`{"name":%q,"seed":%d,"runs":%d}`, name, seed, runs))

@@ -4,17 +4,22 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"sync/atomic"
+
+	"mkos/internal/simd/store"
 )
 
 // cacheSchema versions the on-disk format itself; bumping it orphans every
-// existing entry. It is folded into each entry's content hash alongside the
-// code version.
-const cacheSchema = "mkos-sweep-v1"
+// existing entry and moves every campaign journal. It is folded into each
+// entry's content hash and each journal's campaign identity alongside the
+// code version. v2 is the format in which the entry is a trial's only copy
+// and the journal only indexes it.
+const cacheSchema = "mkos-sweep-v2"
 
 // CodeVersion identifies the code that produces trial results, for cache
 // invalidation: the VCS revision embedded by the Go toolchain when available
@@ -42,20 +47,21 @@ func CodeVersion() string {
 	return v
 }
 
-// diskCache stores one JSON file per completed trial under dir, named by the
-// trial's content hash. Entries are written atomically (temp file + rename)
-// so a killed campaign never leaves a truncated entry behind, and every load
-// is validated against the trial key so a hash collision or a foreign file
-// degrades to a cache miss, never a wrong result.
+// diskCache holds the only durable copy of each finished trial: one JSON
+// entry per trial under dir, named by the trial's content hash and written
+// and read with the simd store's integrity primitives. An entry lands by
+// temp file, fsync and rename, followed by its sha256 sidecar, so a killed
+// campaign never leaves a torn entry behind. A read verifies the entry
+// against its sidecar; on a mismatch the store quarantines both files by
+// renaming them aside (freeing the slot and preserving the evidence), the
+// cache counts it in quarantined, and the lookup misses, so the trial runs
+// again. Every load is also validated against the trial key, so a hash
+// collision or a foreign file degrades to a miss, never a wrong result.
 //
-// A corrupt entry — unparseable JSON or a key mismatch — is quarantined:
-// renamed to <hash>.json.corrupt and counted in quarantined. Without the
-// rename a damaged file would silently re-miss on every run forever (the
-// re-executed result is stored under the same name only on success), which
-// hides the corruption from the operator; the .corrupt file both frees the
-// slot and preserves the evidence.
+// Failures are entries too, but only the campaign whose journal recorded the
+// failure restores one (see load); every other lookup re-runs the trial.
 type diskCache struct {
-	dir     string
+	st      store.Dir
 	version string
 
 	quarantined atomic.Int64
@@ -68,7 +74,7 @@ func openCache(dir, version string) (*diskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: creating cache dir: %w", err)
 	}
-	return &diskCache{dir: dir, version: version}, nil
+	return &diskCache{st: store.Dir{Root: dir}, version: version}, nil
 }
 
 // entryHash is the cache key: code version, trial key, derived seed and the
@@ -88,71 +94,38 @@ func (c *diskCache) entryHash(t Trial, seed int64) (string, error) {
 }
 
 func (c *diskCache) path(hash string) string {
-	return filepath.Join(c.dir, hash+".json")
+	return filepath.Join(c.st.Root, hash+".json")
 }
 
-// load returns the cached result for the trial, reporting whether the lookup
-// hit. A missing entry is a plain miss; a corrupt or mismatched entry is
-// quarantined and then misses. Either way the trial simply runs again.
-func (c *diskCache) load(t Trial, seed int64) (TrialResult, bool) {
-	hash, err := c.entryHash(t, seed)
-	if err != nil {
-		return TrialResult{}, false
+// load returns the cached result for the trial with the given entry hash and
+// key, reporting whether the lookup hit. A missing, corrupt or mismatched
+// entry misses, and so does a failure unless withFailure is set: a failure
+// is restored only for the campaign that journaled it. Either way the trial
+// simply runs again.
+func (c *diskCache) load(hash, key string, withFailure bool) (TrialResult, bool) {
+	blob, err := c.st.ReadArtifact(c.path(hash))
+	if errors.Is(err, store.ErrCorrupt) {
+		c.quarantined.Add(1)
 	}
-	path := c.path(hash)
-	blob, err := os.ReadFile(path)
 	if err != nil {
-		if !os.IsNotExist(err) {
-			c.quarantine(path)
-		}
 		return TrialResult{}, false
 	}
 	var r TrialResult
-	if err := json.Unmarshal(blob, &r); err != nil || r.Key != t.Key {
-		c.quarantine(path)
-		return TrialResult{}, false
-	}
-	if r.Err != "" {
-		// Well-formed but failed: failures are never cached, so this is a
-		// foreign or legacy entry. Treat as a miss without quarantining.
+	if json.Unmarshal(blob, &r) != nil || r.Key != key || (r.Err != "" && !withFailure) {
 		return TrialResult{}, false
 	}
 	r.Cached = true
 	return r, true
 }
 
-// quarantine renames a corrupt entry out of the lookup namespace, preserving
-// it for inspection, and counts it for the run's ops registry.
-func (c *diskCache) quarantine(path string) {
-	if err := os.Rename(path, path+".corrupt"); err == nil {
-		c.quarantined.Add(1)
-	}
-}
-
-// store persists a successful trial result; failures are never cached so they
-// re-run on the next invocation. Store errors are swallowed: the cache is an
-// accelerator, and a read-only or full disk must not fail the campaign.
-func (c *diskCache) store(t Trial, r TrialResult) {
-	hash, err := c.entryHash(t, r.Seed)
-	if err != nil {
-		return
-	}
+// store persists a finished trial result, success or failure, and reports
+// whether it is durable: the caller journals the trial only then. A failed
+// write (a read-only or full disk) leaves the trial unjournaled, so it
+// re-runs on resume; the cache accelerates, it never fails the campaign.
+func (c *diskCache) store(hash string, r TrialResult) error {
 	blob, err := json.Marshal(r)
 	if err != nil {
-		return
+		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "entry-*.tmp")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, c.path(hash)); err != nil {
-		os.Remove(name)
-	}
+	return c.st.WriteArtifact(c.path(hash), blob)
 }

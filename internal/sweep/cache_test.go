@@ -166,50 +166,70 @@ func TestJournalRestoresFailedTrials(t *testing.T) {
 	}
 }
 
-// TestCacheQuarantinesCorruptEntries: a damaged cache entry is renamed to
-// *.corrupt (preserving the evidence, freeing the slot) and counted in the
-// ops registry; the trial itself is satisfied from the journal when one
-// exists, or re-executed when it does not.
+// TestCacheQuarantinesCorruptEntries: the cache entry is a trial's only
+// copy, so a damaged entry has nothing to be restored from, journal or not.
+// The store's checksum catches it and quarantines the entry and its sidecar
+// to *.corrupt (preserving the evidence, freeing the slot), the ops registry
+// counts it, and the trial re-executes exactly once with a byte-identical
+// result that repopulates the cache.
 func TestCacheQuarantinesCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	execs := make([]int, 1)
 	opts := sweep.Options{Workers: 1, CacheDir: dir, Version: "test-v1"}
-	if _, err := sweep.Run(countingCampaign("corrupt", 1, execs), opts); err != nil {
+	cold, err := sweep.Run(countingCampaign("corrupt", 1, execs), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	coldArt := artifacts(t, cold)
 	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("want exactly one cache entry, got %v (%v)", entries, err)
 	}
-	if err := os.WriteFile(entries[0], []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
+	entry := entries[0]
+
+	// rerun corrupts the entry, re-invokes the campaign and checks that the
+	// corruption was quarantined, counted and healed by one re-execution.
+	rerun := func(stage string, wantExecs int) {
+		t.Helper()
+		if err := os.WriteFile(entry, []byte("{truncated"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o, err := sweep.Run(countingCampaign("corrupt", 1, execs), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Executed != 1 || o.Cached != 0 || o.Failed != 0 {
+			t.Fatalf("%s: executed=%d cached=%d failed=%d, want 1/0/0", stage, o.Executed, o.Cached, o.Failed)
+		}
+		if execs[0] != wantExecs {
+			t.Fatalf("%s: trial ran %d times total, want %d", stage, execs[0], wantExecs)
+		}
+		if got := o.Ops.CounterValue("sweep.cache.quarantined"); got != 1 {
+			t.Fatalf("%s: sweep.cache.quarantined = %d, want 1", stage, got)
+		}
+		for _, q := range []string{entry + ".corrupt", entry + ".sha256.corrupt"} {
+			if _, err := os.Stat(q); err != nil {
+				t.Fatalf("%s: corrupt entry not quarantined: %v", stage, err)
+			}
+			os.Remove(q)
+		}
+		if !bytes.Equal(coldArt, artifacts(t, o)) {
+			t.Fatalf("%s: re-executed artifacts differ from the cold run", stage)
+		}
+		warm, err := sweep.Run(countingCampaign("corrupt", 1, execs), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Executed != 0 || warm.Cached != 1 {
+			t.Fatalf("%s: re-executed result not cached: executed=%d cached=%d", stage, warm.Executed, warm.Cached)
+		}
 	}
 
-	// With the journal intact the trial is restored, but the corrupt cache
-	// entry must still be quarantined, not silently re-missed.
-	o, err := sweep.Run(countingCampaign("corrupt", 1, execs), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Executed != 0 || o.Cached != 1 {
-		t.Fatalf("journal did not cover the corrupt entry: executed=%d cached=%d", o.Executed, o.Cached)
-	}
-	if got := o.Ops.CounterValue("sweep.cache.quarantined"); got != 1 {
-		t.Fatalf("sweep.cache.quarantined = %d, want 1", got)
-	}
-	quarantined, err := filepath.Glob(filepath.Join(dir, "*.corrupt"))
-	if err != nil || len(quarantined) != 1 {
-		t.Fatalf("want one quarantined entry, got %v (%v)", quarantined, err)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(left) != 0 {
-		t.Fatalf("corrupt entry still occupies the cache slot: %v", left)
-	}
+	// The journal still indexes the trial, but the copy it points at is
+	// gone: the trial re-runs.
+	rerun("journal intact", 2)
 
-	// Corrupt again with no journal: the trial re-executes and the fresh
-	// result repopulates the cache.
-	if err := os.WriteFile(entries[0], []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt again with no journal at all: the same, once more.
 	journals, err := filepath.Glob(filepath.Join(dir, "*.journal"))
 	if err != nil || len(journals) != 1 {
 		t.Fatalf("want one campaign journal, got %v (%v)", journals, err)
@@ -217,14 +237,47 @@ func TestCacheQuarantinesCorruptEntries(t *testing.T) {
 	if err := os.Remove(journals[0]); err != nil {
 		t.Fatal(err)
 	}
-	o, err = sweep.Run(countingCampaign("corrupt", 1, execs), opts)
+	rerun("journal removed", 3)
+}
+
+// TestOldFormatJournalReruns: a journal line in the old payload-carrying
+// format ({"hash","result"}) found at the current journal path is skipped,
+// never decoded as a result. Its trial, whose current cache entry is absent,
+// executes once and matches a clean run, even though the stale line carries
+// a plausible but wrong payload under the right hash.
+func TestOldFormatJournalReruns(t *testing.T) {
+	const version = "legacy-v1"
+	cleanDir := t.TempDir()
+	execs := make([]int, 1)
+	clean, err := sweep.Run(countingCampaign("legacy", 1, execs), sweep.Options{Workers: 1, CacheDir: cleanDir, Version: version})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Executed != 1 || o.Failed != 0 {
-		t.Fatalf("corrupt entry without journal: executed=%d failed=%d, want 1/0", o.Executed, o.Failed)
+	entries, err := filepath.Glob(filepath.Join(cleanDir, "*.json"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("want exactly one cache entry, got %v (%v)", entries, err)
 	}
-	if execs[0] != 2 {
-		t.Fatalf("trial ran %d times total, want 2", execs[0])
+	hash := strings.TrimSuffix(filepath.Base(entries[0]), ".json")
+
+	dir := t.TempDir()
+	line := fmt.Sprintf(`{"hash":%q,"result":{"key":"count/n000","seed":1,"payload":{"seed":1}}}`+"\n", hash)
+	if err := os.WriteFile(sweep.JournalPath(dir, version, "legacy", 9), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sweep.ProbeJournal(dir, version, "legacy", 9); n != 0 || err != nil {
+		t.Fatalf("probe of an old-format journal = (%d, %v), want (0, nil)", n, err)
+	}
+	o, err := sweep.Run(countingCampaign("legacy", 1, execs), sweep.Options{Workers: 1, CacheDir: dir, Version: version})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Executed != 1 || o.Cached != 0 || execs[0] != 2 {
+		t.Fatalf("old-format journal: executed=%d cached=%d, trial ran %d times; want 1/0/2", o.Executed, o.Cached, execs[0])
+	}
+	if !bytes.Equal(artifacts(t, clean), artifacts(t, o)) {
+		t.Fatal("artifacts after an old-format journal differ from a clean run")
+	}
+	if n, err := sweep.ProbeJournal(dir, version, "legacy", 9); n != 1 || err != nil {
+		t.Fatalf("probe after the re-run = (%d, %v), want (1, nil)", n, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -22,38 +23,48 @@ import (
 // off and retry, or point the second run at its own cache dir.
 var ErrJournalBusy = errors.New("sweep: campaign journal is locked by another running campaign")
 
-// journal is the crash-safe campaign log: one JSON line per finished trial,
-// appended as each trial completes, so a killed or interrupted campaign
-// re-invoked with the same spec resumes exactly where it stopped.
+// journal is the campaign's crash-safe index of finished trials: one JSON
+// line per trial, {"hash","key","status"}, appended as each trial completes,
+// so a killed or interrupted campaign re-invoked with the same spec resumes
+// exactly where it stopped. It carries no result: the trial's cache entry,
+// named by the hash, is the only copy, and a line is appended only once that
+// entry (and its sidecar) is durable.
 //
-// It complements the content-addressed result cache in two ways. First, it
-// remembers *failed* trials (the cache deliberately never stores failures),
-// so a resume does not burn time re-running deterministic failures — unless
-// the caller opts in with Options.RetryFailed. Second, it is scoped to one
-// campaign identity (name, seed, code version), which makes "this campaign
-// already ran trial X" a precise statement rather than an inference from
-// shared cache contents.
+// The cache is shared by every campaign; the journal is scoped to one
+// campaign identity (name, seed, code version) and adds what the shared
+// cache cannot say: that this campaign already ran a trial and it failed.
+// Such a failure is restored from its cache entry on resume, so a
+// deterministic failure does not burn time re-running, unless the caller
+// opts in with Options.RetryFailed; any other campaign that meets the same
+// failure entry re-runs it.
 //
-// Crash safety is append-only discipline: every entry is a single
-// one-line write to an O_APPEND file followed by a sync, so a kill can at
-// worst truncate the final line, and the loader skips any line that does not
-// parse. Entries are validated against the trial's content hash (spec, seed,
-// code version), so a stale journal from an edited campaign degrades to a
-// no-op, never a wrong result. Trials that were canceled, timed out or
-// abandoned are never journaled: they re-execute on resume.
+// Crash safety is append-only discipline: every line is a single write to an
+// O_APPEND file followed by a sync, so a kill can at worst truncate the
+// final line, and the reader skips any line that does not decode to a hash,
+// key and status — a torn tail or an old-format line just re-runs its trial.
+// Lines are keyed by the trial's content hash (spec, seed, code version), so
+// a stale journal from an edited campaign degrades to a no-op, never a wrong
+// result. Trials that were canceled, timed out or abandoned are never
+// journaled: they re-execute on resume.
 type journal struct {
-	path string
-
-	mu      sync.Mutex
-	f       *os.File
-	entries map[string]TrialResult // entry hash -> finished result
+	mu     sync.Mutex
+	f      *os.File
+	failed map[string]bool // entry hash -> the latest line says it failed
 }
 
-// journalEntry is the on-disk line format.
-type journalEntry struct {
-	Hash   string      `json:"hash"`
-	Result TrialResult `json:"result"`
+// journalLine is the on-disk line format.
+type journalLine struct {
+	Hash   string `json:"hash"`
+	Key    string `json:"key"`
+	Status string `json:"status"`
 }
+
+// Journal line statuses: a trial's own failure is "failed", anything else
+// that finished is "done".
+const (
+	lineDone   = "done"
+	lineFailed = "failed"
+)
 
 // campaignID derives the journal's identity token from everything that makes
 // a campaign "the same campaign": the schema, the code version, the campaign
@@ -100,32 +111,39 @@ func ProbeJournal(dir, version, name string, seed int64) (entries int, err error
 		}
 		return 0, fmt.Errorf("sweep: locking campaign journal: %w", err)
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		var e journalEntry
-		if json.Unmarshal(sc.Bytes(), &e) == nil && e.Hash != "" {
-			entries++
+	err = readJournal(f, func(journalLine) { entries++ })
+	return entries, err
+}
+
+// readJournal hands every well-formed line of a campaign journal to fn, in
+// file order. Torn, foreign and old-format lines are skipped; an I/O error
+// is returned rather than silently truncating what the journal records.
+func readJournal(r io.Reader, fn func(journalLine)) error {
+	br := bufio.NewReader(r)
+	for {
+		line, err := br.ReadBytes('\n')
+		var l journalLine
+		if json.Unmarshal(line, &l) == nil && l.Hash != "" && l.Key != "" && (l.Status == lineDone || l.Status == lineFailed) {
+			fn(l)
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("sweep: reading campaign journal: %w", err)
 		}
 	}
-	if serr := sc.Err(); serr != nil {
-		return entries, fmt.Errorf("sweep: reading campaign journal: %w", serr)
-	}
-	return entries, nil
 }
 
 // openJournal loads (or creates) the campaign's journal under dir and opens
-// it for appending. Unparseable lines — a truncated tail from a kill — are
-// skipped; later entries for the same hash win. The append descriptor holds
-// an exclusive advisory lock for the life of the campaign run, so a second
-// concurrent run of the same campaign identity against the same cache dir
-// fails fast with ErrJournalBusy instead of interleaving completion records.
+// it for appending. Lines that do not decode are skipped; later lines for
+// the same hash win. The descriptor holds an exclusive advisory lock for the
+// life of the campaign run, so a second concurrent run of the same campaign
+// identity against the same cache dir fails fast with ErrJournalBusy instead
+// of interleaving completion records.
 func openJournal(dir, version, name string, seed int64) (*journal, error) {
 	path := JournalPath(dir, version, name, seed)
-	j := &journal{path: path, entries: make(map[string]TrialResult)}
-	// Lock before reading: entries appended by a concurrent owner between a
-	// read and a failed lock would otherwise be half-observed.
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: opening campaign journal: %w", err)
 	}
@@ -136,46 +154,36 @@ func openJournal(dir, version, name string, seed int64) (*journal, error) {
 		}
 		return nil, fmt.Errorf("sweep: locking campaign journal: %w", err)
 	}
-	j.f = f
-	if blob, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(blob)
-		sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-		for sc.Scan() {
-			var e journalEntry
-			if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Hash == "" {
-				continue // torn or foreign line: ignore, the trial just re-runs
-			}
-			j.entries[e.Hash] = e.Result
-		}
-		blob.Close()
+	// Read under the lock: lines appended by a concurrent owner between a
+	// read and a failed lock would otherwise be half-observed.
+	j := &journal{f: f, failed: make(map[string]bool)}
+	if err := readJournal(f, func(l journalLine) { j.failed[l.Hash] = l.Status == lineFailed }); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return j, nil
 }
 
-// lookup returns the journaled result for an entry hash.
-func (j *journal) lookup(hash string) (TrialResult, bool) {
-	r, ok := j.entries[hash]
-	return r, ok
-}
-
-// append records one finished trial. The whole entry is written with a
-// single Write to the O_APPEND descriptor and synced, so concurrent workers
-// interleave whole lines and a crash can only lose the entry being written.
-// Errors are swallowed like cache-store errors: the journal accelerates
-// resume, it must never fail a campaign.
+// append indexes one finished trial whose cache entry is durable. The line
+// is written with a single Write to the O_APPEND descriptor and synced, so
+// concurrent workers interleave whole lines and a crash can only lose the
+// line being written. Errors are swallowed: the journal accelerates resume,
+// it must never fail a campaign.
 func (j *journal) append(hash string, r TrialResult) {
-	blob, err := json.Marshal(journalEntry{Hash: hash, Result: r})
+	l := journalLine{Hash: hash, Key: r.Key, Status: lineDone}
+	if r.Err != "" {
+		l.Status = lineFailed
+	}
+	blob, err := json.Marshal(l)
 	if err != nil {
 		return
 	}
 	blob = append(blob, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(blob); err != nil {
-		return
+	if _, err := j.f.Write(blob); err == nil {
+		j.f.Sync()
 	}
-	j.f.Sync()
-	j.entries[hash] = r
 }
 
 // close releases the append descriptor.

@@ -149,12 +149,12 @@ type Options struct {
 	// cooperatively before its goroutine is abandoned; <= 0 means 1 second.
 	CancelGrace time.Duration
 	// RetryFailed re-executes trials whose journaled outcome was a failure.
-	// By default a resumed campaign restores failures from the journal
+	// By default a resumed campaign restores the failures its journal records
 	// (deterministic trials fail deterministically); pass true after fixing
 	// the cause to re-run exactly the failed set.
 	RetryFailed bool
 
-	// Heartbeat, when non-nil, is called once after the cache/journal probe
+	// Heartbeat, when non-nil, is called once after the cache probe
 	// and once per trial the pool retires (finished, timed out or canceled —
 	// any progress). It exists for out-of-process supervision: a worker
 	// process forwards each beat over its pipe so the supervising daemon can
@@ -163,7 +163,7 @@ type Options struct {
 	Heartbeat func()
 
 	// OnTrial, when non-nil, receives one event per finished trial — both
-	// trials restored from the cache/journal during the probe (in sorted key
+	// trials restored from the cache during the probe (in sorted key
 	// order) and trials executed by the pool. For executed trials the
 	// callback fires under the same lock as the journal append, so the event
 	// sequence matches the journal's line order exactly: a consumer
@@ -179,7 +179,7 @@ type Options struct {
 type TrialEvent struct {
 	// Key is the trial key; Err its failure message ("" on success).
 	Key, Err string
-	// Cached marks a trial restored from the cache or journal.
+	// Cached marks a trial restored from the cache.
 	Cached bool
 	// Wall is the execution time (zero when restored).
 	Wall time.Duration
@@ -343,10 +343,11 @@ func statusLabel(s trialStatus, res TrialResult) string {
 // / FirstErr. Cancellation of ctx stops dispatch, cancels in-flight trials
 // cooperatively, and returns the partial outcome with ErrInterrupted.
 //
-// With a cache dir configured, every finished trial is also appended to a
-// crash-safe campaign journal, so an interrupted — or SIGKILLed — campaign
-// re-invoked with the same spec resumes with zero re-executed trials and
-// merges artifacts byte-identical to an uninterrupted run.
+// With a cache dir configured, every finished trial is stored as one
+// checksummed cache entry and then indexed in a crash-safe campaign journal,
+// so an interrupted — or SIGKILLed — campaign re-invoked with the same spec
+// resumes with zero re-executed trials and merges artifacts byte-identical
+// to an uninterrupted run.
 func RunContext(ctx context.Context, c *Campaign, opts Options) (*Outcome, error) {
 	start := time.Now()
 	workers := opts.Workers
@@ -382,13 +383,11 @@ func RunContext(ctx context.Context, c *Campaign, opts Options) (*Outcome, error
 		out.Recorder = telemetry.NewRecorder(0)
 	}
 
-	// Probe the cache and journal, collecting the trials that still need to
-	// run. The cache goes first so a corrupt entry is noticed (and
-	// quarantined) even when the campaign journal can still satisfy the
-	// trial; the journal then adds what the shared cache deliberately lacks
-	// — campaign-scoped memory of failed trials.
+	// Probe the cache, collecting the trials that still need to run. The
+	// cache entry is every finished trial's only copy; the journal decides
+	// which failure entries this campaign restores (see diskCache.load).
 	// emitted serializes Options.OnTrial with the journal appends: while the
-	// lock is held a trial is persisted and then announced, so the event
+	// lock is held a trial is journaled and then announced, so the event
 	// stream's order is exactly the journal's line order. Probe-time
 	// restores run before the pool starts and emit in sorted key order.
 	var emitMu sync.Mutex
@@ -414,15 +413,10 @@ func RunContext(ctx context.Context, c *Campaign, opts Options) (*Outcome, error
 		seed := DeriveSeed(c.Seed, t.Key)
 		if cache != nil {
 			hashes[i], _ = cache.entryHash(t, seed)
-			if r, ok := cache.load(t, seed); ok {
-				results[i], statuses[i] = r, statusDone
-				notify(r)
-				continue
-			}
 		}
-		if jl != nil && hashes[i] != "" {
-			if r, ok := jl.lookup(hashes[i]); ok && !(opts.RetryFailed && r.Err != "") {
-				r.Cached = true
+		if hashes[i] != "" {
+			withFailure := jl.failed[hashes[i]] && !opts.RetryFailed
+			if r, ok := cache.load(hashes[i], t.Key, withFailure); ok {
 				results[i], statuses[i] = r, statusDone
 				notify(r)
 				continue
@@ -456,13 +450,13 @@ func RunContext(ctx context.Context, c *Campaign, opts Options) (*Outcome, error
 		// Timed-out and leaked trials are deliberately not persisted: the
 		// timeout is a host-side observation, so a resume re-executes them.
 		if status == statusDone {
+			// The entry goes first: a trial is journaled only once its
+			// only copy is durable, and a failed write leaves it to re-run.
+			durable := hashes[i] != "" && cache.store(hashes[i], res) == nil
 			if opts.OnTrial != nil {
 				emitMu.Lock()
 			}
-			if cache != nil && res.Err == "" {
-				cache.store(t, res)
-			}
-			if jl != nil && hashes[i] != "" {
+			if durable {
 				jl.append(hashes[i], res)
 			}
 			if opts.OnTrial != nil {
@@ -627,10 +621,17 @@ func runTrial(ctx context.Context, t Trial, seed int64, opts Options) (TrialResu
 
 	case <-ctx.Done():
 		// Campaign shutdown: cancel cooperatively and give the trial the
-		// grace window to unwind. Its result is discarded either way — a
-		// partially executed trial must re-run on resume.
-		if _, ok := awaitGrace(); !ok {
+		// grace window to unwind. A nil error means the trial completed
+		// (cooperative units that stop early return ErrTrialCanceled or
+		// sim.ErrCanceled), so its result is kept, as in the timeout
+		// branch's photo finish; anything else is partial and re-runs on
+		// resume.
+		o, ok := awaitGrace()
+		if !ok {
 			return res, nil, statusCanceledLeaked
+		}
+		if o.err == nil {
+			return finish(o)
 		}
 		return res, nil, statusNotRun
 
