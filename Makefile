@@ -148,7 +148,9 @@ bench-shard:
 
 # determinism runs the fault-injection sweep twice with telemetry artifacts
 # enabled and fails on any byte difference — the metrics dump and trace JSON
-# must be identical for identical seeds.
+# must be identical for identical seeds. It then renders Figure 7 under
+# GOMAXPROCS=1 and 4: bsp.Run splits its nodes over GOMAXPROCS goroutines,
+# and both outputs must equal the committed results/figure7.txt.
 determinism:
 	$(GO) run ./cmd/faultexp -jobs 2 -nodes 4 -report=false \
 		-trace /tmp/mkos-det-1.json -metrics /tmp/mkos-det-1.txt > /dev/null
@@ -157,6 +159,11 @@ determinism:
 	cmp /tmp/mkos-det-1.json /tmp/mkos-det-2.json
 	cmp /tmp/mkos-det-1.txt /tmp/mkos-det-2.txt
 	@echo "telemetry artifacts byte-identical across runs"
+	GOMAXPROCS=1 $(GO) run ./cmd/mkexp -figure 7 > /tmp/mkos-det-fig7-p1.txt
+	GOMAXPROCS=4 $(GO) run ./cmd/mkexp -figure 7 > /tmp/mkos-det-fig7-p4.txt
+	cmp /tmp/mkos-det-fig7-p1.txt results/figure7.txt
+	cmp /tmp/mkos-det-fig7-p4.txt results/figure7.txt
+	@echo "Figure 7 byte-identical to results/figure7.txt under GOMAXPROCS=1 and 4"
 
 # check is what CI runs: formatting, vet, the simlint invariant gate,
 # build, the full suite under the race detector, the determinism gates,

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -32,6 +33,13 @@ import (
 	"mkos/internal/telemetry/ops"
 )
 
+// The -runs and -seed defaults, at which the committed results/figure*.txt
+// were made.
+const (
+	defaultRuns = 3
+	defaultSeed = 1
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mkexp: ")
@@ -39,8 +47,8 @@ func main() {
 	platform := flag.String("platform", "ofp", "platform for -app mode: ofp or fugaku")
 	appName := flag.String("app", "", "single application to run (AMG2013, Milc, Lulesh, LQCD, GeoFEM, GAMERA)")
 	nodeList := flag.String("nodes", "", "comma-separated node counts for -app mode")
-	runs := flag.Int("runs", 3, "runs per data point (the paper uses >=3)")
-	seed := flag.Int64("seed", 1, "base seed; run i uses seed+i")
+	runs := flag.Int("runs", defaultRuns, "runs per data point (the paper uses >=3)")
+	seed := flag.Int64("seed", defaultSeed, "base seed; run i uses seed+i")
 	isolation := flag.Bool("isolation", false, "run the co-location isolation experiment instead of a figure")
 	fom := flag.Bool("fom", false, "also print each application's custom metric (FOM, TFLOPS, ...)")
 	workers := flag.Int("j", 0, "parallel trial workers (0 = all cores)")
@@ -49,7 +57,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the deterministic telemetry metrics dump to this file")
 	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 	flag.Parse()
-	showMetrics = *fom
 	sink := telemetry.NewSink()
 	if *tracePath != "" {
 		sink.Recorder().Enable()
@@ -67,11 +74,6 @@ func main() {
 		runIsolation(*platform, *appName, *nodeList, *seed, sink)
 		writeArtifacts()
 		return
-	}
-
-	seeds := make([]int64, *runs)
-	for i := range seeds {
-		seeds[i] = *seed + int64(i)
 	}
 
 	var specs []core.FigureSpec
@@ -101,7 +103,7 @@ func main() {
 		log.Fatal("choose -figure 5|6|7 or -app NAME -nodes N1,N2,...")
 	}
 
-	c, err := campaigns.FigurePoints("mkexp", specs, seeds, *runs, *seed)
+	c, err := figureCampaign(specs, *runs, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -125,9 +127,7 @@ func main() {
 		log.Fatal(err)
 	}
 	o.MergeTelemetry(sink)
-	for _, spec := range specs {
-		printFigure(o, spec)
-	}
+	printFigures(os.Stdout, o, specs, *fom)
 	writeArtifacts()
 	if err := o.FirstErr(); err != nil {
 		log.Print(err)
@@ -177,16 +177,30 @@ func parseNodes(s string) ([]int, error) {
 	return out, nil
 }
 
-// showMetrics controls custom-metric output in printFigure().
-var showMetrics bool
+// figureCampaign is the campaign of every (app, node-count) point of specs,
+// each point run at seeds seed, seed+1, ..., seed+runs-1.
+func figureCampaign(specs []core.FigureSpec, runs int, seed int64) (*sweep.Campaign, error) {
+	seeds := make([]int64, runs)
+	for i := range seeds {
+		seeds[i] = seed + int64(i)
+	}
+	return campaigns.FigurePoints("mkexp", specs, seeds, runs, seed)
+}
 
-// printFigure renders one figure panel from the campaign outcome, skipping
-// failed points (they surface through the exit code) and oversize node counts
-// (never enumerated, matching core.Sweep).
-func printFigure(o *sweep.Outcome, spec core.FigureSpec) {
-	fmt.Printf("\n# Figure %s: %s on %s (relative performance, Linux = 1.0)\n",
+// printFigures renders every panel of specs from the campaign outcome to w,
+// skipping failed points (they surface through the exit code) and oversize
+// node counts (never enumerated, matching core.Sweep). fom adds each
+// application's custom metric.
+func printFigures(w io.Writer, o *sweep.Outcome, specs []core.FigureSpec, fom bool) {
+	for _, spec := range specs {
+		printFigure(w, o, spec, fom)
+	}
+}
+
+func printFigure(w io.Writer, o *sweep.Outcome, spec core.FigureSpec, fom bool) {
+	fmt.Fprintf(w, "\n# Figure %s: %s on %s (relative performance, Linux = 1.0)\n",
 		spec.Figure, spec.App, spec.Platform)
-	fmt.Printf("%-8s %10s %8s %16s %16s\n", "nodes", "mckernel", "+/-", "linux_runtime", "mck_runtime")
+	fmt.Fprintf(w, "%-8s %10s %8s %16s %16s\n", "nodes", "mckernel", "+/-", "linux_runtime", "mck_runtime")
 	app, appErr := apps.ByName(spec.App, spec.Platform)
 	for _, n := range spec.Nodes {
 		if appErr == nil && n > app.MaxNodes {
@@ -195,16 +209,16 @@ func printFigure(o *sweep.Outcome, spec core.FigureSpec) {
 		key := campaigns.FigurePointKey(spec.Figure, string(spec.Platform), spec.App, n)
 		var c core.Comparison
 		if err := o.Payload(key, &c); err != nil {
-			fmt.Printf("%-8d FAILED: %v\n", n, err)
+			fmt.Fprintf(w, "%-8d FAILED: %v\n", n, err)
 			continue
 		}
-		fmt.Printf("%-8d %10.3f %8.3f %16s %16s",
+		fmt.Fprintf(w, "%-8d %10.3f %8.3f %16s %16s",
 			c.Nodes, c.Relative, c.RelErr, c.LinuxRuntime.Round(0), c.McKRuntime.Round(0))
-		if showMetrics && appErr == nil {
+		if fom && appErr == nil {
 			lin := app.MetricFor(c.LinuxRuntime, c.Nodes)
 			mck := app.MetricFor(c.McKRuntime, c.Nodes)
-			fmt.Printf("   linux %s | mckernel %s", lin, mck)
+			fmt.Fprintf(w, "   linux %s | mckernel %s", lin, mck)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -52,13 +53,11 @@ func runMachineStage(ctx context.Context, quick bool, shards int, outdir string,
 	fmt.Printf("  %d windows, %d digests (%d cross-shard), worst node %d (total noise %v)\n",
 		res.Windows, sres.Stats.Messages, sres.Stats.CrossMessages,
 		res.Worst[0].Node, time.Duration(res.Worst[0].Digest.TotalNoiseNS))
-	writeFile(outdir, "fwq_machine.json", func(f *os.File) {
+	writeFile(outdir, "fwq_machine.json", func(w io.Writer) {
 		blob, err := json.MarshalIndent(res, "", " ")
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := f.Write(append(blob, '\n')); err != nil {
-			log.Fatal(err)
-		}
+		w.Write(append(blob, '\n'))
 	})
 }

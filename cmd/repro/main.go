@@ -10,10 +10,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -105,24 +107,24 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	writeFile(*outdir, "table2.txt", func(f *os.File) {
-		fmt.Fprintf(f, "%-32s %18s %12s\n", "Disabled technique", "Max noise (us)", "Noise rate")
+	writeFile(*outdir, "table2.txt", func(w io.Writer) {
+		fmt.Fprintf(w, "%-32s %18s %12s\n", "Disabled technique", "Max noise (us)", "Noise rate")
 		for _, r := range rows {
-			fmt.Fprintf(f, "%-32s %18.2f %12.3g\n", r.Disabled,
+			fmt.Fprintf(w, "%-32s %18.2f %12.3g\n", r.Disabled,
 				float64(r.MaxNoise)/float64(time.Microsecond), r.NoiseRate)
 		}
 	})
 
 	// --- Figure 3 (series data is embedded in the Table 2 rows) ---
 	fmt.Printf("[2/6] Figure 3 noise series...\n")
-	writeFile(*outdir, "figure3.txt", func(f *os.File) {
+	writeFile(*outdir, "figure3.txt", func(w io.Writer) {
 		for _, r := range rows {
 			s := noise.SeriesMicros(r.Lengths)
-			fmt.Fprintf(f, "# countermeasure disabled: %s (max %.1f us)\n", r.Disabled, s.MaxV())
+			fmt.Fprintf(w, "# countermeasure disabled: %s (max %.1f us)\n", r.Disabled, s.MaxV())
 			// Thin the series for the file: every 64th sample plus peaks.
 			for i := 0; i < s.Len(); i++ {
 				if i%64 == 0 || s.V[i] > 100 {
-					fmt.Fprintf(f, "%d %.3f\n", int(s.T[i]), s.V[i])
+					fmt.Fprintf(w, "%d %.3f\n", int(s.T[i]), s.V[i])
 				}
 			}
 		}
@@ -141,11 +143,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeFile(*outdir, "figure4.txt", func(f *os.File) {
+	writeFile(*outdir, "figure4.txt", func(w io.Writer) {
 		for _, c := range curves {
-			fmt.Fprintf(f, "# %s (%d nodes), tail %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
+			fmt.Fprintf(w, "# %s (%d nodes), tail %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
 			for _, pt := range c.CDF.Points(40) {
-				fmt.Fprintf(f, "%.2f %.8f\n", pt.X, pt.Y)
+				fmt.Fprintf(w, "%.2f %.8f\n", pt.X, pt.Y)
 			}
 		}
 	})
@@ -169,10 +171,10 @@ func main() {
 	figOut := runCampaign(figCampaign)
 	type key struct{ fig, app string }
 	top := map[key]core.Comparison{}
-	writeFile(*outdir, "figures567.txt", func(f *os.File) {
+	writeFile(*outdir, "figures567.txt", func(w io.Writer) {
 		for _, spec := range specs {
 			app := mustApp(spec.App, spec.Platform)
-			fmt.Fprintf(f, "# figure %s: %s on %s\n", spec.Figure, spec.App, spec.Platform)
+			fmt.Fprintf(w, "# figure %s: %s on %s\n", spec.Figure, spec.App, spec.Platform)
 			for _, n := range spec.Nodes {
 				if n > app.MaxNodes {
 					continue
@@ -182,7 +184,7 @@ func main() {
 				if err := figOut.Payload(k, &c); err != nil {
 					log.Fatal(err)
 				}
-				fmt.Fprintf(f, "%d %.4f %.4f\n", c.Nodes, c.Relative, c.RelErr)
+				fmt.Fprintf(w, "%d %.4f %.4f\n", c.Nodes, c.Relative, c.RelErr)
 				top[key{spec.Figure, spec.App + "/" + string(spec.Platform)}] = c
 			}
 		}
@@ -344,11 +346,22 @@ func mustApp(name string, p apps.PlatformName) apps.App {
 	return app
 }
 
-func writeFile(dir, name string, fill func(*os.File)) {
+// writeFile creates dir/name and fills it through a buffered writer. Any
+// failed write, flush or close is fatal, so repro never exits 0 with a
+// truncated artifact. A bufio.Writer keeps its first error and Flush
+// returns it, so fill need not check its writes.
+func writeFile(dir, name string, fill func(io.Writer)) {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	fill(f)
+	w := bufio.NewWriter(f)
+	fill(w)
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 }

@@ -11,6 +11,8 @@ package bsp
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
+	"sync"
 	"time"
 
 	"mkos/internal/interconnect"
@@ -199,7 +201,8 @@ func Run(w Workload, m Machine, nodes int, seed int64) (Result, error) {
 
 	// Sample per-step noise delays: for every node, bucket its interruptions
 	// into step windows and keep the global per-step maximum.
-	noiseDelay := sampleStepNoise(m.Sink, m.OS.NoiseProfile(), m.Cores, nodes, w.Steps, init, stepBusy, nominal, seed)
+	noiseDelay := sampleStepNoise(m.Sink, m.OS.NoiseProfile(), m.Cores, nodes, w.Steps, init, stepBusy, nominal, seed,
+		goruntime.GOMAXPROCS(0))
 
 	var total time.Duration
 	for _, d := range noiseDelay {
@@ -241,8 +244,17 @@ var runtimeBuckets = telemetry.ExpBuckets(0.25, 2, 14)
 // dense core-by-step accumulator as they are generated: per-cell sums and
 // the maximum over cells do not depend on event order, so no per-node
 // timeline is grouped or sorted.
+//
+// The nodes are split into w = min(workers, nodes) contiguous blocks,
+// block i being [nodes*i/w, nodes*(i+1)/w). Block 0 runs on the calling
+// goroutine and every other block on its own, all joined before return.
+// Each block skips the base stream to its first node (see sim.Rand.Skip),
+// so node n draws from the same base.Derive(n) stream as in a sequential
+// run, and owns its own generator, accumulator and per-step maxima. The
+// partial maxima fold with max and the generators' tallies are sums, so
+// the result and the metrics dump do not depend on the worker count.
 func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, nodes, steps int,
-	init, stepBusy time.Duration, horizon time.Duration, seed int64) []time.Duration {
+	init, stepBusy time.Duration, horizon time.Duration, seed int64, workers int) []time.Duration {
 
 	delays := make([]time.Duration, steps)
 	if stepBusy <= 0 {
@@ -261,12 +273,52 @@ func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, 
 	for i, c := range cores {
 		slot[c-lo] = i
 	}
-	acc := make([]time.Duration, len(cores)*steps)
+
+	w := max(1, min(workers, nodes))
+	gens := make([]*noise.Generator, w)
+	partial := make([][]time.Duration, w)
+	block := func(i int) {
+		binNodes(gens[i], partial[i], slot, lo, len(cores), nodes*i/w, nodes*(i+1)/w,
+			init, stepBusy, horizon, seed)
+	}
+	var wg sync.WaitGroup
+	for i := range w {
+		gens[i], partial[i] = profile.Generator(), delays
+		if i > 0 {
+			partial[i] = make([]time.Duration, steps)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				block(i)
+			}()
+		}
+	}
+	block(0)
+	wg.Wait()
+	for _, p := range partial[1:] {
+		for s, d := range p {
+			delays[s] = max(delays[s], d)
+		}
+	}
+	for _, g := range gens {
+		g.Publish(sink)
+	}
+	return delays
+}
+
+// binNodes generates the timelines of nodes [first, last) with gen and
+// raises delays[s] to the largest per-core interruption sum any of them
+// suffers in step s.
+func binNodes(gen *noise.Generator, delays []time.Duration, slot []int, lo, ncores, first, last int,
+	init, stepBusy, horizon time.Duration, seed int64) {
+
+	steps := len(delays)
+	acc := make([]time.Duration, ncores*steps)
 	var touched []int // cells of acc written for the current node
 	var events []noise.Interruption
-	gen := profile.Generator()
 	base := sim.NewRand(seed)
-	for n := 0; n < nodes; n++ {
+	base.Skip(first)
+	for n := first; n < last; n++ {
 		events = gen.AppendNode(events[:0], horizon, base.Derive(int64(n)))
 		for _, iv := range events {
 			c := iv.CPU - lo
@@ -293,8 +345,6 @@ func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, 
 		}
 		touched = touched[:0]
 	}
-	gen.Publish(sink)
-	return delays
 }
 
 // Compare runs the workload on two machines (typically Linux vs. McKernel on

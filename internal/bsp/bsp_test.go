@@ -255,7 +255,7 @@ func TestSampleStepNoiseWindows(t *testing.T) {
 		Name: "tick", Cores: []int{0}, Mode: noise.TargetOne,
 		Every: 10 * time.Millisecond, Length: 100 * time.Microsecond,
 	})
-	delays := sampleStepNoise(telemetry.NewSink(), p, []int{0}, 1, 10, 0, 10*time.Millisecond, 100*time.Millisecond, 5)
+	delays := sampleStepNoise(telemetry.NewSink(), p, []int{0}, 1, 10, 0, 10*time.Millisecond, 100*time.Millisecond, 5, 1)
 	hits := 0
 	for _, d := range delays {
 		if d > 0 {
@@ -266,7 +266,7 @@ func TestSampleStepNoiseWindows(t *testing.T) {
 		t.Fatalf("periodic source hit only %d/10 steps", hits)
 	}
 	// Zero step length yields zero delays.
-	z := sampleStepNoise(telemetry.NewSink(), p, []int{0}, 1, 5, 0, 0, time.Second, 5)
+	z := sampleStepNoise(telemetry.NewSink(), p, []int{0}, 1, 5, 0, 0, time.Second, 5, 1)
 	for _, d := range z {
 		if d != 0 {
 			t.Fatal("zero stepBusy must produce no delays")

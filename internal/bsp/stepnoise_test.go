@@ -44,7 +44,9 @@ func timelineStepNoise(profile *noise.Profile, cores []int, nodes, steps int,
 // TestSampleStepNoiseMatchesTimelineBinning pins the streaming sampler to
 // the reference: identical per-step delays and an identical metrics dump,
 // across targeting modes, Pareto tails, system cores outside the job,
-// disabled sources, an init phase and repeated application cores.
+// disabled sources, an init phase and repeated application cores, and at
+// every worker count: one, counts that leave uneven node blocks (7 nodes
+// over 2, 3 or 5 workers) and more workers than nodes.
 func TestSampleStepNoiseMatchesTimelineBinning(t *testing.T) {
 	p := &noise.Profile{Subsystem: "linux"}
 	p.MustAdd(&noise.Source{Name: "tick", Cores: []int{2, 3, 4, 5}, Mode: noise.TargetAll,
@@ -71,6 +73,7 @@ func TestSampleStepNoiseMatchesTimelineBinning(t *testing.T) {
 		{"with-init", []int{2, 3, 4, 5}, 9, 25, 17 * time.Millisecond, 3 * time.Millisecond},
 		{"repeated-and-sys", []int{5, 1, 5, 2}, 7, 60, time.Millisecond, 1700 * time.Microsecond},
 		{"one-step", []int{4}, 33, 1, 0, 200 * time.Millisecond},
+		{"one-node", []int{2, 3, 4, 5}, 1, 30, 2 * time.Millisecond, 4 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 2, 99} {
@@ -80,18 +83,23 @@ func TestSampleStepNoiseMatchesTimelineBinning(t *testing.T) {
 			ref := telemetry.NewSink()
 			p.Sink = ref
 			want := timelineStepNoise(p, tc.cores, tc.nodes, tc.steps, tc.init, tc.stepBusy, horizon, seed)
-			sink := telemetry.NewSink()
-			got := sampleStepNoise(sink, p, tc.cores, tc.nodes, tc.steps, tc.init, tc.stepBusy, horizon, seed)
-			for s := range want {
-				if got[s] != want[s] {
-					t.Fatalf("%s seed %d step %d: streaming %v, timeline binning %v", tc.name, seed, s, got[s], want[s])
-				}
-			}
-			var gotDump, wantDump bytes.Buffer
-			sink.Registry().WriteTo(&gotDump)
+			var wantDump bytes.Buffer
 			ref.Registry().WriteTo(&wantDump)
-			if gotDump.String() != wantDump.String() {
-				t.Fatalf("%s seed %d: metrics differ\nstreaming:\n%s\ntimeline:\n%s", tc.name, seed, gotDump.String(), wantDump.String())
+			for _, workers := range []int{1, 2, 3, 5, tc.nodes + 1} {
+				sink := telemetry.NewSink()
+				got := sampleStepNoise(sink, p, tc.cores, tc.nodes, tc.steps, tc.init, tc.stepBusy, horizon, seed, workers)
+				for s := range want {
+					if got[s] != want[s] {
+						t.Fatalf("%s seed %d workers %d step %d: streaming %v, timeline binning %v",
+							tc.name, seed, workers, s, got[s], want[s])
+					}
+				}
+				var gotDump bytes.Buffer
+				sink.Registry().WriteTo(&gotDump)
+				if gotDump.String() != wantDump.String() {
+					t.Fatalf("%s seed %d workers %d: metrics differ\nstreaming:\n%s\ntimeline:\n%s",
+						tc.name, seed, workers, gotDump.String(), wantDump.String())
+				}
 			}
 		}
 	}
