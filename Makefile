@@ -134,7 +134,8 @@ bench-engine:
 	sh scripts/bench-engine.sh
 
 # bench-models records the model-kernel benchmarks (buddy allocator, BSP
-# step noise, Figure 7 points) with repro -quick and internal/core wall
+# step noise, Figure 7 points, noise generator node, lognormal draw) with
+# repro -quick and internal/core wall
 # times into results/BENCH_models.json. BASE=<parent checkout> adds the
 # before side, the speedups and a byte-identity check of repro -quick.
 bench-models:
@@ -150,7 +151,9 @@ bench-shard:
 # enabled and fails on any byte difference — the metrics dump and trace JSON
 # must be identical for identical seeds. It then renders Figure 7 under
 # GOMAXPROCS=1 and 4: bsp.Run splits its nodes over GOMAXPROCS goroutines,
-# and both outputs must equal the committed results/figure7.txt.
+# and both outputs must equal the committed results/figure7.txt. Last, the
+# Figure 4 FWQ CDFs, which read the noise timelines without bsp.Run, must
+# equal the committed results/figure4.txt.
 determinism:
 	$(GO) run ./cmd/faultexp -jobs 2 -nodes 4 -report=false \
 		-trace /tmp/mkos-det-1.json -metrics /tmp/mkos-det-1.txt > /dev/null
@@ -164,6 +167,9 @@ determinism:
 	cmp /tmp/mkos-det-fig7-p1.txt results/figure7.txt
 	cmp /tmp/mkos-det-fig7-p4.txt results/figure7.txt
 	@echo "Figure 7 byte-identical to results/figure7.txt under GOMAXPROCS=1 and 4"
+	$(GO) run ./cmd/noiseprofile -cdf > /tmp/mkos-det-fig4.txt
+	cmp /tmp/mkos-det-fig4.txt results/figure4.txt
+	@echo "Figure 4 byte-identical to results/figure4.txt"
 
 # check is what CI runs: formatting, vet, the simlint invariant gate,
 # build, the full suite under the race detector, the determinism gates,

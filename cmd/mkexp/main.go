@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -70,8 +71,19 @@ func main() {
 		}
 	}
 
+	// Stdout is buffered and its Flush checked, so a write that fails (a
+	// full disk, a closed pipe) exits 1 instead of leaving a truncated
+	// figure behind a 0 exit.
+	out := bufio.NewWriter(os.Stdout)
+	flushOut := func() {
+		if err := out.Flush(); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	if *isolation {
-		runIsolation(*platform, *appName, *nodeList, *seed, sink)
+		runIsolation(out, *platform, *appName, *nodeList, *seed, sink)
+		flushOut()
 		writeArtifacts()
 		return
 	}
@@ -127,7 +139,8 @@ func main() {
 		log.Fatal(err)
 	}
 	o.MergeTelemetry(sink)
-	printFigures(os.Stdout, o, specs, *fom)
+	printFigures(out, o, specs, *fom)
+	flushOut()
 	writeArtifacts()
 	if err := o.FirstErr(); err != nil {
 		log.Print(err)
@@ -135,9 +148,9 @@ func main() {
 	}
 }
 
-// runIsolation executes the Sec. 8 co-location experiment, publishing its
-// telemetry into sink.
-func runIsolation(platform, appName, nodeList string, seed int64, sink *telemetry.Sink) {
+// runIsolation executes the Sec. 8 co-location experiment, writing its
+// report to w and publishing its telemetry into sink.
+func runIsolation(w io.Writer, platform, appName, nodeList string, seed int64, sink *telemetry.Sink) {
 	p := apps.OnOFP
 	if strings.HasPrefix(strings.ToLower(platform), "fugaku") {
 		p = apps.OnFugaku
@@ -157,9 +170,9 @@ func runIsolation(platform, appName, nodeList string, seed int64, sink *telemetr
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("# co-location isolation: %s on %s at %d nodes (tenant: in-situ analytics)\n", appName, p, nodes)
-	fmt.Printf("%-14s slowdown=%.4f (alone %v, co-located %v)\n", cg.Mode, cg.Slowdown, cg.AloneRuntime.Round(0), cg.CoRuntime.Round(0))
-	fmt.Printf("%-14s slowdown=%.4f (alone %v, co-located %v)\n", mk.Mode, mk.Slowdown, mk.AloneRuntime.Round(0), mk.CoRuntime.Round(0))
+	fmt.Fprintf(w, "# co-location isolation: %s on %s at %d nodes (tenant: in-situ analytics)\n", appName, p, nodes)
+	fmt.Fprintf(w, "%-14s slowdown=%.4f (alone %v, co-located %v)\n", cg.Mode, cg.Slowdown, cg.AloneRuntime.Round(0), cg.CoRuntime.Round(0))
+	fmt.Fprintf(w, "%-14s slowdown=%.4f (alone %v, co-located %v)\n", mk.Mode, mk.Slowdown, mk.AloneRuntime.Round(0), mk.CoRuntime.Round(0))
 }
 
 func parseNodes(s string) ([]int, error) {

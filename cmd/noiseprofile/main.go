@@ -10,10 +10,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -46,24 +48,31 @@ func main() {
 	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file for -cdf")
 	flag.Parse()
 
+	// Stdout is buffered and its Flush checked, so a write that fails (a
+	// full disk, a closed pipe) exits 1 instead of leaving a truncated
+	// profile behind a 0 exit.
+	out := bufio.NewWriter(os.Stdout)
 	switch {
 	case *attribute:
-		runAttribute(*cm, time.Duration(*minutes*float64(time.Minute)), *seed)
+		runAttribute(out, *cm, time.Duration(*minutes*float64(time.Minute)), *seed)
 	case *series:
-		runSeries(*cm, time.Duration(*minutes*float64(time.Minute)), *seed)
+		runSeries(out, *cm, time.Duration(*minutes*float64(time.Minute)), *seed)
 	case *cdf:
-		runCDF(context.Background(), core.Figure4Config{
+		runCDF(context.Background(), out, core.Figure4Config{
 			OFPNodes: *ofpNodes, FugakuFullNodes: *fugakuFull, Fugaku24Racks: *fugakuRacks,
 			Duration: time.Duration(*minutes * float64(time.Minute)), WorstNodes: 100, Seed: *seed,
 		}, *points, *iterations, *workers, *cacheDir, *opsTrace)
 	default:
 		log.Fatal("choose -series or -cdf")
 	}
+	if err := out.Flush(); err != nil {
+		log.Fatal(err)
+	}
 }
 
-// runAttribute prints the per-source stolen-time attribution on app cores —
-// the Sec. 4.2.1 ftrace methodology.
-func runAttribute(cm string, dur time.Duration, seed int64) {
+// runAttribute writes the per-source stolen-time attribution on app cores
+// to w — the Sec. 4.2.1 ftrace methodology.
+func runAttribute(w io.Writer, cm string, dur time.Duration, seed int64) {
 	p := cluster.Fugaku()
 	applyCountermeasure(p, cm)
 	node, err := p.NewNode(cluster.Linux)
@@ -71,9 +80,9 @@ func runAttribute(cm string, dur time.Duration, seed int64) {
 		log.Fatal(err)
 	}
 	attr := node.Host.AttributeProfile(dur, seed)
-	fmt.Printf("# interference attribution on application cores over %v (countermeasure disabled: %s)\n", dur, cm)
+	fmt.Fprintf(w, "# interference attribution on application cores over %v (countermeasure disabled: %s)\n", dur, cm)
 	for _, a := range attr {
-		fmt.Println(a)
+		fmt.Fprintln(w, a)
 	}
 }
 
@@ -95,7 +104,7 @@ func applyCountermeasure(p *cluster.Platform, cm string) {
 	}
 }
 
-func runSeries(cm string, dur time.Duration, seed int64) {
+func runSeries(w io.Writer, cm string, dur time.Duration, seed int64) {
 	p := cluster.Fugaku()
 	applyCountermeasure(p, cm)
 	node, err := p.NewNode(cluster.Linux)
@@ -108,18 +117,18 @@ func runSeries(cm string, dur time.Duration, seed int64) {
 		log.Fatal(err)
 	}
 	s := noise.SeriesMicros(analyses[0].Lengths)
-	fmt.Printf("# Figure 3 noise-length time series, countermeasure disabled: %s\n", cm)
-	fmt.Printf("# sample_id noise_length_us\n")
+	fmt.Fprintf(w, "# Figure 3 noise-length time series, countermeasure disabled: %s\n", cm)
+	fmt.Fprintf(w, "# sample_id noise_length_us\n")
 	for i := 0; i < s.Len(); i++ {
-		fmt.Printf("%d %.3f\n", int(s.T[i]), s.V[i])
+		fmt.Fprintf(w, "%d %.3f\n", int(s.T[i]), s.V[i])
 	}
 }
 
 // runCDF shards the figure's (iteration x curve) matrix over the sweep
 // orchestrator and merges per curve — the paper ran "ten iterations of
 // measurements that last for approximately 6 minutes, capturing a noise
-// profile that covers one hour altogether".
-func runCDF(ctx context.Context, cfg core.Figure4Config, points, iterations, workers int, cacheDir, opsTrace string) {
+// profile that covers one hour altogether". The curves are written to w.
+func runCDF(ctx context.Context, w io.Writer, cfg core.Figure4Config, points, iterations, workers int, cacheDir, opsTrace string) {
 	if iterations < 1 {
 		iterations = 1
 	}
@@ -148,13 +157,13 @@ func runCDF(ctx context.Context, cfg core.Figure4Config, points, iterations, wor
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("# Figure 4: FWQ iteration-latency CDFs (worst %d nodes per config)\n", cfg.WorstNodes)
-	fmt.Printf("# node counts are subsamples of the paper's scales; see EXPERIMENTS.md\n")
+	fmt.Fprintf(w, "# Figure 4: FWQ iteration-latency CDFs (worst %d nodes per config)\n", cfg.WorstNodes)
+	fmt.Fprintf(w, "# node counts are subsamples of the paper's scales; see EXPERIMENTS.md\n")
 	for _, c := range curves {
-		fmt.Printf("\n# curve %s (%d nodes), max iteration %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
-		fmt.Printf("# iteration_us cumulative_probability\n")
+		fmt.Fprintf(w, "\n# curve %s (%d nodes), max iteration %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
+		fmt.Fprintf(w, "# iteration_us cumulative_probability\n")
 		for _, pt := range c.CDF.Points(points) {
-			fmt.Printf("%.2f %.8f\n", pt.X, pt.Y)
+			fmt.Fprintf(w, "%.2f %.8f\n", pt.X, pt.Y)
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -61,6 +62,10 @@ func main() {
 		log.Printf("interrupted: %d of %d rows computed", len(rows), len(variants))
 	}
 
+	// Stdout is buffered and its Flush checked, so a write that fails (a
+	// full disk, a closed pipe) exits 1 instead of leaving a truncated
+	// table behind a 0 exit.
+	w := bufio.NewWriter(os.Stdout)
 	if *asJSON {
 		type jsonRow struct {
 			Disabled   string  `json:"disabled_technique"`
@@ -80,25 +85,24 @@ func main() {
 				PaperMaxUS: p.maxUS, PaperRate: p.rate,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			log.Fatal(err)
 		}
-		if interrupted {
-			os.Exit(130)
+	} else {
+		fmt.Fprintf(w, "Table 2: Effectiveness of individual noise elimination techniques\n")
+		fmt.Fprintf(w, "(simulated %d-node A64FX system, %.1f-minute FWQ runs, 6.5 ms quanta)\n\n", cfg.Nodes, cfg.Duration.Minutes())
+		fmt.Fprintf(w, "%-32s %18s %12s %14s %12s\n", "Disabled technique", "Max noise (us)", "Noise rate", "Paper max(us)", "Paper rate")
+		paper := paperTable2()
+		for _, r := range rows {
+			p := paper[r.Disabled]
+			fmt.Fprintf(w, "%-32s %18.2f %12.3g %14.2f %12.3g\n",
+				r.Disabled, float64(r.MaxNoise)/float64(time.Microsecond), r.NoiseRate, p.maxUS, p.rate)
 		}
-		return
 	}
-
-	fmt.Printf("Table 2: Effectiveness of individual noise elimination techniques\n")
-	fmt.Printf("(simulated %d-node A64FX system, %.1f-minute FWQ runs, 6.5 ms quanta)\n\n", cfg.Nodes, cfg.Duration.Minutes())
-	fmt.Printf("%-32s %18s %12s %14s %12s\n", "Disabled technique", "Max noise (us)", "Noise rate", "Paper max(us)", "Paper rate")
-	paper := paperTable2()
-	for _, r := range rows {
-		p := paper[r.Disabled]
-		fmt.Printf("%-32s %18.2f %12.3g %14.2f %12.3g\n",
-			r.Disabled, float64(r.MaxNoise)/float64(time.Microsecond), r.NoiseRate, p.maxUS, p.rate)
+	if err := w.Flush(); err != nil {
+		log.Fatal(err)
 	}
 	if interrupted {
 		os.Exit(130)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,6 +45,50 @@ func TestLazySourceMatchesMathRand(t *testing.T) {
 					}
 				} else if g, w := got.Int63(), want.Int63(); g != w {
 					t.Fatalf("seed %d offset %d draw %d: Int63 %#x, math/rand %#x", seed, off, k, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestLazySourceReseededMatchesMathRand reseeds one source again and again,
+// as a noise generator's per-source streams are, so every seed starts over
+// a register an earlier seed built. Reaching the offset by drawing keeps
+// the lazy draws' words for the build; a lazy skip, alone or after draws,
+// must fall back to a full build.
+func TestLazySourceReseededMatchesMathRand(t *testing.T) {
+	var got lazySource
+	got.Seed(-1)
+	got.skip(rngLen) // build a register for the first reseed to reuse
+	for _, seed := range equivalenceSeeds() {
+		for _, off := range []int{0, 1, 272, 273, 274, 700} {
+			// Each split reaches off by drawing `drawn` values, skipping
+			// `skipped` more, then drawing the rest.
+			for _, split := range [][2]int{{off, 0}, {0, off}, {off / 2, off - off/2}, {1, off / 3}} {
+				drawn := min(split[0], off)
+				skipped := min(split[1], off-drawn)
+				want := rand.NewSource(seed).(rand.Source64)
+				for i := 0; i < off; i++ {
+					want.Int63()
+				}
+				got.Seed(seed)
+				if !got.kept {
+					t.Fatalf("seed %d: reseeding a built source did not keep its register", seed)
+				}
+				for i := 0; i < drawn; i++ {
+					got.Uint64()
+				}
+				got.skip(skipped)
+				for i := drawn + skipped; i < off; i++ {
+					got.Uint64()
+				}
+				// 700 draws pass rngTap, so the next reseed reuses a built
+				// register.
+				for k := 0; k < 700; k++ {
+					if g, w := got.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("seed %d offset %d (%d drawn, %d skipped) draw %d: %#x, math/rand %#x",
+							seed, off, drawn, skipped, k, g, w)
+					}
 				}
 			}
 		}
@@ -124,6 +169,55 @@ func TestRandMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestRandSamplersMatchMathRand draws 10^6 values from each ziggurat
+// sampler, the normal (directly and through LogNormal) and the exponential,
+// against rand.New(rand.NewSource(seed)). About 2-3% of draws miss the
+// ziggurat's rectangles and take the wedge or base-strip path, which reads
+// fn/fe and further source values; the test requires both paths to run.
+func TestRandSamplersMatchMathRand(t *testing.T) {
+	const perSeed = 250_000
+	seeds := []int64{1, 20211114, -7, math.MaxInt64}
+	samplers := []struct {
+		name string
+		got  func(r *Rand) float64
+		want func(r *rand.Rand) float64
+		// base maps a value back to the ziggurat's variate; beyond tail
+		// it can only come from the base strip.
+		base func(v float64) float64
+		tail float64
+	}{
+		{"NormFloat64", func(r *Rand) float64 { return r.Normal(0, 1) }, (*rand.Rand).NormFloat64,
+			math.Abs, rn},
+		{"LogNormal", func(r *Rand) float64 { return r.LogNormal(-1, 0.5) },
+			func(r *rand.Rand) float64 { return math.Exp(-1 + 0.5*r.NormFloat64()) },
+			func(v float64) float64 { return math.Abs((math.Log(v) + 1) / 0.5) }, rn},
+		{"ExpFloat64", func(r *Rand) float64 { return r.Exp(1) }, (*rand.Rand).ExpFloat64,
+			func(v float64) float64 { return v }, re},
+	}
+	for _, s := range samplers {
+		slow, tail := 0, 0
+		for _, seed := range seeds {
+			got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+			for i := 0; i < perSeed; i++ {
+				live, feed := got.lazy.live, got.lazy.feed
+				g, w := s.got(got), s.want(want)
+				if g != w {
+					t.Fatalf("%s seed %d draw %d: %v, math/rand %v", s.name, seed, i, g, w)
+				}
+				if live && (feed-got.lazy.feed+rngLen)%rngLen > 1 {
+					slow++
+				}
+				if s.base(g) > s.tail {
+					tail++
+				}
+			}
+		}
+		if slow < 1000 || tail == 0 {
+			t.Fatalf("%s: %d draws took more than one source value and %d came from the base strip's tail; the test needs both", s.name, slow, tail)
+		}
+	}
+}
+
 // referenceDeriveSeed is DeriveSeed's mix applied to a parent draw.
 func referenceDeriveSeed(parent, stream int64) int64 {
 	z := uint64(parent) ^ (uint64(stream) * 0x9E3779B97F4A7C15)
@@ -141,5 +235,40 @@ func BenchmarkNewRandFewDraws(b *testing.B) {
 		for k := 0; k < 8; k++ {
 			r.Float64()
 		}
+	}
+}
+
+// BenchmarkSeedThenDraw is a stream that goes past the lazy register's
+// build: seed, then draw 274 or 1,000 values. "fresh" seeds a new
+// generator, "reseeded" reseeds one in place over the register it kept, as
+// a noise generator's source streams are, and "math-rand" is
+// rand.New(rand.NewSource(seed)).
+func BenchmarkSeedThenDraw(b *testing.B) {
+	for _, draws := range []int{274, 1000} {
+		b.Run(fmt.Sprintf("fresh/%d", draws), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := NewRand(int64(i))
+				for k := 0; k < draws; k++ {
+					r.Float64()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("reseeded/%d", draws), func(b *testing.B) {
+			r := NewRand(-1)
+			for i := 0; i < b.N; i++ {
+				r.lazy.Seed(int64(i))
+				for k := 0; k < draws; k++ {
+					r.Float64()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("math-rand/%d", draws), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := rand.New(rand.NewSource(int64(i)))
+				for k := 0; k < draws; k++ {
+					r.Float64()
+				}
+			}
+		})
 	}
 }

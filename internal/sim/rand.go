@@ -1,27 +1,22 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Rand is a deterministic random source with the distribution samplers the
 // OS-noise and workload models need. Its draws are bit for bit those of
-// rand.New(rand.NewSource(seed)), but the source is seeded lazily (see
-// lazySource): a stream that draws a few values never pays for math/rand's
-// 607-word register. Nothing in this repository draws from a global or
-// time-seeded source.
+// rand.New(rand.NewSource(seed)): the samplers below are math/rand's own
+// algorithms, run on the concrete lazySource, whose register is seeded only
+// when a stream draws enough to need it, so a stream that draws a few
+// values never pays for math/rand's 607-word seeding. Nothing in this
+// repository draws from a global or time-seeded source.
 type Rand struct {
 	lazy lazySource
-	src  *rand.Rand
 }
 
 // NewRand returns a generator seeded with seed.
 func NewRand(seed int64) *Rand {
 	r := &Rand{}
 	r.lazy.Seed(seed)
-	//simlint:allow globalrand — lazySource is rand.NewSource(seed) seeded on demand; TestLazySourceMatchesMathRand pins it bit for bit
-	r.src = rand.New(&r.lazy)
 	return r
 }
 
@@ -70,7 +65,7 @@ func (r *Rand) DeriveNamed(label string) *Rand {
 // reuses dst's storage: a caller deriving the same labelled stream for
 // node after node allocates nothing.
 func (r *Rand) DeriveNamedInto(dst *Rand, label string) {
-	dst.src.Seed(r.DeriveSeed(labelStream(label)))
+	dst.lazy.Seed(r.DeriveSeed(labelStream(label)))
 }
 
 // labelStream is the stream id of a label: its FNV-64 hash.
@@ -84,38 +79,148 @@ func labelStream(label string) int64 {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *Rand) Float64() float64 { return r.src.Float64() }
+func (r *Rand) Float64() float64 {
+	for {
+		// An Int63 close enough to 2^63 rounds to 1: draw again.
+		if f := float64(r.lazy.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// uint32 returns the next 32-bit value, bits 31 to 62 of an Int63.
+func (r *Rand) uint32() uint32 { return uint32(r.lazy.Int63() >> 31) }
 
 // Intn returns a uniform value in [0, n).
-func (r *Rand) Intn(n int) int { return r.src.Intn(n) }
+func (r *Rand) Intn(n int) int {
+	if n <= 0 {
+		panic("sim: invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(r.int31n(int32(n)))
+	}
+	return int(r.Int63n(int64(n)))
+}
+
+// int31n returns a uniform value in [0, n) for n > 0, by math/rand's
+// rejection of the top Int31 values, not its faster multiply-shift.
+func (r *Rand) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return int32(r.lazy.Int63()>>32) & (n - 1)
+	}
+	limit := int32(1<<31 - 1 - (1<<31)%uint32(n))
+	v := int32(r.lazy.Int63() >> 32)
+	for v > limit {
+		v = int32(r.lazy.Int63() >> 32)
+	}
+	return v % n
+}
 
 // Int63n returns a uniform value in [0, n).
-func (r *Rand) Int63n(n int64) int64 { return r.src.Int63n(n) }
+func (r *Rand) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("sim: invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 {
+		return r.lazy.Int63() & (n - 1)
+	}
+	limit := int64(1<<63 - 1 - (1<<63)%uint64(n))
+	v := r.lazy.Int63()
+	for v > limit {
+		v = r.lazy.Int63()
+	}
+	return v % n
+}
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
+// Perm returns a random permutation of [0, n). Like math/rand's, it draws
+// for i = 0 too, although that swap is always m[0] with itself.
+func (r *Rand) Perm(n int) []int {
+	m := make([]int, n)
+	for i := 0; i < n; i++ {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
+// normFloat64 returns a standard normal value by the ziggurat method.
+func (r *Rand) normFloat64() float64 {
+	for {
+		j := int32(r.uint32()) // possibly negative
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			// About 97% of draws end here.
+			return x
+		}
+		if i == 0 {
+			// The base strip's tail.
+			for {
+				x = -math.Log(r.Float64()) * (1.0 / rn)
+				y := -math.Log(r.Float64())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return rn + x
+			}
+			return -rn - x
+		}
+		if fn[i]+float32(r.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+	}
+}
+
+func absInt32(i int32) uint32 {
+	if i < 0 {
+		return uint32(-i)
+	}
+	return uint32(i)
+}
+
+// expFloat64 returns an exponential value with mean 1 by the ziggurat
+// method.
+func (r *Rand) expFloat64() float64 {
+	for {
+		j := r.uint32()
+		i := j & 0xFF
+		x := float64(j) * float64(we[i])
+		if j < ke[i] {
+			return x
+		}
+		if i == 0 {
+			return re - math.Log(r.Float64())
+		}
+		if fe[i]+float32(r.Float64())*(fe[i-1]-fe[i]) < float32(math.Exp(-x)) {
+			return x
+		}
+	}
+}
 
 // Uniform returns a value uniformly distributed in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.src.Float64()
+	return lo + (hi-lo)*r.Float64()
 }
 
 // Exp returns an exponentially distributed value with the given mean.
 // Inter-arrival times of independent noise events are modelled this way.
 func (r *Rand) Exp(mean float64) float64 {
-	return r.src.ExpFloat64() * mean
+	return r.expFloat64() * mean
 }
 
 // Normal returns a normally distributed value (mean, stddev), clamped at 0
 // from below when used for durations by callers that need non-negativity.
 func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.src.NormFloat64()
+	return mean + stddev*r.normFloat64()
 }
 
 // LogNormal returns exp(N(mu, sigma)). OS noise burst lengths are heavy
 // tailed; lognormal matches the FWQ trace shapes reported in the paper.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.src.NormFloat64())
+	return math.Exp(mu + sigma*r.normFloat64())
 }
 
 // LogNormalDist is a lognormal distribution given by its arithmetic mean
@@ -155,16 +260,16 @@ func (d LogNormalDist) Sample(r *Rand) float64 {
 // Pareto returns a Pareto(xm, alpha) sample: heavy-tailed, used for the rare
 // long noise events that dominate max-noise-length statistics.
 func (r *Rand) Pareto(xm, alpha float64) float64 {
-	u := r.src.Float64()
+	u := r.Float64()
 	for u == 0 {
-		u = r.src.Float64()
+		u = r.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
 }
 
 // Bernoulli reports true with probability p.
 func (r *Rand) Bernoulli(p float64) bool {
-	return r.src.Float64() < p
+	return r.Float64() < p
 }
 
 // DurationExp returns an exponentially distributed Duration with mean d.

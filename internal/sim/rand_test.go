@@ -244,3 +244,17 @@ func TestDeriveSeedMatchesDerive(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLogNormal is one noise interval or length draw: a lognormal
+// sample from a stream whose register is built.
+func BenchmarkLogNormal(b *testing.B) {
+	r := NewRand(1)
+	d := NewLogNormalDist(float64(time.Millisecond), 0.5)
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += d.Sample(r)
+	}
+	if sum < 0 {
+		b.Fatal("negative lognormal sum")
+	}
+}

@@ -1,16 +1,19 @@
 #!/bin/sh
 # bench-models.sh — records the model-kernel benchmarks into
 # results/BENCH_models.json: the buddy allocator (round trip and an
-# OFP-node-sized fill-then-drain), the BSP per-step noise sampler, a BSP run
-# and the Figure 7 points (go test -bench, -count 5, median ns/op), plus
+# OFP-node-sized fill-then-drain), the BSP per-step noise sampler, a BSP run,
+# the Figure 7 points, one Fugaku node's noise timeline (Linux and McKernel)
+# and one lognormal draw (go test -bench, 5 runs, median ns/op), plus
 # `repro -quick` wall time at -j 1 and -j 2 and `go test ./internal/core`
 # wall time (3 runs each, median).
 #
 # With BASE set to another checkout (for example the parent commit, made
-# with `git archive`), the same measurements run there first and are
+# with `git archive`), the same measurements run there too and are
 # recorded as "before", the speedups are computed, and the script fails
 # unless both trees' `repro -quick -metrics` outdirs are byte-identical at
 # -j 1 and at -j 2. The benchmarks must exist in BASE under the same names.
+# The two trees take turns, round by round and in alternating order, so a
+# change in the host's load over the run falls on both sides alike.
 #
 # Usage: scripts/bench-models.sh
 #   OUT=results/BENCH_models.json BASE=/path/to/parent-checkout
@@ -24,42 +27,66 @@ REPEAT=3
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-ROOT_BENCH='^Benchmark(BuddyAllocFree|BuddyFillDrain|BSPStep|Figure7)$'
-BSP_BENCH='^BenchmarkStepNoise$'
+# The benchmarks, one "<package> <-bench regexp>" line per package.
+BENCHES='. ^Benchmark(BuddyAllocFree|BuddyFillDrain|BSPStep|Figure7)$
+./internal/bsp ^BenchmarkStepNoise$
+./internal/noise ^BenchmarkGeneratorNode$
+./internal/sim ^BenchmarkLogNormal$'
 
 now() { date +%s.%N; }
 since() { awk "BEGIN { printf \"%.2f\", $(now) - $1 }"; }
 median() { printf '%s\n' "$@" | sort -g | awk '{ a[NR] = $1 } END {
   if (NR % 2) print a[(NR + 1) / 2]; else printf "%.2f\n", (a[NR / 2] + a[NR / 2 + 1]) / 2 }'; }
 
-# measure DIR LABEL: go test -bench output in $TMP/LABEL.bench, timings in
-# $TMP/LABEL.times as "name seconds" lines, repro outdirs in $TMP/LABEL-jN.
-measure() {
-  dir=$1
-  label=$2
-  echo "[$label] benchmarks in $dir (-count $COUNT)..."
-  (cd "$dir" && $GO test -run '^$' -bench "$ROOT_BENCH" -benchmem -count "$COUNT" . &&
-    $GO test -run '^$' -bench "$BSP_BENCH" -benchmem -count "$COUNT" ./internal/bsp/) >"$TMP/$label.bench"
-  (cd "$dir" && $GO build -o "$TMP/repro-$label" ./cmd/repro)
-  : >"$TMP/$label.times"
-  for j in 1 2; do
-    i=0
-    while [ "$i" -lt "$REPEAT" ]; do
-      echo "[$label] repro -quick -j $j, run $((i + 1))/$REPEAT..."
-      rm -rf "$TMP/$label-j$j"
-      mkdir -p "$TMP/$label-j$j"
-      t0=$(now)
-      "$TMP/repro-$label" -quick -j "$j" -outdir "$TMP/$label-j$j" -metrics "$TMP/$label-j$j/metrics.txt" >/dev/null 2>&1
-      echo "repro_j$j $(since "$t0")" >>"$TMP/$label.times"
-      i=$((i + 1))
-    done
+# binname PKG: the file name of PKG's test binary.
+binname() { echo "$1" | tr ./ __; }
+
+# build DIR LABEL: DIR's benchmark test binaries and repro binary, in $TMP.
+build() {
+  echo "[$2] building in $1..."
+  echo "$BENCHES" | while read -r pkg re; do
+    (cd "$1" && $GO test -c -o "$TMP/$2-$(binname "$pkg").test" "$pkg")
   done
-  i=0
-  while [ "$i" -lt "$REPEAT" ]; do
-    echo "[$label] go test ./internal/core, run $((i + 1))/$REPEAT..."
+  (cd "$1" && $GO build -o "$TMP/repro-$2" ./cmd/repro)
+}
+
+# bench_round DIR LABEL: one -count 1 pass of every benchmark, appended to
+# $TMP/LABEL.bench.
+bench_round() {
+  echo "[$2] benchmarks in $1..."
+  echo "$BENCHES" | while read -r pkg re; do
+    (cd "$1/$pkg" && "$TMP/$2-$(binname "$pkg").test" -test.run '^$' -test.bench "$re" -test.benchmem -test.count 1)
+  done >>"$TMP/$2.bench"
+}
+
+# times_round DIR LABEL: one timed repro -quick at -j 1 and at -j 2 and one
+# go test ./internal/core, appended to $TMP/LABEL.times as "name seconds"
+# lines; the repro outdirs are left in $TMP/LABEL-jN.
+times_round() {
+  for j in 1 2; do
+    echo "[$2] repro -quick -j $j..."
+    rm -rf "$TMP/$2-j$j"
+    mkdir -p "$TMP/$2-j$j"
     t0=$(now)
-    (cd "$dir" && $GO test -count=1 ./internal/core >/dev/null)
-    echo "core_test $(since "$t0")" >>"$TMP/$label.times"
+    "$TMP/repro-$2" -quick -j "$j" -outdir "$TMP/$2-j$j" -metrics "$TMP/$2-j$j/metrics.txt" >/dev/null 2>&1
+    echo "repro_j$j $(since "$t0")" >>"$TMP/$2.times"
+  done
+  echo "[$2] go test ./internal/core..."
+  t0=$(now)
+  (cd "$1" && $GO test -count=1 ./internal/core >/dev/null)
+  echo "core_test $(since "$t0")" >>"$TMP/$2.times"
+}
+
+# rounds N STEP: N rounds of STEP over the trees, the order of the trees
+# reversed every other round.
+rounds() {
+  i=0
+  while [ "$i" -lt "$1" ]; do
+    order=$LABELS
+    if [ $((i % 2)) = 1 ]; then order=$(echo "$LABELS" | awk '{ for (k = NF; k > 0; k--) printf "%s ", $k }'); fi
+    for label in $order; do
+      "$2" "$(dir_of "$label")" "$label"
+    done
     i=$((i + 1))
   done
 }
@@ -111,10 +138,18 @@ ratio() {
   awk "BEGIN { printf \"%.2f\", $(median $(values before "$1")) / $(median $(values after "$1")) }"
 }
 
+LABELS=after
 if [ -n "$BASE" ]; then
-  measure "$BASE" before
+  LABELS="before after"
 fi
-measure . after
+dir_of() { if [ "$1" = before ]; then echo "$BASE"; else echo .; fi; }
+for label in $LABELS; do
+  build "$(dir_of "$label")" "$label"
+  : >"$TMP/$label.bench"
+  : >"$TMP/$label.times"
+done
+rounds "$COUNT" bench_round
+rounds "$REPEAT" times_round
 
 if [ -n "$BASE" ]; then
   for j in 1 2; do
@@ -129,7 +164,7 @@ fi
 mkdir -p "$(dirname "$OUT")"
 {
   echo "{"
-  echo "  \"note\": \"Model-kernel benchmarks: go test -bench medians over -count $COUNT (ns/op, B/op, allocs/op), and wall-time medians over $REPEAT runs of repro -quick at -j 1/-j 2 and of go test -count=1 ./internal/core. Speedups are before/after medians. Regenerate with 'make bench-models' (BASE=<parent checkout> for the before side).\","
+  echo "  \"note\": \"Model-kernel benchmarks: go test -bench medians over $COUNT rounds of -count 1 (ns/op, B/op, allocs/op), and wall-time medians over $REPEAT rounds of repro -quick at -j 1/-j 2 and of go test -count=1 ./internal/core; with a before side the two trees alternate round by round. Speedups are before/after medians. Regenerate with 'make bench-models' (BASE=<parent checkout> for the before side).\","
   echo "  \"recorded\": \"$(date -u +%Y-%m-%d)\","
   echo "  \"host\": {\"goos\": \"$($GO env GOOS)\", \"goarch\": \"$($GO env GOARCH)\", \"cores\": $(getconf _NPROCESSORS_ONLN), \"go\": \"$($GO env GOVERSION)\"},"
   if [ -n "$BASE" ]; then
