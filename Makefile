@@ -2,7 +2,7 @@ GO ?= go
 J ?= 0
 SWEEP_SPEC ?= specs/ci-sweep.json
 
-.PHONY: all build fmt vet lint lint-fix lint-fix-clean test race check determinism sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard bench-models
+.PHONY: all build fmt vet lint lint-fix lint-fix-clean deadcode bench-roots test race check determinism sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard bench-models
 
 all: check
 
@@ -39,6 +39,18 @@ lint-fix:
 lint-fix-clean:
 	$(GO) run ./cmd/simlint -fix ./... || true
 	git diff --exit-code
+
+# deadcode fails on any non-test function in internal/, cmd/ or examples/
+# that no root links (every cmd/* and examples/* binary, _perfbench, and
+# the root package's benchmarks) unless scripts/deadcode.allow lists it
+# with the reason it is kept.
+deadcode:
+	sh scripts/deadcode.sh
+
+# bench-roots runs each ablation, isolation and MPI benchmark in
+# bench_test.go once, so the code only they reach executes under CI.
+bench-roots:
+	$(GO) test -run '^$$' -bench 'Ablation|IsolationColocation|MPICollectives' -benchtime 1x .
 
 test:
 	$(GO) test ./...
@@ -171,7 +183,8 @@ determinism:
 	cmp /tmp/mkos-det-fig4.txt results/figure4.txt
 	@echo "Figure 4 byte-identical to results/figure4.txt"
 
-# check is what CI runs: formatting, vet, the simlint invariant gate,
-# build, the full suite under the race detector, the determinism gates,
-# and the daemon chaos/load gates.
-check: fmt vet lint build race determinism sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism
+# check is what CI runs: formatting, vet, the simlint invariant gate, the
+# reachability gate, build, one run of the benchmark roots, the full suite
+# under the race detector, the determinism gates, and the daemon
+# chaos/load gates.
+check: fmt vet lint deadcode build bench-roots race determinism sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -86,12 +87,22 @@ func main() {
 	}
 	o.MergeTelemetry(sink)
 
-	fmt.Printf("fault-injection sweep: %s, %d jobs/point x %d nodes, seed %d\n",
-		p.Name, *jobs, *nodes, *seed)
-	fmt.Printf("policy: %+v\n\n", cluster.DefaultRecoveryPolicy())
+	// Stdout is buffered and its Flush checked, so a write that fails (a
+	// full disk, a closed pipe) exits 1 instead of leaving truncated output
+	// behind a 0 exit.
+	out := bufio.NewWriter(os.Stdout)
+	flushOut := func() {
+		if err := out.Flush(); err != nil {
+			log.Fatal(err)
+		}
+	}
 
-	fmt.Printf("%-9s | %-42s | %-30s\n", "intensity", "mckernel", "linux")
-	fmt.Printf("%-9s | %4s %4s %4s %5s %8s %9s | %4s %4s %5s %8s\n",
+	fmt.Fprintf(out, "fault-injection sweep: %s, %d jobs/point x %d nodes, seed %d\n",
+		p.Name, *jobs, *nodes, *seed)
+	fmt.Fprintf(out, "policy: %+v\n\n", cluster.DefaultRecoveryPolicy())
+
+	fmt.Fprintf(out, "%-9s | %-42s | %-30s\n", "intensity", "mckernel", "linux")
+	fmt.Fprintf(out, "%-9s | %4s %4s %4s %5s %8s %9s | %4s %4s %5s %8s\n",
 		"(x base)", "done", "fb", "fail", "retry", "detect", "waste", "done", "fail", "retry", "waste")
 	var heaviest *campaigns.FaultPointResult
 	for _, k := range intensities {
@@ -110,7 +121,7 @@ func main() {
 		point("mckernel", &mck)
 		point("linux", &lin)
 		mr, lr := mck.Report, lin.Report
-		fmt.Printf("%-9.2g | %4d %4d %4d %5d %7.2fs %8.1fs | %4d %4d %5d %7.1fs\n",
+		fmt.Fprintf(out, "%-9.2g | %4d %4d %4d %5d %7.2fs %8.1fs | %4d %4d %5d %7.1fs\n",
 			k,
 			mr.Completed, mr.Fallbacks, mr.Failed, mr.Retries,
 			mr.MeanDetectionLatency().Seconds(), mr.WastedNodeSeconds,
@@ -118,17 +129,18 @@ func main() {
 		heaviest = &mck
 	}
 
-	fmt.Println()
-	fmt.Println("columns: done = jobs completed, fb = completed only after graceful")
-	fmt.Println("degradation to native Linux, fail = terminal failures, retry = re-run")
-	fmt.Println("attempts, detect = mean failure-detection latency, waste = node-seconds")
-	fmt.Println("burned in failed attempts (detected at the watchdog, not at job end).")
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "columns: done = jobs completed, fb = completed only after graceful")
+	fmt.Fprintln(out, "degradation to native Linux, fail = terminal failures, retry = re-run")
+	fmt.Fprintln(out, "attempts, detect = mean failure-detection latency, waste = node-seconds")
+	fmt.Fprintln(out, "burned in failed attempts (detected at the watchdog, not at job end).")
 
 	if *report && heaviest != nil {
-		fmt.Println()
-		fmt.Printf("failure report, heaviest McKernel point (%gx base rates):\n", intensities[len(intensities)-1])
-		fmt.Print(heaviest.Text)
+		fmt.Fprintln(out)
+		fmt.Fprintf(out, "failure report, heaviest McKernel point (%gx base rates):\n", intensities[len(intensities)-1])
+		fmt.Fprint(out, heaviest.Text)
 	}
+	flushOut()
 
 	for _, w := range []struct {
 		path string

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -34,7 +35,7 @@ type machineOpts struct {
 // re-run of the selected nodes. The -out artifact is deterministic — byte
 // identical at any -shards value; wall-clock numbers and the -ops-metrics
 // exposition are the only places the shard count may show.
-func runMachine(ctx context.Context, p *cluster.Platform, kind cluster.OSKind, o machineOpts) {
+func runMachine(ctx context.Context, out io.Writer, p *cluster.Platform, kind cluster.OSKind, o machineOpts) {
 	cfg, err := p.MachineFWQ(kind, o.nodes,
 		time.Duration(o.workUS*float64(time.Microsecond)),
 		time.Duration(o.minutes*float64(time.Minute)),
@@ -64,23 +65,23 @@ func runMachine(ctx context.Context, p *cluster.Platform, kind cluster.OSKind, o
 		log.Fatal(err)
 	}
 
-	fmt.Printf("FWQ full-machine on %s/%s: %d nodes, %d shards, quantum %v, duration %v\n",
+	fmt.Fprintf(out, "FWQ full-machine on %s/%s: %d nodes, %d shards, quantum %v, duration %v\n",
 		p.Name, kind, res.Nodes, o.shards, cfg.Work, cfg.Duration)
-	fmt.Printf("  wall time         %v\n", wall.Round(time.Millisecond))
-	fmt.Printf("  windows           %d\n", res.Windows)
-	fmt.Printf("  cross-shard msgs  %d of %d\n", sres.Stats.CrossMessages, sres.Stats.Messages)
-	fmt.Printf("  iterations        %d\n", res.Summary.N)
-	fmt.Printf("  Tmin              %v\n", time.Duration(res.Summary.TminNS))
-	fmt.Printf("  Tmax              %v\n", time.Duration(res.Summary.TmaxNS))
-	fmt.Printf("  max noise length  %v\n", time.Duration(res.Summary.MaxNoiseNS))
-	fmt.Printf("  noise rate (Eq.2) %.3g\n", res.Summary.Rate)
-	fmt.Printf("  worst %d nodes (by total noise):\n", len(res.Worst))
+	fmt.Fprintf(out, "  wall time         %v\n", wall.Round(time.Millisecond))
+	fmt.Fprintf(out, "  windows           %d\n", res.Windows)
+	fmt.Fprintf(out, "  cross-shard msgs  %d of %d\n", sres.Stats.CrossMessages, sres.Stats.Messages)
+	fmt.Fprintf(out, "  iterations        %d\n", res.Summary.N)
+	fmt.Fprintf(out, "  Tmin              %v\n", time.Duration(res.Summary.TminNS))
+	fmt.Fprintf(out, "  Tmax              %v\n", time.Duration(res.Summary.TmaxNS))
+	fmt.Fprintf(out, "  max noise length  %v\n", time.Duration(res.Summary.MaxNoiseNS))
+	fmt.Fprintf(out, "  noise rate (Eq.2) %.3g\n", res.Summary.Rate)
+	fmt.Fprintf(out, "  worst %d nodes (by total noise):\n", len(res.Worst))
 	for i, w := range res.Worst {
 		if i >= 10 && !o.perNode {
-			fmt.Printf("    ... %d more (see -out)\n", len(res.Worst)-i)
+			fmt.Fprintf(out, "    ... %d more (see -out)\n", len(res.Worst)-i)
 			break
 		}
-		fmt.Printf("    node %6d  total=%v max=%v p99=%v\n",
+		fmt.Fprintf(out, "    node %6d  total=%v max=%v p99=%v\n",
 			w.Node, time.Duration(w.Digest.TotalNoiseNS),
 			time.Duration(w.Digest.MaxNoiseNS), time.Duration(w.P99NS))
 	}
@@ -93,7 +94,7 @@ func runMachine(ctx context.Context, p *cluster.Platform, kind cluster.OSKind, o
 		if err := os.WriteFile(o.outFile, append(blob, '\n'), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  result written to %s\n", o.outFile)
+		fmt.Fprintf(out, "  result written to %s\n", o.outFile)
 	}
 	if o.opsFile != "" {
 		f, err := os.Create(o.opsFile)
@@ -106,6 +107,6 @@ func runMachine(ctx context.Context, p *cluster.Platform, kind cluster.OSKind, o
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  ops metrics written to %s\n", o.opsFile)
+		fmt.Fprintf(out, "  ops metrics written to %s\n", o.opsFile)
 	}
 }

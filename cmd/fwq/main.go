@@ -9,10 +9,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -41,6 +43,15 @@ func main() {
 	outFile := flag.String("out", "", "sharded mode: write the deterministic machine result JSON here")
 	opsFile := flag.String("ops-metrics", "", "sharded mode: write runner ops metrics (Prometheus text) here")
 	flag.Parse()
+	// Stdout is buffered and its Flush checked, so a write that fails (a
+	// full disk, a closed pipe) exits 1 instead of leaving truncated output
+	// behind a 0 exit.
+	out := bufio.NewWriter(os.Stdout)
+	flushOut := func() {
+		if err := out.Flush(); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	var p *cluster.Platform
 	switch *platform {
@@ -67,11 +78,12 @@ func main() {
 	ctx, stop := sweep.SignalContext(context.Background(), os.Stderr)
 	defer stop()
 	if *shards > 0 {
-		runMachine(ctx, p, kind, machineOpts{
+		runMachine(ctx, out, p, kind, machineOpts{
 			nodes: *nodes, minutes: *minutes, workUS: *workUS, seed: *seed,
 			shards: *shards, worst: *worst, coresPer: *coresPer,
 			perNode: *perNode, outFile: *outFile, opsFile: *opsFile,
 		})
+		flushOut()
 		return
 	}
 	node, err := p.NewNode(kind)
@@ -79,7 +91,8 @@ func main() {
 		log.Fatal(err)
 	}
 	if *ftq {
-		runFTQ(p, kind, node, *workUS, *minutes, *seed)
+		runFTQ(out, p, kind, node, *workUS, *minutes, *seed)
+		flushOut()
 		return
 	}
 	cfg := apps.FWQConfig{
@@ -98,7 +111,7 @@ func main() {
 	}
 	if *perNode {
 		for i, a := range analyses {
-			fmt.Printf("node %4d: iters=%d Tmin=%v Tmax=%v max_noise=%v rate=%.3g\n",
+			fmt.Fprintf(out, "node %4d: iters=%d Tmin=%v Tmax=%v max_noise=%v rate=%.3g\n",
 				i, a.N, a.Tmin, a.Tmax, a.MaxNoise, a.Rate)
 		}
 	}
@@ -106,23 +119,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("FWQ on %s/%s: %d node(s), %d cores/node, quantum %v, duration %v\n",
+	fmt.Fprintf(out, "FWQ on %s/%s: %d node(s), %d cores/node, quantum %v, duration %v\n",
 		p.Name, kind, len(analyses), len(cfg.Cores), cfg.Work, cfg.Duration)
 	if interrupted {
-		fmt.Printf("  (interrupted: %d of %d nodes measured)\n", len(analyses), *nodes)
+		fmt.Fprintf(out, "  (interrupted: %d of %d nodes measured)\n", len(analyses), *nodes)
 	}
-	fmt.Printf("  iterations        %d\n", m.N)
-	fmt.Printf("  Tmin              %v\n", m.Tmin)
-	fmt.Printf("  Tmax              %v\n", m.Tmax)
-	fmt.Printf("  max noise length  %v\n", m.MaxNoise)
-	fmt.Printf("  noise rate (Eq.2) %.3g\n", m.Rate)
+	fmt.Fprintf(out, "  iterations        %d\n", m.N)
+	fmt.Fprintf(out, "  Tmin              %v\n", m.Tmin)
+	fmt.Fprintf(out, "  Tmax              %v\n", m.Tmax)
+	fmt.Fprintf(out, "  max noise length  %v\n", m.MaxNoise)
+	fmt.Fprintf(out, "  noise rate (Eq.2) %.3g\n", m.Rate)
+	flushOut()
 	if interrupted {
 		os.Exit(130)
 	}
 }
 
 // runFTQ executes the fixed-time-quanta companion benchmark.
-func runFTQ(p *cluster.Platform, kind cluster.OSKind, node *cluster.Node, quantumUS, minutes float64, seed int64) {
+func runFTQ(out io.Writer, p *cluster.Platform, kind cluster.OSKind, node *cluster.Node, quantumUS, minutes float64, seed int64) {
 	cfg := apps.FTQConfig{
 		Quantum:  time.Duration(quantumUS * float64(time.Microsecond)),
 		UnitWork: time.Microsecond,
@@ -138,13 +152,13 @@ func runFTQ(p *cluster.Platform, kind cluster.OSKind, node *cluster.Node, quantu
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("FTQ on %s/%s: %d cores, quantum %v, unit %v, duration %v\n",
+	fmt.Fprintf(out, "FTQ on %s/%s: %d cores, quantum %v, unit %v, duration %v\n",
 		p.Name, kind, len(cfg.Cores), cfg.Quantum, cfg.UnitWork, cfg.Duration)
-	fmt.Printf("  quanta            %d\n", a.N)
-	fmt.Printf("  max work units    %d\n", a.MaxCount)
-	fmt.Printf("  min work units    %d\n", a.MinCount)
-	fmt.Printf("  max loss          %v\n", a.MaxLoss)
-	fmt.Printf("  loss rate         %.3g\n", a.LossRate)
+	fmt.Fprintf(out, "  quanta            %d\n", a.N)
+	fmt.Fprintf(out, "  max work units    %d\n", a.MaxCount)
+	fmt.Fprintf(out, "  min work units    %d\n", a.MinCount)
+	fmt.Fprintf(out, "  max loss          %v\n", a.MaxLoss)
+	fmt.Fprintf(out, "  loss rate         %.3g\n", a.LossRate)
 }
 
 // simRand builds the seeded generator the FTQ path uses.

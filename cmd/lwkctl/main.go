@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -33,6 +34,15 @@ func main() {
 	memGB := flag.Int64("mem-gb", 2, "memory to reserve per NUMA domain, GiB")
 	spawn := flag.String("spawn", "a.out:4", "process to spawn as name:threads")
 	flag.Parse()
+	// Stdout is buffered and its Flush checked, so a write that fails (a
+	// full disk, a closed pipe) exits 1 instead of leaving truncated output
+	// behind a 0 exit.
+	out := bufio.NewWriter(os.Stdout)
+	flushOut := func() {
+		if err := out.Flush(); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	var p *cluster.Platform
 	switch *platform {
@@ -48,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("host linux booted: %s, %d cores (%d app + %d assistant)\n",
+	fmt.Fprintf(out, "host linux booted: %s, %d cores (%d app + %d assistant)\n",
 		host.Name(), host.Topo.NumCores(), len(host.Topo.AppCores()), len(host.Topo.AssistantCores()))
 
 	mgr := ihk.NewManager(host)
@@ -81,6 +91,7 @@ func main() {
 				log.Printf("release cpus: %v", err)
 			}
 		}
+		flushOut()
 		os.Exit(130)
 	}
 
@@ -96,7 +107,7 @@ func main() {
 	if err := mgr.ReserveMemory(*memGB << 30); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ihk: reserved cpus %v (%d), %d GiB total\n",
+	fmt.Fprintf(out, "ihk: reserved cpus %v (%d), %d GiB total\n",
 		compact(mgr.ReservedCPUs()), n, mgr.ReservedMemoryBytes()>>30)
 
 	checkpoint("LWK boot")
@@ -108,7 +119,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("mckernel: booted (%s), %d MiB LWK-managed memory\n",
+	fmt.Fprintf(out, "mckernel: booted (%s), %d MiB LWK-managed memory\n",
 		lwk.Name(), lwk.LWKMem.TotalBytes()>>20)
 
 	checkpoint("process spawn")
@@ -120,19 +131,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("spawned pid %d (%s) with %d threads; proxy on linux cores %s\n",
+	fmt.Fprintf(out, "spawned pid %d (%s) with %d threads; proxy on linux cores %s\n",
 		proc.PID, proc.Name, len(proc.Threads), proc.Proxy().Task.Affinity)
 
-	fmt.Printf("\nstatus:\n")
-	fmt.Printf("  booted            %v\n", mgr.Booted())
-	fmt.Printf("  lwk cores         %d\n", len(part.Cores))
-	fmt.Printf("  lwk memory        %d MiB (%d MiB allocated)\n",
+	fmt.Fprintf(out, "\nstatus:\n")
+	fmt.Fprintf(out, "  booted            %v\n", mgr.Booted())
+	fmt.Fprintf(out, "  lwk cores         %d\n", len(part.Cores))
+	fmt.Fprintf(out, "  lwk memory        %d MiB (%d MiB allocated)\n",
 		lwk.LWKMem.TotalBytes()>>20, lwk.LWKMem.AllocatedBytes()>>20)
-	fmt.Printf("  syscall mmap      %v (linux: %v)\n",
+	fmt.Fprintf(out, "  syscall mmap      %v (linux: %v)\n",
 		lwk.SyscallCost(kernel.SysMmap), host.SyscallCosts().Cost(kernel.SysMmap))
-	fmt.Printf("  syscall open      %v (linux: %v)\n",
+	fmt.Fprintf(out, "  syscall open      %v (linux: %v)\n",
 		lwk.SyscallCost(kernel.SysOpen), host.SyscallCosts().Cost(kernel.SysOpen))
-	fmt.Printf("  ikc messages      %d\n", lwk.IKC.Messages())
+	fmt.Fprintf(out, "  ikc messages      %d\n", lwk.IKC.Messages())
 
 	if err := lwk.Exit(proc, 0); err != nil {
 		log.Fatal(err)
@@ -146,7 +157,8 @@ func main() {
 	if err := mgr.ReleaseCPUs(mgr.ReservedCPUs()); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nshutdown complete; all resources returned to linux\n")
+	fmt.Fprintf(out, "\nshutdown complete; all resources returned to linux\n")
+	flushOut()
 }
 
 // parseSpawn splits "name:threads".

@@ -23,13 +23,6 @@ const (
 	TCSIntegrated
 )
 
-func (i Integration) String() string {
-	if i == TCSIntegrated {
-		return "tcs-integrated"
-	}
-	return "prologue-epilogue"
-}
-
 // JobState tracks a submission's lifecycle.
 type JobState int
 

@@ -23,9 +23,6 @@ func TestJobSchedulerIntegrationStyles(t *testing.T) {
 	if NewJobScheduler(Fugaku()).Integration != TCSIntegrated {
 		t.Fatal("Fugaku uses tight TCS integration (Sec. 5.1)")
 	}
-	if PrologueEpilogue.String() == "" || TCSIntegrated.String() == "" {
-		t.Fatal("empty integration names")
-	}
 }
 
 func TestJobLifecycle(t *testing.T) {

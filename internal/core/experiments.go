@@ -232,20 +232,6 @@ func Table2Variant(cfg Table2Config, disabled string, sink *telemetry.Sink) (Tab
 	}, nil
 }
 
-// Table2 reruns the FWQ experiment once per countermeasure, disabling one at
-// a time (plus the all-enabled baseline), exactly like Sec. 6.3.
-func Table2(cfg Table2Config, sink *telemetry.Sink) ([]Table2Row, error) {
-	var rows []Table2Row
-	for _, name := range Table2Variants() {
-		row, err := Table2Variant(cfg, name, sink)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // --- Figure 4: FWQ latency CDFs -------------------------------------------
 
 // CDFCurve is one curve of Figure 4. The distribution is held in compressed

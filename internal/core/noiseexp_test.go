@@ -13,9 +13,15 @@ func TestTable2Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("FWQ sweep")
 	}
-	rows, err := Table2(Table2Config{Nodes: 2, Duration: 30 * time.Second, Seed: 11}, nil)
-	if err != nil {
-		t.Fatal(err)
+	// One row per countermeasure, disabling one at a time plus the
+	// all-enabled baseline, as the Table 2 campaign runs them.
+	var rows []Table2Row
+	for _, name := range Table2Variants() {
+		row, err := Table2Variant(Table2Config{Nodes: 2, Duration: 30 * time.Second, Seed: 11}, name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6 (Table 2)", len(rows))

@@ -94,9 +94,6 @@ func (s *SectorCache) Partition(sysWays int) error {
 	return nil
 }
 
-// Enabled reports whether partitioning is active.
-func (s *SectorCache) Enabled() bool { return s.enabled }
-
 // AppInterferenceFactor returns the multiplicative slowdown application
 // memory phases suffer from concurrent OS cache pollution. With partitioning
 // enabled the OS cannot touch application ways and the factor is 1.

@@ -61,49 +61,6 @@ func (c TLBConfig) TranslationOverhead(workingSet, pageSize int64, accessPeriod 
 	return mr * float64(c.PageWalk) / float64(accessPeriod)
 }
 
-// TLB is the per-core dynamic TLB state used by the kernel models to account
-// invalidation traffic. Entry bookkeeping is statistical (entry counts, not a
-// full content-addressable simulation): what the experiments need is the
-// cost and reach of flushes, not per-address hit tracking.
-type TLB struct {
-	Config  TLBConfig
-	resided int // live entries (saturating at L2Entries)
-
-	LocalFlushes     uint64 // flushes affecting only this core
-	ReceivedFlushes  uint64 // broadcast or IPI flushes from other cores
-	StallFromRemotes time.Duration
-}
-
-// NewTLB returns a TLB with the given configuration.
-func NewTLB(cfg TLBConfig) *TLB {
-	return &TLB{Config: cfg}
-}
-
-// Resident returns the number of live entries.
-func (t *TLB) Resident() int { return t.resided }
-
-// Fill records n translations being cached.
-func (t *TLB) Fill(n int) {
-	t.resided += n
-	if t.resided > t.Config.L2Entries {
-		t.resided = t.Config.L2Entries
-	}
-}
-
-// FlushLocal invalidates this core's entries only.
-func (t *TLB) FlushLocal() {
-	t.resided = 0
-	t.LocalFlushes++
-}
-
-// ReceiveRemoteFlush records a flush initiated by another core reaching this
-// one (broadcast TLBI or shootdown IPI) and the stall it caused.
-func (t *TLB) ReceiveRemoteFlush(stall time.Duration) {
-	t.resided = 0
-	t.ReceivedFlushes++
-	t.StallFromRemotes += stall
-}
-
 // ShootdownMethod selects how the OS invalidates remote TLB entries.
 type ShootdownMethod int
 

@@ -103,12 +103,6 @@ type Rates struct {
 	LWKOOMProb float64
 }
 
-// Zero reports whether no fault can ever fire.
-func (r Rates) Zero() bool {
-	return r.NodeCrashPerHour == 0 && r.LWKPanicPerHour == 0 && r.LWKHangPerHour == 0 &&
-		r.IHKReserveFailProb == 0 && r.IKCTimeoutProb == 0 && r.LWKOOMProb == 0
-}
-
 // Fault is one injected failure: kind, victim node, and offset from the
 // attempt's run start.
 type Fault struct {

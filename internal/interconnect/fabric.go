@@ -1,8 +1,8 @@
 // Package interconnect models the two fabrics of the study — Fujitsu TofuD
 // (Fugaku, a 6-D torus with hardware collectives) and Intel Omni-Path
 // (Oakforest-PACS, a fat tree) — at the level application results depend on:
-// point-to-point latency/bandwidth, barrier and allreduce scaling with node
-// count, and RDMA memory-registration bookkeeping (STAGs on Tofu).
+// point-to-point latency/bandwidth, and barrier and allreduce scaling with
+// node count.
 package interconnect
 
 import (
@@ -151,41 +151,6 @@ func (f *Fabric) HaloExchange(bytesPerFace int64, faces int, n int) (time.Durati
 	// Neighbour faces proceed mostly in parallel; charge two serialized
 	// rounds (send+receive) regardless of face count, plus wire time for
 	// the extra faces sharing the NIC.
-	extra := time.Duration(float64(bytesPerFace)*float64(faces-1)/f.Bandwidth) * time.Nanosecond
-	_ = extra
 	wireAll := time.Duration(float64(bytesPerFace) * float64(faces-1) / f.Bandwidth * 1e9)
 	return 2*p2p + wireAll, nil
 }
-
-// STAGTable tracks RDMA memory registrations (Tofu STAGs / verbs MRs).
-type STAGTable struct {
-	next int
-	live map[int]int64 // stag -> bytes
-}
-
-// NewSTAGTable returns an empty registration table.
-func NewSTAGTable() *STAGTable {
-	return &STAGTable{live: make(map[int]int64)}
-}
-
-// Register records a region and returns its STAG.
-func (t *STAGTable) Register(bytes int64) (int, error) {
-	if bytes <= 0 {
-		return 0, fmt.Errorf("%w: register %d bytes", ErrBadTransfer, bytes)
-	}
-	t.next++
-	t.live[t.next] = bytes
-	return t.next, nil
-}
-
-// Deregister removes a registration.
-func (t *STAGTable) Deregister(stag int) error {
-	if _, ok := t.live[stag]; !ok {
-		return fmt.Errorf("interconnect: unknown STAG %d", stag)
-	}
-	delete(t.live, stag)
-	return nil
-}
-
-// Live returns the number of active registrations.
-func (t *STAGTable) Live() int { return len(t.live) }

@@ -111,33 +111,6 @@ func TestHaloExchange(t *testing.T) {
 	}
 }
 
-func TestSTAGTable(t *testing.T) {
-	tbl := NewSTAGTable()
-	s1, err := tbl.Register(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := tbl.Register(2 << 20)
-	if s1 == s2 {
-		t.Fatal("STAGs must be unique")
-	}
-	if tbl.Live() != 2 {
-		t.Fatalf("live = %d", tbl.Live())
-	}
-	if err := tbl.Deregister(s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Deregister(s1); err == nil {
-		t.Fatal("double deregister must fail")
-	}
-	if _, err := tbl.Register(0); err == nil {
-		t.Fatal("zero-byte registration must fail")
-	}
-	if tbl.Live() != 1 {
-		t.Fatalf("live = %d", tbl.Live())
-	}
-}
-
 func TestFabricLatencyRegimes(t *testing.T) {
 	// Sanity: microsecond-class small messages on both fabrics.
 	for _, f := range []*Fabric{TofuD(), OmniPath()} {

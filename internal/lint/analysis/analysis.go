@@ -39,7 +39,7 @@ type Analyzer struct {
 }
 
 // Fact is a piece of analyzer-scoped information attached to an object
-// or a package and visible to later passes of the same analyzer over
+// and visible to later passes of the same analyzer over
 // importing packages. Implementations are pointer types; AFact is a
 // marker with no behavior, exactly as in x/tools/go/analysis.
 type Fact interface{ AFact() }
@@ -94,17 +94,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 // reporting whether one was found.
 func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	return p.facts.importObject(p.Analyzer, obj, ptr)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.exportPackage(p.Analyzer, p.Pkg, fact)
-}
-
-// ImportPackageFact copies the fact of ptr's concrete type previously
-// exported for pkg into ptr, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	return p.facts.importPackage(p.Analyzer, pkg, ptr)
 }
 
 // TextEdit replaces the source range [Pos, End) with NewText. End may

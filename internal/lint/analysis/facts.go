@@ -14,7 +14,6 @@ import (
 // the same object an importing package's pass resolves.
 type factStore struct {
 	obj map[objFactKey]Fact
-	pkg map[pkgFactKey]Fact
 }
 
 type objFactKey struct {
@@ -23,14 +22,8 @@ type objFactKey struct {
 	typ      reflect.Type
 }
 
-type pkgFactKey struct {
-	analyzer *Analyzer
-	path     string
-	typ      reflect.Type
-}
-
 func newFactStore() *factStore {
-	return &factStore{obj: map[objFactKey]Fact{}, pkg: map[pkgFactKey]Fact{}}
+	return &factStore{obj: map[objFactKey]Fact{}}
 }
 
 // factType validates that fact is a non-nil pointer and returns its
@@ -55,22 +48,6 @@ func (s *factStore) importObject(a *Analyzer, obj types.Object, ptr Fact) bool {
 		return false
 	}
 	got, ok := s.obj[objFactKey{a, obj, factType(ptr)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(got).Elem())
-	return true
-}
-
-func (s *factStore) exportPackage(a *Analyzer, pkg *types.Package, fact Fact) {
-	s.pkg[pkgFactKey{a, pkg.Path(), factType(fact)}] = fact
-}
-
-func (s *factStore) importPackage(a *Analyzer, pkg *types.Package, ptr Fact) bool {
-	if pkg == nil {
-		return false
-	}
-	got, ok := s.pkg[pkgFactKey{a, pkg.Path(), factType(ptr)}]
 	if !ok {
 		return false
 	}

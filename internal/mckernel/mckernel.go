@@ -167,16 +167,6 @@ func (in *Instance) SyscallCost(sc kernel.Syscall) time.Duration {
 	return in.IKC.RoundTrip() + in.Host.SyscallCosts().Cost(sc)
 }
 
-// SyscallCosts returns the full cost table (used by reports/benchmarks).
-func (in *Instance) SyscallCosts() kernel.CostTable {
-	t := make(kernel.CostTable, kernel.NumSyscalls())
-	for i := 0; i < kernel.NumSyscalls(); i++ {
-		sc := kernel.Syscall(i)
-		t[sc] = in.SyscallCost(sc)
-	}
-	return t
-}
-
 // PageFaultCost is McKernel's fault service time. The LWK's flat memory
 // manager resolves faults faster than Linux; with PremapMemory most
 // application faults never happen at all (cost charged at mmap time).

@@ -92,15 +92,6 @@ func (s *Scheduler) Add(t *Thread) error {
 	return nil
 }
 
-// Pick returns the next ready thread on a core without removing it, or nil.
-func (s *Scheduler) Pick(core int) *Thread {
-	q := s.queues[core]
-	if len(q) == 0 {
-		return nil
-	}
-	return q[0]
-}
-
 // Dispatch marks the head thread running and removes it from the queue.
 func (s *Scheduler) Dispatch(core int) (*Thread, error) {
 	q := s.queues[core]
@@ -153,6 +144,3 @@ func (s *Scheduler) Exit(t *Thread) {
 
 // QueueLen returns the ready-queue depth of a core.
 func (s *Scheduler) QueueLen(core int) int { return len(s.queues[core]) }
-
-// Cores returns the scheduler's core list.
-func (s *Scheduler) Cores() []int { return s.cores }

@@ -107,11 +107,8 @@ func TestSchedulerStateErrors(t *testing.T) {
 	if th.State != ThreadDone {
 		t.Fatal("exit state wrong")
 	}
-	if s.Pick(0) != nil {
-		t.Fatal("Pick on empty queue must be nil")
-	}
-	if len(s.Cores()) != 1 {
-		t.Fatal("Cores() wrong")
+	if s.QueueLen(0) != 0 {
+		t.Fatal("queue must be empty after exit")
 	}
 }
 

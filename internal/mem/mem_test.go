@@ -136,12 +136,12 @@ func TestAllocKindSpillsAcrossDomains(t *testing.T) {
 
 func TestPhysMemoryFreeRoundTrip(t *testing.T) {
 	pm, _ := NewPhysMemory(testLayout())
-	r, err := pm.Alloc(1, 5<<20)
+	r, err := pm.AllocKind(AppNode, 5<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NUMA != 1 {
-		t.Fatalf("NUMA = %d", r.NUMA)
+	if want := pm.AppNodes()[0].ID; r.NUMA != want {
+		t.Fatalf("NUMA = %d, want %d", r.NUMA, want)
 	}
 	if err := pm.Free(r); err != nil {
 		t.Fatal(err)
@@ -161,13 +161,14 @@ func TestAppFragmentationMetric(t *testing.T) {
 		t.Fatalf("pristine fragmentation = %v", f)
 	}
 	// Pin small blocks on both app domains and free neighbours.
-	for _, domain := range []int{0, 1} {
+	for _, node := range pm.AppNodes() {
 		var regs []Region
 		for i := 0; i < 8; i++ {
-			r, err := pm.Alloc(domain, 64<<10)
+			r, err := node.Buddy.Alloc(64 << 10)
 			if err != nil {
 				t.Fatal(err)
 			}
+			r.NUMA = node.ID
 			regs = append(regs, r)
 		}
 		for i := 0; i < len(regs); i += 2 {

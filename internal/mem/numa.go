@@ -141,20 +141,6 @@ func (pm *PhysMemory) nodesOf(kind NodeKind) []*NUMANode {
 	return out
 }
 
-// Alloc allocates n bytes on the given domain.
-func (pm *PhysMemory) Alloc(numa int, n int64) (Region, error) {
-	node, err := pm.Node(numa)
-	if err != nil {
-		return Region{}, err
-	}
-	r, err := node.Buddy.Alloc(n)
-	if err != nil {
-		return Region{}, err
-	}
-	r.NUMA = numa
-	return r, nil
-}
-
 // AllocKind allocates n bytes on the first domain of the requested kind with
 // room, falling back across domains of that kind. Without virtual NUMA
 // (no SysNode domains), system allocations land on app domains — the exact

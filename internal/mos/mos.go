@@ -168,10 +168,3 @@ func spread(perCore time.Duration, nCores int) time.Duration {
 	}
 	return iv
 }
-
-// MaintenanceBurden is the design's qualitative cost the paper's conclusion
-// dwells on: kernel-source patches that must track mainline. IHK/McKernel
-// is module-only (zero), the K Computer OS carried a full patched kernel.
-func (in *Instance) MaintenanceBurden() string {
-	return "linux-kernel-patches"
-}

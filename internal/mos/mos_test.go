@@ -35,9 +35,6 @@ func TestBootValidation(t *testing.T) {
 	if in.Name() != "fugaku-mos" {
 		t.Fatalf("Name = %s", in.Name())
 	}
-	if in.MaintenanceBurden() != "linux-kernel-patches" {
-		t.Fatal("mOS requires kernel patches (Sec. 7)")
-	}
 }
 
 func TestMOSDelegationCheaperThanMcKernel(t *testing.T) {

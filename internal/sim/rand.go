@@ -132,18 +132,6 @@ func (r *Rand) Int63n(n int64) int64 {
 	return v % n
 }
 
-// Perm returns a random permutation of [0, n). Like math/rand's, it draws
-// for i = 0 too, although that swap is always m[0] with itself.
-func (r *Rand) Perm(n int) []int {
-	m := make([]int, n)
-	for i := 0; i < n; i++ {
-		j := r.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
-	}
-	return m
-}
-
 // normFloat64 returns a standard normal value by the ziggurat method.
 func (r *Rand) normFloat64() float64 {
 	for {

@@ -127,7 +127,7 @@ func (t *Tracer) newTrack(label string) int64 {
 }
 
 // Span is one in-flight wall-clock operation. The zero value and nil are
-// inert: End and Annotate on them are no-ops, so callers never need to guard.
+// inert: End on them is a no-op, so callers never need to guard.
 type Span struct {
 	tr     *Tracer
 	name   string
@@ -161,18 +161,6 @@ func (s *Span) End(args ...Arg) {
 		ts: s.start.Sub(s.tr.epoch), dur: time.Since(s.start),
 		span: s.id, parent: s.parent, req: s.req, args: all,
 	})
-}
-
-// Annotate attaches a key/value pair to the span before it ends.
-func (s *Span) Annotate(key, val string) {
-	if s == nil || s.tr == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.ended {
-		s.args = append(s.args, Arg{Key: key, Val: val})
-	}
-	s.mu.Unlock()
 }
 
 // ID returns the span's id, 0 for a nil or untraced span.
