@@ -135,8 +135,9 @@ shard-race:
 	$(GO) test -race ./internal/shard/... ./internal/apps/ ./internal/cluster/ ./internal/interconnect/
 
 # shard-determinism is the sharded runner's end-to-end gate: a full-machine
-# FWQ campaign at -shards 1, 2 and 8 must write byte-identical artifacts,
-# and the 8-shard run must carry real cross-shard traffic.
+# FWQ campaign at -shards 1, 2 and 8, and at -shards 1 under GOMAXPROCS=1
+# and 4, must write byte-identical artifacts, and the 8-shard run must
+# carry real cross-shard traffic.
 shard-determinism:
 	sh scripts/shard-determinism-check.sh /tmp/mkos-shard-det
 

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -44,6 +45,20 @@ import (
 	"mkos/internal/fault/chaos"
 	"mkos/internal/simd"
 )
+
+// stdout buffers everything simctl prints; exit flushes it, so a write that
+// fails (a full disk, a closed pipe) exits 1 instead of leaving truncated
+// output behind a 0 exit. The streaming commands flush as they go.
+var stdout = bufio.NewWriter(os.Stdout)
+
+// exit flushes stdout and exits with code, or with 1 when the flush fails.
+func exit(code int) {
+	if err := stdout.Flush(); err != nil {
+		log.Printf("writing stdout: %v", err)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 func main() {
 	log.SetFlags(0)
@@ -74,7 +89,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("id=%s\n", id)
+		fmt.Fprintf(stdout, "id=%s\n", id)
 	case "submit":
 		st, err := c.Submit(ctx, readSpec(args))
 		if err != nil {
@@ -88,7 +103,7 @@ func main() {
 		}
 		printStatus(st, *asJSON)
 		if st.State != simd.StateDone {
-			os.Exit(1)
+			exit(1)
 		}
 	case "run":
 		st, err := c.Submit(ctx, readSpec(args))
@@ -100,7 +115,7 @@ func main() {
 		}
 		printStatus(st, *asJSON)
 		if st.State != simd.StateDone {
-			os.Exit(1)
+			exit(1)
 		}
 	case "status":
 		st, err := c.Status(ctx, oneArg(args, "campaign id"))
@@ -113,7 +128,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		os.Stdout.Write(blob)
+		stdout.Write(blob)
 	case "cancel":
 		st, err := c.Cancel(ctx, oneArg(args, "campaign id"))
 		if err != nil {
@@ -143,13 +158,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		os.Stdout.Write(blob)
+		stdout.Write(blob)
 	case "trace":
 		blob, err := c.Trace(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		os.Stdout.Write(blob)
+		stdout.Write(blob)
 	case "wait-up":
 		wctx := ctx
 		if *timeout <= 0 {
@@ -160,12 +175,13 @@ func main() {
 		if err := c.WaitUp(wctx); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("up=true")
+		fmt.Fprintln(stdout, "up=true")
 	case "flood":
 		flood(ctx, *addr, args)
 	default:
 		log.Fatalf("unknown command %q (want id|submit|await|run|status|results|cancel|stats|list|tail|top|metrics|trace|wait-up|flood)", cmd)
 	}
+	exit(0)
 }
 
 // tail streams one campaign's SSE events to stdout, one line per event,
@@ -177,14 +193,14 @@ func tail(ctx context.Context, c *simd.Client, id string, asJSON bool) {
 	err := c.Tail(ctx, id, func(ev simd.Event) error {
 		if asJSON {
 			blob, _ := json.Marshal(ev)
-			os.Stdout.Write(append(blob, '\n'))
+			stdout.Write(append(blob, '\n'))
 		} else {
 			printEvent(ev)
 		}
 		if ev.Type == "state" {
 			final = ev.State
 		}
-		return nil
+		return stdout.Flush()
 	})
 	if err != nil {
 		if errors.Is(err, simd.ErrStreamClosed) {
@@ -193,28 +209,28 @@ func tail(ctx context.Context, c *simd.Client, id string, asJSON bool) {
 		log.Fatal(err)
 	}
 	if final != simd.StateDone {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
 func printEvent(ev simd.Event) {
 	switch ev.Type {
 	case "trial":
-		fmt.Printf("seq=%d event=trial key=%s done=%d/%d cached=%v wall_ms=%.1f",
+		fmt.Fprintf(stdout, "seq=%d event=trial key=%s done=%d/%d cached=%v wall_ms=%.1f",
 			ev.Seq, ev.Key, ev.Done, ev.Total, ev.Cached, ev.WallMS)
 		if ev.ETAMS > 0 {
-			fmt.Printf(" eta_ms=%d", ev.ETAMS)
+			fmt.Fprintf(stdout, " eta_ms=%d", ev.ETAMS)
 		}
 		if ev.TrialErr != "" {
-			fmt.Printf(" err=%q", ev.TrialErr)
+			fmt.Fprintf(stdout, " err=%q", ev.TrialErr)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	default:
-		fmt.Printf("seq=%d event=%s state=%s", ev.Seq, ev.Type, ev.State)
+		fmt.Fprintf(stdout, "seq=%d event=%s state=%s", ev.Seq, ev.Type, ev.State)
 		if ev.Err != "" {
-			fmt.Printf(" err=%q", ev.Err)
+			fmt.Fprintf(stdout, " err=%q", ev.Err)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 }
 
@@ -242,7 +258,7 @@ func top(ctx context.Context, c *simd.Client, args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("-- %s draining=%v queue_depth=%d campaigns=%d executed=%d cached=%d failed=%d hit_rate=%.3f\n",
+		fmt.Fprintf(stdout, "-- %s draining=%v queue_depth=%d campaigns=%d executed=%d cached=%d failed=%d hit_rate=%.3f\n",
 			time.Now().UTC().Format(time.TimeOnly), st.Draining, st.QueueDepth, len(sts),
 			st.Trials.Executed, st.Trials.Cached, st.Trials.Failed, st.CacheHitRate)
 		// Active first, then (with -all) terminal, each group sorted by id.
@@ -258,6 +274,9 @@ func top(ctx context.Context, c *simd.Client, args []string) {
 				continue
 			}
 			printStatus(cs, false)
+		}
+		if err := stdout.Flush(); err != nil {
+			log.Fatal(err)
 		}
 	}
 }
@@ -305,7 +324,7 @@ func flood(ctx context.Context, addr string, args []string) {
 		_, err := c.Submit(ctx, body)
 		return err
 	})
-	fmt.Printf("flood_n=%d\nflood_ok=%d\nflood_failed=%d\n", *n, tally.OK, tally.Failed)
+	fmt.Fprintf(stdout, "flood_n=%d\nflood_ok=%d\nflood_failed=%d\n", *n, tally.OK, tally.Failed)
 	for _, e := range tally.Errs {
 		fmt.Fprintf(os.Stderr, "flood: %v\n", e)
 	}
@@ -356,27 +375,27 @@ func oneArg(args []string, what string) string {
 func printStatus(st simd.Status, asJSON bool) {
 	if asJSON {
 		blob, _ := json.MarshalIndent(st, "", "  ")
-		os.Stdout.Write(append(blob, '\n'))
+		stdout.Write(append(blob, '\n'))
 		return
 	}
-	fmt.Printf("id=%s state=%s total=%d executed=%d cached=%d failed=%d",
+	fmt.Fprintf(stdout, "id=%s state=%s total=%d executed=%d cached=%d failed=%d",
 		st.ID, st.State, st.Total, st.Executed, st.Cached, st.Failed)
 	if st.Deduped {
-		fmt.Printf(" deduped=true")
+		fmt.Fprintf(stdout, " deduped=true")
 	}
 	if st.Restarts > 0 {
-		fmt.Printf(" restarts=%d", st.Restarts)
+		fmt.Fprintf(stdout, " restarts=%d", st.Restarts)
 	}
 	if st.LastExit != "" {
-		fmt.Printf(" last_exit=%q", st.LastExit)
+		fmt.Fprintf(stdout, " last_exit=%q", st.LastExit)
 	}
 	if st.Breaker != "" {
-		fmt.Printf(" breaker=%s", st.Breaker)
+		fmt.Fprintf(stdout, " breaker=%s", st.Breaker)
 	}
 	if st.Err != "" {
-		fmt.Printf(" err=%q", st.Err)
+		fmt.Fprintf(stdout, " err=%q", st.Err)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }
 
 func printStats(st simd.Stats, blob []byte, asJSON bool) {
@@ -384,24 +403,24 @@ func printStats(st simd.Stats, blob []byte, asJSON bool) {
 		var out bytes.Buffer
 		if json.Indent(&out, blob, "", "  ") == nil {
 			out.WriteByte('\n')
-			os.Stdout.Write(out.Bytes())
+			stdout.Write(out.Bytes())
 			return
 		}
-		os.Stdout.Write(blob)
+		stdout.Write(blob)
 		return
 	}
-	fmt.Printf("draining=%v queue_depth=%d\n", st.Draining, st.QueueDepth)
-	fmt.Printf("admitted=%d deduped=%d resumed=%d\n", st.Admitted, st.Deduped, st.Resumed)
-	fmt.Printf("rejected_total=%d rejected_queue_full=%d rejected_client_backlog=%d rejected_draining=%d rejected_no_space=%d\n",
+	fmt.Fprintf(stdout, "draining=%v queue_depth=%d\n", st.Draining, st.QueueDepth)
+	fmt.Fprintf(stdout, "admitted=%d deduped=%d resumed=%d\n", st.Admitted, st.Deduped, st.Resumed)
+	fmt.Fprintf(stdout, "rejected_total=%d rejected_queue_full=%d rejected_client_backlog=%d rejected_draining=%d rejected_no_space=%d\n",
 		st.Rejected.Total(), st.Rejected.QueueFull, st.Rejected.ClientBacklog, st.Rejected.Draining, st.Rejected.NoSpace)
-	fmt.Printf("trials_executed=%d trials_cached=%d trials_failed=%d cache_hit_rate=%.3f\n",
+	fmt.Fprintf(stdout, "trials_executed=%d trials_cached=%d trials_failed=%d cache_hit_rate=%.3f\n",
 		st.Trials.Executed, st.Trials.Cached, st.Trials.Failed, st.CacheHitRate)
-	fmt.Printf("latency_count=%d latency_p50_ms=%.1f latency_p90_ms=%.1f latency_p99_ms=%.1f latency_max_ms=%.1f\n",
+	fmt.Fprintf(stdout, "latency_count=%d latency_p50_ms=%.1f latency_p90_ms=%.1f latency_p99_ms=%.1f latency_max_ms=%.1f\n",
 		st.SubmitToResultMS.Count, st.SubmitToResultMS.P50, st.SubmitToResultMS.P90,
 		st.SubmitToResultMS.P99, st.SubmitToResultMS.Max)
 	// Campaign state counts in fixed order (stable output for shell parsing).
 	for _, state := range []string{"queued", "running", "done", "failed", "canceled", "interrupted", "crash_loop"} {
-		fmt.Printf("campaigns_%s=%d ", state, st.Campaigns[state])
+		fmt.Fprintf(stdout, "campaigns_%s=%d ", state, st.Campaigns[state])
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }

@@ -108,6 +108,12 @@ func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfile
 		return nil, nil, ErrBadFWQConfig
 	}
 	p := prof.NoiseProfile()
+	// One generator and one timeline serve every node: RunFWQ keeps no
+	// reference to the timeline, and the generator's tallies go to the
+	// profile's sink node by node, as Profile.Timeline would publish them.
+	g := p.Generator()
+	var tl noise.Timeline
+	var events []noise.Interruption
 	base := sim.NewRand(seed)
 	analyses := make([]noise.Analysis, 0, nodes)
 	runs := make([]*FWQRun, 0, nodes)
@@ -115,8 +121,9 @@ func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfile
 		if err := ctx.Err(); err != nil {
 			return analyses, runs, err
 		}
-		tl := p.Timeline(cfg.Duration, base.Derive(int64(n)))
-		run, err := RunFWQ(cfg, tl)
+		events = g.NodeInto(&tl, events, cfg.Duration, base.Derive(int64(n)))
+		g.Publish(p.Sink)
+		run, err := RunFWQ(cfg, &tl)
 		if err != nil {
 			return nil, nil, err
 		}

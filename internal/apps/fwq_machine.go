@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"mkos/internal/noise"
@@ -24,10 +26,18 @@ import (
 // distribution: the clean count plus the perturbed durations, which is the
 // sorted iteration list without its clean run spelled out.
 //
-// A node's work is regenerating its timeline and walking it (fwqWalk), and
-// each shard does it on storage it reuses from node to node: one generator
-// per class, one timeline, one event and one duration buffer. Each node's
-// noise counters go to its shard's sink.
+// A node's work is regenerating its timeline and walking it (fwqWalk). Each
+// shard spreads that work over w = max(1, GOMAXPROCS/Shards) workers, chunk
+// by chunk (fwqChunk nodes): the first node event of a chunk splits it into
+// w contiguous blocks, digests every block on its own goroutine and joins
+// them before returning, and each node's event then reports its digest.
+// Every worker owns its storage and reuses it from node to node: one
+// generator per class, one timeline, one event and one duration buffer.
+// Node n's seed is derived from the shard's base stream in node order
+// before the chunk fans out, so a digest never depends on w, and the
+// workers' noise counters go to the shard's sink after each join, where
+// they sum to the same totals at any w. The worst-K re-run uses the same
+// block split.
 //
 // Everything here is inside the determinism boundary: with the same seed
 // the result is byte-identical at any shard count. Per-node RNG streams
@@ -135,6 +145,11 @@ type FWQMachineResult struct {
 // ErrBadMachineConfig reports an unusable full-machine configuration.
 var ErrBadMachineConfig = errors.New("apps: invalid FWQ machine configuration")
 
+// fwqChunk is how many consecutive nodes of a shard one fan-out digests.
+// It bounds the digests a shard holds before their events report them, and
+// how much work a cancellation between events waits for.
+const fwqChunk = 256
+
 // fwqMachineModel is the shard.Model behind FWQMachine. The digests slice
 // is written only from Deliver, which the runner executes solely on the
 // goroutine of the shard owning node 0.
@@ -142,34 +157,38 @@ type fwqMachineModel struct {
 	cfg     FWQMachineConfig
 	classOf func(int) int
 	report  func(src, dst int, bytes int64) (time.Duration, error)
+	workers int // per shard
 	digests []FWQDigest
 	got     int
 }
 
 func (m *fwqMachineModel) Setup(s *shard.Shard) error {
-	w := newFWQNodeWalker(&m.cfg)
-	base := sim.NewRand(m.cfg.Seed)
-	base.Skip(s.Nodes.Lo)
-	at := sim.Time(m.cfg.Duration)
 	for n := s.Nodes.Lo; n < s.Nodes.Hi; n++ {
-		seed := base.DeriveSeed(int64(n))
-		cls := m.classOf(n)
-		if cls < 0 || cls >= len(m.cfg.Classes) {
+		if cls := m.classOf(n); cls < 0 || cls >= len(m.cfg.Classes) {
 			return fmt.Errorf("%w: node %d maps to class %d of %d",
 				ErrBadMachineConfig, n, cls, len(m.cfg.Classes))
 		}
+	}
+	c := &fwqShardNodes{
+		classOf: m.classOf, sink: s.Sink, base: sim.NewRand(m.cfg.Seed),
+		first: s.Nodes.Lo, hi: s.Nodes.Hi,
+		walkers: newFWQNodeWalkers(&m.cfg, min(m.workers, s.Nodes.Len())),
+		jobs:    make([]fwqNodeJob, 0, min(fwqChunk, s.Nodes.Len())),
+	}
+	c.base.Skip(s.Nodes.Lo)
+	at := sim.Time(m.cfg.Duration)
+	for n := s.Nodes.Lo; n < s.Nodes.Hi; n++ {
 		node := n
 		s.Engine.ScheduleAt(at, "fwq-node", func(e *sim.Engine) {
 			// The node's whole benchmark collapses into this one event: it
-			// fires at the instant the run completes, builds the timeline
-			// from the node's derived stream, walks the iterations and
-			// reports the digest. A failure is a typed panic the runner
-			// converts into a shard error.
-			d, err := w.digest(node, cls, seed)
+			// fires at the instant the run completes and reports the digest
+			// of the timeline built from the node's derived stream. A
+			// failure is a typed panic the runner converts into a shard
+			// error.
+			d, err := c.digest(node)
 			if err != nil {
 				panic(fmt.Errorf("fwq machine: node %d: %w", node, err))
 			}
-			w.gens[cls].Publish(s.Sink)
 			lat, err := m.report(node, 0, m.cfg.DigestBytes)
 			if err != nil {
 				panic(fmt.Errorf("fwq machine: node %d report: %w", node, err))
@@ -190,6 +209,87 @@ func (m *fwqMachineModel) Deliver(s *shard.Shard, msg shard.Message) {
 	s.Sink.Counter("fwq.machine.digests").Inc()
 }
 
+// fwqShardNodes digests one shard's nodes a chunk at a time. It belongs to
+// the shard's goroutine; its walkers are lent to the block goroutines only
+// between a chunk's fan-out and its join.
+type fwqShardNodes struct {
+	classOf func(int) int
+	sink    *telemetry.Sink
+	base    *sim.Rand // positioned at the first node after the chunk
+	first   int       // the chunk's first node
+	hi      int       // the shard's end
+	walkers []*fwqNodeWalker
+	jobs    []fwqNodeJob // the chunk, in node order
+}
+
+// fwqNodeJob is one node of a chunk: its inputs, then its digest.
+type fwqNodeJob struct {
+	node, cls int
+	seed      int64
+	d         FWQDigest
+	err       error
+}
+
+// digest returns the node's digest. The node events fire in node order, so
+// the node just past the current chunk starts the next one.
+func (c *fwqShardNodes) digest(node int) (FWQDigest, error) {
+	i := node - c.first
+	if i == len(c.jobs) {
+		c.fill()
+		i = 0
+	}
+	return c.jobs[i].d, c.jobs[i].err
+}
+
+// fill advances to the next chunk and digests it over the walkers.
+func (c *fwqShardNodes) fill() {
+	c.first += len(c.jobs)
+	c.jobs = c.jobs[:min(fwqChunk, c.hi-c.first)]
+	for i := range c.jobs {
+		n := c.first + i
+		c.jobs[i] = fwqNodeJob{node: n, cls: c.classOf(n), seed: c.base.DeriveSeed(int64(n))}
+	}
+	inBlocks(len(c.jobs), c.walkers, func(w *fwqNodeWalker, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			j := &c.jobs[i]
+			j.d, j.err = w.digest(j.node, j.cls, j.seed)
+		}
+	})
+	for _, w := range c.walkers {
+		w.publish(c.sink)
+	}
+}
+
+// inBlocks splits [0, n) into b = min(len(walkers), n) contiguous blocks,
+// block i being [n*i/b, n*(i+1)/b), and runs do on each with walkers[i]:
+// block 0 on the calling goroutine, every other on its own, all joined
+// before return. A panic in any block is re-raised on the calling
+// goroutine after the join, where the shard runner reports it as the
+// shard's error.
+func inBlocks(n int, walkers []*fwqNodeWalker, do func(w *fwqNodeWalker, lo, hi int)) {
+	b := max(1, min(len(walkers), n))
+	panics := make([]any, b)
+	block := func(i int) {
+		defer func() { panics[i] = recover() }()
+		do(walkers[i], n*i/b, n*(i+1)/b)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < b; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			block(i)
+		}()
+	}
+	block(0)
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
 // fwqNodeWalker runs nodes one after another on reused storage: one noise
 // generator per class, one timeline, and the event and perturbed-duration
 // buffers. It belongs to one goroutine.
@@ -207,6 +307,23 @@ func newFWQNodeWalker(cfg *FWQMachineConfig) *fwqNodeWalker {
 		w.gens[i] = c.Profile.Generator()
 	}
 	return w
+}
+
+// newFWQNodeWalkers returns n walkers, at least one.
+func newFWQNodeWalkers(cfg *FWQMachineConfig, n int) []*fwqNodeWalker {
+	ws := make([]*fwqNodeWalker, max(1, n))
+	for i := range ws {
+		ws[i] = newFWQNodeWalker(cfg)
+	}
+	return ws
+}
+
+// publish adds the noise counters of every node walked since the last
+// publish to sink.
+func (w *fwqNodeWalker) publish(sink *telemetry.Sink) {
+	for _, g := range w.gens {
+		g.Publish(sink)
+	}
 }
 
 // digest regenerates the node's timeline from its seed, walks it and
@@ -245,7 +362,7 @@ func (w *fwqNodeWalker) digest(node, cls int, seed int64) (FWQDigest, error) {
 }
 
 // FWQMachine runs the full-machine campaign: the sharded sweep, the in-situ
-// worst-K selection, and the sequential full re-run of the selected nodes.
+// worst-K selection, and the full re-run of the selected nodes.
 // It is the ctx-free convenience form of FWQMachineContext; cancellation,
 // if any, arrives through cfg.Cancel.
 func FWQMachine(cfg FWQMachineConfig) (*FWQMachineResult, *shard.Result, error) {
@@ -258,7 +375,16 @@ func FWQMachine(cfg FWQMachineConfig) (*FWQMachineResult, *shard.Result, error) 
 // callers that want the fold of the per-shard registries or the runner
 // statistics; nothing in it beyond Windows may enter a byte-compared
 // artifact.
+//
+// Each shard digests its nodes on max(1, GOMAXPROCS/cfg.Shards) goroutines,
+// so -shards 1 uses every core and a shard count of GOMAXPROCS or more keeps
+// one per shard. The result does not depend on the count.
 func FWQMachineContext(ctx context.Context, cfg FWQMachineConfig) (*FWQMachineResult, *shard.Result, error) {
+	return fwqMachine(ctx, cfg, max(1, goruntime.GOMAXPROCS(0)/max(1, cfg.Shards)))
+}
+
+// fwqMachine is FWQMachineContext with workers goroutines per shard.
+func fwqMachine(ctx context.Context, cfg FWQMachineConfig, workers int) (*FWQMachineResult, *shard.Result, error) {
 	if cfg.Work <= 0 || cfg.Duration <= 0 || cfg.Nodes <= 0 || len(cfg.Classes) == 0 {
 		return nil, nil, ErrBadMachineConfig
 	}
@@ -280,6 +406,7 @@ func FWQMachineContext(ctx context.Context, cfg FWQMachineConfig) (*FWQMachineRe
 		cfg:     cfg,
 		classOf: cfg.ClassOf,
 		report:  cfg.ReportLatency,
+		workers: workers,
 		digests: make([]FWQDigest, cfg.Nodes),
 	}
 	if m.classOf == nil {
@@ -304,18 +431,25 @@ func FWQMachineContext(ctx context.Context, cfg FWQMachineConfig) (*FWQMachineRe
 		Windows: sres.Stats.Windows,
 		Summary: summarize(m.digests),
 		Digests: m.digests,
-		Worst:   []FWQWorstNode{},
 	}
-	w := newFWQNodeWalker(&cfg)
-	for _, n := range worstNodes(m.digests, cfg.WorstK) {
-		wn, err := w.rerunWorst(m.classOf(n), m.digests[n])
+	ranked := worstNodes(m.digests, cfg.WorstK)
+	seeds := nodeSeeds(cfg.Seed, ranked)
+	res.Worst = make([]FWQWorstNode, len(ranked))
+	errs := make([]error, len(ranked))
+	walkers := newFWQNodeWalkers(&cfg, min(workers, len(ranked)))
+	inBlocks(len(ranked), walkers, func(w *fwqNodeWalker, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			n := ranked[r]
+			res.Worst[r], errs[r] = w.rerunWorst(m.classOf(n), seeds[r], m.digests[n])
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, sres, err
 		}
-		res.Worst = append(res.Worst, wn)
 	}
-	for _, g := range w.gens {
-		g.Publish(cfg.Sink)
+	for _, w := range walkers {
+		w.publish(cfg.Sink)
 	}
 	return res, sres, nil
 }
@@ -356,20 +490,38 @@ func worstNodes(ds []FWQDigest, k int) []int {
 	return idx[:k]
 }
 
-// rerunWorst replays one selected node and returns the quantiles of its
-// exact iteration distribution. Skip(node) advances the base generator
-// exactly as the node's predecessors did in the sequential derivation, so
-// the re-run sees the identical timeline the node walked in situ, and its
-// whole digest must match the one the node reported.
+// nodeSeeds returns the derived seed of each of nodes (distinct), in their
+// order, from one forward walk of the base stream: it visits them in node
+// order and skips the nodes between them, advancing the base generator
+// exactly as the sequential derivation does.
+func nodeSeeds(seed int64, nodes []int) []int64 {
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(nodes[a], nodes[b]) })
+	seeds := make([]int64, len(nodes))
+	base := sim.NewRand(seed)
+	next := 0
+	for _, i := range order {
+		base.Skip(nodes[i] - next)
+		seeds[i] = base.DeriveSeed(int64(nodes[i]))
+		next = nodes[i] + 1
+	}
+	return seeds
+}
+
+// rerunWorst replays one selected node from its derived seed (nodeSeeds)
+// and returns the quantiles of its exact iteration distribution. The
+// re-run sees the identical timeline the node walked in situ, so its whole
+// digest must match the one the node reported.
 //
 // Clean iterations all last exactly Work and no perturbed one is shorter
 // (noise only delays), so the sorted iteration list is clean copies of
 // Work followed by the sorted perturbed durations, and each quantile is
 // read from it by index.
-func (w *fwqNodeWalker) rerunWorst(cls int, d FWQDigest) (FWQWorstNode, error) {
-	base := sim.NewRand(w.cfg.Seed)
-	base.Skip(d.Node)
-	got, err := w.digest(d.Node, cls, base.DeriveSeed(int64(d.Node)))
+func (w *fwqNodeWalker) rerunWorst(cls int, seed int64, d FWQDigest) (FWQWorstNode, error) {
+	got, err := w.digest(d.Node, cls, seed)
 	if err != nil {
 		return FWQWorstNode{}, fmt.Errorf("fwq machine: re-running node %d: %w", d.Node, err)
 	}

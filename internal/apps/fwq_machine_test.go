@@ -1,15 +1,18 @@
 package apps
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mkos/internal/noise"
 	"mkos/internal/sim"
+	"mkos/internal/telemetry"
 )
 
 // machineTestConfig is a small two-class population: even nodes measure two
@@ -187,8 +190,9 @@ func TestFWQMachineRerunRejectsTamperedDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := res.Worst[0].Digest
+	seed := nodeSeeds(cfg.Seed, []int{d.Node})[0]
 	w := newFWQNodeWalker(&cfg)
-	if _, err := w.rerunWorst(cfg.ClassOf(d.Node), d); err != nil {
+	if _, err := w.rerunWorst(cfg.ClassOf(d.Node), seed, d); err != nil {
 		t.Fatalf("re-run of the reported digest: %v", err)
 	}
 	for _, c := range []struct {
@@ -204,7 +208,7 @@ func TestFWQMachineRerunRejectsTamperedDigest(t *testing.T) {
 	} {
 		bad := d
 		c.tamper(&bad)
-		if _, err := w.rerunWorst(cfg.ClassOf(d.Node), bad); err == nil {
+		if _, err := w.rerunWorst(cfg.ClassOf(d.Node), seed, bad); err == nil {
 			t.Errorf("digest with a tampered %s accepted by the re-run", c.field)
 		}
 	}
@@ -258,5 +262,69 @@ func TestFWQMachineCancel(t *testing.T) {
 	cfg.Cancel = func() bool { return true }
 	if _, _, err := FWQMachine(cfg); !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want sim.ErrCanceled", err)
+	}
+}
+
+// TestFWQMachineAcrossWorkerCounts: each shard digests its nodes, and the
+// worst-K re-run replays them, over a number of worker goroutines, and
+// neither the result nor the counters may depend on it. The node counts
+// leave an uneven last chunk, fewer nodes per shard than workers, and a
+// single node.
+func TestFWQMachineAcrossWorkerCounts(t *testing.T) {
+	dump := func(r *telemetry.Registry) string {
+		var b strings.Builder
+		if _, err := r.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, nodes := range []int{2*fwqChunk + 37, 4, 1} {
+		for _, shards := range []int{1, 3} {
+			if shards > nodes {
+				continue
+			}
+			var want [3]string
+			for _, workers := range []int{1, 2, 3, 5, nodes + 1} {
+				cfg := machineTestConfig(nodes, shards)
+				cfg.Sink = telemetry.NewSink()
+				res, sres, err := fwqMachine(context.Background(), cfg, workers)
+				if err != nil {
+					t.Fatalf("%d nodes, %d shards, %d workers: %v", nodes, shards, workers, err)
+				}
+				blob, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The result, the shards' folded counters and the re-run's.
+				got := [3]string{string(blob), dump(sres.Registry), dump(cfg.Sink.Registry())}
+				if workers == 1 {
+					want = got
+					continue
+				}
+				for i, what := range []string{"result", "shard registry", "re-run registry"} {
+					if got[i] != want[i] {
+						t.Errorf("%d nodes, %d shards, %d workers: %s differs from 1 worker\n got: %s\nwant: %s",
+							nodes, shards, workers, what, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFWQMachineCancelAfterFirstEvent: a cancellation that arrives once
+// node events have fired, with chunks fanned out over several workers,
+// stops the run with sim.ErrCanceled.
+func TestFWQMachineCancelAfterFirstEvent(t *testing.T) {
+	cfg := machineTestConfig(4*fwqChunk+37, 1)
+	// The engine polls the hook before its first event and then every 1024
+	// events: the second poll comes after the first four chunks.
+	var polls atomic.Int64
+	cfg.Cancel = func() bool { return polls.Add(1) > 1 }
+	if _, _, err := fwqMachine(context.Background(), cfg, 3); !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("err = %v, want sim.ErrCanceled", err)
+	}
+	if polls.Load() < 2 {
+		t.Fatalf("cancel hook polled %d times; the run ended before any node event", polls.Load())
 	}
 }

@@ -60,7 +60,7 @@ ITERS=$(sed -n 's/^ *"n": \([0-9]*\),$/\1/p' "$WORK/machine-s1.json" | head -n 1
 mkdir -p "$(dirname "$OUT")"
 cat > "$OUT" <<EOF
 {
-  "note": "cmd/fwq sharded full-machine campaign on the Fugaku preset: one digest event per node, in-situ worst-$WORST selection at the collector, re-run of the selected nodes. cpu_s is the run's user+sys CPU time. The -shards 1, 2 and 8 artifacts are byte-compared by this script (and by 'make shard-determinism' / CI on every push). Wall-clock speedup tracks min(shards, cores). Regenerate with 'make bench-shard'.",
+  "note": "cmd/fwq sharded full-machine campaign on the Fugaku preset: one digest event per node, in-situ worst-$WORST selection at the collector, re-run of the selected nodes. cpu_s is the run's user+sys CPU time. The -shards 1, 2 and 8 artifacts are byte-compared by this script (and by 'make shard-determinism' / CI on every push). Each shard digests its nodes on max(1, cores/shards) goroutines, so -shards 1 already uses every core and more shards mainly add windows and cross-shard traffic. Regenerate with 'make bench-shard'.",
   "recorded": "$(date -u +%Y-%m-%d)",
   "host": {
     "goos": "$($GO env GOOS)",
