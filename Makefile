@@ -164,9 +164,11 @@ bench-shard:
 # enabled and fails on any byte difference — the metrics dump and trace JSON
 # must be identical for identical seeds. It then renders Figure 7 under
 # GOMAXPROCS=1 and 4: bsp.Run splits its nodes over GOMAXPROCS goroutines,
-# and both outputs must equal the committed results/figure7.txt. Last, the
+# and both outputs must equal the committed results/figure7.txt. Then the
 # Figure 4 FWQ CDFs, which read the noise timelines without bsp.Run, must
-# equal the committed results/figure4.txt.
+# equal the committed results/figure4.txt. Last, both Figure 3 noise series
+# (6-minute FWQ runs with every countermeasure on, and with daemon binding
+# off) must equal results/figure3_{baseline,daemons}.txt.
 determinism:
 	$(GO) run ./cmd/faultexp -jobs 2 -nodes 4 -report=false \
 		-trace /tmp/mkos-det-1.json -metrics /tmp/mkos-det-1.txt > /dev/null
@@ -183,6 +185,11 @@ determinism:
 	$(GO) run ./cmd/noiseprofile -cdf > /tmp/mkos-det-fig4.txt
 	cmp /tmp/mkos-det-fig4.txt results/figure4.txt
 	@echo "Figure 4 byte-identical to results/figure4.txt"
+	$(GO) run ./cmd/noiseprofile -series -minutes 6 -countermeasure none > /tmp/mkos-det-fig3-baseline.txt
+	$(GO) run ./cmd/noiseprofile -series -minutes 6 -countermeasure daemons > /tmp/mkos-det-fig3-daemons.txt
+	cmp /tmp/mkos-det-fig3-baseline.txt results/figure3_baseline.txt
+	cmp /tmp/mkos-det-fig3-daemons.txt results/figure3_daemons.txt
+	@echo "Figure 3 byte-identical to results/figure3_{baseline,daemons}.txt"
 
 # check is what CI runs: formatting, vet, the simlint invariant gate, the
 # reachability gate, build, one run of the benchmark roots, the full suite

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,13 +25,13 @@ import (
 // stays a small slice of the repro's budget. Both halves of the stage report
 // to sink: the sharded sweep's registries (shard.Result.Registry, folded in
 // shard order and shard-count invariant) and the worst-node re-runs' noise
-// counters.
-func runMachineStage(ctx context.Context, quick bool, shards int, outdir string, flushOps func() error, sink *telemetry.Sink) {
+// counters. The stage's report goes to out.
+func runMachineStage(ctx context.Context, out *bufio.Writer, quick bool, shards int, outdir string, flushOps func() error, sink *telemetry.Sink) {
 	nodes, duration, worstK := 4096, 4*time.Second, 100
 	if quick {
 		nodes, duration, worstK = 256, 2*time.Second, 10
 	}
-	fmt.Printf("[6/6] full-machine sharded FWQ (%d nodes, %d shards)...\n", nodes, shards)
+	progress(out, "[6/6] full-machine sharded FWQ (%d nodes, %d shards)...\n", nodes, shards)
 	p := cluster.Fugaku()
 	p.Sink = sink
 	cfg, err := p.MachineFWQ(cluster.Linux, nodes, 6500*time.Microsecond, duration, 42, shards, worstK)
@@ -44,13 +45,14 @@ func runMachineStage(ctx context.Context, quick bool, shards int, outdir string,
 		if ferr := flushOps(); ferr != nil {
 			log.Print(ferr)
 		}
+		_ = out.Flush() // exiting 130 whether or not the report gets out
 		os.Exit(130)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	sink.Registry().AddSnapshot(sres.Registry.Snapshot())
-	fmt.Printf("  %d windows, %d digests (%d cross-shard), worst node %d (total noise %v)\n",
+	fmt.Fprintf(out, "  %d windows, %d digests (%d cross-shard), worst node %d (total noise %v)\n",
 		res.Windows, sres.Stats.Messages, sres.Stats.CrossMessages,
 		res.Worst[0].Node, time.Duration(res.Worst[0].Digest.TotalNoiseNS))
 	writeFile(outdir, "fwq_machine.json", func(w io.Writer) {

@@ -61,6 +61,10 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
+	// Stdout is buffered and flushed as each stage starts, with the Flush
+	// checked, so a write that fails (a full disk, a closed pipe) exits 1
+	// instead of leaving a truncated report behind a 0 exit.
+	out := bufio.NewWriter(os.Stdout)
 
 	// First SIGINT/SIGTERM cancels the in-flight stage (its finished trials
 	// are already journaled, so a re-run resumes); a second force-exits.
@@ -81,6 +85,7 @@ func main() {
 			if ferr := flushOps(); ferr != nil {
 				log.Print(ferr)
 			}
+			_ = out.Flush() // exiting 130 whether or not the report gets out
 			os.Exit(130)
 		}
 		if err != nil {
@@ -98,7 +103,7 @@ func main() {
 	if *quick {
 		t2cfg.Nodes, t2cfg.Duration = 4, time.Minute
 	}
-	fmt.Printf("[1/6] Table 2 (%d nodes, %v FWQ)...\n", t2cfg.Nodes, t2cfg.Duration)
+	progress(out, "[1/6] Table 2 (%d nodes, %v FWQ)...\n", t2cfg.Nodes, t2cfg.Duration)
 	t2out := runCampaign(campaigns.Table2(t2cfg, t2cfg.Seed))
 	variants := core.Table2Variants()
 	rows := make([]core.Table2Row, len(variants))
@@ -116,7 +121,7 @@ func main() {
 	})
 
 	// --- Figure 3 (series data is embedded in the Table 2 rows) ---
-	fmt.Printf("[2/6] Figure 3 noise series...\n")
+	progress(out, "[2/6] Figure 3 noise series...\n")
 	writeFile(*outdir, "figure3.txt", func(w io.Writer) {
 		for _, r := range rows {
 			s := noise.SeriesMicros(r.Lengths)
@@ -136,7 +141,7 @@ func main() {
 		f4cfg.OFPNodes, f4cfg.FugakuFullNodes, f4cfg.Fugaku24Racks = 32, 96, 12
 		f4cfg.Duration = 30 * time.Second
 	}
-	fmt.Printf("[3/6] Figure 4 CDFs (%d/%d/%d nodes)...\n",
+	progress(out, "[3/6] Figure 4 CDFs (%d/%d/%d nodes)...\n",
 		f4cfg.OFPNodes, f4cfg.FugakuFullNodes, f4cfg.Fugaku24Racks)
 	f4out := runCampaign(campaigns.Figure4(f4cfg, 1, f4cfg.Seed))
 	curves, err := campaigns.MergeFigure4(f4out, f4cfg, 1)
@@ -157,7 +162,7 @@ func main() {
 	if *quick {
 		seeds = []int64{1}
 	}
-	fmt.Printf("[4/6] application figures...\n")
+	progress(out, "[4/6] application figures...\n")
 	specs := append(append(core.Figure5Specs(), core.Figure6Specs()...), core.Figure7Specs()...)
 	if *quick {
 		for i := range specs {
@@ -194,11 +199,11 @@ func main() {
 	// The figure stages above are closed-form; this stage drives the
 	// discrete-event machinery (resilient batch system, syscall delegation)
 	// so the telemetry artifacts carry live sim/cluster/fault/mckernel data.
-	fmt.Printf("[5/6] operational stage (fault recovery + syscall offload)...\n")
-	runOpsStage(ctx, *quick, sink)
+	progress(out, "[5/6] operational stage (fault recovery + syscall offload)...\n")
+	runOpsStage(ctx, out, *quick, sink)
 
 	// --- Full-machine sharded FWQ (Sec. 6.3 in-situ selection) ---
-	runMachineStage(ctx, *quick, *shards, *outdir, flushOps, sink)
+	runMachineStage(ctx, out, *quick, *shards, *outdir, flushOps, sink)
 
 	// --- Telemetry artifacts ---
 	for _, w := range []struct {
@@ -216,11 +221,11 @@ func main() {
 		if err := w.fn(w.path); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %s to %s\n", w.kind, w.path)
+		fmt.Fprintf(out, "wrote %s to %s\n", w.kind, w.path)
 	}
 
 	// --- Summary ---
-	fmt.Printf("\n=== paper vs measured (top-of-sweep relative performance) ===\n")
+	fmt.Fprintf(out, "\n=== paper vs measured (top-of-sweep relative performance) ===\n")
 	paper := map[key]string{
 		{"5", "AMG2013/oakforest-pacs"}: "~1.18",
 		{"5", "Milc/oakforest-pacs"}:    "~1.22",
@@ -238,13 +243,23 @@ func main() {
 		if !ok {
 			continue
 		}
-		fmt.Printf("fig %s  %-8s %-15s paper %-6s measured %.3f (at %d nodes)\n",
+		fmt.Fprintf(out, "fig %s  %-8s %-15s paper %-6s measured %.3f (at %d nodes)\n",
 			spec.Figure, spec.App, spec.Platform, paper[k], c.Relative, c.Nodes)
 	}
 	if err := flushOps(); err != nil {
 		log.Print(err)
 	}
-	fmt.Printf("\ndone in %v; data in %s/\n", time.Since(start).Round(time.Second), *outdir)
+	progress(out, "\ndone in %v; data in %s/\n", time.Since(start).Round(time.Second), *outdir)
+}
+
+// progress writes a progress line to out and flushes it, exiting 1 when
+// the write fails: a run whose report cannot get out stops at the next
+// stage instead of computing it.
+func progress(out *bufio.Writer, format string, a ...any) {
+	fmt.Fprintf(out, format, a...)
+	if err := out.Flush(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // runOpsStage exercises the event-driven subsystems the figure stages never
@@ -252,8 +267,8 @@ func main() {
 // fault and sim engine telemetry) and a syscall chain through the McKernel
 // delegator (LWK-local vs offloaded calls, IKC traffic, proxy queueing).
 // ctx (the process signal context) cancels the engine runs cooperatively;
-// the telemetry goes to sink.
-func runOpsStage(ctx context.Context, quick bool, sink *telemetry.Sink) {
+// the report goes to out and the telemetry to sink.
+func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry.Sink) {
 	const seed = 7
 	p := cluster.OFP()
 	p.Sink = sink
@@ -283,7 +298,7 @@ func runOpsStage(ctx context.Context, quick bool, sink *telemetry.Sink) {
 		_, _ = rs.Submit(w, g, 4, cluster.McKernel, seed*1000+int64(j))
 	}
 	r := rs.Report
-	fmt.Printf("      batch: %d jobs, %d completed (%d fallback), %d failed, %d faults, %d retries\n",
+	fmt.Fprintf(out, "      batch: %d jobs, %d completed (%d fallback), %d failed, %d faults, %d retries\n",
 		r.Jobs, r.Completed, r.Fallbacks, r.Failed, r.TotalInjected(), r.Retries)
 
 	// Syscall delegation: one McKernel node, one thread, a mixed chain of
@@ -327,14 +342,14 @@ func runOpsStage(ctx context.Context, quick bool, sink *telemetry.Sink) {
 	issue(0)
 	eng.Run()
 	local, delegated, queueing := d.Stats()
-	fmt.Printf("      syscalls: %d LWK-local, %d offloaded to Linux (proxy queueing %v)\n",
+	fmt.Fprintf(out, "      syscalls: %d LWK-local, %d offloaded to Linux (proxy queueing %v)\n",
 		local, delegated, queueing)
 
 	// Linux-side attribution: replays the host noise profile through the
 	// ftrace model so per-task scheduling spans land on the shared timeline.
 	attr := node.Host.AttributeProfile(100*time.Millisecond, seed)
 	if len(attr) > 0 {
-		fmt.Printf("      linux ftrace: top interferer on app cores: %s\n", attr[0].Task)
+		fmt.Fprintf(out, "      linux ftrace: top interferer on app cores: %s\n", attr[0].Task)
 	}
 }
 

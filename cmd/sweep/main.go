@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -91,9 +92,15 @@ func main() {
 	}
 
 	// The summary line is stable output: CI greps it to assert a warm-cache
-	// re-run executed zero trials.
-	fmt.Printf("campaign %s: %d trials: %d executed, %d cached, %d failed\n",
+	// re-run executed zero trials. Stdout is buffered and its Flush checked,
+	// so a write that fails (a full disk, a closed pipe) exits 1 instead of
+	// dropping the summary behind a 0 exit.
+	out := bufio.NewWriter(os.Stdout)
+	fmt.Fprintf(out, "campaign %s: %d trials: %d executed, %d cached, %d failed\n",
 		o.Name, len(o.Results), o.Executed, o.Cached, o.Failed)
+	if err := out.Flush(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Fprintf(os.Stderr, "sweep: artifacts in %s (elapsed %v)\n", *outdir, o.Elapsed.Round(o.Elapsed/100+time.Nanosecond))
 	if interrupted {
 		log.Printf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"mkos/internal/noise"
@@ -249,44 +248,16 @@ func (c *fwqShardNodes) fill() {
 		n := c.first + i
 		c.jobs[i] = fwqNodeJob{node: n, cls: c.classOf(n), seed: c.base.DeriveSeed(int64(n))}
 	}
-	inBlocks(len(c.jobs), c.walkers, func(w *fwqNodeWalker, lo, hi int) {
+	// A panic in a block reaches the shard runner, which reports it as the
+	// shard's error.
+	sim.InBlocks(len(c.jobs), len(c.walkers), func(b, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			j := &c.jobs[i]
-			j.d, j.err = w.digest(j.node, j.cls, j.seed)
+			j.d, j.err = c.walkers[b].digest(j.node, j.cls, j.seed)
 		}
 	})
 	for _, w := range c.walkers {
 		w.publish(c.sink)
-	}
-}
-
-// inBlocks splits [0, n) into b = min(len(walkers), n) contiguous blocks,
-// block i being [n*i/b, n*(i+1)/b), and runs do on each with walkers[i]:
-// block 0 on the calling goroutine, every other on its own, all joined
-// before return. A panic in any block is re-raised on the calling
-// goroutine after the join, where the shard runner reports it as the
-// shard's error.
-func inBlocks(n int, walkers []*fwqNodeWalker, do func(w *fwqNodeWalker, lo, hi int)) {
-	b := max(1, min(len(walkers), n))
-	panics := make([]any, b)
-	block := func(i int) {
-		defer func() { panics[i] = recover() }()
-		do(walkers[i], n*i/b, n*(i+1)/b)
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < b; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			block(i)
-		}()
-	}
-	block(0)
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
 	}
 }
 
@@ -437,10 +408,10 @@ func fwqMachine(ctx context.Context, cfg FWQMachineConfig, workers int) (*FWQMac
 	res.Worst = make([]FWQWorstNode, len(ranked))
 	errs := make([]error, len(ranked))
 	walkers := newFWQNodeWalkers(&cfg, min(workers, len(ranked)))
-	inBlocks(len(ranked), walkers, func(w *fwqNodeWalker, lo, hi int) {
+	sim.InBlocks(len(ranked), len(walkers), func(b, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			n := ranked[r]
-			res.Worst[r], errs[r] = w.rerunWorst(m.classOf(n), seeds[r], m.digests[n])
+			res.Worst[r], errs[r] = walkers[b].rerunWorst(m.classOf(n), seeds[r], m.digests[n])
 		}
 	})
 	for _, err := range errs {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
-	"sync"
 	"time"
 
 	"mkos/internal/interconnect"
@@ -241,18 +240,17 @@ var runtimeBuckets = telemetry.ExpBuckets(0.25, 2, 14)
 // sampleStepNoise returns, for each step, the maximum interruption time any
 // rank in the whole job suffers inside that step's window, and publishes the
 // noise events it generated to sink. Each node's events are binned into a
-// dense core-by-step accumulator as they are generated: per-cell sums and
-// the maximum over cells do not depend on event order, so no per-node
-// timeline is grouped or sorted.
+// dense step-by-core accumulator as the noise kernel visits them: per-cell
+// sums and the maximum over cells do not depend on event order, so no
+// per-node event list or timeline is built.
 //
-// The nodes are split into w = min(workers, nodes) contiguous blocks,
-// block i being [nodes*i/w, nodes*(i+1)/w). Block 0 runs on the calling
-// goroutine and every other block on its own, all joined before return.
-// Each block skips the base stream to its first node (see sim.Rand.Skip),
-// so node n draws from the same base.Derive(n) stream as in a sequential
-// run, and owns its own generator, accumulator and per-step maxima. The
-// partial maxima fold with max and the generators' tallies are sums, so
-// the result and the metrics dump do not depend on the worker count.
+// The nodes are split into contiguous blocks by sim.InBlocks, one per
+// worker up to the node count. Each block skips the base stream to its
+// first node (see sim.Rand.Skip), so node n draws from the same
+// base.Derive(n) stream as in a sequential run, and owns its own
+// generator, accumulator and per-step maxima. The partial maxima fold with
+// max and the generators' tallies are sums, so the result and the metrics
+// dump do not depend on the worker count.
 func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, nodes, steps int,
 	init, stepBusy time.Duration, horizon time.Duration, seed int64, workers int) []time.Duration {
 
@@ -260,7 +258,7 @@ func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, 
 	if stepBusy <= 0 {
 		return delays
 	}
-	// slot maps a core id (offset by lo) to its accumulator row, -1 for
+	// slot maps a core id (offset by lo) to its accumulator column, -1 for
 	// cores that run no rank.
 	lo, hi := cores[0], cores[0]
 	for _, c := range cores {
@@ -277,24 +275,15 @@ func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, 
 	w := max(1, min(workers, nodes))
 	gens := make([]*noise.Generator, w)
 	partial := make([][]time.Duration, w)
-	block := func(i int) {
-		binNodes(gens[i], partial[i], slot, lo, len(cores), nodes*i/w, nodes*(i+1)/w,
-			init, stepBusy, horizon, seed)
-	}
-	var wg sync.WaitGroup
 	for i := range w {
 		gens[i], partial[i] = profile.Generator(), delays
 		if i > 0 {
 			partial[i] = make([]time.Duration, steps)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				block(i)
-			}()
 		}
 	}
-	block(0)
-	wg.Wait()
+	sim.InBlocks(nodes, w, func(i, first, last int) {
+		binNodes(gens[i], partial[i], slot, lo, len(cores), first, last, init, stepBusy, horizon, seed)
+	})
 	for _, p := range partial[1:] {
 		for s, d := range p {
 			delays[s] = max(delays[s], d)
@@ -306,41 +295,42 @@ func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, 
 	return delays
 }
 
-// binNodes generates the timelines of nodes [first, last) with gen and
+// binNodes visits the interruptions of nodes [first, last) with gen and
 // raises delays[s] to the largest per-core interruption sum any of them
-// suffers in step s.
+// suffers in step s. The accumulator is step-major, cell step*ncores +
+// slot: each source visits its events in start order, so a node's writes
+// move forward through it.
 func binNodes(gen *noise.Generator, delays []time.Duration, slot []int, lo, ncores, first, last int,
 	init, stepBusy, horizon time.Duration, seed int64) {
 
 	steps := len(delays)
-	acc := make([]time.Duration, ncores*steps)
+	acc := make([]time.Duration, steps*ncores)
 	var touched []int // cells of acc written for the current node
-	var events []noise.Interruption
+	bin := func(iv noise.Interruption) {
+		c := iv.CPU - lo
+		if c < 0 || c >= len(slot) || slot[c] < 0 {
+			return
+		}
+		at := iv.Start.Duration() - init
+		if at < 0 {
+			return
+		}
+		step := int(at / stepBusy)
+		if step >= steps {
+			return
+		}
+		cell := step*ncores + slot[c]
+		if acc[cell] == 0 {
+			touched = append(touched, cell)
+		}
+		acc[cell] += iv.Len
+	}
 	base := sim.NewRand(seed)
 	base.Skip(first)
 	for n := first; n < last; n++ {
-		events = gen.AppendNode(events[:0], horizon, base.Derive(int64(n)))
-		for _, iv := range events {
-			c := iv.CPU - lo
-			if c < 0 || c >= len(slot) || slot[c] < 0 {
-				continue
-			}
-			at := iv.Start.Duration() - init
-			if at < 0 {
-				continue
-			}
-			step := int(at / stepBusy)
-			if step >= steps {
-				continue
-			}
-			cell := slot[c]*steps + step
-			if acc[cell] == 0 {
-				touched = append(touched, cell)
-			}
-			acc[cell] += iv.Len
-		}
+		gen.VisitNode(horizon, base.Derive(int64(n)), bin)
 		for _, cell := range touched {
-			delays[cell%steps] = max(delays[cell%steps], acc[cell])
+			delays[cell/ncores] = max(delays[cell/ncores], acc[cell])
 			acc[cell] = 0
 		}
 		touched = touched[:0]

@@ -2,6 +2,15 @@
 // delay model for bulk-synchronous applications (Eq. 1), noise-source
 // descriptors and interruption timelines used by the kernel models, and the
 // FWQ analysis (max noise length, Eq. 2 noise rate, CDFs).
+//
+// Every interruption comes from one kernel, run per source on that
+// source's private stream derived for the node. It draws events in
+// batches of up to 32: first every RNG draw of the batch, in the order
+// one event at a time would make them, then the batch's math.Exp calls,
+// then the events up to the horizon. Draws made for events at or past the
+// horizon are thrown away, which changes no output because the stream is
+// reseeded before it is used again. Generator.VisitNode hands the events
+// to a callback; AppendNode and NodeInto store them.
 package noise
 
 import (

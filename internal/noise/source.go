@@ -3,6 +3,7 @@ package noise
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -88,7 +89,6 @@ func (s *Source) Validate() error {
 
 // sampler is a Source with its draw distributions resolved once, so that
 // generating many nodes' events from one profile repeats no per-draw setup.
-// It draws exactly what, and in the order, the source's definition implies.
 type sampler struct {
 	src              *Source
 	interval, length sim.LogNormalDist
@@ -108,55 +108,105 @@ func (s *Source) sampler() sampler {
 	}
 }
 
-func (g *sampler) sampleInterval(rng *sim.Rand) time.Duration {
-	if g.src.EveryCV <= 0 {
-		return g.src.Every
-	}
-	return max(time.Duration(g.interval.Sample(rng)), time.Nanosecond)
+// batchMax bounds the number of events one kernel batch draws.
+const batchMax = 32
+
+// batch is the event kernel's scratch for one batch: per event, its length
+// (or the exponent it is taken from), its core pick and its interval (or
+// the interval's exponent).
+type batch struct {
+	tail   [batchMax]bool // the length came from the Pareto tail
+	lens   [batchMax]time.Duration
+	lenExp [batchMax]float64
+	core   [batchMax]int
+	gaps   [batchMax]time.Duration
+	gapExp [batchMax]float64
 }
 
-func (g *sampler) sampleLength(rng *sim.Rand) time.Duration {
-	s := g.src
-	if s.TailProb > 0 && rng.Bernoulli(s.TailProb) {
-		return time.Duration(rng.Pareto(float64(s.Length)*s.TailFactor, g.tailAlpha))
-	}
-	if s.LengthCV <= 0 {
-		return s.Length
-	}
-	return max(time.Duration(g.length.Sample(rng)), time.Nanosecond)
-}
-
-// appendEvents appends the source's interruptions over [0, horizon), drawn
-// from rng, to out in start order.
-func (g *sampler) appendEvents(out []Interruption, horizon time.Duration, rng *sim.Rand) []Interruption {
+// visitEvents is the noise-event kernel: it hands the source's
+// interruptions over [0, horizon), drawn from rng, to visit in start order,
+// and returns how many it visited and the time they steal. A TargetAll
+// event is one interruption per target core.
+//
+// The first arrival is uniform within one interval, so independent sources
+// are not phase-aligned at t=0. The events then come in batches of up to
+// batchMax: the expected number of events left before the horizon, plus
+// one. A batch makes every draw its events need, in the order the source
+// definition implies (per event: a Bernoulli draw and a Pareto length for
+// a tail source, else a lognormal length exponent; a core pick for
+// TargetRandom; an interval exponent), then takes the batch's math.Exp
+// calls, which do not wait on one another, then visits its events up to
+// the horizon. What a batch draws for events at or past the horizon is
+// thrown away. That is safe because rng is this source's private stream,
+// derived for one node and reseeded before any further use: no later draw
+// reads its state, so the events visited are exactly those a loop drawing
+// one event at a time would produce.
+func (g *sampler) visitEvents(b *batch, horizon time.Duration, rng *sim.Rand, visit func(Interruption)) (events int64, stolen time.Duration) {
 	s := g.src
 	if s.Disabled {
-		return out
+		return 0, 0
 	}
+	end := sim.Time(horizon)
 	rr := 0
-	// First arrival is uniform within one interval so independent sources
-	// are not phase-aligned at t=0.
 	t := sim.Time(rng.DurationUniform(0, s.Every))
-	for t < sim.Time(horizon) {
-		length := g.sampleLength(rng)
-		switch s.Mode {
-		case TargetAll:
-			for _, c := range s.Cores {
-				out = append(out, Interruption{Start: t, Len: length, CPU: c, Source: s.Name})
+	for t < end {
+		n := int(min(batchMax, end.Sub(t)/s.Every+1))
+		for k := range n {
+			b.tail[k] = s.TailProb > 0 && rng.Bernoulli(s.TailProb)
+			switch {
+			case b.tail[k]:
+				b.lens[k] = time.Duration(rng.Pareto(float64(s.Length)*s.TailFactor, g.tailAlpha))
+			case s.LengthCV > 0:
+				b.lenExp[k] = g.length.Exponent(rng)
+			default:
+				b.lens[k] = s.Length
 			}
-		case TargetRoundRobin:
-			c := s.Cores[rr%len(s.Cores)]
-			rr++
-			out = append(out, Interruption{Start: t, Len: length, CPU: c, Source: s.Name})
-		case TargetRandom:
-			c := s.Cores[rng.Intn(len(s.Cores))]
-			out = append(out, Interruption{Start: t, Len: length, CPU: c, Source: s.Name})
-		default: // TargetOne
-			out = append(out, Interruption{Start: t, Len: length, CPU: s.Cores[0], Source: s.Name})
+			if s.Mode == TargetRandom {
+				b.core[k] = rng.Intn(len(s.Cores))
+			}
+			if s.EveryCV > 0 {
+				b.gapExp[k] = g.interval.Exponent(rng)
+			} else {
+				b.gaps[k] = s.Every
+			}
 		}
-		t = t.Add(g.sampleInterval(rng))
+		if s.LengthCV > 0 {
+			for k := range n {
+				if !b.tail[k] {
+					b.lens[k] = max(time.Duration(math.Exp(b.lenExp[k])), time.Nanosecond)
+				}
+			}
+		}
+		if s.EveryCV > 0 {
+			for k := range n {
+				b.gaps[k] = max(time.Duration(math.Exp(b.gapExp[k])), time.Nanosecond)
+			}
+		}
+		for k := 0; k < n && t < end; k++ {
+			iv := Interruption{Start: t, Len: b.lens[k], CPU: s.Cores[0], Source: s.Name}
+			switch s.Mode {
+			case TargetAll:
+				for _, c := range s.Cores {
+					iv.CPU = c
+					visit(iv)
+				}
+				events += int64(len(s.Cores))
+				stolen += time.Duration(len(s.Cores)) * iv.Len
+				t = t.Add(b.gaps[k])
+				continue
+			case TargetRoundRobin:
+				iv.CPU = s.Cores[rr%len(s.Cores)]
+				rr++
+			case TargetRandom:
+				iv.CPU = s.Cores[b.core[k]]
+			}
+			visit(iv)
+			events++
+			stolen += iv.Len
+			t = t.Add(b.gaps[k])
+		}
 	}
-	return out
+	return events, stolen
 }
 
 // Profile is a node's complete noise description: the set of active sources.
@@ -230,6 +280,7 @@ type Generator struct {
 	events   []int64  // per source, since the last Publish
 	stolen   time.Duration
 	rngs     []*sim.Rand // per source, reseeded for every node
+	batch    batch       // the event kernel's scratch
 }
 
 // Generator returns a generator for the profile's current sources.
@@ -253,20 +304,24 @@ func (p *Profile) Generator() *Generator {
 	return g
 }
 
-// AppendNode appends one node's interruptions over [0, horizon) to buf,
-// source by source in profile order, each source's in start order. Source
-// s draws from rng.DeriveNamed(s.Name), whether or not it is disabled.
-func (g *Generator) AppendNode(buf []Interruption, horizon time.Duration, rng *sim.Rand) []Interruption {
+// VisitNode hands one node's interruptions over [0, horizon) to visit,
+// source by source in profile order, each source's in start order, and
+// stores none of them. Source s draws from rng.DeriveNamed(s.Name), whether
+// or not it is disabled.
+func (g *Generator) VisitNode(horizon time.Duration, rng *sim.Rand, visit func(Interruption)) {
 	for i := range g.samplers {
 		sp := &g.samplers[i]
-		n := len(buf)
 		rng.DeriveNamedInto(g.rngs[i], sp.src.Name)
-		buf = sp.appendEvents(buf, horizon, g.rngs[i])
-		g.events[i] += int64(len(buf) - n)
-		for _, iv := range buf[n:] {
-			g.stolen += iv.Len
-		}
+		n, stolen := sp.visitEvents(&g.batch, horizon, g.rngs[i], visit)
+		g.events[i] += n
+		g.stolen += stolen
 	}
+}
+
+// AppendNode appends one node's interruptions over [0, horizon), the ones
+// VisitNode visits, to buf in VisitNode's order.
+func (g *Generator) AppendNode(buf []Interruption, horizon time.Duration, rng *sim.Rand) []Interruption {
+	g.VisitNode(horizon, rng, func(iv Interruption) { buf = append(buf, iv) })
 	return buf
 }
 

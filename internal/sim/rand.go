@@ -205,44 +205,32 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.normFloat64()
 }
 
-// LogNormal returns exp(N(mu, sigma)). OS noise burst lengths are heavy
-// tailed; lognormal matches the FWQ trace shapes reported in the paper.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.normFloat64())
-}
-
 // LogNormalDist is a lognormal distribution given by its arithmetic mean
 // and coefficient of variation, which is how the noise models are
 // calibrated (mean length, relative spread). The log-space parameters are
 // computed once, so a sampler that draws many values from one calibration
-// takes no logarithm per draw.
+// takes no logarithm per draw. OS noise burst lengths and intervals are
+// heavy tailed; lognormal matches the FWQ trace shapes reported in the
+// paper.
 type LogNormalDist struct {
-	fixed     float64 // the value when the distribution is degenerate
-	random    bool
 	mu, sigma float64
 }
 
 // NewLogNormalDist returns the lognormal distribution with arithmetic mean
-// mean and coefficient of variation cv.
+// mean > 0 and coefficient of variation cv >= 0.
 func NewLogNormalDist(mean, cv float64) LogNormalDist {
-	switch {
-	case mean <= 0:
-		return LogNormalDist{}
-	case cv <= 0:
-		return LogNormalDist{fixed: mean}
-	}
 	sigma2 := math.Log(1 + cv*cv)
-	return LogNormalDist{random: true, mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
+	return LogNormalDist{mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2)}
 }
 
-// Sample draws one value. A degenerate distribution returns its fixed value
-// without consuming a draw: 0 for a non-positive mean, the mean itself for
-// a non-positive CV.
-func (d LogNormalDist) Sample(r *Rand) float64 {
-	if !d.random {
-		return d.fixed
-	}
-	return r.LogNormal(d.mu, d.sigma)
+// Exponent draws one value's exponent, a normal draw with the
+// distribution's log-space parameters: math.Exp(d.Exponent(r)) is a draw
+// from d, bit for bit math/rand's math.Exp(mu + sigma*NormFloat64()). The
+// draw and the exponentiation are split so that a sampler can draw the
+// exponents of many values first and then take their math.Exp calls,
+// which then do not wait on each other.
+func (d LogNormalDist) Exponent(r *Rand) float64 {
+	return d.mu + d.sigma*r.normFloat64()
 }
 
 // Pareto returns a Pareto(xm, alpha) sample: heavy-tailed, used for the rare

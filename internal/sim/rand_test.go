@@ -108,8 +108,8 @@ func TestLogNormalMeanCV(t *testing.T) {
 	const n = 400000
 	sum, sumSq := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := d.Sample(r)
-		if want := ref.LogNormal(mu, sigma); v != want {
+		v := math.Exp(d.Exponent(r))
+		if want := math.Exp(mu + sigma*ref.normFloat64()); v != want {
 			t.Fatalf("draw %d: LogNormalDist sample %v, closed form %v", i, v, want)
 		}
 		sum += v
@@ -126,16 +126,20 @@ func TestLogNormalMeanCV(t *testing.T) {
 	}
 }
 
+// TestLogNormalMeanCVDegenerate pins a zero CV: every exponent is the
+// log of the mean, so the distribution collapses onto it, and each draw
+// still consumes exactly one normal.
 func TestLogNormalMeanCVDegenerate(t *testing.T) {
 	r, ref := NewRand(4), NewRand(4)
-	if v := NewLogNormalDist(0, 0.5).Sample(r); v != 0 {
-		t.Fatalf("mean<=0 should return 0, got %v", v)
-	}
-	if v := NewLogNormalDist(3, 0).Sample(r); v != 3 {
-		t.Fatalf("cv<=0 should return mean, got %v", v)
+	d := NewLogNormalDist(3, 0)
+	for i := 0; i < 1000; i++ {
+		if x := d.Exponent(r); x != math.Log(3) {
+			t.Fatalf("draw %d: cv 0 exponent %v, want log(3) = %v", i, x, math.Log(3))
+		}
+		ref.normFloat64()
 	}
 	if r.Float64() != ref.Float64() {
-		t.Fatal("a degenerate distribution consumed a draw")
+		t.Fatal("a cv 0 draw consumed other than one normal")
 	}
 }
 
@@ -182,7 +186,7 @@ func TestDurationSamplers(t *testing.T) {
 		if d := r.DurationUniform(time.Microsecond, time.Millisecond); d < time.Microsecond || d >= time.Millisecond {
 			t.Fatalf("DurationUniform out of range: %v", d)
 		}
-		if d := Duration(NewLogNormalDist(float64(time.Millisecond), 0.3).Sample(r)); d <= 0 {
+		if d := Duration(math.Exp(NewLogNormalDist(float64(time.Millisecond), 0.3).Exponent(r))); d <= 0 {
 			t.Fatalf("non-positive lognormal duration %v", d)
 		}
 	}
@@ -252,7 +256,7 @@ func BenchmarkLogNormal(b *testing.B) {
 	d := NewLogNormalDist(float64(time.Millisecond), 0.5)
 	var sum float64
 	for i := 0; i < b.N; i++ {
-		sum += d.Sample(r)
+		sum += math.Exp(d.Exponent(r))
 	}
 	if sum < 0 {
 		b.Fatal("negative lognormal sum")
