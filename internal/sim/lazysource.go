@@ -111,17 +111,25 @@ func (s *lazySource) build() {
 	s.tap, s.feed = rngLen-rngTap, rngLen-2*rngTap
 }
 
-// lazyDraw returns the next draw before the register is live, building it
-// when draw rngTap arrives.
-func (s *lazySource) lazyDraw() uint64 {
+// Uint64 returns the next 64-bit value. Before the register is live, it
+// computes the draw from the seed, building the register when draw rngTap
+// arrives.
+func (s *lazySource) Uint64() uint64 {
+	if s.live {
+		return s.next()
+	}
 	if s.n == rngTap {
 		s.build()
-		return s.Uint64()
+		return s.next()
 	}
 	k := s.n
 	s.n++
-	w := s.word(rngLen - 1 - k)
-	x := s.word(rngLen-rngTap-1-k) + w
+	// Words 606-k and 333-k, as word computes them, written out so the
+	// draw makes no further call.
+	p, q := &lehmerPow[rngLen-1-k], &lehmerPow[rngLen-rngTap-1-k]
+	w := (s.lehmerMul(p[0])<<40 ^ s.lehmerMul(p[1])<<20 ^ s.lehmerMul(p[2])) ^ rngCooked[rngLen-1-k]
+	x := (s.lehmerMul(q[0])<<40 ^ s.lehmerMul(q[1])<<20 ^ s.lehmerMul(q[2])) ^ rngCooked[rngLen-rngTap-1-k]
+	x += w
 	if s.kept {
 		s.vec[rngLen-rngTap-1-k] = x
 		s.vec[rngLen-1-k] = w
@@ -129,11 +137,8 @@ func (s *lazySource) lazyDraw() uint64 {
 	return uint64(x)
 }
 
-// Uint64 returns the next 64-bit value.
-func (s *lazySource) Uint64() uint64 {
-	if !s.live {
-		return s.lazyDraw()
-	}
+// next returns the next value from the live register.
+func (s *lazySource) next() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
