@@ -184,26 +184,27 @@ func (g *sampler) visitEvents(b *batch, horizon time.Duration, rng *sim.Rand, vi
 		}
 		for k := 0; k < n && t < end; k++ {
 			iv := Interruption{Start: t, Len: b.lens[k], CPU: s.Cores[0], Source: s.Name}
+			t = t.Add(b.gaps[k])
+			hits := 1
 			switch s.Mode {
 			case TargetAll:
 				for _, c := range s.Cores {
 					iv.CPU = c
 					visit(iv)
 				}
-				events += int64(len(s.Cores))
-				stolen += time.Duration(len(s.Cores)) * iv.Len
-				t = t.Add(b.gaps[k])
-				continue
+				hits = len(s.Cores)
 			case TargetRoundRobin:
 				iv.CPU = s.Cores[rr%len(s.Cores)]
 				rr++
+				visit(iv)
 			case TargetRandom:
 				iv.CPU = s.Cores[b.core[k]]
+				visit(iv)
+			default: // TargetOne
+				visit(iv)
 			}
-			visit(iv)
-			events++
-			stolen += iv.Len
-			t = t.Add(b.gaps[k])
+			events += int64(hits)
+			stolen += time.Duration(hits) * iv.Len
 		}
 	}
 	return events, stolen
