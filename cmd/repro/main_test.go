@@ -22,9 +22,9 @@ func TestMain(m *testing.M) {
 // TestWriteErrorExits1 requires a failed write to stdout to fail the
 // command: it once ran every stage and exited 0 with no report. The
 // first stage's progress line is flushed before the stage runs, so a
-// failing stdout stops the run there, with the write error on stderr;
-// a full -quick run with a writable stdout takes several seconds and is
-// left to the Makefile and CI gates that run it.
+// failing stdout stops the run there, with the write error on stderr.
+// A full -quick run with a writable stdout takes several seconds; `make
+// bench-models` runs it and fails on a nonzero exit.
 func TestWriteErrorExits1(t *testing.T) {
 	dir := t.TempDir()
 	// Every write to a read-only file fails.
