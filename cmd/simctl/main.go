@@ -13,7 +13,8 @@
 //
 //	  id SPEC            print the content-addressed campaign id of a spec
 //	  submit SPEC        submit a spec (idempotent); prints id and state
-//	  await ID           poll until the campaign is terminal; rides out restarts
+//	  await ID           poll until the campaign is terminal, 1ms apart at first and
+//	                     doubling to 150ms; rides out restarts
 //	  run SPEC           submit then await
 //	  status ID          one status fetch
 //	  results ID         print results.json of a done campaign
@@ -24,7 +25,8 @@
 //	  top                periodic daemon overview (see -interval, -n)
 //	  metrics            Prometheus text exposition from /v1/metrics
 //	  trace              ops flight-recorder Chrome trace JSON from /v1/trace
-//	  wait-up            block until the daemon answers /v1/healthz
+//	  wait-up            block until the daemon answers /v1/healthz, probing 1ms
+//	                     apart at first and doubling to 50ms
 //	  flood -n N SPEC    N concurrent submits (see -distinct, -slow)
 package main
 

@@ -114,14 +114,15 @@ func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfile
 	g := p.Generator()
 	var tl noise.Timeline
 	var events []noise.Interruption
-	base := sim.NewRand(seed)
+	base, node := sim.NewRand(seed), sim.NewRand(0)
 	analyses := make([]noise.Analysis, 0, nodes)
 	runs := make([]*FWQRun, 0, nodes)
 	for n := 0; n < nodes; n++ {
 		if err := ctx.Err(); err != nil {
 			return analyses, runs, err
 		}
-		events = g.NodeInto(&tl, events, cfg.Duration, base.Derive(int64(n)))
+		base.DeriveInto(node, int64(n))
+		events = g.NodeInto(&tl, events, cfg.Duration, node)
 		g.Publish(p.Sink)
 		run, err := RunFWQ(cfg, &tl)
 		if err != nil {

@@ -99,7 +99,7 @@ func FWQSketchAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int
 	}
 	p := prof.NoiseProfile()
 	g := p.Generator()
-	base := sim.NewRand(seed)
+	base, node := sim.NewRand(seed), sim.NewRand(0)
 	var (
 		tl        noise.Timeline
 		events    []noise.Interruption
@@ -107,7 +107,8 @@ func FWQSketchAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int
 	)
 	out := make([]*FWQSketch, 0, nodes)
 	for n := 0; n < nodes; n++ {
-		events = g.NodeInto(&tl, events, cfg.Duration, base.Derive(int64(n)))
+		base.DeriveInto(node, int64(n))
+		events = g.NodeInto(&tl, events, cfg.Duration, node)
 		var clean int64
 		clean, perturbed = fwqWalk(cfg, &tl, perturbed[:0])
 		sk, err := newFWQSketch(cfg.Work, clean, perturbed)

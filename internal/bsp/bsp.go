@@ -327,8 +327,10 @@ func binNodes(gen *noise.Generator, delays []time.Duration, slot []int, lo, ncor
 	}
 	base := sim.NewRand(seed)
 	base.Skip(first)
+	node := sim.NewRand(0) // reseeded for every node
 	for n := first; n < last; n++ {
-		gen.VisitNode(horizon, base.Derive(int64(n)), bin)
+		base.DeriveInto(node, int64(n))
+		gen.VisitNode(horizon, node, bin)
 		for _, cell := range touched {
 			delays[cell/ncores] = max(delays[cell/ncores], acc[cell])
 			acc[cell] = 0

@@ -60,12 +60,18 @@ func (r *Rand) DeriveNamed(label string) *Rand {
 	return r.Derive(labelStream(label))
 }
 
-// DeriveNamedInto resets dst, a generator made by NewRand, to the one
-// DeriveNamed(label) would return, consuming the same parent draw, and
-// reuses dst's storage: a caller deriving the same labelled stream for
-// node after node allocates nothing.
+// DeriveInto resets dst, a generator made by NewRand, to the one
+// Derive(stream) would return, consuming the same parent draw, and reuses
+// dst's storage: a caller deriving one stream per node allocates nothing.
+func (r *Rand) DeriveInto(dst *Rand, stream int64) {
+	dst.lazy.Seed(r.DeriveSeed(stream))
+}
+
+// DeriveNamedInto is DeriveInto for the stream DeriveNamed(label) derives:
+// a caller deriving the same labelled stream for node after node allocates
+// nothing.
 func (r *Rand) DeriveNamedInto(dst *Rand, label string) {
-	dst.lazy.Seed(r.DeriveSeed(labelStream(label)))
+	r.DeriveInto(dst, labelStream(label))
 }
 
 // labelStream is the stream id of a label: its FNV-64 hash.

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"mkos/internal/simd/worker"
 )
 
 // Client talks to a simd daemon with the retry discipline a shared-machine
@@ -39,7 +41,8 @@ type Client struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the schedule; <= 0 means 2s.
 	MaxDelay time.Duration
-	// PollInterval paces Await's status polls; <= 0 means 150ms.
+	// PollInterval caps the wait between Await's status polls, which
+	// starts at 1ms and doubles (see pollDelay); <= 0 means 150ms.
 	PollInterval time.Duration
 
 	// WrapBody, when non-nil, wraps every response body reader before it is
@@ -62,21 +65,19 @@ func (c *Client) attempts() int {
 }
 
 // Backoff returns the deterministic delay before retry attempt i (0-based):
-// min(BaseDelay·2ⁱ, MaxDelay), no jitter. Exported so harnesses can predict
-// a client's exact retry schedule.
+// min(BaseDelay·2ⁱ, MaxDelay), no jitter, the schedule worker.Backoff
+// computes. Exported so harnesses can predict a client's exact retry
+// schedule.
 func (c *Client) Backoff(i int) time.Duration {
-	base, max := c.BaseDelay, c.MaxDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base << uint(i)
-	if d <= 0 || d > max { // <= 0 guards shift overflow
-		return max
-	}
-	return d
+	return worker.Backoff(i, c.BaseDelay, c.MaxDelay)
+}
+
+// pollDelay is the wait before probe i+1 of a poll loop (WaitUp, Await):
+// min(1ms·2ⁱ, max). The first probes follow each other closely, so a daemon
+// that comes up or a campaign that settles is seen within about as long
+// again as it took, and a long wait costs no more than one probe per max.
+func pollDelay(i int, max time.Duration) time.Duration {
+	return worker.Backoff(i, time.Millisecond, max)
 }
 
 func (c *Client) poll() time.Duration {
@@ -200,12 +201,13 @@ func (c *Client) Status(ctx context.Context, id string) (Status, error) {
 	return st, err
 }
 
-// Await polls until the campaign reaches a terminal state. Transport errors
-// are absorbed indefinitely (bounded only by ctx): the daemon dying and
-// coming back mid-campaign is precisely the scenario a crash-tolerant
-// client rides out.
+// Await polls until the campaign reaches a terminal state, waiting
+// pollDelay(i, PollInterval) after poll i: 1ms, 2ms, 4ms and so on up to
+// PollInterval. Transport errors are absorbed indefinitely (bounded only by
+// ctx): the daemon dying and coming back mid-campaign is precisely the
+// scenario a crash-tolerant client rides out.
 func (c *Client) Await(ctx context.Context, id string) (Status, error) {
-	for {
+	for i := 0; ; i++ {
 		st, err := c.Status(ctx, id)
 		switch {
 		case err == nil && st.Terminal():
@@ -214,7 +216,7 @@ func (c *Client) Await(ctx context.Context, id string) (Status, error) {
 			return st, err
 		}
 		select {
-		case <-time.After(c.poll()):
+		case <-time.After(pollDelay(i, c.poll())):
 		case <-ctx.Done():
 			return st, ctx.Err()
 		}
@@ -330,14 +332,16 @@ func (c *Client) Tail(ctx context.Context, id string, fn func(Event) error) erro
 
 // WaitUp polls /v1/healthz until the daemon answers or ctx ends — the
 // start-up barrier scripts need between launching the daemon and flooding
-// it.
+// it. It waits pollDelay(i, 50ms) after probe i (1ms, 2ms, 4ms, ... 32ms,
+// then 50ms), so a daemon that answers a few milliseconds after exec is
+// seen a few milliseconds later.
 func (c *Client) WaitUp(ctx context.Context) error {
-	for {
+	for i := 0; ; i++ {
 		if _, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil); err == nil {
 			return nil
 		}
 		select {
-		case <-time.After(50 * time.Millisecond):
+		case <-time.After(pollDelay(i, 50*time.Millisecond)):
 		case <-ctx.Done():
 			return fmt.Errorf("simd: daemon never came up: %w", ctx.Err())
 		}

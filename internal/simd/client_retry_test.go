@@ -1,7 +1,9 @@
 package simd_test
 
 import (
+	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"mkos/internal/simd"
+	"mkos/internal/simd/worker"
 )
 
 // scriptedServer answers each request with the next scripted response,
@@ -137,5 +140,66 @@ func TestClientRetryDiscipline(t *testing.T) {
 				t.Fatalf("server saw %d attempts, want %d", got, tc.wantCalls)
 			}
 		})
+	}
+}
+
+// TestClientBackoffIsWorkerBackoff: the client's retry schedule is the
+// supervisor's restart schedule, defaults and overflow guard included.
+func TestClientBackoffIsWorkerBackoff(t *testing.T) {
+	for _, c := range []*simd.Client{
+		{},
+		{BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		{BaseDelay: 3 * time.Second, MaxDelay: time.Second},
+	} {
+		for i := 0; i <= 70; i++ {
+			if got, want := c.Backoff(i), worker.Backoff(i, c.BaseDelay, c.MaxDelay); got != want {
+				t.Fatalf("base %v max %v: Client.Backoff(%d) = %v, worker.Backoff = %v",
+					c.BaseDelay, c.MaxDelay, i, got, want)
+			}
+		}
+	}
+}
+
+// TestWaitUpSeesLateListener: a daemon that starts answering ~10ms after
+// WaitUp's first probe is seen within a few milliseconds of coming up: by
+// 45ms, or, on a host so loaded that the listener itself comes up late, by
+// about twice the time it took.
+func TestWaitUpSeesLateListener(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})}
+	defer srv.Close()
+	type up struct {
+		after time.Duration
+		err   error
+	}
+	serving := make(chan up, 1)
+	start := time.Now()
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		l, err := net.Listen("tcp", addr)
+		serving <- up{time.Since(start), err}
+		if err == nil {
+			srv.Serve(l)
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c := &simd.Client{BaseURL: "http://" + addr}
+	err = c.WaitUp(ctx)
+	took := time.Since(start)
+	u := <-serving
+	if u.err != nil {
+		t.Fatalf("listening again on %s: %v", addr, u.err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := max(45*time.Millisecond, 2*u.after+15*time.Millisecond); took >= limit {
+		t.Fatalf("WaitUp took %v for a listener up after %v; want < %v", took, u.after, limit)
 	}
 }

@@ -78,6 +78,9 @@ type Server struct {
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	wg        sync.WaitGroup
+	// reaps counts supervisors whose workers reported done but may not
+	// have exited yet; Drain and Kill wait for it after the dispatchers.
+	reaps sync.WaitGroup
 
 	latency *telemetry.Histogram
 	mux     *http.ServeMux
@@ -265,9 +268,9 @@ func (s *Server) Start() {
 // submissions see a typed 503, health checks go non-200), give running
 // campaigns DrainGrace to finish naturally, then cancel them cooperatively —
 // their finished trials are journaled, their statuses persist as interrupted
-// — and return once every dispatcher has settled. Queued campaigns stay
-// queued on disk; the next incarnation resumes everything. Live event
-// streams are released so their handlers return.
+// — and return once every dispatcher has settled and every worker has been
+// reaped. Queued campaigns stay queued on disk; the next incarnation resumes
+// everything. Live event streams are released so their handlers return.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.queue.close()
@@ -282,6 +285,7 @@ func (s *Server) Drain() {
 		s.runCancel()
 		<-settled
 	}
+	s.reaps.Wait()
 	s.events.closeAll()
 	s.log.Info(fmt.Sprintf("drained: %d campaigns left queued for the next start", s.queue.size()),
 		oplog.F("queued", s.queue.size()))
@@ -290,14 +294,16 @@ func (s *Server) Drain() {
 // Kill is the crash-simulation path (tests and the chaos harness): stop
 // everything mid-flight with no persistence courtesy — statuses stay
 // whatever the last atomic write made them, exactly as a SIGKILL would leave
-// them — and wait only for the dispatcher goroutines to exit so a successor
-// Server may safely open the same store.
+// them — and wait only for the dispatcher goroutines to exit and their
+// workers to be reaped, so a successor Server may safely open the same
+// store and no worker outlives the Server.
 func (s *Server) Kill() {
 	s.hardKill.Store(true)
 	s.draining.Store(true)
 	s.queue.close()
 	s.runCancel()
 	s.wg.Wait()
+	s.reaps.Wait()
 	s.events.closeAll()
 }
 
@@ -359,7 +365,8 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 // (internal/simd/worker). The worker writes the journal and the artifacts;
 // the supervisor restarts it across deaths; this side relays trial events,
 // mirrors restart accounting into the campaign status, and settles from the
-// terminal Result.
+// terminal Result as soon as the worker reports done. The worker's exit is
+// collected in the background and joined by Drain and Kill.
 func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) {
 	w := s.opts.Worker
 	// Preflight the journal flock so a cross-daemon conflict is detected
@@ -434,6 +441,11 @@ func (s *Server) runWorker(ctx context.Context, runSpan *ops.Span, c *campaign) 
 		CancelGraceMS:  int64(s.opts.CancelGrace / time.Millisecond),
 		Version:        s.opts.Version,
 	})
+	s.reaps.Add(1)
+	go func() {
+		defer s.reaps.Done()
+		sup.Wait()
+	}()
 	if err != nil {
 		s.mu.Lock()
 		c.cancel = nil

@@ -24,10 +24,12 @@ import (
 
 // Environment of the re-exec'd test worker (see TestMain): workerEnv turns
 // the test binary into a worker, gateEnv names the harness directory its
-// trial bodies talk through.
+// trial bodies talk through, and lingerEnv keeps the worker alive for that
+// many milliseconds after its done event, like a worker slow to tear down.
 const (
 	workerEnv = "SIMD_TEST_WORKER"
 	gateEnv   = "SIMD_TEST_GATE"
+	lingerEnv = "SIMD_TEST_LINGER_MS"
 )
 
 // harness wires daemons to synthetic campaigns so tests exercise the real

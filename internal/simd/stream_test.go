@@ -2,6 +2,7 @@ package simd_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -357,7 +358,7 @@ func TestJournalBusyIs409(t *testing.T) {
 // after real traffic: /v1/metrics is well-formed Prometheus text with
 // coherent trial counters, and /v1/trace is Chrome trace JSON whose spans
 // cover the causal chain campaign → queue-wait → run → trial with correct
-// parentage.
+// parentage, with the worker's spawn and reap spans under the run span.
 func TestMetricsAndTrace(t *testing.T) {
 	h := newHarness(t)
 	d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h.worker()})
@@ -438,6 +439,40 @@ func TestMetricsAndTrace(t *testing.T) {
 	for _, child := range []string{"queue-wait", "run"} {
 		if parent := fmt.Sprint(spans[child]["parent"]); parent != root {
 			t.Errorf("%s span has parent %s, want campaign span %s", child, parent, root)
+		}
+	}
+
+	// The isolation cost: spawn (exec to hello) and reap (done to exit
+	// collected) are children of the run span. The reap may end after the
+	// campaign settles; Drain joins it.
+	d.stop()
+	var buf bytes.Buffer
+	if err := d.srv.Tracer().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var drained struct {
+		TraceEvents []struct {
+			Ph   string         `json:"ph"`
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &drained); err != nil {
+		t.Fatalf("drained trace is not valid JSON: %v", err)
+	}
+	run := fmt.Sprint(spans["run"]["span"])
+	for _, name := range []string{"spawn", "reap"} {
+		n := 0
+		for _, ev := range drained.TraceEvents {
+			if ev.Ph == "X" && ev.Name == name {
+				n++
+				if parent := fmt.Sprint(ev.Args["parent"]); parent != run {
+					t.Errorf("%s span has parent %s, want run span %s", name, parent, run)
+				}
+			}
+		}
+		if n != 1 {
+			t.Errorf("drained trace has %d %q spans, want 1; spans seen: %v", n, name, spanNames(drained.TraceEvents))
 		}
 	}
 }

@@ -26,6 +26,13 @@
 // /proc/<pid>/statm, a per-campaign wall deadline, deterministic capped
 // backoff between restarts, and a crash-loop circuit breaker that gives up
 // on a spec after K consecutive worker deaths with no progress.
+//
+// The daemon settles a campaign on its done event, not on the worker's
+// exit: the worker has written its artifacts before done, and the sweep
+// journal's flock is released before the campaign returns, so nothing the
+// daemon settles depends on the exit. The Supervisor collects the exit in
+// the background (Supervisor.Wait joins it), and the daemon's Drain and
+// Kill wait for every such collection, so no worker outlives the daemon.
 package worker
 
 import (
@@ -114,9 +121,10 @@ type Summary struct {
 }
 
 // Backoff returns the deterministic capped restart delay before attempt i
-// (0-based): min(base·2ⁱ, max), no jitter — the same schedule the simd
-// client applies to its retries, so a chaos run's restart cadence is exactly
-// reproducible. base <= 0 means 50ms, max <= 0 means 2s.
+// (0-based): min(base·2ⁱ, max), no jitter — the one schedule behind the
+// supervisor's restarts and the simd client's retries and polls, so a chaos
+// run's restart cadence is exactly reproducible. base <= 0 means 50ms,
+// max <= 0 means 2s.
 func Backoff(i int, base, max time.Duration) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
 
 	"mkos/internal/telemetry"
+	"mkos/internal/telemetry/ops"
 )
 
 // Supervisor runs one campaign to a terminal state through a sequence of
@@ -21,6 +23,9 @@ import (
 // ceiling, wall deadline) by SIGKILLing the worker, and the crash-loop
 // circuit breaker by giving up after CrashLoopK consecutive deaths with no
 // progress.
+//
+// Run returns on the worker's done event and collects the worker's exit in
+// the background; Wait joins those collections.
 type Supervisor struct {
 	// Cmd is the worker argv (Cmd[0] is the binary — typically the daemon's
 	// own executable with the hidden -worker flag). Required.
@@ -65,7 +70,16 @@ type Supervisor struct {
 	// Logf receives supervisor diagnostics and the worker's re-logged stderr
 	// lines; nil discards them.
 	Logf func(format string, args ...any)
+
+	reaps sync.WaitGroup // exit collections still running after a done event
 }
+
+// Wait blocks until every worker Run spawned has exited and been collected.
+// A worker that reported done may still be running when Run returns: it has
+// written its artifacts and released its journal, so nothing Run reports
+// depends on its exit, but its owner calls Wait before it may assume that no
+// worker is alive.
+func (s *Supervisor) Wait() { s.reaps.Wait() }
 
 // Result is the campaign's terminal outcome as the supervisor saw it.
 type Result struct {
@@ -100,7 +114,9 @@ type onceOut struct {
 
 // Run drives the campaign to a terminal Result. The returned error is
 // reserved for supervisor-level failures (unable to spawn at all); every
-// worker outcome, including crash loops, is a Result.
+// worker outcome, including crash loops, is a Result. Each incarnation
+// records a "spawn" span (exec to hello) under ctx's current ops span, and a
+// worker that reports done a "reap" span (done to exit collected).
 func (s *Supervisor) Run(ctx context.Context, req Request) (*Result, error) {
 	if len(s.Cmd) == 0 {
 		return nil, fmt.Errorf("worker: supervisor has no command")
@@ -209,6 +225,8 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 	if err != nil {
 		return nil, fmt.Errorf("worker stderr: %w", err)
 	}
+	_, spawnSpan := ops.Start(ctx, "spawn", ops.Arg{Key: "attempt", Val: strconv.Itoa(attempt)})
+	defer spawnSpan.End() // a worker that never says hello
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("spawning worker: %w", err)
 	}
@@ -295,7 +313,10 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 				return out, nil
 			}
 			switch ev.Ev {
-			case EvHello, EvHB:
+			case EvHello:
+				spawnSpan.End(ops.Arg{Key: "pid", Val: strconv.Itoa(pid)})
+				resetHB()
+			case EvHB:
 				resetHB()
 			case EvTrial:
 				resetHB()
@@ -308,7 +329,7 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 			case EvDone:
 				done := ev
 				out.kind, out.done = onceDone, &done
-				out.cause = reap()
+				s.reapAfterDone(ctx, pid, reap)
 				return out, nil
 			}
 		case <-ctx.Done():
@@ -337,7 +358,7 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 					if ev.Ev == EvDone {
 						done := ev
 						out.kind, out.done = onceCanceled, &done
-						reap()
+						s.reapAfterDone(ctx, pid, reap)
 						return out, nil
 					}
 				case <-gt.C:
@@ -375,6 +396,18 @@ func (s *Supervisor) runOnce(ctx context.Context, req Request, attempt int, dead
 			return out, nil
 		}
 	}
+}
+
+// reapAfterDone collects the exit of a worker that reported done in the
+// background, under a "reap" span, so the campaign settles without waiting
+// for the worker's teardown.
+func (s *Supervisor) reapAfterDone(ctx context.Context, pid int, reap func() string) {
+	_, span := ops.StartTrack(ctx, "reap", ops.Arg{Key: "pid", Val: strconv.Itoa(pid)}) // outlives its parent run span
+	s.reaps.Add(1)
+	go func() {
+		defer s.reaps.Done()
+		span.End(ops.Arg{Key: "exit", Val: reap()})
+	}()
 }
 
 func resultFromEvent(ev *Event) *Result {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -35,12 +36,18 @@ import (
 //	hang     says hello, then goes silent: a wedged worker
 //	balloon  says hello, allocates far past any sane RSS limit, keeps
 //	         heartbeating: a runaway trial's memory
+//	linger   like ok, but stays alive lingerMS after its done event: a worker
+//	         slow to tear down
 func TestMain(m *testing.M) {
 	switch os.Getenv("WORKER_TEST_MODE") {
 	case "":
 		os.Exit(m.Run())
 	case "ok":
 		os.Exit(worker.Main(os.Stdin, os.Stdout, os.Stderr, testBuild))
+	case "linger":
+		code := worker.Main(os.Stdin, os.Stdout, os.Stderr, testBuild)
+		time.Sleep(lingerMS * time.Millisecond)
+		os.Exit(code)
 	case "die-mid":
 		os.Exit(worker.Main(os.Stdin, os.Stdout, os.Stderr, buildDieMid))
 	case "die-each":
@@ -222,6 +229,43 @@ func TestSupervisorCleanRun(t *testing.T) {
 		if _, serr := os.Stat(filepath.Join(art, name+".sha256")); serr != nil {
 			t.Fatalf("artifact sidecar %s.sha256 missing: %v", name, serr)
 		}
+	}
+}
+
+// lingerMS is how long a "linger" worker stays alive after its done event.
+const lingerMS = 500
+
+// TestSupervisorReturnsOnDone: Run returns on the worker's done event, not
+// on its exit, and Wait returns once the worker has been reaped.
+func TestSupervisorReturnsOnDone(t *testing.T) {
+	var pid atomic.Int64
+	sup := &worker.Supervisor{
+		Cmd:     []string{os.Args[0]},
+		Env:     env("WORKER_TEST_MODE=linger"),
+		OnSpawn: func(_, p int) { pid.Store(int64(p)) },
+	}
+	start := time.Now()
+	res, err := sup.Run(context.Background(), worker.Request{
+		Spec: specJSON("linger", 4, 1), CacheDir: t.TempDir(), Workers: 1, Version: "wkr-v1",
+	})
+	took := time.Since(start)
+	t.Logf("Run returned after %v", took)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != worker.StateDone {
+		t.Fatalf("lingering worker's campaign = %+v, want done", res)
+	}
+	if took >= 250*time.Millisecond {
+		t.Fatalf("Run took %v with a worker that lingers %dms after done; want < 250ms", took, lingerMS)
+	}
+	p := int(pid.Load())
+	if syscall.Kill(p, 0) != nil {
+		t.Fatalf("worker %d was gone when Run returned; Run waited for its exit", p)
+	}
+	sup.Wait()
+	if syscall.Kill(p, 0) == nil {
+		t.Fatalf("worker %d is still alive (or unreaped) after Wait", p)
 	}
 }
 

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -24,7 +27,11 @@ import (
 // → journal → store pipeline with nothing mocked.
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnv) == "1" {
-		os.Exit(worker.Main(os.Stdin, os.Stdout, os.Stderr, testBuild))
+		code := worker.Main(os.Stdin, os.Stdout, os.Stderr, testBuild)
+		if ms, _ := strconv.Atoi(os.Getenv(lingerEnv)); ms > 0 {
+			time.Sleep(time.Duration(ms) * time.Millisecond)
+		}
+		os.Exit(code)
 	}
 	os.Exit(m.Run())
 }
@@ -344,3 +351,57 @@ func TestSubmitNoSpace(t *testing.T) {
 		t.Fatalf("rejected.no_space = %d, want 1 (a higher count means the client retried a full disk)", stats.Rejected.NoSpace)
 	}
 }
+
+// TestSettleOnDoneReapedByDrainAndKill: a campaign settles on its worker's
+// done event, while a worker slow to tear down is still alive, and Drain and
+// Kill return only after every worker the daemon spawned has been reaped.
+func TestSettleOnDoneReapedByDrainAndKill(t *testing.T) {
+	for _, how := range []string{"drain", "kill"} {
+		t.Run(how, func(t *testing.T) {
+			ctx := testCtx(t)
+			h := newHarness(t)
+			var mu sync.Mutex
+			var pids []int
+			w := h.worker()
+			w.Env = append(w.Env, lingerEnv+"=500")
+			w.SpawnHook = func(_ string, _, pid int) {
+				mu.Lock()
+				pids = append(pids, pid)
+				mu.Unlock()
+			}
+			d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: w})
+			defer d.stop()
+			cl := d.client("reap")
+			st, err := cl.Submit(ctx, specJSON("reap-"+how, 1, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = cl.Await(ctx, st.ID); err != nil || st.State != simd.StateDone {
+				t.Fatalf("campaign = %+v, %v; want done", st, err)
+			}
+			mu.Lock()
+			spawned := append([]int(nil), pids...)
+			mu.Unlock()
+			if len(spawned) != 1 {
+				t.Fatalf("spawned workers %v, want 1", spawned)
+			}
+			if !alive(spawned[0]) {
+				t.Fatalf("worker %d exited before its campaign settled: the daemon waited for teardown", spawned[0])
+			}
+			if how == "drain" {
+				d.stop()
+			} else {
+				d.kill()
+			}
+			for _, pid := range spawned {
+				if alive(pid) {
+					t.Fatalf("worker %d is still alive after %s", pid, how)
+				}
+			}
+		})
+	}
+}
+
+// alive reports whether pid names a process, a zombie not yet reaped
+// included.
+func alive(pid int) bool { return syscall.Kill(pid, 0) == nil }

@@ -76,6 +76,16 @@ if [ "$(metric simd_admitted_total "$WORK/metrics1.txt")" != "1" ]; then
 fi
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
+# The kernel SIGKILLs the worker when the daemon dies (Pdeathsig), but a
+# journal append already in flight still lands: count the journal only once
+# the worker has exited (a zombie has).
+WPID=$(grep 'worker spawned' "$WORK/simd1.log" | sed -n 's/.*"pid":\([0-9][0-9]*\).*/\1/p' | tail -n 1)
+for i in $(seq 1 100); do
+  if [ -z "$WPID" ] || ! kill -0 "$WPID" 2>/dev/null || grep -q ') Z ' "/proc/$WPID/stat" 2>/dev/null; then
+    break
+  fi
+  sleep 0.05
+done
 FIRST=$(wc -l < "$JOURNAL")
 if [ "$FIRST" -lt 1 ] || [ "$FIRST" -ge "$TOTAL" ]; then
   echo "FAIL: $FIRST of $TOTAL trials journaled at kill time — SIGKILL missed the campaign window" >&2

@@ -5,7 +5,8 @@
 # /v1/metrics whose counters match the campaign, (c) a complete SSE replay
 # via simctl tail (dense seqs, one trial event per trial, terminal state
 # last), and (d) a Chrome ops trace at /v1/trace with the causal span chain
-# campaign -> queue-wait -> run -> trial.
+# campaign -> queue-wait -> run -> trial, and the run's worker spawn (exec
+# to hello) and reap (done to exit collected) spans.
 #
 # Usage: scripts/simd-obs-check.sh [SPEC] [WORKDIR] [PORT]
 set -eu
@@ -98,7 +99,7 @@ grep -q "id=$ID state=done" "$WORK/top.txt" || {
 
 # (d) Ops trace: valid JSON envelope with the causal span chain.
 "$WORK/simctl" -addr "$ADDR" trace > "$WORK/trace.json"
-for span in campaign queue-wait run trial; do
+for span in campaign queue-wait run trial spawn reap; do
   grep -q "\"name\":\"$span\"" "$WORK/trace.json" || {
     echo "FAIL: ops trace has no \"$span\" span" >&2
     exit 1
