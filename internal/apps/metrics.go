@@ -60,17 +60,3 @@ func (a App) MetricFor(runtime time.Duration, nodes int) Metric {
 		return Metric{Name: "runtime", Value: secs, Unit: "s"}
 	}
 }
-
-// RelativeFromMetrics recovers the paper's relative-performance number from
-// two metric reports (metrics are rates: higher is better, so relative =
-// mckernel/linux — equal to runtimeLinux/runtimeMcKernel).
-func RelativeFromMetrics(linux, mckernel Metric) (float64, error) {
-	if linux.Unit != mckernel.Unit || linux.Name != mckernel.Name {
-		return 0, fmt.Errorf("apps: incomparable metrics %s[%s] vs %s[%s]",
-			linux.Name, linux.Unit, mckernel.Name, mckernel.Unit)
-	}
-	if linux.Value <= 0 {
-		return 0, fmt.Errorf("apps: non-positive metric %v", linux.Value)
-	}
-	return mckernel.Value / linux.Value, nil
-}

@@ -57,25 +57,3 @@ func TestMetricFasterRuntimeHigherMetric(t *testing.T) {
 		t.Fatal("FOM must be inversely proportional to runtime")
 	}
 }
-
-func TestRelativeFromMetrics(t *testing.T) {
-	app, _ := LQCD(OnFugaku)
-	linux := app.MetricFor(10*time.Second, 512)
-	mck := app.MetricFor(8*time.Second, 512)
-	rel, err := RelativeFromMetrics(linux, mck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// runtime ratio 10/8 = 1.25.
-	if math.Abs(rel-1.25) > 1e-9 {
-		t.Fatalf("relative = %v, want 1.25", rel)
-	}
-	// Incomparable metrics rejected.
-	other, _ := GeoFEM(OnFugaku)
-	if _, err := RelativeFromMetrics(linux, other.MetricFor(time.Second, 1)); err == nil {
-		t.Fatal("cross-app metrics must be rejected")
-	}
-	if _, err := RelativeFromMetrics(Metric{Name: "x", Unit: "u"}, Metric{Name: "x", Unit: "u"}); err == nil {
-		t.Fatal("zero-valued metric must be rejected")
-	}
-}

@@ -1,12 +1,11 @@
 // Package cluster assembles full platform models: the Oakforest-PACS and
 // Fugaku presets of Table 1 (hardware topology, memory, fabric, Linux
 // tuning), node construction for either OS (native Linux or IHK/McKernel
-// booted on an IHK partition), and the NUMA-aware job-geometry logic of
-// Sec. 4.1.4 (Fugaku's scheduler binds one MPI rank per CMG).
+// booted on an IHK partition), and the job-geometry check of Sec. 4.1.4
+// (a job's ranks and threads must fit the application cores).
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"mkos/internal/bsp"
@@ -218,58 +217,6 @@ func (p *Platform) Validate(g bsp.Geometry) error {
 			g.RanksPerNode, g.ThreadsPerRank, need, appThreads, appCores)
 	}
 	return nil
-}
-
-// Binding maps one rank to its cores.
-type Binding struct {
-	Rank  int
-	NUMA  int
-	Cores []int
-}
-
-// ErrGeometry reports an impossible rank layout.
-var ErrGeometry = errors.New("cluster: geometry does not fit")
-
-// BindRanks computes the NUMA-aware process binding Fugaku's job scheduler
-// applies automatically (Sec. 4.1.4): ranks are distributed over application
-// NUMA domains (CMGs) and each rank's threads get cores inside its domain.
-func (p *Platform) BindRanks(g bsp.Geometry) ([]Binding, error) {
-	if err := p.Validate(g); err != nil {
-		return nil, err
-	}
-	topo := p.NewTopology()
-	domains := topo.AppNUMADomains
-	if len(domains) == 0 {
-		return nil, ErrGeometry
-	}
-	perDomain := (g.RanksPerNode + len(domains) - 1) / len(domains)
-	var out []Binding
-	for r := 0; r < g.RanksPerNode; r++ {
-		d := domains[r/perDomain%len(domains)]
-		cores := topo.CoresInNUMA(d)
-		// Filter to app cores within the domain.
-		var appCores []int
-		for _, c := range cores {
-			for i := range topo.Cores {
-				if topo.Cores[i].ID == c && topo.Cores[i].Kind == cpu.AppCore {
-					appCores = append(appCores, c)
-				}
-			}
-		}
-		if len(appCores) == 0 {
-			return nil, fmt.Errorf("%w: domain %d has no app cores", ErrGeometry, d)
-		}
-		slot := r % perDomain
-		threadsPerCore := topo.Cores[0].SMT
-		coresNeeded := (g.ThreadsPerRank + threadsPerCore - 1) / threadsPerCore
-		start := slot * coresNeeded
-		if start+coresNeeded > len(appCores) {
-			return nil, fmt.Errorf("%w: rank %d needs cores [%d,%d) in domain %d with %d app cores",
-				ErrGeometry, r, start, start+coresNeeded, d, len(appCores))
-		}
-		out = append(out, Binding{Rank: r, NUMA: d, Cores: appCores[start : start+coresNeeded]})
-	}
-	return out, nil
 }
 
 // Machine builds the bsp.Machine for a job on this platform.

@@ -119,68 +119,6 @@ func TestGeometryValidation(t *testing.T) {
 	}
 }
 
-func TestBindRanksFugaku(t *testing.T) {
-	// Fugaku's canonical geometry: one rank per CMG (Sec. 4.1.4).
-	bindings, err := Fugaku().BindRanks(bsp.Geometry{RanksPerNode: 4, ThreadsPerRank: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bindings) != 4 {
-		t.Fatalf("bindings = %d", len(bindings))
-	}
-	seenNUMA := map[int]bool{}
-	for _, b := range bindings {
-		if len(b.Cores) != 12 {
-			t.Fatalf("rank %d got %d cores, want 12", b.Rank, len(b.Cores))
-		}
-		if seenNUMA[b.NUMA] {
-			t.Fatalf("two ranks share CMG %d", b.NUMA)
-		}
-		seenNUMA[b.NUMA] = true
-	}
-	if len(seenNUMA) != 4 {
-		t.Fatal("ranks must cover all four CMGs")
-	}
-}
-
-func TestBindRanksNoOverlap(t *testing.T) {
-	// Two ranks per CMG on Fugaku (8 x 6).
-	bindings, err := Fugaku().BindRanks(bsp.Geometry{RanksPerNode: 8, ThreadsPerRank: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[int]int{}
-	for _, b := range bindings {
-		for _, c := range b.Cores {
-			if prev, ok := used[c]; ok {
-				t.Fatalf("core %d assigned to ranks %d and %d", c, prev, b.Rank)
-			}
-			used[c] = b.Rank
-		}
-	}
-}
-
-func TestBindRanksSMT(t *testing.T) {
-	// OFP: 4 ranks x 32 threads on 4-way SMT cores: 8 cores per rank.
-	bindings, err := OFP().BindRanks(bsp.Geometry{RanksPerNode: 4, ThreadsPerRank: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range bindings {
-		if len(b.Cores) != 8 {
-			t.Fatalf("rank %d got %d cores, want 8 (32 threads / 4 SMT)", b.Rank, len(b.Cores))
-		}
-	}
-}
-
-func TestBindRanksOverflow(t *testing.T) {
-	// 4 ranks x 12 threads needs 12 cores per rank per CMG; 8 ranks x 12
-	// threads would need 24 cores per CMG — impossible.
-	if _, err := Fugaku().BindRanks(bsp.Geometry{RanksPerNode: 8, ThreadsPerRank: 12}); err == nil {
-		t.Fatal("overcommitted binding must fail")
-	}
-}
-
 func TestMachineAssembly(t *testing.T) {
 	m, node, err := Fugaku().Machine(McKernel, bsp.Geometry{RanksPerNode: 4, ThreadsPerRank: 12})
 	if err != nil {

@@ -155,38 +155,6 @@ func (js *JobScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, os OSK
 	return job, nil
 }
 
-// SubmitWithPMUReads runs a job with the automatic TCS PMU collection left
-// on — the configuration the paper's countermeasure command exists to avoid.
-func (js *JobScheduler) SubmitWithPMUReads(w bsp.Workload, g bsp.Geometry, nodes int, os OSKind, seed int64) (*Job, error) {
-	js.nextID++
-	job := &Job{
-		ID: js.nextID, Workload: w, Geometry: g, Nodes: nodes, OS: os,
-		StopPMUReads: false, Seed: seed, State: JobQueued, Attempts: 1,
-	}
-	js.Platform.Sink.Counter("cluster.jobs.submitted").Inc()
-	if err := js.Platform.Validate(g); err != nil {
-		return job, js.fail(job, err)
-	}
-	clone := *js.Platform
-	tune := clone.Tuning
-	tune.Counter.StopPMUReads = false
-	clone.Tuning = tune
-	machine, _, err := clone.Machine(os, g)
-	if err != nil {
-		return job, js.fail(job, err)
-	}
-	job.State = JobRunning
-	res, err := bsp.Run(w, machine, nodes, seed)
-	if err != nil {
-		return job, js.fail(job, err)
-	}
-	job.Result = res
-	job.State = JobCompleted
-	js.completed = append(js.completed, job)
-	js.Platform.Sink.Counter("cluster.jobs.completed").Inc()
-	return job, nil
-}
-
 // Completed returns finished jobs in completion order.
 func (js *JobScheduler) Completed() []*Job { return js.completed }
 

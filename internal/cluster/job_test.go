@@ -99,29 +99,6 @@ func TestJobPrologueOverheadOnOFPOnly(t *testing.T) {
 	}
 }
 
-func TestJobPMUReadsToggle(t *testing.T) {
-	js := NewJobScheduler(Fugaku())
-	g := bsp.Geometry{RanksPerNode: 4, ThreadsPerRank: 12}
-	w := jobWorkload()
-	w.Steps = 100
-	quiet, err := js.Submit(w, g, 64, Linux, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, err := js.SubmitWithPMUReads(w, g, 64, Linux, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !quiet.StopPMUReads || noisy.StopPMUReads {
-		t.Fatal("PMU flags wrong")
-	}
-	// Leaving the automatic PMU collection on must add noise (Sec. 4.2.1).
-	if noisy.Result.Breakdown.Noise <= quiet.Result.Breakdown.Noise {
-		t.Fatalf("PMU reads on: noise %v must exceed stopped %v",
-			noisy.Result.Breakdown.Noise, quiet.Result.Breakdown.Noise)
-	}
-}
-
 func TestJobStateStrings(t *testing.T) {
 	for s, want := range map[JobState]string{
 		JobQueued: "queued", JobRunning: "running",

@@ -130,9 +130,6 @@ func NewResilientScheduler(p *Platform, inj *fault.Injector, pol RecoveryPolicy)
 	}, nil
 }
 
-// Blacklisted reports whether a node has been taken out of service.
-func (rs *ResilientScheduler) Blacklisted(node int) bool { return rs.blacklisted[node] }
-
 // assignNodes picks the job's nodes: the lowest-numbered healthy indices.
 // Deterministic — no map iteration; the blacklist is consulted per index.
 func (rs *ResilientScheduler) assignNodes(n int) ([]int, bool) {

@@ -140,7 +140,7 @@ func TestBlacklistingRemovesRepeatOffenders(t *testing.T) {
 		t.Fatal("BlacklistAfter=1 with injected faults must blacklist nodes")
 	}
 	for _, n := range rs.Report.BlacklistedNodes {
-		if !rs.Blacklisted(n) {
+		if !rs.blacklisted[n] {
 			t.Fatalf("report lists node %d but scheduler does not blacklist it", n)
 		}
 	}
@@ -150,7 +150,7 @@ func TestBlacklistingRemovesRepeatOffenders(t *testing.T) {
 		t.Fatal("pool exhausted")
 	}
 	for _, id := range ids {
-		if rs.Blacklisted(id) {
+		if rs.blacklisted[id] {
 			t.Fatalf("assigned blacklisted node %d", id)
 		}
 	}

@@ -122,17 +122,6 @@ func (t *Topology) AppThreads() int {
 	return n
 }
 
-// CoresInNUMA returns the core IDs belonging to NUMA domain d.
-func (t *Topology) CoresInNUMA(d int) []int {
-	var ids []int
-	for i := range t.Cores {
-		if t.Cores[i].NUMA == d {
-			ids = append(ids, t.Cores[i].ID)
-		}
-	}
-	return ids
-}
-
 // Validate checks internal consistency of the topology.
 func (t *Topology) Validate() error {
 	if len(t.Cores) == 0 {

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,25 +9,15 @@ import (
 
 func TestCPUMaskBasics(t *testing.T) {
 	m := NewCPUMask(0, 3, 68, 200)
-	for _, c := range []int{0, 3, 68, 200} {
-		if !m.Has(c) {
-			t.Fatalf("missing core %d", c)
-		}
-	}
-	if m.Has(1) || m.Has(1000) || m.Has(-1) {
-		t.Fatal("spurious membership")
+	if got := m.Cores(); !reflect.DeepEqual(got, []int{0, 3, 68, 200}) {
+		t.Fatalf("Cores = %v", got)
 	}
 	if m.Count() != 4 {
 		t.Fatalf("Count = %d", m.Count())
 	}
-	m.Clear(68)
-	if m.Has(68) || m.Count() != 3 {
-		t.Fatal("Clear failed")
-	}
-	m.Clear(9999) // out-of-range clear is a no-op
-	m.Set(-1)     // negative set is a no-op
-	if m.Count() != 3 {
-		t.Fatal("no-op operations changed the mask")
+	m.Set(-1) // negative set is a no-op
+	if m.Count() != 4 {
+		t.Fatal("no-op operation changed the mask")
 	}
 }
 
@@ -39,9 +30,6 @@ func TestCPUMaskSetOps(t *testing.T) {
 	if got := a.Union(b).Count(); got != 6 {
 		t.Fatalf("Union count = %d", got)
 	}
-	if got := a.Minus(b).Cores(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("Minus = %v", got)
-	}
 	if !a.Equal(NewCPUMask(3, 2, 1, 0)) {
 		t.Fatal("Equal order-independence failed")
 	}
@@ -49,9 +37,7 @@ func TestCPUMaskSetOps(t *testing.T) {
 		t.Fatal("unequal masks compared equal")
 	}
 	// Different word lengths with identical content.
-	var c CPUMask
-	c.Set(70)
-	c.Clear(70)
+	c := NewCPUMask(70).Intersect(NewCPUMask(64))
 	if !c.Equal(CPUMask{}) {
 		t.Fatal("empty masks with different backing must be Equal")
 	}
@@ -65,7 +51,8 @@ func TestCPUMaskFirstAndFull(t *testing.T) {
 		t.Fatal("First wrong")
 	}
 	f := FullMask(272)
-	if f.Count() != 272 || !f.Has(271) || f.Has(272) {
+	cores := f.Cores()
+	if f.Count() != 272 || cores[0] != 0 || cores[len(cores)-1] != 271 {
 		t.Fatal("FullMask wrong")
 	}
 }
@@ -111,16 +98,16 @@ func TestQuickMaskRoundTrip(t *testing.T) {
 
 func TestTaskLifecycle(t *testing.T) {
 	task := NewTask(1, "a.out", AppTask, NewCPUMask(4, 5))
-	if !task.CanRunOn(4) || task.CanRunOn(0) {
-		t.Fatal("affinity check wrong")
-	}
 	if err := task.SetAffinity(CPUMask{}); err == nil {
 		t.Fatal("empty affinity must be rejected")
+	}
+	if !task.Affinity.Equal(NewCPUMask(4, 5)) {
+		t.Fatal("rejected SetAffinity changed the mask")
 	}
 	if err := task.SetAffinity(NewCPUMask(7)); err != nil {
 		t.Fatal(err)
 	}
-	if !task.CanRunOn(7) {
+	if !task.Affinity.Equal(NewCPUMask(7)) {
 		t.Fatal("SetAffinity did not apply")
 	}
 	if task.String() == "" {
@@ -158,17 +145,8 @@ func TestIRQRouting(t *testing.T) {
 	if err := q.Route(NewCPUMask(48, 49)); err != nil {
 		t.Fatal(err)
 	}
-	// Round-robin across the mask.
-	a, b, c := q.TargetCPU(), q.TargetCPU(), q.TargetCPU()
-	if a != 48 || b != 49 || c != 48 {
-		t.Fatalf("round robin = %d,%d,%d", a, b, c)
-	}
-	if q.Count != 3 {
-		t.Fatalf("delivery count = %d", q.Count)
-	}
-	empty := &IRQ{Number: 1}
-	if empty.TargetCPU() != -1 {
-		t.Fatal("empty affinity target must be -1")
+	if !q.Affinity.Equal(NewCPUMask(48, 49)) {
+		t.Fatal("Route did not apply")
 	}
 }
 
@@ -193,9 +171,6 @@ func TestSyscallNames(t *testing.T) {
 	}
 	if Syscall(-1).String() != "sys(-1)" {
 		t.Fatal("out-of-range name wrong")
-	}
-	if NumSyscalls() < 15 {
-		t.Fatal("syscall space too small")
 	}
 }
 

@@ -49,22 +49,6 @@ func (m *CPUMask) Set(c int) {
 	m.words[c/64] |= 1 << (c % 64)
 }
 
-// Clear removes core c.
-func (m *CPUMask) Clear(c int) {
-	if c < 0 || c/64 >= len(m.words) {
-		return
-	}
-	m.words[c/64] &^= 1 << (c % 64)
-}
-
-// Has reports whether core c is set.
-func (m CPUMask) Has(c int) bool {
-	if c < 0 || c/64 >= len(m.words) {
-		return false
-	}
-	return m.words[c/64]&(1<<(c%64)) != 0
-}
-
 // Count returns the number of cores in the mask.
 func (m CPUMask) Count() int {
 	n := 0
@@ -121,17 +105,6 @@ func (m CPUMask) Union(o CPUMask) CPUMask {
 			b = o.words[i]
 		}
 		out.words[i] = a | b
-	}
-	return out
-}
-
-// Minus returns m \ o.
-func (m CPUMask) Minus(o CPUMask) CPUMask {
-	var out CPUMask
-	out.words = make([]uint64, len(m.words))
-	copy(out.words, m.words)
-	for i := 0; i < len(out.words) && i < len(o.words); i++ {
-		out.words[i] &^= o.words[i]
 	}
 	return out
 }

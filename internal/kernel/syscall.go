@@ -31,7 +31,6 @@ const (
 	SysStat
 	SysSocket
 	SysPerfEventOpen
-	numSyscalls
 )
 
 var syscallNames = [...]string{
@@ -48,9 +47,6 @@ func (s Syscall) String() string {
 	}
 	return syscallNames[s]
 }
-
-// NumSyscalls returns the size of the modeled syscall space.
-func NumSyscalls() int { return int(numSyscalls) }
 
 // PerformanceSensitive reports whether the call is on McKernel's
 // implemented-locally list (memory management, threading, signaling,

@@ -100,9 +100,6 @@ func NewTask(id int, name string, kind TaskKind, affinity CPUMask) *Task {
 	}
 }
 
-// CanRunOn reports whether the task's affinity admits core c.
-func (t *Task) CanRunOn(c int) bool { return t.Affinity.Has(c) }
-
 // SetAffinity replaces the task's CPU mask. An empty mask is rejected, like
 // sched_setaffinity(2).
 func (t *Task) SetAffinity(m CPUMask) error {
@@ -123,7 +120,6 @@ type IRQ struct {
 	Number   int
 	Name     string
 	Affinity CPUMask
-	Count    uint64 // deliveries
 }
 
 // Route updates the IRQ's affinity mask.
@@ -133,16 +129,4 @@ func (q *IRQ) Route(m CPUMask) error {
 	}
 	q.Affinity = m
 	return nil
-}
-
-// TargetCPU picks the core the next delivery lands on given a round-robin
-// counter, mimicking irqbalance spreading deliveries over the mask.
-func (q *IRQ) TargetCPU() int {
-	cores := q.Affinity.Cores()
-	if len(cores) == 0 {
-		return -1
-	}
-	c := cores[int(q.Count)%len(cores)]
-	q.Count++
-	return c
 }

@@ -7,16 +7,12 @@ import (
 	"mkos/internal/kernel"
 )
 
-// Cgroup errors.
-var (
-	ErrCgroupExists   = errors.New("linux: cgroup already exists")
-	ErrCgroupNotFound = errors.New("linux: cgroup not found")
-	ErrMemLimit       = errors.New("linux: memory cgroup limit exceeded")
-)
+// ErrCgroupExists reports a sub-group name already in use.
+var ErrCgroupExists = errors.New("linux: cgroup already exists")
 
-// Cgroup is a simplified v1-style control group combining the cpuset and
-// memory controllers, which is what Fugaku's isolation uses (Sec. 4.1.1,
-// 4.2). Docker creates these under the hood for containers.
+// Cgroup is a simplified v1-style control group with the cpuset
+// controller, which is what Fugaku's isolation uses (Sec. 4.1.1, 4.2).
+// Docker creates these under the hood for containers.
 type Cgroup struct {
 	Name   string
 	Parent *Cgroup
@@ -24,15 +20,6 @@ type Cgroup struct {
 	// cpuset controller
 	CPUs kernel.CPUMask
 	Mems []int // allowed NUMA domains
-
-	// memory controller
-	LimitBytes int64 // 0 = unlimited
-	usageBytes int64
-
-	// hugetlb surplus integration: without the Fugaku kernel-module hook,
-	// surplus hugeTLBfs pages bypass the memory controller entirely
-	// (the gap described in Sec. 4.1.3).
-	ChargeSurplusPages bool
 
 	tasks    map[int]*kernel.Task
 	children map[string]*Cgroup
@@ -75,15 +62,6 @@ func (c *Cgroup) NewChild(name string, cpus kernel.CPUMask, mems []int) (*Cgroup
 	return child, nil
 }
 
-// Child returns a sub-group by name.
-func (c *Cgroup) Child(name string) (*Cgroup, error) {
-	child, ok := c.children[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrCgroupNotFound, c.Name, name)
-	}
-	return child, nil
-}
-
 // Attach moves a task into this cgroup, clamping its affinity to the
 // group's cpuset.
 func (c *Cgroup) Attach(t *kernel.Task) error {
@@ -98,89 +76,17 @@ func (c *Cgroup) Attach(t *kernel.Task) error {
 	return nil
 }
 
-// Tasks returns the number of attached tasks.
-func (c *Cgroup) Tasks() int { return len(c.tasks) }
-
-// Charge accounts n bytes against the group's memory limit, walking up the
-// hierarchy as the memory controller does.
-func (c *Cgroup) Charge(n int64) error {
-	for g := c; g != nil; g = g.Parent {
-		if g.LimitBytes > 0 && g.usageBytes+n > g.LimitBytes {
-			return fmt.Errorf("%w: %s usage %d + %d > %d", ErrMemLimit, g.Name, g.usageBytes, n, g.LimitBytes)
-		}
-	}
-	for g := c; g != nil; g = g.Parent {
-		g.usageBytes += n
-	}
-	return nil
-}
-
-// Uncharge releases n bytes of accounted memory.
-func (c *Cgroup) Uncharge(n int64) {
-	for g := c; g != nil; g = g.Parent {
-		g.usageBytes -= n
-		if g.usageBytes < 0 {
-			g.usageBytes = 0
-		}
-	}
-}
-
-// Usage returns the current accounted bytes.
-func (c *Cgroup) Usage() int64 { return c.usageBytes }
-
-// ChargeSurplus implements mem.SurplusCharger: the Fugaku kernel module hook
-// that charges overcommitted hugeTLBfs pages to the memory cgroup. Stock
-// behaviour (ChargeSurplusPages false) lets surplus pages through
-// unaccounted.
-func (c *Cgroup) ChargeSurplus(pages, pageBytes int64) error {
-	if !c.ChargeSurplusPages {
-		return nil
-	}
-	return c.Charge(pages * pageBytes)
-}
-
-// UncchargeSurplus implements mem.SurplusCharger.
-func (c *Cgroup) UncchargeSurplus(pages, pageBytes int64) {
-	if !c.ChargeSurplusPages {
-		return
-	}
-	c.Uncharge(pages * pageBytes)
-}
-
-// Container is a Docker-style container: a named pair of cgroups plus an
-// image reference. On Fugaku all applications run inside one (Sec. 4.1.1);
-// "host mode" jobs get a container with direct root-filesystem access.
-type Container struct {
-	ID       string
-	Image    string
-	HostMode bool
-	Group    *Cgroup
-}
-
-// ContainerRuntime creates containers with the application cgroup template.
+// ContainerRuntime holds the application cgroup template containers are
+// created with. On Fugaku all applications run inside a Docker container
+// (Sec. 4.1.1).
 type ContainerRuntime struct {
 	root    *Cgroup
 	appCPUs kernel.CPUMask
 	appMems []int
-	nextID  int
 }
 
-// NewContainerRuntime returns a runtime creating containers under root with
-// the given application cpuset/mems.
+// NewContainerRuntime returns a runtime for containers under root with the
+// given application cpuset/mems.
 func NewContainerRuntime(root *Cgroup, appCPUs kernel.CPUMask, appMems []int) *ContainerRuntime {
 	return &ContainerRuntime{root: root, appCPUs: appCPUs, appMems: appMems}
-}
-
-// Create builds a container; image "" selects host mode.
-func (r *ContainerRuntime) Create(image string, memLimit int64) (*Container, error) {
-	r.nextID++
-	name := fmt.Sprintf("docker-%d", r.nextID)
-	g, err := r.root.NewChild(name, r.appCPUs, r.appMems)
-	if err != nil {
-		return nil, err
-	}
-	g.LimitBytes = memLimit
-	return &Container{
-		ID: name, Image: image, HostMode: image == "", Group: g,
-	}, nil
 }

@@ -49,16 +49,10 @@ func NewTracer(limit int) *Tracer {
 // Enable starts recording.
 func (t *Tracer) Enable() { t.enabled = true }
 
-// Disable stops recording; the buffer is retained for analysis.
-func (t *Tracer) Disable() { t.enabled = false }
-
-// Enabled reports recording state.
-func (t *Tracer) Enabled() bool { return t.enabled }
-
 // Record appends one event, dropping the oldest when the buffer is full
 // (ftrace ring-buffer semantics). Drops are counted — never silent — and
-// surfaced both via Dropped and the sink's linux.ftrace.dropped counter, so
-// a truncated attribution is visible in the metrics dump. Every recorded
+// surfaced via the sink's linux.ftrace.dropped counter, so a truncated
+// attribution is visible in the metrics dump. Every recorded
 // event is also forwarded to the sink's trace recorder, putting Linux
 // scheduling noise on the same timeline as the rest of the stack.
 func (t *Tracer) Record(at sim.Time, cpu int, task string, kind kernel.TaskKind, d time.Duration) {
@@ -78,12 +72,6 @@ func (t *Tracer) Record(at sim.Time, cpu int, task string, kind kernel.TaskKind,
 			telemetry.Arg{Key: "kind", Val: kind.String()})
 	}
 }
-
-// Events returns the recorded events in order.
-func (t *Tracer) Events() []TraceEvent { return t.events }
-
-// Dropped returns how many events ring-buffer wraparound discarded.
-func (t *Tracer) Dropped() uint64 { return t.dropped }
 
 // Attribution summarizes stolen time by task name.
 type Attribution struct {

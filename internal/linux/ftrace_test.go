@@ -13,22 +13,17 @@ import (
 
 func TestTracerRecordAndAttribute(t *testing.T) {
 	tr := NewTracer(100)
-	if tr.Enabled() {
-		t.Fatal("fresh tracer must be disabled")
-	}
 	tr.Record(0, 0, "ignored", kernel.DaemonTask, time.Millisecond)
-	if len(tr.Events()) != 0 {
-		t.Fatal("disabled tracer recorded an event")
+	if len(tr.events) != 0 {
+		t.Fatal("fresh tracer must be disabled")
 	}
 	tr.Enable()
 	tr.Record(sim.Time(10), 0, "kworker/u0", kernel.KworkerTask, 100*time.Microsecond)
 	tr.Record(sim.Time(20), 0, "kworker/u0", kernel.KworkerTask, 300*time.Microsecond)
 	tr.Record(sim.Time(30), 1, "sshd", kernel.DaemonTask, 2*time.Millisecond)
 	tr.Record(sim.Time(40), 5, "blk-mq/0", kernel.BlkMQTask, time.Millisecond)
-	tr.Disable()
-	tr.Record(sim.Time(50), 0, "late", kernel.DaemonTask, time.Second)
-	if len(tr.Events()) != 4 {
-		t.Fatalf("events = %d, want 4", len(tr.Events()))
+	if len(tr.events) != 4 {
+		t.Fatalf("events = %d, want 4", len(tr.events))
 	}
 
 	// Attribution restricted to CPUs 0 and 1.
@@ -59,7 +54,7 @@ func TestTracerRingBuffer(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Record(sim.Time(i), 0, "t", kernel.KworkerTask, time.Microsecond)
 	}
-	evs := tr.Events()
+	evs := tr.events
 	if len(evs) != 3 {
 		t.Fatalf("ring buffer holds %d, want 3", len(evs))
 	}
@@ -131,15 +126,15 @@ func TestTracerDropAccounting(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tr.Record(sim.Time(i*10), 0, "churner", kernel.KworkerTask, time.Microsecond)
 	}
-	if got := len(tr.Events()); got != 4 {
+	if got := len(tr.events); got != 4 {
 		t.Fatalf("buffer holds %d events, want 4", got)
 	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", tr.Dropped())
+	if tr.dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", tr.dropped)
 	}
 	// Oldest events were discarded: the window starts at the third record.
-	if tr.Events()[0].At != sim.Time(20) {
-		t.Fatalf("oldest retained event at %v, want 20ns", tr.Events()[0].At)
+	if tr.events[0].At != sim.Time(20) {
+		t.Fatalf("oldest retained event at %v, want 20ns", tr.events[0].At)
 	}
 	reg := sink.Registry()
 	if got := reg.CounterValue("linux.ftrace.dropped"); got != 2 {

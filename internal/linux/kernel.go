@@ -103,13 +103,6 @@ func NewKernel(topo *cpu.Topology, tune Tuning, memBytes int64) (*Kernel, error)
 	if err != nil {
 		return nil, err
 	}
-	if k.Huge != nil && tune.LargePage == HugeTLBOvercommit {
-		// Install the Fugaku kernel-module hook so surplus pages are
-		// charged to the application cgroup (Sec. 4.1.3).
-		k.App.ChargeSurplusPages = true
-		k.Huge.SetCharger(k.App)
-	}
-
 	k.spawnSystemTasks(appMask, sysMask)
 	k.setupIRQs(appMask, sysMask)
 
@@ -351,26 +344,6 @@ func (k *Kernel) ProcessExitFlushes(vmaCount int) int {
 		vmaCount = 1
 	}
 	return vmaCount * 8 // page-table teardown walks each VMA in chunks
-}
-
-// GCReleaseFlushes returns how many consecutive TLB flush operations a
-// garbage-collected runtime releasing heapBytes back to the OS issues. The
-// paper names this exact case: "some operations that release large amounts
-// of memory, such as garbage collection at Go's runtime system and process
-// termination operations, can cause hundreds to thousands [of] consecutive
-// TLB flushes, resulting in hundreds of microseconds of noise" (Sec. 4.2.2).
-func (k *Kernel) GCReleaseFlushes(heapBytes int64) int {
-	if heapBytes <= 0 {
-		return 0
-	}
-	// The runtime returns memory with per-span madvise calls; each batch of
-	// spans costs one shootdown.
-	const spanBatch = 4 << 20
-	n := int(heapBytes / spanBatch)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // RDMARegistrationCost is the cost of registering one memory region (STAG)

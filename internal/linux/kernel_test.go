@@ -104,12 +104,9 @@ func TestFugakuKernelAssembly(t *testing.T) {
 	if k.Sar == nil || !k.Sar.Affinity.Equal(sysMask) {
 		t.Fatal("sar must exist and be bound to assistant cores")
 	}
-	// hugeTLBfs overcommit with the cgroup hook installed.
+	// hugeTLBfs overcommit.
 	if k.Huge == nil {
 		t.Fatal("Fugaku kernel must have hugeTLBfs")
-	}
-	if !k.App.ChargeSurplusPages {
-		t.Fatal("surplus-charge hook must be installed on the app cgroup")
 	}
 	if k.Runtime == nil {
 		t.Fatal("Fugaku kernel must have a container runtime")
@@ -328,29 +325,6 @@ func TestNewKernelRejectsInvalidTopology(t *testing.T) {
 	bad := &cpu.Topology{Name: "bad"}
 	if _, err := NewKernel(bad, FugakuTuning(), 32<<30); err == nil {
 		t.Fatal("invalid topology must be rejected")
-	}
-}
-
-func TestGCReleaseFlushes(t *testing.T) {
-	k := newFugakuKernel(t)
-	if k.GCReleaseFlushes(0) != 0 {
-		t.Fatal("empty heap releases nothing")
-	}
-	if k.GCReleaseFlushes(1<<20) != 1 {
-		t.Fatal("small release still flushes once")
-	}
-	// "Hundreds to thousands of consecutive TLB flushes" (Sec. 4.2.2) for a
-	// multi-GiB managed heap.
-	n := k.GCReleaseFlushes(4 << 30)
-	if n < 100 || n > 10000 {
-		t.Fatalf("4 GiB GC release = %d flushes, outside the paper's range", n)
-	}
-	// The resulting chip-wide stall under broadcast TLBI: hundreds of
-	// microseconds of noise, as the paper states.
-	_, perRemote := cpu.ShootdownCost(k.Topo, cpu.ShootdownBroadcast)
-	stall := time.Duration(n) * perRemote
-	if stall < 100*time.Microsecond || stall > 10*time.Millisecond {
-		t.Fatalf("GC-release stall %v outside 'hundreds of microseconds'", stall)
 	}
 }
 

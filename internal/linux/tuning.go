@@ -23,8 +23,7 @@ const (
 	// opportunistically by khugepaged, vulnerable to fragmentation.
 	THP
 	// HugeTLBOvercommit is Fugaku's configuration: hugeTLBfs with no boot
-	// pool, surplus 2 MiB contiguous-bit pages from the buddy allocator,
-	// charged to the memory cgroup by the custom kernel-module hook.
+	// pool, surplus 2 MiB contiguous-bit pages from the buddy allocator.
 	HugeTLBOvercommit
 	// HugeTLBReserved reserves a boot-time pool (the configuration Fugaku
 	// rejected because it starves small-allocation workloads).

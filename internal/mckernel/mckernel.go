@@ -75,12 +75,6 @@ func (in *Instance) Panic(reason string) error {
 	return fmt.Errorf("%w: %s", ErrKernelPanic, reason)
 }
 
-// Healthy reports whether the LWK is still alive.
-func (in *Instance) Healthy() bool { return !in.panicked }
-
-// PanicReason returns the recorded cause of death, "" while healthy.
-func (in *Instance) PanicReason() string { return in.panicReason }
-
 // Boot starts McKernel on an IHK partition of the given host. The instance
 // publishes its telemetry into the host kernel's sink.
 func Boot(host *linux.Kernel, part *ihk.Partition, cfg Config) (*Instance, error) {
@@ -187,8 +181,7 @@ func (in *Instance) PageFaultCost(page mem.PageSize) time.Duration {
 
 // EffectiveAppPage returns the page size backing application regions. The
 // LWK maps everything with large pages unconditionally; there is no
-// fragmentation hazard because the partition's memory is exclusively ours
-// and freed memory is cached, not returned.
+// fragmentation hazard because the partition's memory is exclusively ours.
 func (in *Instance) EffectiveAppPage(reqBytes int64) (mem.PageSize, float64) {
 	return mem.Page2M, 1
 }

@@ -1,48 +1,17 @@
 package mckernel
 
 import (
+	"errors"
 	"fmt"
-
-	"mkos/internal/kernel"
 )
 
-// POSIX process operations. The paper stresses that earlier LWKs' limited
-// POSIX surface blocked adoption — "neither Catamount nor the IBM CNK
-// provided full compatibility for a POSIX compliant glibc, limiting the
-// availability of standard system calls, such as fork()" (Sec. 1). McKernel
-// retains the Linux ABI, so fork, signals and thread creation all work.
+// ErrProcessExited reports an operation on a process that has exited.
+var ErrProcessExited = errors.New("mckernel: process has exited")
 
-// Fork clones a process: the child gets copies of the parent's threads'
-// placement policy (fresh threads, one per parent thread), its own proxy on
-// the Linux side, and a snapshot of the parent's address-space layout. The
-// LWK uses copy-on-write large pages, so the fork itself is cheap.
-func (in *Instance) Fork(parent *Process) (*Process, error) {
-	if parent.Exited {
-		return nil, fmt.Errorf("%w: pid %d", ErrProcessExited, parent.PID)
-	}
-	child, err := in.Spawn(parent.Name, len(parent.Threads))
-	if err != nil {
-		return nil, err
-	}
-	// Inherit the address-space layout (COW snapshot of every VMA).
-	if parent.as != nil {
-		for _, v := range parent.as.VMAs() {
-			if _, err := child.addressSpace().MapFixed(v.Start, v.Length, v.Page, v.Contig, v.Label); err != nil {
-				return nil, fmt.Errorf("mckernel: fork COW mapping %q: %w", v.Label, err)
-			}
-		}
-	}
-	// Device mappings are not inherited (the driver must re-authorize).
-	// Signal dispositions are inherited; pending signals are not (POSIX).
-	child.parent = parent
-	parent.children = append(parent.children, child)
-	return child, nil
-}
-
-// Exit terminates a process: threads retire from the scheduler, the proxy
-// is released, and the parent receives SIGCHLD. The address-space teardown
-// triggers the TLB-flush burst Sec. 4.2.2 describes — on McKernel the flush
-// is confined to the process's own cores, while the Linux path broadcasts.
+// Exit terminates a process: threads retire from the scheduler. The
+// address-space teardown triggers the TLB-flush burst Sec. 4.2.2
+// describes — on McKernel the flush is confined to the process's own
+// cores, while the Linux path broadcasts.
 func (in *Instance) Exit(p *Process, status int) error {
 	if p.Exited {
 		return fmt.Errorf("%w: pid %d", ErrProcessExited, p.PID)
@@ -52,47 +21,5 @@ func (in *Instance) Exit(p *Process, status int) error {
 	}
 	p.Exited = true
 	p.ExitStatus = status
-	if p.parent != nil && !p.parent.Exited {
-		kernel.Deliver(p.parent.signalTask(), kernel.SIGCHLD)
-	}
 	return nil
 }
-
-// Kill delivers a signal to a process following POSIX semantics; SIGKILL
-// terminates immediately.
-func (in *Instance) Kill(p *Process, sig kernel.Signal) error {
-	if p.Exited {
-		return fmt.Errorf("%w: pid %d", ErrProcessExited, p.PID)
-	}
-	actionable := kernel.Deliver(p.signalTask(), sig)
-	if sig == kernel.SIGKILL {
-		return in.Exit(p, 128+int(sig))
-	}
-	if actionable && p.signalTask().Handlers[sig] == kernel.DispositionDefault {
-		switch sig {
-		case kernel.SIGTERM, kernel.SIGINT, kernel.SIGHUP, kernel.SIGSEGV:
-			return in.Exit(p, 128+int(sig))
-		}
-	}
-	return nil
-}
-
-// Wait reaps an exited child and returns its status, clearing the SIGCHLD.
-func (in *Instance) Wait(parent *Process) (*Process, int, error) {
-	for i, c := range parent.children {
-		if c.Exited {
-			parent.children = append(parent.children[:i], parent.children[i+1:]...)
-			parent.signalTask().Pending.Remove(kernel.SIGCHLD)
-			return c, c.ExitStatus, nil
-		}
-	}
-	return nil, 0, fmt.Errorf("mckernel: pid %d has no exited children", parent.PID)
-}
-
-// signalTask returns the kernel task view used for signal bookkeeping; the
-// proxy's task stands in for the whole process (signal state is per-process
-// here, as the paper's McKernel delegates most signal bookkeeping anyway).
-func (p *Process) signalTask() *kernel.Task { return p.proxy.Task }
-
-// Children returns the live and zombie children.
-func (p *Process) Children() []*Process { return p.children }

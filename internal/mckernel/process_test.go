@@ -3,78 +3,11 @@ package mckernel
 import (
 	"errors"
 	"testing"
-
-	"mkos/internal/kernel"
-	"mkos/internal/mem"
 )
 
-func TestForkInheritsAddressSpace(t *testing.T) {
+func TestExitRetiresThreads(t *testing.T) {
 	in := fugakuInstance(t)
-	parent, err := in.Spawn("app", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Give the parent some mappings.
-	if _, err := parent.addressSpace().Map(64<<20, mem.Page64K, true, "heap"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parent.addressSpace().Map(8<<20, mem.Page64K, true, "stack"); err != nil {
-		t.Fatal(err)
-	}
-
-	child, err := in.Fork(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if child.PID == parent.PID {
-		t.Fatal("child must get a new PID")
-	}
-	if len(child.Threads) != len(parent.Threads) {
-		t.Fatal("thread count not inherited")
-	}
-	if child.Proxy() == parent.Proxy() {
-		t.Fatal("child must get its own proxy")
-	}
-	// COW layout snapshot.
-	cv, pv := child.addressSpace().VMAs(), parent.addressSpace().VMAs()
-	if len(cv) != len(pv) {
-		t.Fatalf("child VMAs = %d, want %d", len(cv), len(pv))
-	}
-	for i := range cv {
-		if cv[i].Start != pv[i].Start || cv[i].Length != pv[i].Length || cv[i].Label != pv[i].Label {
-			t.Fatalf("VMA %d differs: %+v vs %+v", i, cv[i], pv[i])
-		}
-	}
-	if len(parent.Children()) != 1 || parent.Children()[0] != child {
-		t.Fatal("process tree wrong")
-	}
-}
-
-func TestForkDoesNotInheritDeviceMappings(t *testing.T) {
-	in := fugakuInstance(t)
-	parent, _ := in.Spawn("app", 1)
-	if _, _, err := in.MapDevice(parent, TofuNIC()); err != nil {
-		t.Fatal(err)
-	}
-	child, err := in.Fork(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(child.Mappings()) != 0 {
-		t.Fatal("device windows must not survive fork (driver re-authorization)")
-	}
-	// But the MMIO VMA layout snapshot exists in the child address space;
-	// it is re-established only after the child re-maps. Check the parent's
-	// mapping is untouched.
-	if len(parent.Mappings()) != 1 {
-		t.Fatal("parent mapping disturbed by fork")
-	}
-}
-
-func TestExitDeliversSIGCHLD(t *testing.T) {
-	in := fugakuInstance(t)
-	parent, _ := in.Spawn("parent", 1)
-	child, err := in.Fork(parent)
+	child, err := in.Spawn("child", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,78 +22,8 @@ func TestExitDeliversSIGCHLD(t *testing.T) {
 			t.Fatal("child threads must retire")
 		}
 	}
-	if !parent.signalTask().Pending.Has(kernel.SIGCHLD) {
-		t.Fatal("parent must receive SIGCHLD")
-	}
-	// Wait reaps and clears.
-	reaped, status, err := in.Wait(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reaped != child || status != 0 {
-		t.Fatalf("reaped %v status %d", reaped.PID, status)
-	}
-	if parent.signalTask().Pending.Has(kernel.SIGCHLD) {
-		t.Fatal("SIGCHLD must clear after wait")
-	}
-	if _, _, err := in.Wait(parent); err == nil {
-		t.Fatal("second wait must fail (no children left)")
-	}
 	// Double exit fails.
 	if err := in.Exit(child, 0); !errors.Is(err, ErrProcessExited) {
 		t.Fatalf("double exit err = %v", err)
-	}
-}
-
-func TestKillSemantics(t *testing.T) {
-	in := fugakuInstance(t)
-	// SIGKILL always terminates.
-	p1, _ := in.Spawn("victim", 1)
-	if err := in.Kill(p1, kernel.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	if !p1.Exited || p1.ExitStatus != 128+9 {
-		t.Fatalf("SIGKILL: exited=%v status=%d", p1.Exited, p1.ExitStatus)
-	}
-	// SIGTERM with default disposition terminates.
-	p2, _ := in.Spawn("term", 1)
-	if err := in.Kill(p2, kernel.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if !p2.Exited {
-		t.Fatal("default SIGTERM must terminate")
-	}
-	// SIGTERM with a handler does not.
-	p3, _ := in.Spawn("handler", 1)
-	p3.signalTask().Handlers[kernel.SIGTERM] = kernel.DispositionHandler
-	if err := in.Kill(p3, kernel.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if p3.Exited {
-		t.Fatal("handled SIGTERM must not terminate")
-	}
-	if !p3.signalTask().Pending.Has(kernel.SIGTERM) {
-		t.Fatal("handled signal must be pending for delivery")
-	}
-	// SIGUSR1 default is modelled as non-fatal here; process survives.
-	p4, _ := in.Spawn("usr1", 1)
-	if err := in.Kill(p4, kernel.SIGUSR1); err != nil {
-		t.Fatal(err)
-	}
-	if p4.Exited {
-		t.Fatal("SIGUSR1 must not terminate in this model")
-	}
-	// Killing an exited process fails.
-	if err := in.Kill(p1, kernel.SIGTERM); !errors.Is(err, ErrProcessExited) {
-		t.Fatalf("kill exited err = %v", err)
-	}
-}
-
-func TestForkFromExitedParentFails(t *testing.T) {
-	in := fugakuInstance(t)
-	p, _ := in.Spawn("gone", 1)
-	_ = in.Exit(p, 0)
-	if _, err := in.Fork(p); !errors.Is(err, ErrProcessExited) {
-		t.Fatalf("err = %v", err)
 	}
 }

@@ -3,8 +3,6 @@ package mckernel
 import (
 	"errors"
 	"fmt"
-
-	"mkos/internal/mem"
 )
 
 // Process is a McKernel process: threads plus the handle to its Linux proxy.
@@ -16,19 +14,7 @@ type Process struct {
 
 	inst       *Instance
 	proxy      *Proxy
-	as         *mem.AddressSpace
-	devmaps    []*DeviceMapping
-	parent     *Process
-	children   []*Process
 	ExitStatus int
-}
-
-// addressSpace lazily builds the process's address space.
-func (p *Process) addressSpace() *mem.AddressSpace {
-	if p.as == nil {
-		p.as = mem.NewAddressSpace()
-	}
-	return p.as
 }
 
 // Proxy returns the Linux-side twin.

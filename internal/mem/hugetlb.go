@@ -1,25 +1,6 @@
 package mem
 
-import (
-	"errors"
-	"fmt"
-)
-
-// HugeTLBfs errors.
-var (
-	ErrPoolExhausted   = errors.New("mem: hugeTLBfs pool exhausted and overcommit disabled")
-	ErrOvercommitLimit = errors.New("mem: hugeTLBfs overcommit limit reached")
-)
-
-// SurplusCharger is the hook the Fugaku kernel module installs to charge
-// overcommitted (surplus) huge pages to the memory cgroup. Stock RHEL does
-// not integrate hugeTLBfs surplus pages with the memory controller
-// (Sec. 4.1.3); the hook returns an error to veto an allocation that would
-// exceed the cgroup limit.
-type SurplusCharger interface {
-	ChargeSurplus(pages int64, pageBytes int64) error
-	UncchargeSurplus(pages int64, pageBytes int64)
-}
+import "fmt"
 
 // HugeTLBfs models the Linux persistent-huge-page facility for one page
 // size: an optional boot-time reserved pool plus optional runtime overcommit
@@ -30,15 +11,8 @@ type HugeTLBfs struct {
 	reserved     int64 // pool pages configured at boot
 	reservedFree int64
 	overcommit   bool
-	surplusMax   int64 // 0 means unlimited when overcommit is on
-	surplus      int64 // live surplus pages
 
-	buddy       *Buddy // source of surplus pages
-	surplusRegs []Region
-	charger     SurplusCharger
-
-	poolAllocs    uint64
-	surplusAllocs uint64
+	buddy *Buddy // source of surplus pages
 }
 
 // HugeTLBConfig configures a HugeTLBfs instance.
@@ -46,7 +20,6 @@ type HugeTLBConfig struct {
 	Page         PageSize
 	ReservedPool int64 // pages reserved at boot (shrinks general memory)
 	Overcommit   bool  // allow surplus pages from the buddy allocator
-	SurplusMax   int64 // cap on live surplus pages; 0 = unlimited
 }
 
 // NewHugeTLBfs builds the facility. When a pool is reserved, the pages are
@@ -59,7 +32,6 @@ func NewHugeTLBfs(cfg HugeTLBConfig, buddy *Buddy) (*HugeTLBfs, error) {
 	h := &HugeTLBfs{
 		Page:       cfg.Page,
 		overcommit: cfg.Overcommit,
-		surplusMax: cfg.SurplusMax,
 		buddy:      buddy,
 	}
 	for i := int64(0); i < cfg.ReservedPool; i++ {
@@ -70,98 +42,4 @@ func NewHugeTLBfs(cfg HugeTLBConfig, buddy *Buddy) (*HugeTLBfs, error) {
 		h.reservedFree++
 	}
 	return h, nil
-}
-
-// SetCharger installs the cgroup surplus-charging hook.
-func (h *HugeTLBfs) SetCharger(c SurplusCharger) { h.charger = c }
-
-// PoolPages returns (reserved, reservedFree, surplusLive).
-func (h *HugeTLBfs) PoolPages() (reserved, free, surplus int64) {
-	return h.reserved, h.reservedFree, h.surplus
-}
-
-// Alloc obtains n huge pages: first from the reserved pool, then — if
-// overcommit is enabled — as surplus pages from the buddy allocator, charged
-// to the cgroup via the hook when one is installed.
-func (h *HugeTLBfs) Alloc(n int64) error {
-	if n <= 0 {
-		return nil
-	}
-	fromPool := min64(n, h.reservedFree)
-	needSurplus := n - fromPool
-	if needSurplus > 0 {
-		if !h.overcommit {
-			return fmt.Errorf("%w: need %d surplus pages", ErrPoolExhausted, needSurplus)
-		}
-		if h.surplusMax > 0 && h.surplus+needSurplus > h.surplusMax {
-			return fmt.Errorf("%w: %d live + %d wanted > %d", ErrOvercommitLimit, h.surplus, needSurplus, h.surplusMax)
-		}
-		if h.charger != nil {
-			if err := h.charger.ChargeSurplus(needSurplus, h.Page.Bytes()); err != nil {
-				return err
-			}
-		}
-		var got int64
-		for ; got < needSurplus; got++ {
-			r, err := h.buddy.Alloc(h.Page.Bytes())
-			if err == nil {
-				h.surplusRegs = append(h.surplusRegs, r)
-			}
-			if err != nil {
-				// Roll back the charge for pages we failed to obtain.
-				if h.charger != nil {
-					h.charger.UncchargeSurplus(needSurplus-got, h.Page.Bytes())
-				}
-				// Surplus pages actually obtained stay accounted below.
-				needSurplus = got
-				h.reservedFree -= fromPool
-				h.surplus += got
-				h.surplusAllocs += uint64(got)
-				h.poolAllocs += uint64(fromPool)
-				return fmt.Errorf("mem: buddy exhausted after %d surplus pages: %w", got, err)
-			}
-		}
-	}
-	h.reservedFree -= fromPool
-	h.surplus += needSurplus
-	h.poolAllocs += uint64(fromPool)
-	h.surplusAllocs += uint64(needSurplus)
-	return nil
-}
-
-// Release returns n huge pages. Surplus pages are released first (they go
-// back to the buddy allocator and are uncharged); pool pages return to the
-// reserved pool.
-func (h *HugeTLBfs) Release(n int64) error {
-	if n <= 0 {
-		return nil
-	}
-	live := (h.reserved - h.reservedFree) + h.surplus
-	if n > live {
-		return fmt.Errorf("mem: releasing %d huge pages but only %d live", n, live)
-	}
-	fromSurplus := min64(n, h.surplus)
-	h.surplus -= fromSurplus
-	for i := int64(0); i < fromSurplus; i++ {
-		r := h.surplusRegs[len(h.surplusRegs)-1]
-		h.surplusRegs = h.surplusRegs[:len(h.surplusRegs)-1]
-		if err := h.buddy.Free(r); err != nil {
-			return fmt.Errorf("mem: returning surplus page to buddy: %w", err)
-		}
-	}
-	if h.charger != nil && fromSurplus > 0 {
-		h.charger.UncchargeSurplus(fromSurplus, h.Page.Bytes())
-	}
-	h.reservedFree += n - fromSurplus
-	return nil
-}
-
-// Stats returns allocation counters (pool, surplus).
-func (h *HugeTLBfs) Stats() (pool, surplus uint64) { return h.poolAllocs, h.surplusAllocs }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

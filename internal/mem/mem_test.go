@@ -180,109 +180,6 @@ func TestAppFragmentationMetric(t *testing.T) {
 	}
 }
 
-func TestVMAFootprint(t *testing.T) {
-	as := NewAddressSpace()
-	v, err := as.Map(64<<20, Page64K, false, "heap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.TLBFootprint() != 1024 {
-		t.Fatalf("64M/64K footprint = %d, want 1024", v.TLBFootprint())
-	}
-	vc, err := as.Map(64<<20, Page64K, true, "heap-contig")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vc.TLBFootprint() != 32 {
-		t.Fatalf("contiguous-bit footprint = %d, want 32 (1024/32)", vc.TLBFootprint())
-	}
-	if vc.EffectivePage() != 2<<20 {
-		t.Fatalf("contiguous 64K effective page = %d, want 2M (Sec. 4.1.3)", vc.EffectivePage())
-	}
-}
-
-func TestAddressSpaceMapUnmap(t *testing.T) {
-	as := NewAddressSpace()
-	v1, err := as.Map(1<<20, Page64K, false, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := as.Map(1<<20, Page2M, false, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.End() > v2.Start {
-		t.Fatal("sequential mappings overlap")
-	}
-	if as.MappedBytes() != v1.Length+v2.Length {
-		t.Fatalf("MappedBytes = %d", as.MappedBytes())
-	}
-	if _, err := as.Find(v1.Start + 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := as.Find(0); !errors.Is(err, ErrNoMapping) {
-		t.Fatalf("Find(0) err = %v", err)
-	}
-	if _, err := as.Unmap(v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := as.Unmap(v1); !errors.Is(err, ErrNoMapping) {
-		t.Fatal("double unmap must fail")
-	}
-	if as.MappedBytes() != v2.Length {
-		t.Fatal("unmap did not reduce mapped bytes")
-	}
-}
-
-func TestAddressSpaceMapFixed(t *testing.T) {
-	as := NewAddressSpace()
-	if _, err := as.MapFixed(1<<30, 1<<20, Page64K, false, "fixed"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := as.MapFixed(1<<30+4096, 1<<20, Page64K, false, "overlap"); !errors.Is(err, ErrOverlap) {
-		t.Fatalf("overlap err = %v", err)
-	}
-	if _, err := as.MapFixed(0, -1, Page64K, false, "neg"); err == nil {
-		t.Fatal("negative length must fail")
-	}
-	// Subsequent dynamic mappings must avoid the fixed area.
-	v, err := as.Map(1<<20, Page64K, false, "after")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Start < 1<<30+1<<20 {
-		t.Fatalf("dynamic mapping placed at %#x inside/before fixed area", v.Start)
-	}
-}
-
-func TestEffectivePageSize(t *testing.T) {
-	as := NewAddressSpace()
-	if as.EffectivePageSize() != 0 {
-		t.Fatal("empty AS effective page must be 0")
-	}
-	_, _ = as.Map(64<<20, Page64K, true, "contig") // effective 2M
-	got := as.EffectivePageSize()
-	if got != 2<<20 {
-		t.Fatalf("effective page = %d, want 2M", got)
-	}
-	// Adding an equal-sized non-contig 64K area pulls the harmonic mean down.
-	_, _ = as.Map(64<<20, Page64K, false, "plain")
-	mixed := as.EffectivePageSize()
-	if mixed >= got || mixed < 64<<10 {
-		t.Fatalf("mixed effective page = %d", mixed)
-	}
-}
-
-func TestVMAsSorted(t *testing.T) {
-	as := NewAddressSpace()
-	_, _ = as.MapFixed(10<<30, 1<<20, Page64K, false, "hi")
-	_, _ = as.MapFixed(1<<30, 1<<20, Page64K, false, "lo")
-	vmas := as.VMAs()
-	if len(vmas) != 2 || vmas[0].Label != "lo" || vmas[1].Label != "hi" {
-		t.Fatal("VMAs not sorted by start")
-	}
-}
-
 func TestMemoryClassFlatMode(t *testing.T) {
 	// KNL-style layout: DDR app domain + MCDRAM fast domain.
 	pm, err := NewPhysMemory(MemoryLayout{
@@ -293,65 +190,16 @@ func TestMemoryClassFlatMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pm.FastNodes()) != 1 {
-		t.Fatalf("fast nodes = %d", len(pm.FastNodes()))
+	fast := 0
+	for _, n := range pm.Nodes {
+		if n.Kind == AppNode && n.Class == FastMemory {
+			fast++
+		}
+	}
+	if fast != 1 {
+		t.Fatalf("fast nodes = %d", fast)
 	}
 	if RegularMemory.String() != "regular" || FastMemory.String() != "fast" {
 		t.Fatal("class strings wrong")
-	}
-	// Preferred allocation lands on MCDRAM first.
-	fastID := pm.FastNodes()[0].ID
-	r, err := pm.AllocPreferFast(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NUMA != fastID {
-		t.Fatalf("preferred allocation on domain %d, want fast %d", r.NUMA, fastID)
-	}
-	// Exhaust the fast tier: spills to DDR.
-	for i := 0; ; i++ {
-		r, err := pm.AllocPreferFast(1 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.NUMA != fastID {
-			break // spilled
-		}
-		if i > 64 {
-			t.Fatal("never spilled to DDR")
-		}
-	}
-}
-
-func TestFastResidency(t *testing.T) {
-	pm, err := NewPhysMemory(MemoryLayout{
-		AppNodes:     []int64{96 << 20},
-		FastAppNodes: []int64{16 << 20},
-		BasePage:     4 << 10, MaxOrder: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm.FastResidency(8<<20) != 1 {
-		t.Fatal("working set within MCDRAM must be fully resident")
-	}
-	half := pm.FastResidency(32 << 20)
-	if half <= 0.4 || half >= 0.6 {
-		t.Fatalf("residency = %v, want ~0.5", half)
-	}
-	if pm.FastResidency(0) != 1 {
-		t.Fatal("degenerate working set")
-	}
-	// A no-fast-tier machine (Fugaku: HBM is the only memory) is all-fast
-	// by construction... there are no fast domains, so residency reports 0
-	// for any working set — callers treat an empty fast tier as uniform.
-	uniform, err := NewPhysMemory(MemoryLayout{
-		AppNodes: []int64{32 << 20}, BasePage: 4 << 10, MaxOrder: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := uniform.FastResidency(1 << 20); got != 0 {
-		t.Fatalf("uniform-memory residency = %v", got)
 	}
 }

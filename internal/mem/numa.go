@@ -27,7 +27,7 @@ func (k NodeKind) String() string {
 // MemoryClass distinguishes bandwidth tiers: OFP's KNL nodes run in
 // "Quadrant flat mode; i.e., MCDRAM and DDR4 RAM are addressable at
 // different physical memory locations and appear as different NUMA domains"
-// (Sec. 6.1). HPC allocations prefer the fast tier and spill to DDR.
+// (Sec. 6.1).
 type MemoryClass int
 
 const (
@@ -68,7 +68,7 @@ type MemoryLayout struct {
 	AppNodes []int64
 	SysNodes []int64
 	// FastAppNodes adds bandwidth-tier application domains (MCDRAM in the
-	// KNL flat mode, allocated preferentially by AllocPreferFast).
+	// KNL flat mode).
 	FastAppNodes []int64
 	BasePage     int64
 	MaxOrder     int
@@ -187,45 +187,6 @@ func (pm *PhysMemory) FreeBytes() int64 {
 		n += node.Buddy.FreeBytes()
 	}
 	return n
-}
-
-// FastNodes returns the bandwidth-tier application domains.
-func (pm *PhysMemory) FastNodes() []*NUMANode {
-	var out []*NUMANode
-	for _, n := range pm.Nodes {
-		if n.Kind == AppNode && n.Class == FastMemory {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// AllocPreferFast is the numactl --preferred policy HPC codes use in flat
-// mode: take MCDRAM/HBM while it lasts, spill to DDR after.
-func (pm *PhysMemory) AllocPreferFast(n int64) (Region, error) {
-	for _, node := range pm.FastNodes() {
-		if r, err := node.Buddy.Alloc(n); err == nil {
-			r.NUMA = node.ID
-			return r, nil
-		}
-	}
-	return pm.AllocKind(AppNode, n)
-}
-
-// FastResidency returns the fraction of an application working set that
-// fits the fast tier — the bandwidth-model input for flat-mode platforms.
-func (pm *PhysMemory) FastResidency(workingSet int64) float64 {
-	if workingSet <= 0 {
-		return 1
-	}
-	var fast int64
-	for _, n := range pm.FastNodes() {
-		fast += n.Buddy.TotalBytes()
-	}
-	if fast >= workingSet {
-		return 1
-	}
-	return float64(fast) / float64(workingSet)
 }
 
 // AppFragmentation returns the mean fragmentation index of application

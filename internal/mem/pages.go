@@ -2,7 +2,7 @@
 // domains (including Fugaku's virtual NUMA split of system vs. application
 // memory), a buddy allocator with a fragmentation metric, multi-size page
 // mappings (64 KiB base pages, 2 MiB contiguous-bit pages, 512 MiB huge
-// pages) and the hugeTLBfs pool with overcommit and cgroup surplus charging.
+// pages) and the hugeTLBfs boot-time pool.
 package mem
 
 import "fmt"

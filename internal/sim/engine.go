@@ -437,6 +437,3 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.engine.Cancel(t.next)
 }
-
-// Period returns the ticker's firing period.
-func (t *Ticker) Period() Duration { return t.period }

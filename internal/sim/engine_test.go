@@ -136,9 +136,6 @@ func TestTicker(t *testing.T) {
 	if len(fires) != 4 {
 		t.Fatalf("ticker fired after Stop: %v", fires)
 	}
-	if tk.Period() != 10*Nanosecond {
-		t.Fatalf("Period = %v", tk.Period())
-	}
 }
 
 func TestTickerStopFromCallback(t *testing.T) {
@@ -343,14 +340,11 @@ func TestTimeArithmetic(t *testing.T) {
 	if d := t1.Sub(t0); d != 500*Nanosecond {
 		t.Fatalf("Sub: %v", d)
 	}
-	if !t0.Before(t1) || t0.After(t1) {
-		t.Fatal("Before/After inconsistent")
+	if t0.After(t1) || !t1.After(t0) {
+		t.Fatal("After inconsistent")
 	}
 	if s := Time(2_500_000_000).Seconds(); s != 2.5 {
 		t.Fatalf("Seconds: %v", s)
-	}
-	if us := Time(1500).Micros(); us != 1.5 {
-		t.Fatalf("Micros: %v", us)
 	}
 	if Time(1500).String() == "" {
 		t.Fatal("empty String()")

@@ -254,11 +254,6 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// DurationExp returns an exponentially distributed Duration with mean d.
-func (r *Rand) DurationExp(d Duration) Duration {
-	return Duration(r.Exp(float64(d)))
-}
-
 // DurationUniform returns a Duration uniform in [lo, hi).
 func (r *Rand) DurationUniform(lo, hi Duration) Duration {
 	return Duration(r.Uniform(float64(lo), float64(hi)))

@@ -201,9 +201,6 @@ func TestBernoulliFrequency(t *testing.T) {
 func TestDurationSamplers(t *testing.T) {
 	r := NewRand(23)
 	for i := 0; i < 1000; i++ {
-		if d := r.DurationExp(time.Millisecond); d < 0 {
-			t.Fatalf("negative DurationExp %v", d)
-		}
 		if d := r.DurationUniform(time.Microsecond, time.Millisecond); d < time.Microsecond || d >= time.Millisecond {
 			t.Fatalf("DurationUniform out of range: %v", d)
 		}

@@ -36,9 +36,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration elapsed from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // After reports whether t follows u.
 func (t Time) After(u Time) bool { return t > u }
 
@@ -47,9 +44,6 @@ func (t Time) Duration() Duration { return Duration(t) }
 
 // Seconds returns the instant as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
-
-// Micros returns the instant as a floating-point number of microseconds.
-func (t Time) Micros() float64 { return float64(t) / 1e3 }
 
 // String formats the instant using time.Duration notation.
 func (t Time) String() string { return fmt.Sprintf("T+%s", Duration(t)) }

@@ -26,9 +26,6 @@ func (t *Timer) arm(d Duration) {
 	})
 }
 
-// Active reports whether the timer is armed and has not yet fired.
-func (t *Timer) Active() bool { return t.ev != nil }
-
 // Stop cancels the pending firing. It reports whether the timer was active
 // (false means it already fired or was already stopped).
 func (t *Timer) Stop() bool {

@@ -21,11 +21,18 @@
 # starts a comment line. An entry without a reason, a duplicate, and a
 # stale entry (linked now, or no longer declared) also fail the check.
 #
+# A function that only its own tests call is deleted together with those
+# tests. The entries still kept for that reason (reason starting with
+# "own tests only") are a prune in progress, capped at OWN_TESTS_ONLY:
+# more entries than that fail the check, and so do fewer, so each prune
+# lowers the cap with it until it reaches 0.
+#
 # Usage: scripts/deadcode.sh   (from the repository root)
 set -eu
 
 export LC_ALL=C
 ALLOW=scripts/deadcode.allow
+OWN_TESTS_ONLY=38
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -75,6 +82,9 @@ sed -e '/^#/d' -e '/^[[:space:]]*$/d' "$ALLOW" > "$TMP/entries"
 awk '{print $1}' "$TMP/entries" | sort > "$TMP/allow"
 dups=$(uniq -d "$TMP/allow")
 unreasoned=$(awk 'NF < 2 {print $1}' "$TMP/entries")
+awk '{r = $0; sub(/^[^[:space:]]+[[:space:]]+/, "", r)
+  if (index(r, "own tests only") == 1) print $1}' "$TMP/entries" > "$TMP/owntests"
+owntests=$(wc -l < "$TMP/owntests")
 
 comm -23 "$TMP/declared" "$TMP/linked" > "$TMP/unlinked"
 comm -23 "$TMP/unlinked" "$TMP/allow" > "$TMP/new"
@@ -99,6 +109,14 @@ fi
 if [ -n "$unreasoned" ]; then
   echo "deadcode: $ALLOW entries without a reason:"
   echo "$unreasoned" | sed 's/^/  /'
+  status=1
+fi
+if [ "$owntests" -gt "$OWN_TESTS_ONLY" ]; then
+  echo "deadcode: $owntests $ALLOW entries kept only for their own tests, more than the cap of $OWN_TESTS_ONLY (delete the function and those tests):"
+  sed 's/^/  /' "$TMP/owntests"
+  status=1
+elif [ "$owntests" -lt "$OWN_TESTS_ONLY" ]; then
+  echo "deadcode: $owntests $ALLOW entries kept only for their own tests, fewer than the cap; lower OWN_TESTS_ONLY in $0 to $owntests"
   status=1
 fi
 [ $status -eq 0 ] && echo "deadcode: $(wc -l < "$TMP/declared") functions declared, $(wc -l < "$TMP/unlinked") unlinked, all allowed"

@@ -53,6 +53,9 @@ TOTAL=$(executed "$WORK/clean.txt")
 "$WORK/simd" -store "$WORK/store" -addr "127.0.0.1:$PORT" -j 1 \
   > "$WORK/simd1.log" 2>&1 &
 PID=$!
+# A failed check must not leave a daemon on the port: $PID is expanded when
+# the trap fires, so this covers whichever incarnation is running.
+trap 'kill "$PID" 2>/dev/null || true' EXIT
 "$WORK/simctl" -addr "$ADDR" -timeout 10s wait-up
 "$WORK/simctl" -addr "$ADDR" submit "$SPEC" | tee "$WORK/submit.txt"
 ID=$(field "$WORK/submit.txt" id)
@@ -141,6 +144,7 @@ cmp "$WORK/store/campaigns/$ID/metrics.txt" "$WORK/clean/metrics.txt"
 kill -TERM "$PID"
 STATUS=0
 wait "$PID" || STATUS=$?
+trap - EXIT
 if [ "$STATUS" -ne 0 ]; then
   echo "FAIL: draining daemon exited $STATUS, want 0" >&2
   exit 1
