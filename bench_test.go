@@ -211,7 +211,7 @@ func BenchmarkAblationPicoDriver(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			lwk, err := mckernel.Boot(host, part, mckernel.Config{PicoDriver: pico, PremapMemory: true})
+			lwk, err := mckernel.Boot(host, part, mckernel.Config{PicoDriver: pico})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,6 +25,7 @@ import (
 	"log"
 	"os"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/cluster"
 	"mkos/internal/sweep"
 	"mkos/internal/sweep/campaigns"
@@ -32,21 +33,26 @@ import (
 	"mkos/internal/telemetry/ops"
 )
 
+var (
+	platform    = flag.String("platform", "fugaku", "platform: fugaku or ofp")
+	jobs        = flag.Int("jobs", 6, "jobs per sweep point")
+	nodes       = flag.Int("nodes", 8, "nodes per job")
+	seed        = flag.Int64("seed", 42, "experiment seed")
+	report      = flag.Bool("report", true, "print the full failure report of the heaviest McKernel point")
+	workers     = flag.Int("j", 0, "parallel trial workers (0 = all cores)")
+	cacheDir    = flag.String("cache-dir", "", "reuse cached trial results from this directory")
+	tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
+	metricsPath = flag.String("metrics", "", "write the deterministic metrics dump to this file")
+	profilePath = flag.String("profile", "", "write the engine profiler report (host wall times, non-deterministic)")
+	opsTrace    = flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
+)
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("faultexp: ")
-	platform := flag.String("platform", "fugaku", "platform: fugaku or ofp")
-	jobs := flag.Int("jobs", 6, "jobs per sweep point")
-	nodes := flag.Int("nodes", 8, "nodes per job")
-	seed := flag.Int64("seed", 42, "experiment seed")
-	report := flag.Bool("report", true, "print the full failure report of the heaviest McKernel point")
-	workers := flag.Int("j", 0, "parallel trial workers (0 = all cores)")
-	cacheDir := flag.String("cache-dir", "", "reuse cached trial results from this directory")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
-	metricsPath := flag.String("metrics", "", "write the deterministic metrics dump to this file")
-	profilePath := flag.String("profile", "", "write the engine profiler report (host wall times, non-deterministic)")
-	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 	flag.Parse()
+	runner.Main(context.Background(), "faultexp", run)
+}
+
+func run(ctx context.Context, out *bufio.Writer) error {
 	sink := telemetry.NewSink()
 	if *tracePath != "" {
 		sink.Recorder().Enable()
@@ -59,43 +65,30 @@ func main() {
 	case "ofp":
 		p = cluster.OFP()
 	default:
-		log.Fatalf("unknown platform %q", *platform)
+		return fmt.Errorf("unknown platform %q", *platform)
 	}
 
 	intensities := []float64{0, 0.5, 1, 2, 4}
 	specs := campaigns.FaultPoints(p.Name, intensities, campaigns.DefaultFaultRates(), *jobs, *nodes, *seed)
-	// First SIGINT/SIGTERM cancels the campaign — each trial's recovery
-	// engine stops at a deterministic event boundary via the attached cancel
-	// hook — and a second force-exits. Finished points are journaled, so a
-	// re-run with the same -cache-dir resumes.
-	ctx, stopSignals := sweep.SignalContext(context.Background(), os.Stderr)
+	// An interrupt cancels the campaign: each trial's recovery engine stops
+	// at a deterministic event boundary via the attached cancel hook.
+	// Finished points are journaled, so a re-run with the same -cache-dir
+	// resumes.
 	ctx, flushOps := ops.TraceFile(ctx, *opsTrace)
 	o, err := sweep.RunContext(ctx, campaigns.FaultSweep("faultexp", specs, *seed), sweep.Options{
 		Workers: *workers, CacheDir: *cacheDir,
 		Trace: *tracePath != "", Progress: os.Stderr,
 	})
-	stopSignals()
 	if ferr := flushOps(); ferr != nil {
 		log.Print(ferr)
 	}
 	if errors.Is(err, sweep.ErrInterrupted) {
-		log.Printf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
-		os.Exit(130)
+		return fmt.Errorf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	o.MergeTelemetry(sink)
-
-	// Stdout is buffered and its Flush checked, so a write that fails (a
-	// full disk, a closed pipe) exits 1 instead of leaving truncated output
-	// behind a 0 exit.
-	out := bufio.NewWriter(os.Stdout)
-	flushOut := func() {
-		if err := out.Flush(); err != nil {
-			log.Fatal(err)
-		}
-	}
 
 	fmt.Fprintf(out, "fault-injection sweep: %s, %d jobs/point x %d nodes, seed %d\n",
 		p.Name, *jobs, *nodes, *seed)
@@ -140,7 +133,6 @@ func main() {
 		fmt.Fprintf(out, "failure report, heaviest McKernel point (%gx base rates):\n", intensities[len(intensities)-1])
 		fmt.Fprint(out, heaviest.Text)
 	}
-	flushOut()
 
 	for _, w := range []struct {
 		path string
@@ -152,13 +144,9 @@ func main() {
 	} {
 		if w.path != "" {
 			if err := w.fn(w.path); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 	}
-
-	if err := o.FirstErr(); err != nil {
-		log.Print(err)
-		os.Exit(1)
-	}
+	return o.FirstErr()
 }

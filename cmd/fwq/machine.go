@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"time"
 
@@ -16,37 +15,23 @@ import (
 	"mkos/internal/sim"
 )
 
-// machineOpts carries the sharded-mode flag values.
-type machineOpts struct {
-	nodes    int
-	minutes  float64
-	workUS   float64
-	seed     int64
-	shards   int
-	worst    int
-	coresPer int
-	perNode  bool
-	outFile  string
-	opsFile  string
-}
-
 // runMachine executes the full-machine sharded FWQ campaign (Sec. 6.3): one
 // digest per node reduced in situ, worst-K selection at the collector, full
 // re-run of the selected nodes. The -out artifact is deterministic — byte
 // identical at any -shards value; wall-clock numbers and the -ops-metrics
 // exposition are the only places the shard count may show.
-func runMachine(ctx context.Context, out io.Writer, p *cluster.Platform, kind cluster.OSKind, o machineOpts) {
-	cfg, err := p.MachineFWQ(kind, o.nodes,
-		time.Duration(o.workUS*float64(time.Microsecond)),
-		time.Duration(o.minutes*float64(time.Minute)),
-		o.seed, o.shards, o.worst)
+func runMachine(ctx context.Context, out io.Writer, p *cluster.Platform, kind cluster.OSKind) error {
+	cfg, err := p.MachineFWQ(kind, *nodes,
+		time.Duration(*workUS*float64(time.Microsecond)),
+		time.Duration(*minutes*float64(time.Minute)),
+		*seed, *shards, *worst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if o.coresPer > 0 {
+	if *coresPer > 0 {
 		for i := range cfg.Classes {
-			if len(cfg.Classes[i].Cores) > o.coresPer {
-				cfg.Classes[i].Cores = cfg.Classes[i].Cores[:o.coresPer]
+			if len(cfg.Classes[i].Cores) > *coresPer {
+				cfg.Classes[i].Cores = cfg.Classes[i].Cores[:*coresPer]
 			}
 		}
 	}
@@ -58,15 +43,14 @@ func runMachine(ctx context.Context, out io.Writer, p *cluster.Platform, kind cl
 	res, sres, err := apps.FWQMachine(cfg)
 	wall := time.Since(start)
 	if errors.Is(err, sim.ErrCanceled) {
-		log.Print("interrupted at a window barrier; no artifact written")
-		os.Exit(130)
+		return errors.New("interrupted at a window barrier; no artifact written")
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	fmt.Fprintf(out, "FWQ full-machine on %s/%s: %d nodes, %d shards, quantum %v, duration %v\n",
-		p.Name, kind, res.Nodes, o.shards, cfg.Work, cfg.Duration)
+		p.Name, kind, res.Nodes, *shards, cfg.Work, cfg.Duration)
 	fmt.Fprintf(out, "  wall time         %v\n", wall.Round(time.Millisecond))
 	fmt.Fprintf(out, "  windows           %d\n", res.Windows)
 	fmt.Fprintf(out, "  cross-shard msgs  %d of %d\n", sres.Stats.CrossMessages, sres.Stats.Messages)
@@ -77,7 +61,7 @@ func runMachine(ctx context.Context, out io.Writer, p *cluster.Platform, kind cl
 	fmt.Fprintf(out, "  noise rate (Eq.2) %.3g\n", res.Summary.Rate)
 	fmt.Fprintf(out, "  worst %d nodes (by total noise):\n", len(res.Worst))
 	for i, w := range res.Worst {
-		if i >= 10 && !o.perNode {
+		if i >= 10 && !*perNode {
 			fmt.Fprintf(out, "    ... %d more (see -out)\n", len(res.Worst)-i)
 			break
 		}
@@ -86,27 +70,28 @@ func runMachine(ctx context.Context, out io.Writer, p *cluster.Platform, kind cl
 			time.Duration(w.Digest.MaxNoiseNS), time.Duration(w.P99NS))
 	}
 
-	if o.outFile != "" {
+	if *outFile != "" {
 		blob, err := json.MarshalIndent(res, "", " ")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := os.WriteFile(o.outFile, append(blob, '\n'), 0o644); err != nil {
-			log.Fatal(err)
+		if err := os.WriteFile(*outFile, append(blob, '\n'), 0o644); err != nil {
+			return err
 		}
-		fmt.Fprintf(out, "  result written to %s\n", o.outFile)
+		fmt.Fprintf(out, "  result written to %s\n", *outFile)
 	}
-	if o.opsFile != "" {
-		f, err := os.Create(o.opsFile)
+	if *opsFile != "" {
+		f, err := os.Create(*opsFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := rec.WriteExposition(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Fprintf(out, "  ops metrics written to %s\n", o.opsFile)
+		fmt.Fprintf(out, "  ops metrics written to %s\n", *opsFile)
 	}
+	return nil
 }

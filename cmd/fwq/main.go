@@ -16,43 +16,40 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"time"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/apps"
 	"mkos/internal/cluster"
 	"mkos/internal/noise"
 	"mkos/internal/sim"
-	"mkos/internal/sweep"
+)
+
+var (
+	platform = flag.String("platform", "fugaku", "platform: fugaku or ofp")
+	osName   = flag.String("os", "linux", "operating system: linux or mckernel")
+	nodes    = flag.Int("nodes", 1, "number of nodes to measure")
+	minutes  = flag.Float64("minutes", 1, "run length in minutes")
+	workUS   = flag.Float64("work", 6500, "work quantum in microseconds (paper: 6500)")
+	seed     = flag.Int64("seed", 42, "simulation seed")
+	perNode  = flag.Bool("per-node", false, "print per-node statistics")
+	ftq      = flag.Bool("ftq", false, "run the FTQ (fixed time quanta) variant instead of FWQ")
+	shards   = flag.Int("shards", 0, "run the sharded full-machine campaign on this many shards (0 = sequential per-node loop)")
+	worst    = flag.Int("worst", 100, "sharded mode: worst nodes re-run for their exact iteration distribution (the paper keeps 100)")
+	coresPer = flag.Int("cores", 0, "sharded mode: measure at most this many cores per node (0 = all app cores)")
+	outFile  = flag.String("out", "", "sharded mode: write the deterministic machine result JSON here")
+	opsFile  = flag.String("ops-metrics", "", "sharded mode: write runner ops metrics (Prometheus text) here")
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("fwq: ")
-	platform := flag.String("platform", "fugaku", "platform: fugaku or ofp")
-	osName := flag.String("os", "linux", "operating system: linux or mckernel")
-	nodes := flag.Int("nodes", 1, "number of nodes to measure")
-	minutes := flag.Float64("minutes", 1, "run length in minutes")
-	workUS := flag.Float64("work", 6500, "work quantum in microseconds (paper: 6500)")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	perNode := flag.Bool("per-node", false, "print per-node statistics")
-	ftq := flag.Bool("ftq", false, "run the FTQ (fixed time quanta) variant instead of FWQ")
-	shards := flag.Int("shards", 0, "run the sharded full-machine campaign on this many shards (0 = sequential per-node loop)")
-	worst := flag.Int("worst", 100, "sharded mode: worst nodes re-run for their exact iteration distribution (the paper keeps 100)")
-	coresPer := flag.Int("cores", 0, "sharded mode: measure at most this many cores per node (0 = all app cores)")
-	outFile := flag.String("out", "", "sharded mode: write the deterministic machine result JSON here")
-	opsFile := flag.String("ops-metrics", "", "sharded mode: write runner ops metrics (Prometheus text) here")
 	flag.Parse()
-	// Stdout is buffered and its Flush checked, so a write that fails (a
-	// full disk, a closed pipe) exits 1 instead of leaving truncated output
-	// behind a 0 exit.
-	out := bufio.NewWriter(os.Stdout)
-	flushOut := func() {
-		if err := out.Flush(); err != nil {
-			log.Fatal(err)
-		}
-	}
+	runner.Main(context.Background(), "fwq", run)
+}
 
+// run measures the platform's nodes. An interrupt stops the per-node loop
+// at the next node boundary (sequential mode) or the next window barrier
+// (sharded mode).
+func run(ctx context.Context, out *bufio.Writer) error {
 	var p *cluster.Platform
 	switch *platform {
 	case "fugaku":
@@ -72,28 +69,16 @@ func main() {
 		log.Fatalf("unknown OS %q", *osName)
 	}
 
-	// Two-stage interrupt handling: the first SIGINT/SIGTERM stops the
-	// per-node loop at the next node boundary (sequential mode) or the
-	// next window barrier (sharded mode); a second force-exits.
-	ctx, stop := sweep.SignalContext(context.Background(), os.Stderr)
-	defer stop()
 	if *shards > 0 {
-		runMachine(ctx, out, p, kind, machineOpts{
-			nodes: *nodes, minutes: *minutes, workUS: *workUS, seed: *seed,
-			shards: *shards, worst: *worst, coresPer: *coresPer,
-			perNode: *perNode, outFile: *outFile, opsFile: *opsFile,
-		})
-		flushOut()
-		return
+		return runMachine(ctx, out, p, kind)
 	}
 	node, err := p.NewNode(kind)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *ftq {
 		runFTQ(out, p, kind, node, *workUS, *minutes, *seed)
-		flushOut()
-		return
+		return nil
 	}
 	cfg := apps.FWQConfig{
 		Work:     time.Duration(*workUS * float64(time.Microsecond)),
@@ -103,11 +88,10 @@ func main() {
 	analyses, _, err := apps.FWQAcrossNodesContext(ctx, cfg, node.OS(), *nodes, *seed)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
-		log.Fatal(err)
+		return err
 	}
 	if interrupted && len(analyses) == 0 {
-		log.Print("interrupted before any node finished")
-		os.Exit(130)
+		return errors.New("interrupted before any node finished")
 	}
 	if *perNode {
 		for i, a := range analyses {
@@ -117,7 +101,7 @@ func main() {
 	}
 	m, err := noise.Merge(analyses)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(out, "FWQ on %s/%s: %d node(s), %d cores/node, quantum %v, duration %v\n",
 		p.Name, kind, len(analyses), len(cfg.Cores), cfg.Work, cfg.Duration)
@@ -129,10 +113,10 @@ func main() {
 	fmt.Fprintf(out, "  Tmax              %v\n", m.Tmax)
 	fmt.Fprintf(out, "  max noise length  %v\n", m.MaxNoise)
 	fmt.Fprintf(out, "  noise rate (Eq.2) %.3g\n", m.Rate)
-	flushOut()
 	if interrupted {
-		os.Exit(130)
+		return fmt.Errorf("interrupted: %d of %d nodes measured", len(analyses), *nodes)
 	}
+	return nil
 }
 
 // runFTQ executes the fixed-time-quanta companion benchmark.

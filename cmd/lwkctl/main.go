@@ -14,36 +14,30 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strconv"
 	"strings"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/cluster"
 	"mkos/internal/ihk"
 	"mkos/internal/kernel"
 	"mkos/internal/linux"
 	"mkos/internal/mckernel"
-	"mkos/internal/sweep"
+)
+
+var (
+	platform = flag.String("platform", "fugaku", "platform: fugaku or ofp")
+	cores    = flag.Int("cores", 0, "application cores to reserve (0 = all)")
+	memGB    = flag.Int64("mem-gb", 2, "memory to reserve per NUMA domain, GiB")
+	spawn    = flag.String("spawn", "a.out:4", "process to spawn as name:threads")
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("lwkctl: ")
-	platform := flag.String("platform", "fugaku", "platform: fugaku or ofp")
-	cores := flag.Int("cores", 0, "application cores to reserve (0 = all)")
-	memGB := flag.Int64("mem-gb", 2, "memory to reserve per NUMA domain, GiB")
-	spawn := flag.String("spawn", "a.out:4", "process to spawn as name:threads")
 	flag.Parse()
-	// Stdout is buffered and its Flush checked, so a write that fails (a
-	// full disk, a closed pipe) exits 1 instead of leaving truncated output
-	// behind a 0 exit.
-	out := bufio.NewWriter(os.Stdout)
-	flushOut := func() {
-		if err := out.Flush(); err != nil {
-			log.Fatal(err)
-		}
-	}
+	runner.Main(context.Background(), "lwkctl", run)
+}
 
+func run(ctx context.Context, out *bufio.Writer) error {
 	var p *cluster.Platform
 	switch *platform {
 	case "fugaku":
@@ -51,31 +45,27 @@ func main() {
 	case "ofp":
 		p = cluster.OFP()
 	default:
-		log.Fatalf("unknown platform %q", *platform)
+		return fmt.Errorf("unknown platform %q", *platform)
 	}
 
 	host, err := linux.NewKernel(p.NewTopology(), p.Tuning, p.MemBytes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(out, "host linux booted: %s, %d cores (%d app + %d assistant)\n",
 		host.Name(), host.Topo.NumCores(), len(host.Topo.AppCores()), len(host.Topo.AssistantCores()))
 
 	mgr := ihk.NewManager(host)
 
-	// Two-stage interrupt handling around the management flow: the first
-	// SIGINT/SIGTERM stops at the next stage boundary and returns every
-	// reserved resource to Linux — a half-torn-down partition is exactly the
-	// failure mode the real ihkconfig tooling guards against — and a second
-	// signal force-exits. checkpoint is called between stages; teardown
-	// inspects how far the flow got.
-	ctx, stopSignals := sweep.SignalContext(context.Background(), os.Stderr)
-	defer stopSignals()
-	checkpoint := func(stage string) {
+	// An interrupt stops the management flow at the next stage boundary and
+	// returns every reserved resource to Linux — a half-torn-down partition
+	// is exactly the failure mode the real ihkconfig tooling guards against.
+	// checkpoint is called between stages; teardown inspects how far the
+	// flow got.
+	checkpoint := func(stage string) error {
 		if ctx.Err() == nil {
-			return
+			return nil
 		}
-		log.Printf("interrupted before %s: returning resources to linux", stage)
 		if mgr.Booted() {
 			if err := mgr.Shutdown(); err != nil {
 				log.Printf("shutdown: %v", err)
@@ -91,45 +81,50 @@ func main() {
 				log.Printf("release cpus: %v", err)
 			}
 		}
-		flushOut()
-		os.Exit(130)
+		return fmt.Errorf("interrupted before %s: resources returned to linux", stage)
 	}
 
-	checkpoint("cpu/memory reservation")
+	if err := checkpoint("cpu/memory reservation"); err != nil {
+		return err
+	}
 	appCores := host.Topo.AppCores()
 	n := *cores
 	if n <= 0 || n > len(appCores) {
 		n = len(appCores)
 	}
 	if err := mgr.ReserveCPUs(appCores[:n]); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := mgr.ReserveMemory(*memGB << 30); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(out, "ihk: reserved cpus %v (%d), %d GiB total\n",
 		compact(mgr.ReservedCPUs()), n, mgr.ReservedMemoryBytes()>>30)
 
-	checkpoint("LWK boot")
+	if err := checkpoint("LWK boot"); err != nil {
+		return err
+	}
 	part, err := mgr.Boot()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lwk, err := mckernel.Boot(host, part, mckernel.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(out, "mckernel: booted (%s), %d MiB LWK-managed memory\n",
 		lwk.Name(), lwk.LWKMem.TotalBytes()>>20)
 
-	checkpoint("process spawn")
+	if err := checkpoint("process spawn"); err != nil {
+		return err
+	}
 	name, threads, err := parseSpawn(*spawn)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	proc, err := lwk.Spawn(name, threads)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(out, "spawned pid %d (%s) with %d threads; proxy on linux cores %s\n",
 		proc.PID, proc.Name, len(proc.Threads), proc.Proxy().Task.Affinity)
@@ -146,19 +141,19 @@ func main() {
 	fmt.Fprintf(out, "  ikc messages      %d\n", lwk.IKC.Messages())
 
 	if err := lwk.Exit(proc, 0); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := mgr.Shutdown(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := mgr.ReleaseMemory(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := mgr.ReleaseCPUs(mgr.ReservedCPUs()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(out, "\nshutdown complete; all resources returned to linux\n")
-	flushOut()
+	return nil
 }
 
 // parseSpawn splits "name:threads".

@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/apps"
 	"mkos/internal/core"
 	"mkos/internal/sweep"
@@ -41,51 +42,42 @@ const (
 	defaultSeed = 1
 )
 
+var (
+	figure      = flag.String("figure", "", "regenerate a whole figure: 5, 6 or 7")
+	platform    = flag.String("platform", "ofp", "platform for -app mode: ofp or fugaku")
+	appName     = flag.String("app", "", "single application to run (AMG2013, Milc, Lulesh, LQCD, GeoFEM, GAMERA)")
+	nodeList    = flag.String("nodes", "", "comma-separated node counts for -app mode")
+	runs        = flag.Int("runs", defaultRuns, "runs per data point (the paper uses >=3)")
+	seed        = flag.Int64("seed", defaultSeed, "base seed; run i uses seed+i")
+	isolation   = flag.Bool("isolation", false, "run the co-location isolation experiment instead of a figure")
+	fom         = flag.Bool("fom", false, "also print each application's custom metric (FOM, TFLOPS, ...)")
+	workers     = flag.Int("j", 0, "parallel trial workers (0 = all cores)")
+	cacheDir    = flag.String("cache-dir", "", "reuse cached trial results from this directory")
+	tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
+	metricsPath = flag.String("metrics", "", "write the deterministic telemetry metrics dump to this file")
+	opsTrace    = flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
+)
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("mkexp: ")
-	figure := flag.String("figure", "", "regenerate a whole figure: 5, 6 or 7")
-	platform := flag.String("platform", "ofp", "platform for -app mode: ofp or fugaku")
-	appName := flag.String("app", "", "single application to run (AMG2013, Milc, Lulesh, LQCD, GeoFEM, GAMERA)")
-	nodeList := flag.String("nodes", "", "comma-separated node counts for -app mode")
-	runs := flag.Int("runs", defaultRuns, "runs per data point (the paper uses >=3)")
-	seed := flag.Int64("seed", defaultSeed, "base seed; run i uses seed+i")
-	isolation := flag.Bool("isolation", false, "run the co-location isolation experiment instead of a figure")
-	fom := flag.Bool("fom", false, "also print each application's custom metric (FOM, TFLOPS, ...)")
-	workers := flag.Int("j", 0, "parallel trial workers (0 = all cores)")
-	cacheDir := flag.String("cache-dir", "", "reuse cached trial results from this directory")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
-	metricsPath := flag.String("metrics", "", "write the deterministic telemetry metrics dump to this file")
-	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 	flag.Parse()
+	runner.Main(context.Background(), "mkexp", run)
+}
+
+func run(ctx context.Context, out *bufio.Writer) error {
 	sink := telemetry.NewSink()
 	if *tracePath != "" {
 		sink.Recorder().Enable()
 	}
-	writeArtifacts := func() {
+	writeArtifacts := func() error {
 		if err := sink.WriteMetricsFile(*metricsPath); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := sink.WriteTraceFile(*tracePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// Stdout is buffered and its Flush checked, so a write that fails (a
-	// full disk, a closed pipe) exits 1 instead of leaving a truncated
-	// figure behind a 0 exit.
-	out := bufio.NewWriter(os.Stdout)
-	flushOut := func() {
-		if err := out.Flush(); err != nil {
-			log.Fatal(err)
-		}
+		return sink.WriteTraceFile(*tracePath)
 	}
 
 	if *isolation {
 		runIsolation(out, *platform, *appName, *nodeList, *seed, sink)
-		flushOut()
-		writeArtifacts()
-		return
+		return writeArtifacts()
 	}
 
 	var specs []core.FigureSpec
@@ -99,7 +91,7 @@ func main() {
 		case "7":
 			specs = core.Figure7Specs()
 		default:
-			log.Fatalf("unknown figure %q (want 5, 6 or 7)", *figure)
+			return fmt.Errorf("unknown figure %q (want 5, 6 or 7)", *figure)
 		}
 	case *appName != "":
 		p := apps.OnOFP
@@ -108,44 +100,39 @@ func main() {
 		}
 		nodes, err := parseNodes(*nodeList)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		specs = []core.FigureSpec{{Figure: "custom", Platform: p, App: *appName, Nodes: nodes}}
 	default:
-		log.Fatal("choose -figure 5|6|7 or -app NAME -nodes N1,N2,...")
+		return errors.New("choose -figure 5|6|7 or -app NAME -nodes N1,N2,...")
 	}
 
 	c, err := figureCampaign(specs, *runs, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	// First SIGINT/SIGTERM cancels the campaign (finished trials are already
-	// journaled, so a re-run resumes); a second force-exits.
-	ctx, stopSignals := sweep.SignalContext(context.Background(), os.Stderr)
+	// An interrupt cancels the campaign; finished trials are already
+	// journaled, so a re-run resumes.
 	ctx, flushOps := ops.TraceFile(ctx, *opsTrace)
 	o, err := sweep.RunContext(ctx, c, sweep.Options{
 		Workers: *workers, CacheDir: *cacheDir,
 		Trace: *tracePath != "", Progress: os.Stderr,
 	})
-	stopSignals()
 	if ferr := flushOps(); ferr != nil {
 		log.Print(ferr)
 	}
 	if errors.Is(err, sweep.ErrInterrupted) {
-		log.Printf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
-		os.Exit(130)
+		return fmt.Errorf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	o.MergeTelemetry(sink)
 	printFigures(out, o, specs, *fom)
-	flushOut()
-	writeArtifacts()
-	if err := o.FirstErr(); err != nil {
-		log.Print(err)
-		os.Exit(1)
+	if err := writeArtifacts(); err != nil {
+		return err
 	}
+	return o.FirstErr()
 }
 
 // runIsolation executes the Sec. 8 co-location experiment, writing its

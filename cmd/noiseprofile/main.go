@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/apps"
 	"mkos/internal/cluster"
 	"mkos/internal/core"
@@ -29,45 +30,44 @@ import (
 	"mkos/internal/telemetry/ops"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("noiseprofile: ")
-	series := flag.Bool("series", false, "emit a Figure 3 style noise-length time series")
-	cm := flag.String("countermeasure", "none", "countermeasure to disable for -series (none|daemons|kworkers|blkmq|pmu|tlbi)")
-	cdf := flag.Bool("cdf", false, "emit the Figure 4 latency CDFs")
-	attribute := flag.Bool("attribute", false, "emit the ftrace-style per-source interference attribution")
-	ofpNodes := flag.Int("ofp-nodes", 256, "OFP node subsample (paper: 1,024)")
-	fugakuFull := flag.Int("fugaku-full", 1024, "Fugaku full-scale subsample (paper: 158,976)")
-	fugakuRacks := flag.Int("fugaku-racks", 128, "Fugaku 24-rack subsample (paper: 9,216)")
-	minutes := flag.Float64("minutes", 2, "FWQ duration per run in minutes")
-	seed := flag.Int64("seed", 20211114, "simulation seed")
-	points := flag.Int("points", 40, "CDF points per curve")
-	iterations := flag.Int("iterations", 1, "repeat the CDF measurement N times and merge (paper: 10 x ~6 min = 1 hour)")
-	workers := flag.Int("j", 0, "parallel trial workers for -cdf (0 = all cores)")
-	cacheDir := flag.String("cache-dir", "", "reuse cached trial results from this directory")
-	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file for -cdf")
-	flag.Parse()
+var (
+	series      = flag.Bool("series", false, "emit a Figure 3 style noise-length time series")
+	cm          = flag.String("countermeasure", "none", "countermeasure to disable for -series (none|daemons|kworkers|blkmq|pmu|tlbi)")
+	cdf         = flag.Bool("cdf", false, "emit the Figure 4 latency CDFs")
+	attribute   = flag.Bool("attribute", false, "emit the ftrace-style per-source interference attribution")
+	ofpNodes    = flag.Int("ofp-nodes", 256, "OFP node subsample (paper: 1,024)")
+	fugakuFull  = flag.Int("fugaku-full", 1024, "Fugaku full-scale subsample (paper: 158,976)")
+	fugakuRacks = flag.Int("fugaku-racks", 128, "Fugaku 24-rack subsample (paper: 9,216)")
+	minutes     = flag.Float64("minutes", 2, "FWQ duration per run in minutes")
+	seed        = flag.Int64("seed", 20211114, "simulation seed")
+	points      = flag.Int("points", 40, "CDF points per curve")
+	iterations  = flag.Int("iterations", 1, "repeat the CDF measurement N times and merge (paper: 10 x ~6 min = 1 hour)")
+	workers     = flag.Int("j", 0, "parallel trial workers for -cdf (0 = all cores)")
+	cacheDir    = flag.String("cache-dir", "", "reuse cached trial results from this directory")
+	opsTrace    = flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file for -cdf")
+)
 
-	// Stdout is buffered and its Flush checked, so a write that fails (a
-	// full disk, a closed pipe) exits 1 instead of leaving a truncated
-	// profile behind a 0 exit.
-	out := bufio.NewWriter(os.Stdout)
+func main() {
+	flag.Parse()
+	runner.Main(context.Background(), "noiseprofile", run)
+}
+
+func run(ctx context.Context, out *bufio.Writer) error {
+	dur := time.Duration(*minutes * float64(time.Minute))
 	switch {
 	case *attribute:
-		runAttribute(out, *cm, time.Duration(*minutes*float64(time.Minute)), *seed)
+		runAttribute(out, *cm, dur, *seed)
 	case *series:
-		runSeries(out, *cm, time.Duration(*minutes*float64(time.Minute)), *seed)
+		runSeries(out, *cm, dur, *seed)
 	case *cdf:
-		runCDF(context.Background(), out, core.Figure4Config{
+		return runCDF(ctx, out, core.Figure4Config{
 			OFPNodes: *ofpNodes, FugakuFullNodes: *fugakuFull, Fugaku24Racks: *fugakuRacks,
-			Duration: time.Duration(*minutes * float64(time.Minute)), WorstNodes: 100, Seed: *seed,
-		}, *points, *iterations, *workers, *cacheDir, *opsTrace)
+			Duration: dur, WorstNodes: 100, Seed: *seed,
+		})
 	default:
-		log.Fatal("choose -series or -cdf")
+		return errors.New("choose -series or -cdf")
 	}
-	if err := out.Flush(); err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }
 
 // runAttribute writes the per-source stolen-time attribution on app cores
@@ -128,42 +128,38 @@ func runSeries(w io.Writer, cm string, dur time.Duration, seed int64) {
 // orchestrator and merges per curve — the paper ran "ten iterations of
 // measurements that last for approximately 6 minutes, capturing a noise
 // profile that covers one hour altogether". The curves are written to w.
-func runCDF(ctx context.Context, w io.Writer, cfg core.Figure4Config, points, iterations, workers int, cacheDir, opsTrace string) {
-	if iterations < 1 {
-		iterations = 1
-	}
-	// First SIGINT/SIGTERM cancels the campaign (finished trials are already
-	// journaled, so a re-run resumes); a second force-exits.
-	ctx, stopSignals := sweep.SignalContext(ctx, os.Stderr)
-	ctx, flushOps := ops.TraceFile(ctx, opsTrace)
-	o, err := sweep.RunContext(ctx, campaigns.Figure4(cfg, iterations, cfg.Seed), sweep.Options{
-		Workers: workers, CacheDir: cacheDir, Progress: os.Stderr,
+// An interrupt cancels the campaign; finished trials are already journaled,
+// so a re-run resumes.
+func runCDF(ctx context.Context, w io.Writer, cfg core.Figure4Config) error {
+	iters := max(*iterations, 1)
+	ctx, flushOps := ops.TraceFile(ctx, *opsTrace)
+	o, err := sweep.RunContext(ctx, campaigns.Figure4(cfg, iters, cfg.Seed), sweep.Options{
+		Workers: *workers, CacheDir: *cacheDir, Progress: os.Stderr,
 	})
-	stopSignals()
 	if ferr := flushOps(); ferr != nil {
 		log.Print(ferr)
 	}
 	if errors.Is(err, sweep.ErrInterrupted) {
-		log.Printf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
-		os.Exit(130)
+		return fmt.Errorf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := o.FirstErr(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	curves, err := campaigns.MergeFigure4(o, cfg, iterations)
+	curves, err := campaigns.MergeFigure4(o, cfg, iters)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(w, "# Figure 4: FWQ iteration-latency CDFs (worst %d nodes per config)\n", cfg.WorstNodes)
 	fmt.Fprintf(w, "# node counts are subsamples of the paper's scales; see EXPERIMENTS.md\n")
 	for _, c := range curves {
 		fmt.Fprintf(w, "\n# curve %s (%d nodes), max iteration %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
 		fmt.Fprintf(w, "# iteration_us cumulative_probability\n")
-		for _, pt := range c.CDF.Points(points) {
+		for _, pt := range c.CDF.Points(*points) {
 			fmt.Fprintf(w, "%.2f %.8f\n", pt.X, pt.Y)
 		}
 	}
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"time"
 
 	"mkos/internal/apps"
@@ -26,40 +25,36 @@ import (
 // to sink: the sharded sweep's registries (shard.Result.Registry, folded in
 // shard order and shard-count invariant) and the worst-node re-runs' noise
 // counters. The stage's report goes to out.
-func runMachineStage(ctx context.Context, out *bufio.Writer, quick bool, shards int, outdir string, flushOps func() error, sink *telemetry.Sink) {
+func runMachineStage(ctx context.Context, out *bufio.Writer, sink *telemetry.Sink) error {
 	nodes, duration, worstK := 4096, 4*time.Second, 100
-	if quick {
+	if *quick {
 		nodes, duration, worstK = 256, 2*time.Second, 10
 	}
-	progress(out, "[6/6] full-machine sharded FWQ (%d nodes, %d shards)...\n", nodes, shards)
+	progress(out, "[6/6] full-machine sharded FWQ (%d nodes, %d shards)...\n", nodes, *shards)
 	p := cluster.Fugaku()
 	p.Sink = sink
-	cfg, err := p.MachineFWQ(cluster.Linux, nodes, 6500*time.Microsecond, duration, 42, shards, worstK)
+	cfg, err := p.MachineFWQ(cluster.Linux, nodes, 6500*time.Microsecond, duration, 42, *shards, worstK)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg.Cancel = func() bool { return ctx.Err() != nil }
 	res, sres, err := apps.FWQMachine(cfg)
 	if errors.Is(err, sim.ErrCanceled) {
-		log.Print("interrupted during the full-machine stage; no artifact written")
-		if ferr := flushOps(); ferr != nil {
-			log.Print(ferr)
-		}
-		_ = out.Flush() // exiting 130 whether or not the report gets out
-		os.Exit(130)
+		return errors.New("interrupted during the full-machine stage; no artifact written")
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sink.Registry().AddSnapshot(sres.Registry.Snapshot())
 	fmt.Fprintf(out, "  %d windows, %d digests (%d cross-shard), worst node %d (total noise %v)\n",
 		res.Windows, sres.Stats.Messages, sres.Stats.CrossMessages,
 		res.Worst[0].Node, time.Duration(res.Worst[0].Digest.TotalNoiseNS))
-	writeFile(outdir, "fwq_machine.json", func(w io.Writer) {
+	writeFile(*outdir, "fwq_machine.json", func(w io.Writer) {
 		blob, err := json.MarshalIndent(res, "", " ")
 		if err != nil {
 			log.Fatal(err)
 		}
 		w.Write(append(blob, '\n'))
 	})
+	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/apps"
 	"mkos/internal/bsp"
 	"mkos/internal/cluster"
@@ -36,20 +37,28 @@ import (
 	"mkos/internal/telemetry/ops"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("repro: ")
-	quick := flag.Bool("quick", false, "reduced scales for a fast smoke run")
-	outdir := flag.String("outdir", "results", "directory for generated data files")
-	workers := flag.Int("j", 0, "parallel trial workers (0 = all cores)")
-	cacheDir := flag.String("cache-dir", "", "reuse cached trial results from this directory")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
-	metricsPath := flag.String("metrics", "", "write the deterministic metrics dump to this file")
-	profilePath := flag.String("profile", "", "write the engine profiler report (host wall times, non-deterministic)")
-	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
-	shards := flag.Int("shards", 4, "shard count for the full-machine FWQ stage (result is shard-count invariant)")
-	flag.Parse()
+var (
+	quick       = flag.Bool("quick", false, "reduced scales for a fast smoke run")
+	outdir      = flag.String("outdir", "results", "directory for generated data files")
+	workers     = flag.Int("j", 0, "parallel trial workers (0 = all cores)")
+	cacheDir    = flag.String("cache-dir", "", "reuse cached trial results from this directory")
+	tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
+	metricsPath = flag.String("metrics", "", "write the deterministic metrics dump to this file")
+	profilePath = flag.String("profile", "", "write the engine profiler report (host wall times, non-deterministic)")
+	opsTrace    = flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
+	shards      = flag.Int("shards", 4, "shard count for the full-machine FWQ stage (result is shard-count invariant)")
+)
 
+func main() {
+	flag.Parse()
+	runner.Main(context.Background(), "repro", run)
+}
+
+// run executes the stages in order. out is flushed as each stage starts, so
+// a run whose report cannot get out stops there. An interrupt cancels the
+// in-flight stage; its finished trials are already journaled, so a re-run
+// resumes.
+func run(ctx context.Context, out *bufio.Writer) error {
 	// sink collects the whole run's telemetry: every stage's campaign
 	// outcome is merged into it, and the engine-driven stages publish into
 	// it directly.
@@ -58,44 +67,36 @@ func main() {
 		sink.Recorder().Enable()
 	}
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	start := time.Now()
-	// Stdout is buffered and flushed as each stage starts, with the Flush
-	// checked, so a write that fails (a full disk, a closed pipe) exits 1
-	// instead of leaving a truncated report behind a 0 exit.
-	out := bufio.NewWriter(os.Stdout)
-
-	// First SIGINT/SIGTERM cancels the in-flight stage (its finished trials
-	// are already journaled, so a re-run resumes); a second force-exits.
-	ctx, stopSignals := sweep.SignalContext(context.Background(), os.Stderr)
-	defer stopSignals()
+	// The ops trace is flushed however the run ends.
 	ctx, flushOps := ops.TraceFile(ctx, *opsTrace)
+	defer func() {
+		if err := flushOps(); err != nil {
+			log.Print(err)
+		}
+	}()
 
 	// runCampaign shards one stage's trials over the worker pool and folds
 	// the merged telemetry into sink, so the -metrics and -trace artifacts
 	// see every stage exactly as the serial path did.
-	runCampaign := func(c *sweep.Campaign) *sweep.Outcome {
+	runCampaign := func(c *sweep.Campaign) (*sweep.Outcome, error) {
 		o, err := sweep.RunContext(ctx, c, sweep.Options{
 			Workers: *workers, CacheDir: *cacheDir,
 			Trace: *tracePath != "", Progress: os.Stderr,
 		})
 		if errors.Is(err, sweep.ErrInterrupted) {
-			log.Printf("interrupted during campaign %s: %d trials unfinished; re-run with the same -cache-dir to resume", o.Name, o.Canceled)
-			if ferr := flushOps(); ferr != nil {
-				log.Print(ferr)
-			}
-			_ = out.Flush() // exiting 130 whether or not the report gets out
-			os.Exit(130)
+			return nil, fmt.Errorf("interrupted during campaign %s: %d trials unfinished; re-run with the same -cache-dir to resume", o.Name, o.Canceled)
 		}
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		if err := o.FirstErr(); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		o.MergeTelemetry(sink)
-		return o
+		return o, nil
 	}
 
 	// --- Table 2 ---
@@ -104,7 +105,10 @@ func main() {
 		t2cfg.Nodes, t2cfg.Duration = 4, time.Minute
 	}
 	progress(out, "[1/6] Table 2 (%d nodes, %v FWQ)...\n", t2cfg.Nodes, t2cfg.Duration)
-	t2out := runCampaign(campaigns.Table2(t2cfg, t2cfg.Seed))
+	t2out, err := runCampaign(campaigns.Table2(t2cfg, t2cfg.Seed))
+	if err != nil {
+		return err
+	}
 	variants := core.Table2Variants()
 	rows := make([]core.Table2Row, len(variants))
 	for i, disabled := range variants {
@@ -143,7 +147,10 @@ func main() {
 	}
 	progress(out, "[3/6] Figure 4 CDFs (%d/%d/%d nodes)...\n",
 		f4cfg.OFPNodes, f4cfg.FugakuFullNodes, f4cfg.Fugaku24Racks)
-	f4out := runCampaign(campaigns.Figure4(f4cfg, 1, f4cfg.Seed))
+	f4out, err := runCampaign(campaigns.Figure4(f4cfg, 1, f4cfg.Seed))
+	if err != nil {
+		return err
+	}
 	curves, err := campaigns.MergeFigure4(f4out, f4cfg, 1)
 	if err != nil {
 		log.Fatal(err)
@@ -173,7 +180,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	figOut := runCampaign(figCampaign)
+	figOut, err := runCampaign(figCampaign)
+	if err != nil {
+		return err
+	}
 	type key struct{ fig, app string }
 	top := map[key]core.Comparison{}
 	writeFile(*outdir, "figures567.txt", func(w io.Writer) {
@@ -203,7 +213,9 @@ func main() {
 	runOpsStage(ctx, out, *quick, sink)
 
 	// --- Full-machine sharded FWQ (Sec. 6.3 in-situ selection) ---
-	runMachineStage(ctx, out, *quick, *shards, *outdir, flushOps, sink)
+	if err := runMachineStage(ctx, out, sink); err != nil {
+		return err
+	}
 
 	// --- Telemetry artifacts ---
 	for _, w := range []struct {
@@ -246,10 +258,8 @@ func main() {
 		fmt.Fprintf(out, "fig %s  %-8s %-15s paper %-6s measured %.3f (at %d nodes)\n",
 			spec.Figure, spec.App, spec.Platform, paper[k], c.Relative, c.Nodes)
 	}
-	if err := flushOps(); err != nil {
-		log.Print(err)
-	}
-	progress(out, "\ndone in %v; data in %s/\n", time.Since(start).Round(time.Second), *outdir)
+	fmt.Fprintf(out, "\ndone in %v; data in %s/\n", time.Since(start).Round(time.Second), *outdir)
+	return nil
 }
 
 // progress writes a progress line to out and flushes it, exiting 1 when

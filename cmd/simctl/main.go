@@ -44,38 +44,30 @@ import (
 	"sort"
 	"time"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/fault/chaos"
 	"mkos/internal/simd"
 )
 
-// stdout buffers everything simctl prints; exit flushes it, so a write that
-// fails (a full disk, a closed pipe) exits 1 instead of leaving truncated
-// output behind a 0 exit. The streaming commands flush as they go.
-var stdout = bufio.NewWriter(os.Stdout)
-
-// exit flushes stdout and exits with code, or with 1 when the flush fails.
-func exit(code int) {
-	if err := stdout.Flush(); err != nil {
-		log.Printf("writing stdout: %v", err)
-		code = 1
-	}
-	os.Exit(code)
-}
+var (
+	addr    = flag.String("addr", "http://127.0.0.1:8080", "daemon base URL")
+	client  = flag.String("client", "", "fairness identity sent as X-Simd-Client")
+	asJSON  = flag.Bool("json", false, "print raw JSON responses instead of key=value lines")
+	timeout = flag.Duration("timeout", 0, "overall deadline (0 = none)")
+)
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("simctl: ")
-	addr := flag.String("addr", "http://127.0.0.1:8080", "daemon base URL")
-	client := flag.String("client", "", "fairness identity sent as X-Simd-Client")
-	asJSON := flag.Bool("json", false, "print raw JSON responses instead of key=value lines")
-	timeout := flag.Duration("timeout", 0, "overall deadline (0 = none)")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
+	runner.Main(context.Background(), "simctl", run)
+}
 
-	ctx := context.Background()
+// run executes one command. The streaming commands (tail, top) flush out as
+// they go.
+func run(ctx context.Context, out *bufio.Writer) error {
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -86,87 +78,82 @@ func main() {
 	cmd, args := flag.Arg(0), flag.Args()[1:]
 	switch cmd {
 	case "id":
-		spec := readSpec(args)
-		id, _, err := simd.SpecID(spec)
+		id, _, err := simd.SpecID(readSpec(args))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Fprintf(stdout, "id=%s\n", id)
+		fmt.Fprintf(out, "id=%s\n", id)
 	case "submit":
 		st, err := c.Submit(ctx, readSpec(args))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		printStatus(st, *asJSON)
+		printStatus(out, st, *asJSON)
 	case "await":
 		st, err := c.Await(ctx, oneArg(args, "campaign id"))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		printStatus(st, *asJSON)
-		if st.State != simd.StateDone {
-			exit(1)
-		}
+		printStatus(out, st, *asJSON)
+		return notDone(st)
 	case "run":
 		st, err := c.Submit(ctx, readSpec(args))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if st, err = c.Await(ctx, st.ID); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		printStatus(st, *asJSON)
-		if st.State != simd.StateDone {
-			exit(1)
-		}
+		printStatus(out, st, *asJSON)
+		return notDone(st)
 	case "status":
 		st, err := c.Status(ctx, oneArg(args, "campaign id"))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		printStatus(st, *asJSON)
+		printStatus(out, st, *asJSON)
 	case "results":
 		blob, err := c.Results(ctx, oneArg(args, "campaign id"))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		stdout.Write(blob)
+		out.Write(blob)
 	case "cancel":
 		st, err := c.Cancel(ctx, oneArg(args, "campaign id"))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		printStatus(st, *asJSON)
+		printStatus(out, st, *asJSON)
 	case "stats":
 		st, blob, err := c.Stats(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		printStats(st, blob, *asJSON)
+		printStats(out, st, blob, *asJSON)
 	case "list":
 		sts, err := c.List(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, st := range sts {
-			printStatus(st, *asJSON)
+			printStatus(out, st, *asJSON)
 		}
 	case "tail":
-		tail(ctx, c, oneArg(args, "campaign id"), *asJSON)
+		return tail(ctx, out, c, oneArg(args, "campaign id"))
 	case "top":
-		top(ctx, c, args)
+		return top(ctx, out, c, args)
 	case "metrics":
 		blob, err := c.Metrics(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		stdout.Write(blob)
+		out.Write(blob)
 	case "trace":
 		blob, err := c.Trace(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		stdout.Write(blob)
+		out.Write(blob)
 	case "wait-up":
 		wctx := ctx
 		if *timeout <= 0 {
@@ -175,70 +162,80 @@ func main() {
 			defer cancel()
 		}
 		if err := c.WaitUp(wctx); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Fprintln(stdout, "up=true")
+		fmt.Fprintln(out, "up=true")
 	case "flood":
-		flood(ctx, *addr, args)
+		flood(ctx, out, args)
 	default:
-		log.Fatalf("unknown command %q (want id|submit|await|run|status|results|cancel|stats|list|tail|top|metrics|trace|wait-up|flood)", cmd)
+		return fmt.Errorf("unknown command %q (want id|submit|await|run|status|results|cancel|stats|list|tail|top|metrics|trace|wait-up|flood)", cmd)
 	}
-	exit(0)
+	return nil
 }
 
-// tail streams one campaign's SSE events to stdout, one line per event,
+// notDone is the error of a campaign that settled in a state other than
+// done, so await and run exit 1.
+func notDone(st simd.Status) error {
+	if st.State == simd.StateDone {
+		return nil
+	}
+	return fmt.Errorf("campaign %s is %s, not done", st.ID, st.State)
+}
+
+// tail streams one campaign's SSE events to out, one line per event,
 // exiting 0 on a terminal "done" state, 1 on any other terminal state, and
-// fatally if the stream drops before the campaign settles (daemon drain) —
-// the journal still holds the progress; re-tail after the daemon returns.
-func tail(ctx context.Context, c *simd.Client, id string, asJSON bool) {
+// 1 if the stream drops before the campaign settles (daemon drain) — the
+// journal still holds the progress; re-tail after the daemon returns.
+func tail(ctx context.Context, out *bufio.Writer, c *simd.Client, id string) error {
 	final := ""
 	err := c.Tail(ctx, id, func(ev simd.Event) error {
-		if asJSON {
+		if *asJSON {
 			blob, _ := json.Marshal(ev)
-			stdout.Write(append(blob, '\n'))
+			out.Write(append(blob, '\n'))
 		} else {
-			printEvent(ev)
+			printEvent(out, ev)
 		}
 		if ev.Type == "state" {
 			final = ev.State
 		}
-		return stdout.Flush()
+		return out.Flush()
 	})
+	if errors.Is(err, simd.ErrStreamClosed) {
+		return errors.New("stream closed before the campaign settled (daemon draining?); re-tail once it is back")
+	}
 	if err != nil {
-		if errors.Is(err, simd.ErrStreamClosed) {
-			log.Fatal("stream closed before the campaign settled (daemon draining?); re-tail once it is back")
-		}
-		log.Fatal(err)
+		return err
 	}
 	if final != simd.StateDone {
-		exit(1)
+		return fmt.Errorf("campaign %s is %s, not done", id, final)
 	}
+	return nil
 }
 
-func printEvent(ev simd.Event) {
+func printEvent(w io.Writer, ev simd.Event) {
 	switch ev.Type {
 	case "trial":
-		fmt.Fprintf(stdout, "seq=%d event=trial key=%s done=%d/%d cached=%v wall_ms=%.1f",
+		fmt.Fprintf(w, "seq=%d event=trial key=%s done=%d/%d cached=%v wall_ms=%.1f",
 			ev.Seq, ev.Key, ev.Done, ev.Total, ev.Cached, ev.WallMS)
 		if ev.ETAMS > 0 {
-			fmt.Fprintf(stdout, " eta_ms=%d", ev.ETAMS)
+			fmt.Fprintf(w, " eta_ms=%d", ev.ETAMS)
 		}
 		if ev.TrialErr != "" {
-			fmt.Fprintf(stdout, " err=%q", ev.TrialErr)
+			fmt.Fprintf(w, " err=%q", ev.TrialErr)
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(w)
 	default:
-		fmt.Fprintf(stdout, "seq=%d event=%s state=%s", ev.Seq, ev.Type, ev.State)
+		fmt.Fprintf(w, "seq=%d event=%s state=%s", ev.Seq, ev.Type, ev.State)
 		if ev.Err != "" {
-			fmt.Fprintf(stdout, " err=%q", ev.Err)
+			fmt.Fprintf(w, " err=%q", ev.Err)
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(w)
 	}
 }
 
 // top prints a periodic daemon overview — stats header plus one line per
 // non-terminal campaign — until -n refreshes elapse or the context ends.
-func top(ctx context.Context, c *simd.Client, args []string) {
+func top(ctx context.Context, out *bufio.Writer, c *simd.Client, args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	interval := fs.Duration("interval", time.Second, "refresh period")
 	iters := fs.Int("n", 0, "refresh count (0 = until interrupted)")
@@ -249,18 +246,18 @@ func top(ctx context.Context, c *simd.Client, args []string) {
 			select {
 			case <-time.After(*interval):
 			case <-ctx.Done():
-				return
+				return nil
 			}
 		}
 		st, _, err := c.Stats(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sts, err := c.List(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Fprintf(stdout, "-- %s draining=%v queue_depth=%d campaigns=%d executed=%d cached=%d failed=%d hit_rate=%.3f\n",
+		fmt.Fprintf(out, "-- %s draining=%v queue_depth=%d campaigns=%d executed=%d cached=%d failed=%d hit_rate=%.3f\n",
 			time.Now().UTC().Format(time.TimeOnly), st.Draining, st.QueueDepth, len(sts),
 			st.Trials.Executed, st.Trials.Cached, st.Trials.Failed, st.CacheHitRate)
 		// Active first, then (with -all) terminal, each group sorted by id.
@@ -275,12 +272,13 @@ func top(ctx context.Context, c *simd.Client, args []string) {
 			if cs.Terminal() && !*all {
 				continue
 			}
-			printStatus(cs, false)
+			printStatus(out, cs, false)
 		}
-		if err := stdout.Flush(); err != nil {
-			log.Fatal(err)
+		if err := out.Flush(); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // flood fires N concurrent submissions at the daemon — the load-smoke and
@@ -290,7 +288,7 @@ func top(ctx context.Context, c *simd.Client, args []string) {
 // cache key); without it all N collapse onto one campaign by content hash.
 // With -slow each client drains responses through a deterministic
 // chaos.SlowReader, modeling slow consumers that must not wedge the daemon.
-func flood(ctx context.Context, addr string, args []string) {
+func flood(ctx context.Context, out io.Writer, args []string) {
 	fs := flag.NewFlagSet("flood", flag.ExitOnError)
 	n := fs.Int("n", 200, "concurrent clients")
 	distinct := fs.Bool("distinct", false, "give every submission a distinct campaign name")
@@ -310,7 +308,7 @@ func flood(ctx context.Context, addr string, args []string) {
 			}
 		}
 		c := &simd.Client{
-			BaseURL:     addr,
+			BaseURL:     *addr,
 			ClientID:    fmt.Sprintf("flood-%03d", i),
 			MaxAttempts: *attempts,
 		}
@@ -326,7 +324,7 @@ func flood(ctx context.Context, addr string, args []string) {
 		_, err := c.Submit(ctx, body)
 		return err
 	})
-	fmt.Fprintf(stdout, "flood_n=%d\nflood_ok=%d\nflood_failed=%d\n", *n, tally.OK, tally.Failed)
+	fmt.Fprintf(out, "flood_n=%d\nflood_ok=%d\nflood_failed=%d\n", *n, tally.OK, tally.Failed)
 	for _, e := range tally.Errs {
 		fmt.Fprintf(os.Stderr, "flood: %v\n", e)
 	}
@@ -374,55 +372,55 @@ func oneArg(args []string, what string) string {
 	return args[0]
 }
 
-func printStatus(st simd.Status, asJSON bool) {
+func printStatus(w io.Writer, st simd.Status, asJSON bool) {
 	if asJSON {
 		blob, _ := json.MarshalIndent(st, "", "  ")
-		stdout.Write(append(blob, '\n'))
+		w.Write(append(blob, '\n'))
 		return
 	}
-	fmt.Fprintf(stdout, "id=%s state=%s total=%d executed=%d cached=%d failed=%d",
+	fmt.Fprintf(w, "id=%s state=%s total=%d executed=%d cached=%d failed=%d",
 		st.ID, st.State, st.Total, st.Executed, st.Cached, st.Failed)
 	if st.Deduped {
-		fmt.Fprintf(stdout, " deduped=true")
+		fmt.Fprintf(w, " deduped=true")
 	}
 	if st.Restarts > 0 {
-		fmt.Fprintf(stdout, " restarts=%d", st.Restarts)
+		fmt.Fprintf(w, " restarts=%d", st.Restarts)
 	}
 	if st.LastExit != "" {
-		fmt.Fprintf(stdout, " last_exit=%q", st.LastExit)
+		fmt.Fprintf(w, " last_exit=%q", st.LastExit)
 	}
 	if st.Breaker != "" {
-		fmt.Fprintf(stdout, " breaker=%s", st.Breaker)
+		fmt.Fprintf(w, " breaker=%s", st.Breaker)
 	}
 	if st.Err != "" {
-		fmt.Fprintf(stdout, " err=%q", st.Err)
+		fmt.Fprintf(w, " err=%q", st.Err)
 	}
-	fmt.Fprintln(stdout)
+	fmt.Fprintln(w)
 }
 
-func printStats(st simd.Stats, blob []byte, asJSON bool) {
+func printStats(w io.Writer, st simd.Stats, blob []byte, asJSON bool) {
 	if asJSON {
 		var out bytes.Buffer
 		if json.Indent(&out, blob, "", "  ") == nil {
 			out.WriteByte('\n')
-			stdout.Write(out.Bytes())
+			w.Write(out.Bytes())
 			return
 		}
-		stdout.Write(blob)
+		w.Write(blob)
 		return
 	}
-	fmt.Fprintf(stdout, "draining=%v queue_depth=%d\n", st.Draining, st.QueueDepth)
-	fmt.Fprintf(stdout, "admitted=%d deduped=%d resumed=%d\n", st.Admitted, st.Deduped, st.Resumed)
-	fmt.Fprintf(stdout, "rejected_total=%d rejected_queue_full=%d rejected_client_backlog=%d rejected_draining=%d rejected_no_space=%d\n",
+	fmt.Fprintf(w, "draining=%v queue_depth=%d\n", st.Draining, st.QueueDepth)
+	fmt.Fprintf(w, "admitted=%d deduped=%d resumed=%d\n", st.Admitted, st.Deduped, st.Resumed)
+	fmt.Fprintf(w, "rejected_total=%d rejected_queue_full=%d rejected_client_backlog=%d rejected_draining=%d rejected_no_space=%d\n",
 		st.Rejected.Total(), st.Rejected.QueueFull, st.Rejected.ClientBacklog, st.Rejected.Draining, st.Rejected.NoSpace)
-	fmt.Fprintf(stdout, "trials_executed=%d trials_cached=%d trials_failed=%d cache_hit_rate=%.3f\n",
+	fmt.Fprintf(w, "trials_executed=%d trials_cached=%d trials_failed=%d cache_hit_rate=%.3f\n",
 		st.Trials.Executed, st.Trials.Cached, st.Trials.Failed, st.CacheHitRate)
-	fmt.Fprintf(stdout, "latency_count=%d latency_p50_ms=%.1f latency_p90_ms=%.1f latency_p99_ms=%.1f latency_max_ms=%.1f\n",
+	fmt.Fprintf(w, "latency_count=%d latency_p50_ms=%.1f latency_p90_ms=%.1f latency_p99_ms=%.1f latency_max_ms=%.1f\n",
 		st.SubmitToResultMS.Count, st.SubmitToResultMS.P50, st.SubmitToResultMS.P90,
 		st.SubmitToResultMS.P99, st.SubmitToResultMS.Max)
 	// Campaign state counts in fixed order (stable output for shell parsing).
 	for _, state := range []string{"queued", "running", "done", "failed", "canceled", "interrupted", "crash_loop"} {
-		fmt.Fprintf(stdout, "campaigns_%s=%d ", state, st.Campaigns[state])
+		fmt.Fprintf(w, "campaigns_%s=%d ", state, st.Campaigns[state])
 	}
-	fmt.Fprintln(stdout)
+	fmt.Fprintln(w)
 }

@@ -27,46 +27,50 @@ import (
 	"path/filepath"
 	"time"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/sweep"
 	"mkos/internal/sweep/campaigns"
 	"mkos/internal/telemetry"
 	"mkos/internal/telemetry/ops"
 )
 
+var (
+	specPath     = flag.String("spec", "", "declarative campaign spec (JSON)")
+	workers      = flag.Int("j", 0, "parallel trial workers (0 = all cores)")
+	cacheDir     = flag.String("cache-dir", "", "on-disk result cache; re-runs execute only changed trials")
+	outdir       = flag.String("outdir", "sweep-out", "directory for results.json, metrics.txt and ops.txt")
+	trace        = flag.Bool("trace", false, "also write trace.json (merged per-trial sim-time trace)")
+	trialTimeout = flag.Duration("trial-timeout", 0, "fail any single trial exceeding this wall time (0 = no limit)")
+	retryFailed  = flag.Bool("retry-failed", false, "re-run trials the campaign journal recorded as failed")
+	opsTrace     = flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
+)
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sweep: ")
-	specPath := flag.String("spec", "", "declarative campaign spec (JSON)")
-	workers := flag.Int("j", 0, "parallel trial workers (0 = all cores)")
-	cacheDir := flag.String("cache-dir", "", "on-disk result cache; re-runs execute only changed trials")
-	outdir := flag.String("outdir", "sweep-out", "directory for results.json, metrics.txt and ops.txt")
-	trace := flag.Bool("trace", false, "also write trace.json (merged per-trial sim-time trace)")
-	trialTimeout := flag.Duration("trial-timeout", 0, "fail any single trial exceeding this wall time (0 = no limit)")
-	retryFailed := flag.Bool("retry-failed", false, "re-run trials the campaign journal recorded as failed")
-	opsTrace := flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 	flag.Parse()
+	runner.Main(context.Background(), "sweep", run)
+}
+
+// run executes the campaign and writes its artifacts. An interrupt cancels
+// the campaign, and the partial artifacts are still written.
+func run(ctx context.Context, out *bufio.Writer) error {
 	if *specPath == "" {
-		log.Fatal("provide -spec FILE (see specs/ci-sweep.json)")
+		return errors.New("provide -spec FILE (see specs/ci-sweep.json)")
 	}
 
 	spec, err := campaigns.LoadSpec(*specPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	c, err := spec.Campaign()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	// First SIGINT/SIGTERM cancels the campaign and flushes partial
-	// artifacts; a second force-exits.
-	ctx, stop := sweep.SignalContext(context.Background(), os.Stderr)
 	ctx, flushOps := ops.TraceFile(ctx, *opsTrace)
 	o, err := sweep.RunContext(ctx, c, sweep.Options{
 		Workers: *workers, CacheDir: *cacheDir,
 		Trace: *trace, Progress: os.Stderr,
 		TrialTimeout: *trialTimeout, RetryFailed: *retryFailed,
 	})
-	stop()
 	// The ops trace is wall-clock observability, flushed even for runs that
 	// end interrupted or failed — those are the ones worth inspecting.
 	if ferr := flushOps(); ferr != nil {
@@ -74,11 +78,11 @@ func main() {
 	}
 	interrupted := errors.Is(err, sweep.ErrInterrupted)
 	if err != nil && !interrupted {
-		log.Fatal(err)
+		return err
 	}
 
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	writeArtifact(*outdir, "results.json", resultsJSON(o))
 	writeArtifact(*outdir, "metrics.txt", dumpRegistry(o.Registry))
@@ -86,30 +90,20 @@ func main() {
 	if o.Recorder != nil {
 		var buf bytes.Buffer
 		if err := o.Recorder.WriteChromeTrace(&buf); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		writeArtifact(*outdir, "trace.json", buf.Bytes())
 	}
 
 	// The summary line is stable output: CI greps it to assert a warm-cache
-	// re-run executed zero trials. Stdout is buffered and its Flush checked,
-	// so a write that fails (a full disk, a closed pipe) exits 1 instead of
-	// dropping the summary behind a 0 exit.
-	out := bufio.NewWriter(os.Stdout)
+	// re-run executed zero trials.
 	fmt.Fprintf(out, "campaign %s: %d trials: %d executed, %d cached, %d failed\n",
 		o.Name, len(o.Results), o.Executed, o.Cached, o.Failed)
-	if err := out.Flush(); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Fprintf(os.Stderr, "sweep: artifacts in %s (elapsed %v)\n", *outdir, o.Elapsed.Round(o.Elapsed/100+time.Nanosecond))
 	if interrupted {
-		log.Printf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
-		os.Exit(130)
+		return fmt.Errorf("interrupted: %d trials unfinished; re-run with the same -cache-dir to resume", o.Canceled)
 	}
-	if err := o.FirstErr(); err != nil {
-		log.Print(err)
-		os.Exit(1)
-	}
+	return o.FirstErr()
 }
 
 // resultsJSON renders the deterministic results artifact. A complete run

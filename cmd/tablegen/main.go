@@ -14,58 +14,47 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-	"os"
 	"time"
 
+	"mkos/cmd/internal/runner"
 	"mkos/internal/core"
-	"mkos/internal/sweep"
+)
+
+var (
+	nodes   = flag.Int("nodes", 16, "number of simulated A64FX nodes (paper: 16)")
+	minutes = flag.Float64("minutes", 6, "FWQ run length in minutes (paper: ~6)")
+	seed    = flag.Int64("seed", 11, "simulation seed")
+	asJSON  = flag.Bool("json", false, "emit JSON instead of the formatted table")
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tablegen: ")
-	nodes := flag.Int("nodes", 16, "number of simulated A64FX nodes (paper: 16)")
-	minutes := flag.Float64("minutes", 6, "FWQ run length in minutes (paper: ~6)")
-	seed := flag.Int64("seed", 11, "simulation seed")
-	asJSON := flag.Bool("json", false, "emit JSON instead of the formatted table")
 	flag.Parse()
+	runner.Main(context.Background(), "tablegen", run)
+}
 
+// run regenerates the table row by row: each variant is an independent
+// multi-minute FWQ rerun, so an interrupt stops at the next variant
+// boundary and prints the rows already computed. Rows are deterministic per
+// variant, so a partial table is a prefix of the full one.
+func run(ctx context.Context, w *bufio.Writer) error {
 	cfg := core.Table2Config{
 		Nodes:    *nodes,
 		Duration: time.Duration(*minutes * float64(time.Minute)),
 		Seed:     *seed,
 	}
-
-	// Each variant is an independent multi-minute FWQ rerun, so regenerate
-	// the table row by row under a two-stage interrupt handler: the first
-	// SIGINT/SIGTERM stops at the next variant boundary and prints the rows
-	// already computed; a second force-exits. Rows are deterministic per
-	// variant, so a partial table is a prefix of the full one.
-	ctx, stop := sweep.SignalContext(context.Background(), os.Stderr)
-	defer stop()
 	var rows []core.Table2Row
-	interrupted := false
 	variants := core.Table2Variants()
 	for _, name := range variants {
 		if ctx.Err() != nil {
-			interrupted = true
 			break
 		}
 		row, err := core.Table2Variant(cfg, name, nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rows = append(rows, row)
 	}
-	if interrupted {
-		log.Printf("interrupted: %d of %d rows computed", len(rows), len(variants))
-	}
 
-	// Stdout is buffered and its Flush checked, so a write that fails (a
-	// full disk, a closed pipe) exits 1 instead of leaving a truncated
-	// table behind a 0 exit.
-	w := bufio.NewWriter(os.Stdout)
 	if *asJSON {
 		type jsonRow struct {
 			Disabled   string  `json:"disabled_technique"`
@@ -88,7 +77,7 @@ func main() {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else {
 		fmt.Fprintf(w, "Table 2: Effectiveness of individual noise elimination techniques\n")
@@ -101,12 +90,10 @@ func main() {
 				r.Disabled, float64(r.MaxNoise)/float64(time.Microsecond), r.NoiseRate, p.maxUS, p.rate)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
+	if len(rows) < len(variants) {
+		return fmt.Errorf("interrupted: %d of %d rows computed", len(rows), len(variants))
 	}
-	if interrupted {
-		os.Exit(130)
-	}
+	return nil
 }
 
 type paperRow struct {

@@ -94,7 +94,7 @@ func main() {
 
 	// PicoDriver: STAG registration without the ioctl delegation round trip.
 	withPico := lwk.RDMARegistrationCost(1 << 20)
-	noPico, err := mckernel.Boot(host, part, mckernel.Config{PicoDriver: false, PremapMemory: true})
+	noPico, err := mckernel.Boot(host, part, mckernel.Config{PicoDriver: false})
 	if err != nil {
 		log.Fatal(err)
 	}

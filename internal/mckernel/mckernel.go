@@ -26,14 +26,11 @@ type Config struct {
 	// registration (Tofu on Fugaku, OmniPath on OFP). All the paper's
 	// experiments ran with it enabled.
 	PicoDriver bool
-	// PremapMemory pre-faults application memory at mmap time instead of
-	// demand paging, the LWK default behaviour.
-	PremapMemory bool
 }
 
 // DefaultConfig matches the configuration used for the paper's experiments.
 func DefaultConfig() Config {
-	return Config{PicoDriver: true, PremapMemory: true}
+	return Config{PicoDriver: true}
 }
 
 // Instance is a booted McKernel: the LWK side of the multi-kernel pair.
@@ -159,24 +156,6 @@ func (in *Instance) SyscallCost(sc kernel.Syscall) time.Duration {
 		return localSyscallCosts().Cost(sc)
 	}
 	return in.IKC.RoundTrip() + in.Host.SyscallCosts().Cost(sc)
-}
-
-// PageFaultCost is McKernel's fault service time. The LWK's flat memory
-// manager resolves faults faster than Linux; with PremapMemory most
-// application faults never happen at all (cost charged at mmap time).
-func (in *Instance) PageFaultCost(page mem.PageSize) time.Duration {
-	base := 600 * time.Nanosecond
-	if in.Host.Topo.ISA == cpu.X86_64 {
-		base = 1500 * time.Nanosecond
-	}
-	switch {
-	case page >= mem.Page512M:
-		return base + 30*time.Microsecond
-	case page >= mem.Page2M:
-		return base + 2500*time.Nanosecond
-	default:
-		return base + 200*time.Nanosecond
-	}
 }
 
 // EffectiveAppPage returns the page size backing application regions. The

@@ -120,7 +120,7 @@ func TestHeapChurnAdvantage(t *testing.T) {
 
 func TestPicoDriverRegistration(t *testing.T) {
 	with := fugakuInstance(t)
-	without := bootInstance(t, cpu.A64FX(2), linux.FugakuTuning(), Config{PicoDriver: false, PremapMemory: true})
+	without := bootInstance(t, cpu.A64FX(2), linux.FugakuTuning(), Config{PicoDriver: false})
 	fast := with.RDMARegistrationCost(1 << 20)
 	slow := without.RDMARegistrationCost(1 << 20)
 	if fast >= slow {
@@ -133,11 +133,8 @@ func TestPicoDriverRegistration(t *testing.T) {
 	}
 }
 
-func TestPageFaultAndTranslation(t *testing.T) {
+func TestAppPagesAndTranslation(t *testing.T) {
 	in := fugakuInstance(t)
-	if in.PageFaultCost(mem.Page2M) >= in.Host.PageFaultCost(mem.Page2M) {
-		t.Fatal("LWK fault path must beat Linux")
-	}
 	page, cov := in.EffectiveAppPage(1 << 30)
 	if page != mem.Page2M || cov != 1 {
 		t.Fatalf("LWK pages = %v/%v, want always-large", page, cov)

@@ -1,6 +1,6 @@
 // Package stats provides the descriptive-statistics toolkit used by the
 // noise analysis and experiment harnesses: summary statistics, percentiles,
-// empirical CDFs, histograms and time series.
+// empirical CDFs and time series.
 package stats
 
 import (
@@ -184,60 +184,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Histogram counts samples into equal-width bins over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample. Out-of-range samples are tallied separately.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.under++
-		return
-	}
-	if x >= h.Hi {
-		h.over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() int {
-	n := h.under + h.over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Outliers returns the counts below Lo and at-or-above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
 // Series is an append-only time series of (t, value) samples.
 type Series struct {
 	T []float64
@@ -255,60 +201,3 @@ func (s *Series) Len() int { return len(s.T) }
 
 // MaxV returns the largest value in the series, or 0 if empty.
 func (s *Series) MaxV() float64 { return Max(s.V) }
-
-// RelativeError returns |a-b| / max(|a|,|b|), or 0 when both are 0. The
-// experiment tests use it to compare measured shapes against paper targets.
-func RelativeError(a, b float64) float64 {
-	den := math.Max(math.Abs(a), math.Abs(b))
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / den
-}
-
-// GeometricMean returns the geometric mean of positive samples; zero or
-// negative entries make it return 0.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sumLog := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sumLog += math.Log(x)
-	}
-	return math.Exp(sumLog / float64(len(xs)))
-}
-
-// PowerLawFit fits y = a * x^b by least squares in log-log space, the
-// standard way to summarize scaling curves (noise growth with node count,
-// collective latency with job size). All samples must be positive.
-func PowerLawFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: mismatched sample lengths")
-	}
-	if len(xs) < 2 {
-		return 0, 0, ErrEmpty
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return 0, 0, errors.New("stats: power-law fit needs positive samples")
-		}
-		lx, ly := math.Log(xs[i]), math.Log(ys[i])
-		sx += lx
-		sy += ly
-		sxx += lx * lx
-		sxy += lx * ly
-	}
-	n := float64(len(xs))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, errors.New("stats: degenerate x values")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = math.Exp((sy - b*sx) / n)
-	return a, b, nil
-}

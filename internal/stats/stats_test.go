@@ -141,40 +141,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Fatalf("outliers = %d/%d", under, over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Fatalf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.BinCenter(0) != 1 {
-		t.Fatalf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramDegenerateArgs(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // hi<=lo and bins<=0 must be repaired
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Fatal("degenerate histogram unusable")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Append(0, 1)
@@ -185,30 +151,6 @@ func TestSeries(t *testing.T) {
 	}
 	if s.MaxV() != 5 {
 		t.Fatalf("MaxV = %v", s.MaxV())
-	}
-}
-
-func TestRelativeError(t *testing.T) {
-	if RelativeError(0, 0) != 0 {
-		t.Fatal("RelativeError(0,0) != 0")
-	}
-	if !almostEqual(RelativeError(90, 100), 0.1, 1e-12) {
-		t.Fatalf("RelativeError(90,100) = %v", RelativeError(90, 100))
-	}
-	if RelativeError(-5, 5) != 2 {
-		t.Fatalf("RelativeError(-5,5) = %v", RelativeError(-5, 5))
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	if g := GeometricMean([]float64{1, 4, 16}); !almostEqual(g, 4, 1e-12) {
-		t.Fatalf("GeometricMean = %v", g)
-	}
-	if GeometricMean([]float64{1, 0}) != 0 {
-		t.Fatal("zero entry should return 0")
-	}
-	if GeometricMean(nil) != 0 {
-		t.Fatal("empty should return 0")
 	}
 }
 
@@ -289,53 +231,5 @@ func TestQuickQuantileRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPowerLawFitExact(t *testing.T) {
-	// y = 3 * x^0.5 exactly.
-	xs := []float64{1, 4, 16, 64, 256}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * math.Sqrt(x)
-	}
-	a, b, err := PowerLawFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(a, 3, 1e-9) || !almostEqual(b, 0.5, 1e-9) {
-		t.Fatalf("fit = %v * x^%v, want 3 * x^0.5", a, b)
-	}
-}
-
-func TestPowerLawFitErrors(t *testing.T) {
-	if _, _, err := PowerLawFit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, _, err := PowerLawFit([]float64{1}, []float64{1}); err != ErrEmpty {
-		t.Fatal("single point accepted")
-	}
-	if _, _, err := PowerLawFit([]float64{1, -2}, []float64{1, 1}); err == nil {
-		t.Fatal("negative sample accepted")
-	}
-	if _, _, err := PowerLawFit([]float64{2, 2}, []float64{1, 3}); err == nil {
-		t.Fatal("degenerate x accepted")
-	}
-}
-
-func TestPowerLawFitTofuScaling(t *testing.T) {
-	// The TofuD hop approximation grows as n^(1/6): the fit must recover an
-	// exponent near 1/6 from sampled hop counts.
-	xs := []float64{64, 512, 4096, 32768, 158976}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 1.5 * math.Pow(x, 1.0/6.0)
-	}
-	_, b, err := PowerLawFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(b-1.0/6.0) > 0.01 {
-		t.Fatalf("exponent = %v, want ~1/6", b)
 	}
 }

@@ -32,7 +32,7 @@ set -eu
 
 export LC_ALL=C
 ALLOW=scripts/deadcode.allow
-OWN_TESTS_ONLY=38
+OWN_TESTS_ONLY=29
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 

@@ -55,6 +55,9 @@ TOTAL=$(executed "$WORK/clean.txt")
   -worker-chaos-min 3s -worker-chaos-max 5s \
   > "$WORK/simd1.log" 2>&1 &
 PID=$!
+# A failed check must not leave a daemon on the port: $PID is expanded when
+# the trap fires, so this covers whichever daemon is running.
+trap 'kill "$PID" 2>/dev/null || true' EXIT
 "$WORK/simctl" -addr "$ADDR" -timeout 10s wait-up
 "$WORK/simctl" -addr "$ADDR" submit "$SPEC" | tee "$WORK/submit.txt"
 ID=$(field "$WORK/submit.txt" id)
@@ -159,6 +162,7 @@ echo "phase 2 OK: breaker open after ${P_RESTARTS} no-progress deaths, healthy c
 kill -TERM "$PID"
 STATUS=0
 wait "$PID" || STATUS=$?
+trap - EXIT
 if [ "$STATUS" -ne 0 ]; then
   echo "FAIL: draining daemon exited $STATUS, want 0" >&2
   exit 1
