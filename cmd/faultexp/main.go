@@ -49,7 +49,7 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "faultexp", run)
+	runner.Main(context.Background(), "faultexp", sweep.CampaignStopping, run)
 }
 
 func run(ctx context.Context, out *bufio.Writer) error {

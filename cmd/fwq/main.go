@@ -43,7 +43,7 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "fwq", run)
+	runner.Main(context.Background(), "fwq", "stopping the FWQ run", run)
 }
 
 // run measures the platform's nodes. An interrupt stops the per-node loop

@@ -30,17 +30,19 @@ import (
 
 // Main runs the command called name and exits with its status. run gets a
 // context canceled by the first SIGINT/SIGTERM and the buffered stdout,
-// which Main flushes whether or not run fails.
-func Main(ctx context.Context, name string, run func(ctx context.Context, out *bufio.Writer) error) {
+// which Main flushes whether or not run fails. stopping names, for the
+// operator's message on the first signal, what the signal stops (for
+// example sweep.CampaignStopping).
+func Main(ctx context.Context, name, stopping string, run func(ctx context.Context, out *bufio.Writer) error) {
 	log.SetFlags(0)
 	log.SetPrefix(name + ": ")
-	os.Exit(exitCode(ctx, os.Stdout, run))
+	os.Exit(exitCode(ctx, os.Stdout, stopping, run))
 }
 
 // exitCode runs run with stdout buffered and returns the exit status Main
 // exits with. Every error is logged.
-func exitCode(parent context.Context, stdout io.Writer, run func(context.Context, *bufio.Writer) error) int {
-	ctx, stop := sweep.SignalContext(parent, os.Stderr)
+func exitCode(parent context.Context, stdout io.Writer, stopping string, run func(context.Context, *bufio.Writer) error) int {
+	ctx, stop := sweep.SignalContext(parent, os.Stderr, stopping)
 	defer stop()
 	out := bufio.NewWriter(stdout)
 	code := 0

@@ -8,15 +8,101 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 )
+
+// commands are the report-writing commands, the ones that start through
+// Main.
+var commands = []string{"faultexp", "fwq", "lwkctl", "mkexp", "noiseprofile", "repro", "simctl", "sweep", "tablegen"}
+
+var (
+	buildOnce sync.Once
+	binDir    string
+	buildErr  error
+)
+
+// buildCommands builds every command, once per test binary, and returns
+// the directory holding them.
+func buildCommands(t *testing.T) string {
+	t.Helper()
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "runner-bin"); buildErr != nil {
+			return
+		}
+		build := []string{"build", "-o", binDir + string(filepath.Separator)}
+		for _, c := range commands {
+			build = append(build, "mkos/cmd/"+c)
+		}
+		if out, err := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), build...).CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	return binDir
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// TestInterruptMessageNamesWhatStops interrupts a command that runs no
+// campaign, simctl waiting for a daemon that never answers, and checks
+// that it exits 130 and tells the operator what the signal stopped, not
+// that a campaign is being canceled.
+func TestInterruptMessageNamesWhatStops(t *testing.T) {
+	bin := buildCommands(t)
+	asked := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		select {
+		case asked <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	cmd := exec.Command(filepath.Join(bin, "simctl"), "-addr", srv.URL, "wait-up")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The first health check arrives from inside run, after Main has
+	// installed the signal handler.
+	select {
+	case <-asked:
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		t.Fatal("simctl never asked the daemon")
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+	if code := cmd.ProcessState.ExitCode(); code != 130 {
+		t.Errorf("exit %d after SIGINT, want 130; stderr:\n%s", code, stderr.String())
+	}
+	msg := stderr.String()
+	if !strings.Contains(msg, "received interrupt: abandoning the request to simd") || strings.Contains(msg, "campaign") {
+		t.Errorf("stderr does not name what the interrupt stopped:\n%s", msg)
+	}
+}
 
 // TestWriteErrorExits1 builds every report-writing command and runs each
 // once with a writable stdout, which must exit 0 with its report, and once
@@ -50,14 +136,14 @@ func TestWriteErrorExits1(t *testing.T) {
 		{"tablegen", []string{"-nodes", "1", "-minutes", "0.01"}, "Table 2: Effectiveness"},
 	}
 
-	bin := filepath.Join(dir, "bin")
-	build := []string{"build", "-o", bin + string(filepath.Separator)}
-	for _, r := range rows {
-		build = append(build, "mkos/cmd/"+r.name)
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.name
 	}
-	if out, err := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), build...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	if !slices.Equal(names, commands) {
+		t.Fatalf("rows %v, want one per command, in order: %v", names, commands)
 	}
+	bin := buildCommands(t)
 
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -151,11 +237,11 @@ func TestExitCode(t *testing.T) {
 		{"interrupted", interrupted, 130},
 	} {
 		var out bytes.Buffer
-		if code := exitCode(context.Background(), &out, c.run); code != c.code || out.String() != "report" {
+		if code := exitCode(context.Background(), &out, "stopping the test", c.run); code != c.code || out.String() != "report" {
 			t.Errorf("%s: exit %d, stdout %q; want %d, %q", c.name, code, out.String(), c.code, "report")
 		}
 	}
-	if code := exitCode(context.Background(), failWriter{}, report(nil)); code != 1 {
+	if code := exitCode(context.Background(), failWriter{}, "stopping the test", report(nil)); code != 1 {
 		t.Errorf("failed flush: exit %d, want 1", code)
 	}
 }

@@ -34,7 +34,7 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "lwkctl", run)
+	runner.Main(context.Background(), "lwkctl", "shutting down the LWK and returning its resources to Linux", run)
 }
 
 func run(ctx context.Context, out *bufio.Writer) error {

@@ -60,7 +60,7 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "mkexp", run)
+	runner.Main(context.Background(), "mkexp", sweep.CampaignStopping, run)
 }
 
 func run(ctx context.Context, out *bufio.Writer) error {

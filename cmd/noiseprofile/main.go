@@ -49,7 +49,7 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "noiseprofile", run)
+	runner.Main(context.Background(), "noiseprofile", sweep.CampaignStopping, run)
 }
 
 func run(ctx context.Context, out *bufio.Writer) error {

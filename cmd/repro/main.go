@@ -51,7 +51,7 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "repro", run)
+	runner.Main(context.Background(), "repro", sweep.CampaignStopping, run)
 }
 
 // run executes the stages in order. out is flushed as each stage starts, so

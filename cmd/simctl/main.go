@@ -62,7 +62,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	runner.Main(context.Background(), "simctl", run)
+	runner.Main(context.Background(), "simctl", "abandoning the request to simd", run)
 }
 
 // run executes one command. The streaming commands (tail, top) flush out as

@@ -150,7 +150,8 @@ func main() {
 
 	// First SIGINT/SIGTERM cancels the context → ListenAndServe drains;
 	// a second force-exits (sweep.SignalContext stage two).
-	ctx, stop := sweep.SignalContext(context.Background(), os.Stderr)
+	ctx, stop := sweep.SignalContext(context.Background(), os.Stderr,
+		"draining: refusing new campaigns, finishing or journaling in-flight trials")
 	defer stop()
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {
 		log.Fatal(err)

@@ -47,7 +47,7 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "sweep", run)
+	runner.Main(context.Background(), "sweep", sweep.CampaignStopping, run)
 }
 
 // run executes the campaign and writes its artifacts. An interrupt cancels

@@ -29,7 +29,7 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "tablegen", run)
+	runner.Main(context.Background(), "tablegen", "stopping after the current Table 2 row, printing the rows done", run)
 }
 
 // run regenerates the table row by row: each variant is an independent

@@ -25,18 +25,19 @@ import (
 // distribution: the clean count plus the perturbed durations, which is the
 // sorted iteration list without its clean run spelled out.
 //
-// A node's work is regenerating its timeline and walking it (fwqWalk). Each
-// shard spreads that work over w = max(1, GOMAXPROCS/Shards) workers, chunk
-// by chunk (fwqChunk nodes): the first node event of a chunk splits it into
-// w contiguous blocks, digests every block on its own goroutine and joins
-// them before returning, and each node's event then reports its digest.
-// Every worker owns its storage and reuses it from node to node: one
-// generator per class, one timeline, one event and one duration buffer.
-// Node n's seed is derived from the shard's base stream in node order
-// before the chunk fans out, so a digest never depends on w, and the
-// workers' noise counters go to the shard's sink after each join, where
-// they sum to the same totals at any w. The worst-K re-run uses the same
-// block split.
+// A node's work is regenerating its interruptions on the measured cores
+// straight from the noise kernel's batches and walking them (coreEvents,
+// fwqWalk); no timeline is built. Each shard spreads that work over w =
+// max(1, GOMAXPROCS/Shards) workers, chunk by chunk (fwqChunk nodes): the
+// first node event of a chunk splits it into w contiguous blocks, digests
+// every block on its own goroutine and joins them before returning, and
+// each node's event then reports its digest. Every worker owns its storage
+// and reuses it from node to node: per class one generator and its
+// per-core event buffers, and one duration buffer. Node n's seed is
+// derived from the shard's base stream in node order before the chunk fans
+// out, so a digest never depends on w, and the workers' noise counters go
+// to the shard's sink after each join, where they sum to the same totals
+// at any w. The worst-K re-run uses the same block split.
 //
 // Everything here is inside the determinism boundary: with the same seed
 // the result is byte-identical at any shard count. Per-node RNG streams
@@ -261,21 +262,19 @@ func (c *fwqShardNodes) fill() {
 	}
 }
 
-// fwqNodeWalker runs nodes one after another on reused storage: one noise
-// generator per class, one timeline, and the event and perturbed-duration
-// buffers. It belongs to one goroutine.
+// fwqNodeWalker runs nodes one after another on reused storage: one
+// coreEvents (generator and event buffers) per class and the
+// perturbed-duration buffer. It belongs to one goroutine.
 type fwqNodeWalker struct {
 	cfg       *FWQMachineConfig
-	gens      []*noise.Generator
-	tl        noise.Timeline
-	events    []noise.Interruption
+	classes   []*coreEvents
 	perturbed []time.Duration // the last node's, in walk order
 }
 
 func newFWQNodeWalker(cfg *FWQMachineConfig) *fwqNodeWalker {
-	w := &fwqNodeWalker{cfg: cfg, gens: make([]*noise.Generator, len(cfg.Classes))}
+	w := &fwqNodeWalker{cfg: cfg, classes: make([]*coreEvents, len(cfg.Classes))}
 	for i, c := range cfg.Classes {
-		w.gens[i] = c.Profile.Generator()
+		w.classes[i] = newCoreEvents(c.Profile, c.Cores)
 	}
 	return w
 }
@@ -292,23 +291,24 @@ func newFWQNodeWalkers(cfg *FWQMachineConfig, n int) []*fwqNodeWalker {
 // publish adds the noise counters of every node walked since the last
 // publish to sink.
 func (w *fwqNodeWalker) publish(sink *telemetry.Sink) {
-	for _, g := range w.gens {
-		g.Publish(sink)
+	for _, c := range w.classes {
+		c.gen.Publish(sink)
 	}
 }
 
-// digest regenerates the node's timeline from its seed, walks it and
-// reduces the walk to the node's digest: field for field the digest of
-// RunFWQSketch's analysis of the same timeline, computed with
-// noise.Analyze's operations in the same order but without building the
-// per-iteration Lengths. The walk's perturbed durations stay in
-// w.perturbed until the next call.
+// digest regenerates the node's interruptions on its class's measured
+// cores from its seed, walks them and reduces the walk to the node's
+// digest: field for field the digest of RunFWQSketch's analysis of the
+// node's Profile.Timeline, computed with noise.Analyze's operations in the
+// same order but without building the timeline or the per-iteration
+// Lengths. The walk's perturbed durations stay in w.perturbed until the
+// next call.
 func (w *fwqNodeWalker) digest(node, cls int, seed int64) (FWQDigest, error) {
-	class := w.cfg.Classes[cls]
-	w.events = w.gens[cls].NodeInto(&w.tl, w.events, w.cfg.Duration, sim.NewRand(seed))
+	c := w.classes[cls]
+	c.node(w.cfg.Duration, sim.NewRand(seed))
 	var clean int64
-	clean, w.perturbed = fwqWalk(FWQConfig{Work: w.cfg.Work, Duration: w.cfg.Duration, Cores: class.Cores},
-		&w.tl, w.perturbed[:0])
+	clean, w.perturbed = fwqWalk(FWQConfig{Work: w.cfg.Work, Duration: w.cfg.Duration, Cores: c.cores},
+		c.sorted, w.perturbed[:0])
 	// As in newFWQSketch: one clean iteration stands for all of them in the
 	// analysis, and the rate is re-weighted to every iteration afterwards.
 	iters := w.perturbed
@@ -448,17 +448,26 @@ func summarize(ds []FWQDigest) FWQDigest {
 	return out
 }
 
-// worstNodes ranks nodes by total noise, descending, ties to the lower
-// index — the same ordering noise.WorstBy produces.
+// worstNodes returns the k nodes with the most total noise, descending,
+// ties to the lower index — the same ordering noise.WorstBy produces. It
+// keeps the k worst seen so far in order, so it sorts no more than them.
 func worstNodes(ds []FWQDigest, k int) []int {
-	idx := make([]int, len(ds))
-	for i := range idx {
-		idx[i] = i
+	worse := func(a, b int) int { // <0 when node a ranks before node b
+		if c := cmp.Compare(ds[b].TotalNoiseNS, ds[a].TotalNoiseNS); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		return cmp.Compare(ds[b].TotalNoiseNS, ds[a].TotalNoiseNS)
-	})
-	return idx[:k]
+	top := make([]int, 0, k+1)
+	for n := range ds {
+		if len(top) == k && (k == 0 || worse(n, top[k-1]) > 0) {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(top, n, worse)
+		top = slices.Insert(top, i, n)
+		top = top[:min(len(top), k)]
+	}
+	return top
 }
 
 // nodeSeeds returns the derived seed of each of nodes (distinct), in their

@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,6 +53,35 @@ func DigestOf(node int, a noise.Analysis) FWQDigest {
 		MaxNoiseNS: int64(a.MaxNoise), TotalNoiseNS: int64(total),
 		Rate: a.Rate,
 	}
+}
+
+// NodeWalk is what the campaign's per-node walk made of one node: its
+// digest, its perturbed durations in walk order, and each measured core's
+// events in the order it walked them.
+type NodeWalk struct {
+	Digest    FWQDigest
+	Perturbed []time.Duration
+	Events    map[int][]noise.Interruption
+}
+
+// WalkNode digests one node of class cls from its stream seed the way the
+// campaign does, exported for the external equivalence tests.
+func WalkNode(cfg *FWQMachineConfig, cls int, seed int64) (NodeWalk, error) {
+	w := newFWQNodeWalker(cfg)
+	d, err := w.digest(0, cls, seed)
+	if err != nil {
+		return NodeWalk{}, err
+	}
+	nw := NodeWalk{Digest: d, Perturbed: w.perturbed, Events: map[int][]noise.Interruption{}}
+	srcs := cfg.Classes[cls].Profile.Sources
+	c := w.classes[cls]
+	for _, core := range c.cores {
+		for _, e := range c.sorted(core) {
+			i := slices.Index(c.rank, e.rank)
+			nw.Events[core] = append(nw.Events[core], noise.Interruption{Start: e.start, Len: e.len, CPU: core, Source: srcs[i].Name})
+		}
+	}
+	return nw, nil
 }
 
 // AllIterations flattens every core's samples in core order.
@@ -176,6 +207,25 @@ func TestFWQMachineWorstSelection(t *testing.T) {
 	for i, idx := range noise.WorstBy(as, 3) {
 		if res.Worst[i].Node != idx {
 			t.Errorf("worst[%d] = node %d, noise.WorstBy says %d", i, res.Worst[i].Node, idx)
+		}
+	}
+}
+
+// TestWorstNodesMatchesStableSort checks the top-k selection against a
+// stable sort of every digest by total noise, descending, on totals with
+// many ties, for every k.
+func TestWorstNodesMatchesStableSort(t *testing.T) {
+	rng := sim.NewRand(3)
+	ds := make([]FWQDigest, 200)
+	idx := make([]int, len(ds))
+	for i := range ds {
+		ds[i] = FWQDigest{Node: i, TotalNoiseNS: int64(rng.Intn(20))}
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(ds[b].TotalNoiseNS, ds[a].TotalNoiseNS) })
+	for k := 0; k <= len(ds); k++ {
+		if got := worstNodes(ds, k); !slices.Equal(got, idx[:k]) {
+			t.Fatalf("k=%d: worstNodes = %v, stable sort says %v", k, got, idx[:k])
 		}
 	}
 }

@@ -295,35 +295,39 @@ func sampleStepNoise(sink *telemetry.Sink, profile *noise.Profile, cores []int, 
 	return delays
 }
 
-// binNodes visits the interruptions of nodes [first, last) with gen and
-// raises delays[s] to the largest per-core interruption sum any of them
-// suffers in step s. The accumulator is step-major, cell step*ncores +
-// slot: each source visits its events in start order, so a node's writes
-// move forward through it.
+// binNodes bins the interruptions of nodes [first, last), batch by batch
+// as gen visits them, and raises delays[s] to the largest per-core
+// interruption sum any of them suffers in step s. The accumulator is
+// step-major, cell step*ncores + slot: each source visits its events in
+// start order, so a node's writes move forward through it.
 func binNodes(gen *noise.Generator, delays []time.Duration, slot []int, lo, ncores, first, last int,
 	init, stepBusy, horizon time.Duration, seed int64) {
 
 	steps := len(delays)
 	acc := make([]time.Duration, steps*ncores)
 	var touched []int // cells of acc written for the current node
-	bin := func(iv noise.Interruption) {
-		c := iv.CPU - lo
-		if c < 0 || c >= len(slot) || slot[c] < 0 {
-			return
+	bin := func(b *noise.Batch) {
+		for k, start := range b.Start {
+			at := start.Duration() - init
+			if at < 0 {
+				continue
+			}
+			step := int(at / stepBusy)
+			if step >= steps {
+				return // the batch's later events start later still
+			}
+			for _, cpu := range b.Hits(k) {
+				c := cpu - lo
+				if c < 0 || c >= len(slot) || slot[c] < 0 {
+					continue
+				}
+				cell := step*ncores + slot[c]
+				if acc[cell] == 0 {
+					touched = append(touched, cell)
+				}
+				acc[cell] += b.Len[k]
+			}
 		}
-		at := iv.Start.Duration() - init
-		if at < 0 {
-			return
-		}
-		step := int(at / stepBusy)
-		if step >= steps {
-			return
-		}
-		cell := step*ncores + slot[c]
-		if acc[cell] == 0 {
-			touched = append(touched, cell)
-		}
-		acc[cell] += iv.Len
 	}
 	base := sim.NewRand(seed)
 	base.Skip(first)

@@ -9,8 +9,8 @@
 // one event at a time would make them, then the batch's math.Exp calls,
 // then the events up to the horizon. Draws made for events at or past the
 // horizon are thrown away, which changes no output because the stream is
-// reseeded before it is used again. Generator.VisitNode hands the events
-// to a callback; AppendNode and NodeInto store them.
+// reseeded before it is used again. Generator.VisitNode hands each batch
+// to a callback; AppendNode and NodeInto store them as Interruptions.
 package noise
 
 import (

@@ -112,8 +112,8 @@ func (s *Source) sampler() sampler {
 const batchMax = 32
 
 // batch is the event kernel's scratch for one batch: per event, its length
-// (or the exponent it is taken from), its core pick and its interval (or
-// the interval's exponent).
+// (or the exponent it is taken from), its core, its interval (or the
+// interval's exponent) and its start.
 type batch struct {
 	tail   [batchMax]bool // the length came from the Pareto tail
 	lens   [batchMax]time.Duration
@@ -121,12 +121,34 @@ type batch struct {
 	core   [batchMax]int
 	gaps   [batchMax]time.Duration
 	gapExp [batchMax]float64
+	starts [batchMax]sim.Time
+	out    Batch // what the kernel hands its visitor
+}
+
+// Batch is the events of one kernel batch of one source, in start order.
+// It is the kernel's scratch, valid only during the visit.
+type Batch struct {
+	Source int // the source's index in the profile
+	Start  []sim.Time
+	Len    []time.Duration
+	// CPU is each event's core; when it is nil, every event lands on each
+	// core of Cores (a TargetAll or TargetOne source).
+	CPU   []int
+	Cores []int
+}
+
+// Hits returns the cores event k lands on.
+func (b *Batch) Hits(k int) []int {
+	if b.CPU == nil {
+		return b.Cores
+	}
+	return b.CPU[k : k+1]
 }
 
 // visitEvents is the noise-event kernel: it hands the source's
-// interruptions over [0, horizon), drawn from rng, to visit in start order,
-// and returns how many it visited and the time they steal. A TargetAll
-// event is one interruption per target core.
+// interruptions over [0, horizon), drawn from rng, to visit a batch at a
+// time in start order, and returns how many it visited and the time they
+// steal. A TargetAll event is one interruption per target core.
 //
 // The first arrival is uniform within one interval, so independent sources
 // are not phase-aligned at t=0. The events then come in batches of up to
@@ -141,7 +163,7 @@ type batch struct {
 // derived for one node and reseeded before any further use: no later draw
 // reads its state, so the events visited are exactly those a loop drawing
 // one event at a time would produce.
-func (g *sampler) visitEvents(b *batch, horizon time.Duration, rng *sim.Rand, visit func(Interruption)) (events int64, stolen time.Duration) {
+func (g *sampler) visitEvents(b *batch, source int, horizon time.Duration, rng *sim.Rand, visit func(*Batch)) (events int64, stolen time.Duration) {
 	s := g.src
 	if s.Disabled {
 		return 0, 0
@@ -162,7 +184,7 @@ func (g *sampler) visitEvents(b *batch, horizon time.Duration, rng *sim.Rand, vi
 				b.lens[k] = s.Length
 			}
 			if s.Mode == TargetRandom {
-				b.core[k] = rng.Intn(len(s.Cores))
+				b.core[k] = s.Cores[rng.Intn(len(s.Cores))]
 			}
 			if s.EveryCV > 0 {
 				b.gapExp[k] = g.interval.Exponent(rng)
@@ -182,30 +204,28 @@ func (g *sampler) visitEvents(b *batch, horizon time.Duration, rng *sim.Rand, vi
 				b.gaps[k] = max(time.Duration(math.Exp(b.gapExp[k])), time.Nanosecond)
 			}
 		}
-		for k := 0; k < n && t < end; k++ {
-			iv := Interruption{Start: t, Len: b.lens[k], CPU: s.Cores[0], Source: s.Name}
-			t = t.Add(b.gaps[k])
-			hits := 1
-			switch s.Mode {
-			case TargetAll:
-				for _, c := range s.Cores {
-					iv.CPU = c
-					visit(iv)
-				}
-				hits = len(s.Cores)
-			case TargetRoundRobin:
-				iv.CPU = s.Cores[rr%len(s.Cores)]
+		m := 0
+		var sum time.Duration
+		for ; m < n && t < end; m++ {
+			b.starts[m] = t
+			t = t.Add(b.gaps[m])
+			if s.Mode == TargetRoundRobin {
+				b.core[m] = s.Cores[rr%len(s.Cores)]
 				rr++
-				visit(iv)
-			case TargetRandom:
-				iv.CPU = s.Cores[b.core[k]]
-				visit(iv)
-			default: // TargetOne
-				visit(iv)
 			}
-			events += int64(hits)
-			stolen += time.Duration(hits) * iv.Len
+			sum += b.lens[m]
 		}
+		out, hits := &b.out, 1
+		*out = Batch{Source: source, Start: b.starts[:m], Len: b.lens[:m], CPU: b.core[:m]}
+		switch s.Mode {
+		case TargetAll:
+			out.CPU, out.Cores, hits = nil, s.Cores, len(s.Cores)
+		case TargetOne:
+			out.CPU, out.Cores = nil, s.Cores[:1]
+		}
+		events += int64(m * hits)
+		stolen += time.Duration(hits) * sum
+		visit(out)
 	}
 	return events, stolen
 }
@@ -305,24 +325,32 @@ func (p *Profile) Generator() *Generator {
 	return g
 }
 
-// VisitNode hands one node's interruptions over [0, horizon) to visit,
-// source by source in profile order, each source's in start order, and
-// stores none of them. Source s draws from rng.DeriveNamed(s.Name), whether
-// or not it is disabled.
-func (g *Generator) VisitNode(horizon time.Duration, rng *sim.Rand, visit func(Interruption)) {
+// VisitNode hands one node's interruptions over [0, horizon) to visit a
+// kernel batch at a time, source by source in profile order, each source's
+// in start order, and stores none of them. Source s draws from
+// rng.DeriveNamed(s.Name), whether or not it is disabled.
+func (g *Generator) VisitNode(horizon time.Duration, rng *sim.Rand, visit func(*Batch)) {
 	for i := range g.samplers {
 		sp := &g.samplers[i]
 		rng.DeriveNamedInto(g.rngs[i], sp.src.Name)
-		n, stolen := sp.visitEvents(&g.batch, horizon, g.rngs[i], visit)
+		n, stolen := sp.visitEvents(&g.batch, i, horizon, g.rngs[i], visit)
 		g.events[i] += n
 		g.stolen += stolen
 	}
 }
 
 // AppendNode appends one node's interruptions over [0, horizon), the ones
-// VisitNode visits, to buf in VisitNode's order.
+// VisitNode visits, to buf in VisitNode's order, each TargetAll event's
+// in its source's core order.
 func (g *Generator) AppendNode(buf []Interruption, horizon time.Duration, rng *sim.Rand) []Interruption {
-	g.VisitNode(horizon, rng, func(iv Interruption) { buf = append(buf, iv) })
+	g.VisitNode(horizon, rng, func(b *Batch) {
+		name := g.samplers[b.Source].src.Name
+		for k, start := range b.Start {
+			for _, c := range b.Hits(k) {
+				buf = append(buf, Interruption{Start: start, Len: b.Len[k], CPU: c, Source: name})
+			}
+		}
+	})
 	return buf
 }
 

@@ -47,10 +47,11 @@ type campaign struct {
 
 	// span is the campaign's ops flight-recorder span, opened at admission
 	// (parented under the submitting request) and ended at settlement;
-	// waitSpan covers admission-to-dispatch queue wait. The pointers are
-	// written before the campaign is shared (or under Server.mu on a
-	// requeue) and the spans themselves are internally synchronized and
-	// nil-safe.
+	// waitSpan covers the queue wait from the persisted admission to
+	// dispatch. span is written before the campaign is shared, waitSpan
+	// under Server.mu before the push that lets a dispatcher or a cancel
+	// read it (or under Server.mu on a requeue), and the spans themselves
+	// are internally synchronized and nil-safe.
 	span     *ops.Span
 	waitSpan *ops.Span
 }
@@ -235,15 +236,20 @@ func (s *Server) build(canon []byte) (*sweep.Campaign, error) {
 }
 
 // openSpans starts a campaign's flight-recorder spans: the campaign root
-// (its own Perfetto lane, causally parented under whatever span rides ctx —
-// the submitting HTTP request, or nothing for a recovered campaign) and the
-// queue-wait child the dispatcher ends when it pops the campaign.
+// and the queue-wait child the dispatcher ends when it pops the campaign.
 func (s *Server) openSpans(ctx context.Context, id, how string) (span, waitSpan *ops.Span) {
-	ctx = ops.Attach(ctx, s.tracer)
-	ctx, span = ops.StartTrack(ctx, "campaign",
-		ops.Arg{Key: "campaign", Val: id}, ops.Arg{Key: "admitted", Val: how})
+	ctx, span = s.campaignSpan(ctx, id, how)
 	_, waitSpan = ops.Start(ctx, "queue-wait")
 	return span, waitSpan
+}
+
+// campaignSpan starts a campaign's root span, on its own Perfetto lane and
+// causally parented under whatever span rides ctx (the submitting HTTP
+// request, or nothing for a recovered campaign), and returns ctx carrying
+// it.
+func (s *Server) campaignSpan(ctx context.Context, id, how string) (context.Context, *ops.Span) {
+	return ops.StartTrack(ops.Attach(ctx, s.tracer), "campaign",
+		ops.Arg{Key: "campaign", Val: id}, ops.Arg{Key: "admitted", Val: how})
 }
 
 // Start launches the dispatcher pool.
@@ -771,16 +777,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id: id, canon: canon, built: built, submitted: time.Now(),
 		st: Status{ID: id, Client: client, State: StateQueued, Total: len(built.Trials)},
 	}
-	// Spans open before the campaign is shared, so no concurrent reader ever
-	// observes the pointers half-written.
-	c.span, c.waitSpan = s.openSpans(r.Context(), id, "submitted")
+	// The campaign span opens before the campaign is shared, so no
+	// concurrent reader ever observes the pointer half-written. Its
+	// queue-wait child opens once admission has persisted the campaign.
+	cctx, span := s.campaignSpan(r.Context(), id, "submitted")
+	c.span = span
 	s.mu.Lock()
 	if prev, ok := s.camps[id]; ok {
 		// Two identical submissions raced past the first check; the earlier
 		// winner owns the campaign.
 		st := prev.st
 		s.mu.Unlock()
-		c.waitSpan.End(ops.Arg{Key: "outcome", Val: "deduped"})
 		c.span.End(ops.Arg{Key: "state", Val: "deduped"})
 		st.Deduped = true
 		s.ops.Counter("simd.deduped").Inc()
@@ -796,11 +803,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Durable before dispatchable: once the spec and queued status are on
 	// disk, a crash cannot lose the admission, so persist before push and
-	// respond after both.
-	if err := s.store.admit(id, canon, &st); err != nil {
+	// respond after both. The fsync'd writes get their own span.
+	_, admitSpan := ops.Start(cctx, "admit")
+	err = s.store.admit(id, canon, &st)
+	admitSpan.End()
+	if err != nil {
 		s.forget(id)
 		s.store.Remove(id)
-		c.waitSpan.End(ops.Arg{Key: "outcome", Val: "rejected"})
 		c.span.End(ops.Arg{Key: "state", Val: "rejected"})
 		if cas.IsNoSpace(err) {
 			// A full disk must refuse work, not half-persist it: admitting a
@@ -812,6 +821,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusInternalServerError, "store_error", err.Error(), 0)
 		return
 	}
+	// No dispatcher or cancel reads the pointer before the push below.
+	s.mu.Lock()
+	_, c.waitSpan = ops.Start(cctx, "queue-wait")
+	s.mu.Unlock()
 	if err := s.queue.push(client, c); err != nil {
 		// The spec and queued status persisted just above must not outlive
 		// the rejection: recovery would otherwise resurrect and run a

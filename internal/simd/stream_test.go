@@ -477,6 +477,72 @@ func TestMetricsAndTrace(t *testing.T) {
 	}
 }
 
+// TestAdmitSpanPrecedesQueueWait checks the span order of one campaign in
+// /v1/trace: the admission's persisted writes are an admit span under the
+// campaign, and queue-wait opens only after admit has ended and ends
+// before the run starts.
+func TestAdmitSpanPrecedesQueueWait(t *testing.T) {
+	h := newHarness(t)
+	d := startDaemon(t, simd.Options{Store: t.TempDir(), Worker: h.worker()})
+	defer d.stop()
+	ctx := testCtx(t)
+	c := d.client("order")
+	st, err := c.Submit(ctx, specJSON("order", 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Await(ctx, st.ID); err != nil || got.State != simd.StateDone {
+		t.Fatalf("campaign: %v/%v", got.State, err)
+	}
+	blob, err := c.Trace(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph   string         `json:"ph"`
+			Name string         `json:"name"`
+			TS   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(blob, &trace); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	type span struct {
+		start, end float64
+		id, parent string
+	}
+	spans := map[string]span{}
+	for _, ev := range trace.TraceEvents {
+		switch ev.Name {
+		case "campaign", "admit", "queue-wait", "run":
+			if ev.Ph == "X" {
+				spans[ev.Name] = span{ev.TS, ev.TS + ev.Dur, fmt.Sprint(ev.Args["span"]), fmt.Sprint(ev.Args["parent"])}
+			}
+		}
+	}
+	for _, name := range []string{"campaign", "admit", "queue-wait", "run"} {
+		if _, ok := spans[name]; !ok {
+			t.Fatalf("trace has no %q span", name)
+		}
+	}
+	for _, child := range []string{"admit", "queue-wait"} {
+		if spans[child].parent != spans["campaign"].id {
+			t.Errorf("%s span has parent %s, want the campaign span %s", child, spans[child].parent, spans["campaign"].id)
+		}
+	}
+	// The trace prints times in µs with ns digits; allow one ns of rounding.
+	const ns = 0.001
+	if a, q := spans["admit"], spans["queue-wait"]; a.end > q.start+ns {
+		t.Errorf("admit ends at %.3f µs, after queue-wait starts at %.3f µs", a.end, q.start)
+	}
+	if q, r := spans["queue-wait"], spans["run"]; q.end > r.start+ns {
+		t.Errorf("queue-wait ends at %.3f µs, after run starts at %.3f µs", q.end, r.start)
+	}
+}
+
 func spanNames(evs []struct {
 	Ph   string         `json:"ph"`
 	Name string         `json:"name"`

@@ -207,7 +207,7 @@ func explodeForStackTest() (any, error) { panic("boom") }
 // shutdown; stage two is os.Exit and untestable in-process).
 func TestSignalContextCancelsOnFirstSignal(t *testing.T) {
 	var msg bytes.Buffer
-	ctx, stop := sweep.SignalContext(context.Background(), &msg)
+	ctx, stop := sweep.SignalContext(context.Background(), &msg, sweep.CampaignStopping)
 	defer stop()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,10 @@ import (
 	"syscall"
 )
 
+// CampaignStopping is what the first signal stops in a command that runs a
+// campaign, for SignalContext's message.
+const CampaignStopping = "canceling campaign, flushing partial artifacts"
+
 // SignalContext derives a context that is canceled by the first SIGINT or
 // SIGTERM, giving every CLI the same two-stage shutdown story:
 //
@@ -25,9 +29,11 @@ import (
 //     slow for them.
 //
 // msg, when non-nil, receives one line per stage so the operator can tell a
-// graceful drain from a wedged one. stop releases the signal registration
-// and the watcher goroutine; call it once the campaign has returned.
-func SignalContext(parent context.Context, msg io.Writer) (context.Context, context.CancelFunc) {
+// graceful drain from a wedged one; the first names what the signal stops,
+// stopping (CampaignStopping for a command that runs a campaign). stop
+// releases the signal registration and the watcher goroutine; call it once
+// the campaign has returned.
+func SignalContext(parent context.Context, msg io.Writer, stopping string) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(parent)
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
@@ -36,7 +42,7 @@ func SignalContext(parent context.Context, msg io.Writer) (context.Context, cont
 		select {
 		case s := <-sigs:
 			if msg != nil {
-				fmt.Fprintf(msg, "received %v: canceling campaign, flushing partial artifacts (signal again to force-exit)\n", s)
+				fmt.Fprintf(msg, "received %v: %s (signal again to force-exit)\n", s, stopping)
 			}
 			cancel()
 		case <-done:

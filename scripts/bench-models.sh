@@ -2,8 +2,9 @@
 # bench-models.sh — records the model-kernel benchmarks into
 # results/BENCH_models.json: the buddy allocator (round trip and an
 # OFP-node-sized fill-then-drain), the BSP per-step noise sampler, a BSP run,
-# the Figure 7 points, one Fugaku node's noise timeline (Linux and McKernel)
-# and one lognormal draw (go test -bench, 5 runs, median ns/op), plus
+# the Figure 7 points, one Fugaku node's noise timeline (Linux and McKernel),
+# a 1,536-node full-machine FWQ campaign (Linux and McKernel) and one
+# lognormal draw (go test -bench, 5 runs, median ns/op and allocs/op), plus
 # `repro -quick` wall time at -j 1 and -j 2 and `go test ./internal/core`
 # wall time (3 runs each, median).
 #
@@ -31,6 +32,7 @@ trap 'rm -rf "$TMP"' EXIT
 BENCHES='. ^Benchmark(BuddyAllocFree|BuddyFillDrain|BSPStep|Figure7)$
 ./internal/bsp ^BenchmarkStepNoise$
 ./internal/noise ^BenchmarkGeneratorNode$
+./internal/apps ^BenchmarkFWQMachine$
 ./internal/sim ^BenchmarkLogNormal$'
 
 now() { date +%s.%N; }
