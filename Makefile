@@ -18,10 +18,10 @@ vet:
 	$(GO) vet ./...
 
 # lint runs simlint, the bespoke determinism-and-invariant multichecker
-# (walltime, globalrand, maporder, simtime, opsbound, lockguard,
-# ctxflow, opstaint — see internal/lint/README.md). Exits 1 on
-# any finding; suppress a justified one with
-# //simlint:allow <check> — <reason>.
+# (forbidden, walltime, maporder, simtime, lockguard, ctxflow,
+# opstaint — see internal/lint/README.md). Exits 1 on any finding;
+# suppress a justified one with //simlint:allow <check> — <reason>,
+# except a forbidden finding, whose exceptions are rows of its table.
 lint:
 	$(GO) run ./cmd/simlint ./...
 

@@ -63,7 +63,7 @@ func BenchmarkTable2(b *testing.B) {
 			cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: 30 * time.Second, Cores: k.AppCores()}
 			var last noise.Analysis
 			for i := 0; i < b.N; i++ {
-				analyses, _, err := apps.FWQAcrossNodes(cfg, k, 4, 12345)
+				analyses, err := apps.FWQAcrossNodes(cfg, k, 4, 12345)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,7 +98,7 @@ func BenchmarkFigure3(b *testing.B) {
 			cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Minute, Cores: k.AppCores()[:1]}
 			var maxUS float64
 			for i := 0; i < b.N; i++ {
-				analyses, _, err := apps.FWQAcrossNodes(cfg, k, 1, 5)
+				analyses, err := apps.FWQAcrossNodes(cfg, k, 1, 5)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -309,7 +309,7 @@ func BenchmarkAblationStacking(b *testing.B) {
 			cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: 20 * time.Second, Cores: k.AppCores()}
 			var last noise.Analysis
 			for i := 0; i < b.N; i++ {
-				analyses, _, err := apps.FWQAcrossNodes(cfg, k, 2, 99)
+				analyses, err := apps.FWQAcrossNodes(cfg, k, 2, 99)
 				if err != nil {
 					b.Fatal(err)
 				}

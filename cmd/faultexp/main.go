@@ -100,19 +100,20 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	var heaviest *campaigns.FaultPointResult
 	for _, k := range intensities {
 		var mck, lin campaigns.FaultPointResult
-		point := func(os string, into *campaigns.FaultPointResult) {
+		point := func(os string, into *campaigns.FaultPointResult) error {
 			for _, s := range specs {
 				if s.Intensity == k && s.OS == os {
-					if err := o.Payload(campaigns.FaultKey(s), into); err != nil {
-						log.Fatal(err)
-					}
-					return
+					return o.Payload(campaigns.FaultKey(s), into)
 				}
 			}
-			log.Fatalf("missing %s point at %gx", os, k)
+			return fmt.Errorf("missing %s point at %gx", os, k)
 		}
-		point("mckernel", &mck)
-		point("linux", &lin)
+		if err := point("mckernel", &mck); err != nil {
+			return err
+		}
+		if err := point("linux", &lin); err != nil {
+			return err
+		}
 		mr, lr := mck.Report, lin.Report
 		fmt.Fprintf(out, "%-9.2g | %4d %4d %4d %5d %7.2fs %8.1fs | %4d %4d %5d %7.1fs\n",
 			k,

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"time"
 
 	"mkos/cmd/internal/runner"
@@ -57,7 +56,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	case "ofp":
 		p = cluster.OFP()
 	default:
-		log.Fatalf("unknown platform %q", *platform)
+		return fmt.Errorf("unknown platform %q", *platform)
 	}
 	var kind cluster.OSKind
 	switch *osName {
@@ -66,7 +65,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	case "mckernel":
 		kind = cluster.McKernel
 	default:
-		log.Fatalf("unknown OS %q", *osName)
+		return fmt.Errorf("unknown OS %q", *osName)
 	}
 
 	if *shards > 0 {
@@ -77,15 +76,14 @@ func run(ctx context.Context, out *bufio.Writer) error {
 		return err
 	}
 	if *ftq {
-		runFTQ(out, p, kind, node, *workUS, *minutes, *seed)
-		return nil
+		return runFTQ(out, p, kind, node, *workUS, *minutes, *seed)
 	}
 	cfg := apps.FWQConfig{
 		Work:     time.Duration(*workUS * float64(time.Microsecond)),
 		Duration: time.Duration(*minutes * float64(time.Minute)),
 		Cores:    node.AppCores(),
 	}
-	analyses, _, err := apps.FWQAcrossNodesContext(ctx, cfg, node.OS(), *nodes, *seed)
+	analyses, err := apps.FWQAcrossNodesContext(ctx, cfg, node.OS(), *nodes, *seed)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		return err
@@ -120,7 +118,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 }
 
 // runFTQ executes the fixed-time-quanta companion benchmark.
-func runFTQ(out io.Writer, p *cluster.Platform, kind cluster.OSKind, node *cluster.Node, quantumUS, minutes float64, seed int64) {
+func runFTQ(out io.Writer, p *cluster.Platform, kind cluster.OSKind, node *cluster.Node, quantumUS, minutes float64, seed int64) error {
 	cfg := apps.FTQConfig{
 		Quantum:  time.Duration(quantumUS * float64(time.Microsecond)),
 		UnitWork: time.Microsecond,
@@ -130,11 +128,11 @@ func runFTQ(out io.Writer, p *cluster.Platform, kind cluster.OSKind, node *clust
 	tl := node.OS().NoiseProfile().Timeline(cfg.Duration, simRand(seed))
 	run, err := apps.RunFTQ(cfg, tl)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	a, err := run.Analyze()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(out, "FTQ on %s/%s: %d cores, quantum %v, unit %v, duration %v\n",
 		p.Name, kind, len(cfg.Cores), cfg.Quantum, cfg.UnitWork, cfg.Duration)
@@ -143,6 +141,7 @@ func runFTQ(out io.Writer, p *cluster.Platform, kind cluster.OSKind, node *clust
 	fmt.Fprintf(out, "  min work units    %d\n", a.MinCount)
 	fmt.Fprintf(out, "  max loss          %v\n", a.MaxLoss)
 	fmt.Fprintf(out, "  loss rate         %.3g\n", a.LossRate)
+	return nil
 }
 
 // simRand builds the seeded generator the FTQ path uses.

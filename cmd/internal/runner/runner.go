@@ -7,7 +7,10 @@
 //
 //   - 0: run returned nil and stdout was flushed;
 //   - 1: run returned an error, or a write to stdout failed (a full disk, a
-//     closed pipe), so a truncated report never exits 0;
+//     closed pipe), so a truncated report never exits 0. The commands
+//     return every error instead of exiting on the spot (no os.Exit or
+//     log.Fatal*, as internal/lint/checks.TestTreeObeysRulesTable
+//     enforces), so stdout is flushed before every exit 1;
 //   - 2: a usage error, reported by the flag package before Main runs;
 //   - 130: run returned an error after the first SIGINT/SIGTERM canceled
 //     its context (the conventional 128+SIGINT). A second signal

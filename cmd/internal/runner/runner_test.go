@@ -182,6 +182,35 @@ func TestWriteErrorExits1(t *testing.T) {
 	}
 }
 
+// TestErrorPathExits1 runs commands into errors that their run returns
+// to Main rather than exiting on the spot: each must exit 1 and name the
+// error on stderr.
+func TestErrorPathExits1(t *testing.T) {
+	bin := buildCommands(t)
+	rows := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"fwq", []string{"-platform", "nosuch"}, `fwq: unknown platform "nosuch"`},
+		{"noiseprofile", []string{"-series", "-countermeasure", "nosuch"}, `noiseprofile: unknown countermeasure "nosuch"`},
+		{"simctl", []string{"status"}, "simctl: expected exactly one campaign id operand"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			out, err := os.Create(filepath.Join(t.TempDir(), "out.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer out.Close()
+			code, stderr := runCommand(t, filepath.Join(bin, r.name), out, r.args)
+			if code != 1 || !strings.Contains(stderr, r.want) {
+				t.Fatalf("exit %d, stderr %q; want exit 1 naming %q", code, stderr, r.want)
+			}
+		})
+	}
+}
+
 // runCommand runs the binary at path with args and the given stdout,
 // returning its exit status and stderr.
 func runCommand(t *testing.T, path string, stdout *os.File, args []string) (int, string) {

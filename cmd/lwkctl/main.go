@@ -140,7 +140,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 		lwk.SyscallCost(kernel.SysOpen), host.SyscallCosts().Cost(kernel.SysOpen))
 	fmt.Fprintf(out, "  ikc messages      %d\n", lwk.IKC.Messages())
 
-	if err := lwk.Exit(proc, 0); err != nil {
+	if err := lwk.Exit(proc); err != nil {
 		return err
 	}
 	if err := mgr.Shutdown(); err != nil {

@@ -76,7 +76,9 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	}
 
 	if *isolation {
-		runIsolation(out, *platform, *appName, *nodeList, *seed, sink)
+		if err := runIsolation(out, *platform, *appName, *nodeList, *seed, sink); err != nil {
+			return err
+		}
 		return writeArtifacts()
 	}
 
@@ -137,7 +139,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 
 // runIsolation executes the Sec. 8 co-location experiment, writing its
 // report to w and publishing its telemetry into sink.
-func runIsolation(w io.Writer, platform, appName, nodeList string, seed int64, sink *telemetry.Sink) {
+func runIsolation(w io.Writer, platform, appName, nodeList string, seed int64, sink *telemetry.Sink) error {
 	p := apps.OnOFP
 	if strings.HasPrefix(strings.ToLower(platform), "fugaku") {
 		p = apps.OnFugaku
@@ -149,17 +151,18 @@ func runIsolation(w io.Writer, platform, appName, nodeList string, seed int64, s
 	if nodeList != "" {
 		ns, err := parseNodes(nodeList)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		nodes = ns[0]
 	}
 	cg, mk, err := core.CompareIsolation(p, appName, nodes, core.AnalyticsTenant(), seed, sink)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(w, "# co-location isolation: %s on %s at %d nodes (tenant: in-situ analytics)\n", appName, p, nodes)
 	fmt.Fprintf(w, "%-14s slowdown=%.4f (alone %v, co-located %v)\n", cg.Mode, cg.Slowdown, cg.AloneRuntime.Round(0), cg.CoRuntime.Round(0))
 	fmt.Fprintf(w, "%-14s slowdown=%.4f (alone %v, co-located %v)\n", mk.Mode, mk.Slowdown, mk.AloneRuntime.Round(0), mk.CoRuntime.Round(0))
+	return nil
 }
 
 func parseNodes(s string) ([]int, error) {

@@ -56,9 +56,9 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	dur := time.Duration(*minutes * float64(time.Minute))
 	switch {
 	case *attribute:
-		runAttribute(out, *cm, dur, *seed)
+		return runAttribute(out, *cm, dur, *seed)
 	case *series:
-		runSeries(out, *cm, dur, *seed)
+		return runSeries(out, *cm, dur, *seed)
 	case *cdf:
 		return runCDF(ctx, out, core.Figure4Config{
 			OFPNodes: *ofpNodes, FugakuFullNodes: *fugakuFull, Fugaku24Racks: *fugakuRacks,
@@ -67,26 +67,27 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	default:
 		return errors.New("choose -series or -cdf")
 	}
-	return nil
 }
 
 // runAttribute writes the per-source stolen-time attribution on app cores
 // to w — the Sec. 4.2.1 ftrace methodology.
-func runAttribute(w io.Writer, cm string, dur time.Duration, seed int64) {
-	p := cluster.Fugaku()
-	applyCountermeasure(p, cm)
-	node, err := p.NewNode(cluster.Linux)
+func runAttribute(w io.Writer, cm string, dur time.Duration, seed int64) error {
+	node, err := fugakuLinuxNode(cm)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	attr := node.Host.AttributeProfile(dur, seed)
 	fmt.Fprintf(w, "# interference attribution on application cores over %v (countermeasure disabled: %s)\n", dur, cm)
 	for _, a := range attr {
 		fmt.Fprintln(w, a)
 	}
+	return nil
 }
 
-func applyCountermeasure(p *cluster.Platform, cm string) {
+// fugakuLinuxNode builds a Fugaku Linux node with countermeasure cm
+// disabled ("none" keeps them all).
+func fugakuLinuxNode(cm string) (*cluster.Node, error) {
+	p := cluster.Fugaku()
 	switch cm {
 	case "none":
 	case "daemons":
@@ -100,21 +101,20 @@ func applyCountermeasure(p *cluster.Platform, cm string) {
 	case "tlbi":
 		p.Tuning.Counter.SuppressGlobalTLBI = false
 	default:
-		log.Fatalf("unknown countermeasure %q", cm)
+		return nil, fmt.Errorf("unknown countermeasure %q", cm)
 	}
+	return p.NewNode(cluster.Linux)
 }
 
-func runSeries(w io.Writer, cm string, dur time.Duration, seed int64) {
-	p := cluster.Fugaku()
-	applyCountermeasure(p, cm)
-	node, err := p.NewNode(cluster.Linux)
+func runSeries(w io.Writer, cm string, dur time.Duration, seed int64) error {
+	node, err := fugakuLinuxNode(cm)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: dur, Cores: node.AppCores()[:1]}
-	analyses, _, err := apps.FWQAcrossNodes(cfg, node.Host, 1, seed)
+	analyses, err := apps.FWQAcrossNodes(cfg, node.Host, 1, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	s := noise.SeriesMicros(analyses[0].Lengths)
 	fmt.Fprintf(w, "# Figure 3 noise-length time series, countermeasure disabled: %s\n", cm)
@@ -122,6 +122,7 @@ func runSeries(w io.Writer, cm string, dur time.Duration, seed int64) {
 	for i := 0; i < s.Len(); i++ {
 		fmt.Fprintf(w, "%d %.3f\n", int(s.T[i]), s.V[i])
 	}
+	return nil
 }
 
 // runCDF shards the figure's (iteration x curve) matrix over the sweep

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"time"
 
 	"mkos/internal/apps"
@@ -30,7 +29,9 @@ func runMachineStage(ctx context.Context, out *bufio.Writer, sink *telemetry.Sin
 	if *quick {
 		nodes, duration, worstK = 256, 2*time.Second, 10
 	}
-	progress(out, "[6/6] full-machine sharded FWQ (%d nodes, %d shards)...\n", nodes, *shards)
+	if err := progress(out, "[6/6] full-machine sharded FWQ (%d nodes, %d shards)...\n", nodes, *shards); err != nil {
+		return err
+	}
 	p := cluster.Fugaku()
 	p.Sink = sink
 	cfg, err := p.MachineFWQ(cluster.Linux, nodes, 6500*time.Microsecond, duration, 42, *shards, worstK)
@@ -49,12 +50,12 @@ func runMachineStage(ctx context.Context, out *bufio.Writer, sink *telemetry.Sin
 	fmt.Fprintf(out, "  %d windows, %d digests (%d cross-shard), worst node %d (total noise %v)\n",
 		res.Windows, sres.Stats.Messages, sres.Stats.CrossMessages,
 		res.Worst[0].Node, time.Duration(res.Worst[0].Digest.TotalNoiseNS))
-	writeFile(*outdir, "fwq_machine.json", func(w io.Writer) {
+	return writeFile(*outdir, "fwq_machine.json", func(w io.Writer) error {
 		blob, err := json.MarshalIndent(res, "", " ")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		w.Write(append(blob, '\n'))
+		_, err = w.Write(append(blob, '\n'))
+		return err
 	})
-	return nil
 }

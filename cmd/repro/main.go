@@ -104,7 +104,9 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	if *quick {
 		t2cfg.Nodes, t2cfg.Duration = 4, time.Minute
 	}
-	progress(out, "[1/6] Table 2 (%d nodes, %v FWQ)...\n", t2cfg.Nodes, t2cfg.Duration)
+	if err := progress(out, "[1/6] Table 2 (%d nodes, %v FWQ)...\n", t2cfg.Nodes, t2cfg.Duration); err != nil {
+		return err
+	}
 	t2out, err := runCampaign(campaigns.Table2(t2cfg, t2cfg.Seed))
 	if err != nil {
 		return err
@@ -113,20 +115,26 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	rows := make([]core.Table2Row, len(variants))
 	for i, disabled := range variants {
 		if err := t2out.Payload(campaigns.Table2Key(i, disabled), &rows[i]); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	writeFile(*outdir, "table2.txt", func(w io.Writer) {
+	err = writeFile(*outdir, "table2.txt", func(w io.Writer) error {
 		fmt.Fprintf(w, "%-32s %18s %12s\n", "Disabled technique", "Max noise (us)", "Noise rate")
 		for _, r := range rows {
 			fmt.Fprintf(w, "%-32s %18.2f %12.3g\n", r.Disabled,
 				float64(r.MaxNoise)/float64(time.Microsecond), r.NoiseRate)
 		}
+		return nil
 	})
+	if err != nil {
+		return err
+	}
 
 	// --- Figure 3 (series data is embedded in the Table 2 rows) ---
-	progress(out, "[2/6] Figure 3 noise series...\n")
-	writeFile(*outdir, "figure3.txt", func(w io.Writer) {
+	if err := progress(out, "[2/6] Figure 3 noise series...\n"); err != nil {
+		return err
+	}
+	err = writeFile(*outdir, "figure3.txt", func(w io.Writer) error {
 		for _, r := range rows {
 			s := noise.SeriesMicros(r.Lengths)
 			fmt.Fprintf(w, "# countermeasure disabled: %s (max %.1f us)\n", r.Disabled, s.MaxV())
@@ -137,7 +145,11 @@ func run(ctx context.Context, out *bufio.Writer) error {
 				}
 			}
 		}
+		return nil
 	})
+	if err != nil {
+		return err
+	}
 
 	// --- Figure 4 ---
 	f4cfg := core.DefaultFigure4Config()
@@ -145,31 +157,39 @@ func run(ctx context.Context, out *bufio.Writer) error {
 		f4cfg.OFPNodes, f4cfg.FugakuFullNodes, f4cfg.Fugaku24Racks = 32, 96, 12
 		f4cfg.Duration = 30 * time.Second
 	}
-	progress(out, "[3/6] Figure 4 CDFs (%d/%d/%d nodes)...\n",
-		f4cfg.OFPNodes, f4cfg.FugakuFullNodes, f4cfg.Fugaku24Racks)
+	if err := progress(out, "[3/6] Figure 4 CDFs (%d/%d/%d nodes)...\n",
+		f4cfg.OFPNodes, f4cfg.FugakuFullNodes, f4cfg.Fugaku24Racks); err != nil {
+		return err
+	}
 	f4out, err := runCampaign(campaigns.Figure4(f4cfg, 1, f4cfg.Seed))
 	if err != nil {
 		return err
 	}
 	curves, err := campaigns.MergeFigure4(f4out, f4cfg, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	writeFile(*outdir, "figure4.txt", func(w io.Writer) {
+	err = writeFile(*outdir, "figure4.txt", func(w io.Writer) error {
 		for _, c := range curves {
 			fmt.Fprintf(w, "# %s (%d nodes), tail %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
 			for _, pt := range c.CDF.Points(40) {
 				fmt.Fprintf(w, "%.2f %.8f\n", pt.X, pt.Y)
 			}
 		}
+		return nil
 	})
+	if err != nil {
+		return err
+	}
 
 	// --- Figures 5, 6, 7 ---
 	seeds := []int64{1, 2, 3}
 	if *quick {
 		seeds = []int64{1}
 	}
-	progress(out, "[4/6] application figures...\n")
+	if err := progress(out, "[4/6] application figures...\n"); err != nil {
+		return err
+	}
 	specs := append(append(core.Figure5Specs(), core.Figure6Specs()...), core.Figure7Specs()...)
 	if *quick {
 		for i := range specs {
@@ -178,7 +198,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	}
 	figCampaign, err := campaigns.FigurePoints("repro-figs", specs, seeds, 0, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	figOut, err := runCampaign(figCampaign)
 	if err != nil {
@@ -186,9 +206,12 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	}
 	type key struct{ fig, app string }
 	top := map[key]core.Comparison{}
-	writeFile(*outdir, "figures567.txt", func(w io.Writer) {
+	err = writeFile(*outdir, "figures567.txt", func(w io.Writer) error {
 		for _, spec := range specs {
-			app := mustApp(spec.App, spec.Platform)
+			app, err := apps.ByName(spec.App, spec.Platform)
+			if err != nil {
+				return err
+			}
 			fmt.Fprintf(w, "# figure %s: %s on %s\n", spec.Figure, spec.App, spec.Platform)
 			for _, n := range spec.Nodes {
 				if n > app.MaxNodes {
@@ -197,20 +220,28 @@ func run(ctx context.Context, out *bufio.Writer) error {
 				var c core.Comparison
 				k := campaigns.FigurePointKey(spec.Figure, string(spec.Platform), spec.App, n)
 				if err := figOut.Payload(k, &c); err != nil {
-					log.Fatal(err)
+					return err
 				}
 				fmt.Fprintf(w, "%d %.4f %.4f\n", c.Nodes, c.Relative, c.RelErr)
 				top[key{spec.Figure, spec.App + "/" + string(spec.Platform)}] = c
 			}
 		}
+		return nil
 	})
+	if err != nil {
+		return err
+	}
 
 	// --- Operational stage: engine-driven fault recovery + syscall offload ---
 	// The figure stages above are closed-form; this stage drives the
 	// discrete-event machinery (resilient batch system, syscall delegation)
 	// so the telemetry artifacts carry live sim/cluster/fault/mckernel data.
-	progress(out, "[5/6] operational stage (fault recovery + syscall offload)...\n")
-	runOpsStage(ctx, out, *quick, sink)
+	if err := progress(out, "[5/6] operational stage (fault recovery + syscall offload)...\n"); err != nil {
+		return err
+	}
+	if err := runOpsStage(ctx, out, *quick, sink); err != nil {
+		return err
+	}
 
 	// --- Full-machine sharded FWQ (Sec. 6.3 in-situ selection) ---
 	if err := runMachineStage(ctx, out, sink); err != nil {
@@ -231,7 +262,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 			continue
 		}
 		if err := w.fn(w.path); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(out, "wrote %s to %s\n", w.kind, w.path)
 	}
@@ -262,14 +293,12 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	return nil
 }
 
-// progress writes a progress line to out and flushes it, exiting 1 when
-// the write fails: a run whose report cannot get out stops at the next
-// stage instead of computing it.
-func progress(out *bufio.Writer, format string, a ...any) {
+// progress writes a progress line to out and flushes it, returning the
+// failed write's error: a run whose report cannot get out stops at the
+// next stage instead of computing it.
+func progress(out *bufio.Writer, format string, a ...any) error {
 	fmt.Fprintf(out, format, a...)
-	if err := out.Flush(); err != nil {
-		log.Fatal(err)
-	}
+	return out.Flush()
 }
 
 // runOpsStage exercises the event-driven subsystems the figure stages never
@@ -278,7 +307,7 @@ func progress(out *bufio.Writer, format string, a ...any) {
 // delegator (LWK-local vs offloaded calls, IKC traffic, proxy queueing).
 // ctx (the process signal context) cancels the engine runs cooperatively;
 // the report goes to out and the telemetry to sink.
-func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry.Sink) {
+func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry.Sink) error {
 	const seed = 7
 	p := cluster.OFP()
 	p.Sink = sink
@@ -291,7 +320,7 @@ func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry
 	}
 	rs, err := cluster.NewResilientScheduler(p, fault.NewInjector(rates, seed), cluster.DefaultRecoveryPolicy())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	jobs := 6
 	if quick {
@@ -315,7 +344,7 @@ func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry
 	// LWK-local and Linux-offloaded calls driven to completion on the engine.
 	node, err := p.NewNodeAt(1, cluster.McKernel)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	eng := sim.NewEngine()
 	eng.SetCancelHook(func() bool { return ctx.Err() != nil }, 0)
@@ -323,16 +352,19 @@ func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry
 	d := mckernel.NewDelegator(node.LWK, eng)
 	proc, err := node.LWK.Spawn("ops-probe", 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	th, err := node.LWK.Scheduler.Dispatch(proc.Threads[0].Core)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	chain := []kernel.Syscall{
 		kernel.SysMmap, kernel.SysBrk, kernel.SysOpen, kernel.SysRead,
 		kernel.SysFutex, kernel.SysWrite, kernel.SysClose, kernel.SysGetpid,
 	}
+	// issue runs in engine callbacks, so the first failure ends the chain
+	// and is returned once the engine drains.
+	var issueErr error
 	var issue func(i int)
 	issue = func(i int) {
 		if i >= len(chain) {
@@ -341,16 +373,17 @@ func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry
 		// A completed offload leaves the thread ready, not running: the LWK
 		// round-robin must dispatch it again before it can issue.
 		if th.State != mckernel.ThreadRunning {
-			if _, err := node.LWK.Scheduler.Dispatch(th.Core); err != nil {
-				log.Fatal(err)
+			if _, issueErr = node.LWK.Scheduler.Dispatch(th.Core); issueErr != nil {
+				return
 			}
 		}
-		if err := d.Issue(th, chain[i], func(sim.Time) { issue(i + 1) }); err != nil {
-			log.Fatal(err)
-		}
+		issueErr = d.Issue(th, chain[i], func(sim.Time) { issue(i + 1) })
 	}
 	issue(0)
 	eng.Run()
+	if issueErr != nil {
+		return issueErr
+	}
 	local, delegated, queueing := d.Stats()
 	fmt.Fprintf(out, "      syscalls: %d LWK-local, %d offloaded to Linux (proxy queueing %v)\n",
 		local, delegated, queueing)
@@ -361,32 +394,25 @@ func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry
 	if len(attr) > 0 {
 		fmt.Fprintf(out, "      linux ftrace: top interferer on app cores: %s\n", attr[0].Task)
 	}
+	return nil
 }
 
-func mustApp(name string, p apps.PlatformName) apps.App {
-	app, err := apps.ByName(name, p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return app
-}
-
-// writeFile creates dir/name and fills it through a buffered writer. Any
-// failed write, flush or close is fatal, so repro never exits 0 with a
-// truncated artifact. A bufio.Writer keeps its first error and Flush
-// returns it, so fill need not check its writes.
-func writeFile(dir, name string, fill func(io.Writer)) {
+// writeFile creates dir/name and fills it through a buffered writer. It
+// returns the first error of fill, the writes, the flush or the close, so
+// repro never exits 0 with a truncated artifact. A bufio.Writer keeps its
+// first error and Flush returns it, so fill need not check its writes.
+func writeFile(dir, name string, fill func(io.Writer) error) error {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	w := bufio.NewWriter(f)
-	fill(w)
-	err = w.Flush()
+	err = fill(w)
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	return err
 }

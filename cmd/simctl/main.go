@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 	"time"
@@ -76,28 +75,41 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	c := &simd.Client{BaseURL: *addr, ClientID: *client}
 
 	cmd, args := flag.Arg(0), flag.Args()[1:]
+	// The spec and campaign-id operands are resolved before any request.
+	var spec []byte
+	var id string
+	var err error
+	switch cmd {
+	case "id", "submit", "run":
+		spec, err = readSpec(args)
+	case "await", "status", "results", "cancel", "tail":
+		id, err = oneArg(args, "campaign id")
+	}
+	if err != nil {
+		return err
+	}
 	switch cmd {
 	case "id":
-		id, _, err := simd.SpecID(readSpec(args))
+		specID, _, err := simd.SpecID(spec)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "id=%s\n", id)
+		fmt.Fprintf(out, "id=%s\n", specID)
 	case "submit":
-		st, err := c.Submit(ctx, readSpec(args))
+		st, err := c.Submit(ctx, spec)
 		if err != nil {
 			return err
 		}
 		printStatus(out, st, *asJSON)
 	case "await":
-		st, err := c.Await(ctx, oneArg(args, "campaign id"))
+		st, err := c.Await(ctx, id)
 		if err != nil {
 			return err
 		}
 		printStatus(out, st, *asJSON)
 		return notDone(st)
 	case "run":
-		st, err := c.Submit(ctx, readSpec(args))
+		st, err := c.Submit(ctx, spec)
 		if err != nil {
 			return err
 		}
@@ -107,19 +119,19 @@ func run(ctx context.Context, out *bufio.Writer) error {
 		printStatus(out, st, *asJSON)
 		return notDone(st)
 	case "status":
-		st, err := c.Status(ctx, oneArg(args, "campaign id"))
+		st, err := c.Status(ctx, id)
 		if err != nil {
 			return err
 		}
 		printStatus(out, st, *asJSON)
 	case "results":
-		blob, err := c.Results(ctx, oneArg(args, "campaign id"))
+		blob, err := c.Results(ctx, id)
 		if err != nil {
 			return err
 		}
 		out.Write(blob)
 	case "cancel":
-		st, err := c.Cancel(ctx, oneArg(args, "campaign id"))
+		st, err := c.Cancel(ctx, id)
 		if err != nil {
 			return err
 		}
@@ -139,7 +151,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 			printStatus(out, st, *asJSON)
 		}
 	case "tail":
-		return tail(ctx, out, c, oneArg(args, "campaign id"))
+		return tail(ctx, out, c, id)
 	case "top":
 		return top(ctx, out, c, args)
 	case "metrics":
@@ -166,7 +178,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 		}
 		fmt.Fprintln(out, "up=true")
 	case "flood":
-		flood(ctx, out, args)
+		return flood(ctx, out, args)
 	default:
 		return fmt.Errorf("unknown command %q (want id|submit|await|run|status|results|cancel|stats|list|tail|top|metrics|trace|wait-up|flood)", cmd)
 	}
@@ -288,7 +300,7 @@ func top(ctx context.Context, out *bufio.Writer, c *simd.Client, args []string) 
 // cache key); without it all N collapse onto one campaign by content hash.
 // With -slow each client drains responses through a deterministic
 // chaos.SlowReader, modeling slow consumers that must not wedge the daemon.
-func flood(ctx context.Context, out io.Writer, args []string) {
+func flood(ctx context.Context, out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("flood", flag.ExitOnError)
 	n := fs.Int("n", 200, "concurrent clients")
 	distinct := fs.Bool("distinct", false, "give every submission a distinct campaign name")
@@ -296,7 +308,10 @@ func flood(ctx context.Context, out io.Writer, args []string) {
 	seed := fs.Int64("seed", 1, "chaos plan seed for slow-reader delays")
 	attempts := fs.Int("attempts", 1, "submit attempts per client (1 = surface rejections)")
 	fs.Parse(args)
-	spec := readSpec(fs.Args())
+	spec, err := readSpec(fs.Args())
+	if err != nil {
+		return err
+	}
 
 	plan := chaos.Plan{Seed: *seed}
 	tally := chaos.Flood(*n, func(i int) error {
@@ -328,6 +343,7 @@ func flood(ctx context.Context, out io.Writer, args []string) {
 	for _, e := range tally.Errs {
 		fmt.Fprintf(os.Stderr, "flood: %v\n", e)
 	}
+	return nil
 }
 
 // renameSpec rewrites the spec's campaign name to "<name>-<i>" so flood
@@ -350,26 +366,22 @@ func renameSpec(spec []byte, i int) ([]byte, error) {
 }
 
 // readSpec loads the spec operand: a path, or "-" for stdin.
-func readSpec(args []string) []byte {
-	path := oneArg(args, "spec file")
-	var blob []byte
-	var err error
-	if path == "-" {
-		blob, err = io.ReadAll(os.Stdin)
-	} else {
-		blob, err = os.ReadFile(path)
-	}
+func readSpec(args []string) ([]byte, error) {
+	path, err := oneArg(args, "spec file")
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return blob
+	if path == "-" {
+		return io.ReadAll(os.Stdin)
+	}
+	return os.ReadFile(path)
 }
 
-func oneArg(args []string, what string) string {
+func oneArg(args []string, what string) (string, error) {
 	if len(args) != 1 {
-		log.Fatalf("expected exactly one %s operand", what)
+		return "", fmt.Errorf("expected exactly one %s operand", what)
 	}
-	return args[0]
+	return args[0], nil
 }
 
 func printStatus(w io.Writer, st simd.Status, asJSON bool) {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -30,7 +31,6 @@ import (
 	"mkos/cmd/internal/runner"
 	"mkos/internal/sweep"
 	"mkos/internal/sweep/campaigns"
-	"mkos/internal/telemetry"
 	"mkos/internal/telemetry/ops"
 )
 
@@ -84,15 +84,22 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		return err
 	}
-	writeArtifact(*outdir, "results.json", resultsJSON(o))
-	writeArtifact(*outdir, "metrics.txt", dumpRegistry(o.Registry))
-	writeArtifact(*outdir, "ops.txt", dumpRegistry(o.Ops))
+	type artifact struct {
+		name string
+		fill func(io.Writer) error
+	}
+	artifacts := []artifact{
+		{"results.json", func(w io.Writer) error { return writeResults(w, o) }},
+		{"metrics.txt", func(w io.Writer) error { _, err := o.Registry.WriteTo(w); return err }},
+		{"ops.txt", func(w io.Writer) error { _, err := o.Ops.WriteTo(w); return err }},
+	}
 	if o.Recorder != nil {
-		var buf bytes.Buffer
-		if err := o.Recorder.WriteChromeTrace(&buf); err != nil {
+		artifacts = append(artifacts, artifact{"trace.json", o.Recorder.WriteChromeTrace})
+	}
+	for _, a := range artifacts {
+		if err := writeArtifact(*outdir, a.name, a.fill); err != nil {
 			return err
 		}
-		writeArtifact(*outdir, "trace.json", buf.Bytes())
 	}
 
 	// The summary line is stable output: CI greps it to assert a warm-cache
@@ -106,12 +113,12 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	return o.FirstErr()
 }
 
-// resultsJSON renders the deterministic results artifact. A complete run
-// keeps the plain top-level array (the historic format, preserved so
+// writeResults writes the deterministic results artifact to w. A complete
+// run keeps the plain top-level array (the historic format, preserved so
 // byte-identity checks against older artifacts keep working); an interrupted
 // run wraps the partial array in an envelope whose "partial": true marker is
 // impossible to mistake for a finished campaign.
-func resultsJSON(o *sweep.Outcome) []byte {
+func writeResults(w io.Writer, o *sweep.Outcome) error {
 	var blob []byte
 	var err error
 	if o.Partial {
@@ -124,21 +131,17 @@ func resultsJSON(o *sweep.Outcome) []byte {
 		blob, err = json.MarshalIndent(o.Results, "", "  ")
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	return append(blob, '\n')
+	_, err = w.Write(append(blob, '\n'))
+	return err
 }
 
-func dumpRegistry(r *telemetry.Registry) []byte {
+// writeArtifact renders dir/name through fill and writes it.
+func writeArtifact(dir, name string, fill func(io.Writer) error) error {
 	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		log.Fatal(err)
+	if err := fill(&buf); err != nil {
+		return err
 	}
-	return buf.Bytes()
-}
-
-func writeArtifact(dir, name string, blob []byte) {
-	if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
-		log.Fatal(err)
-	}
+	return os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644)
 }

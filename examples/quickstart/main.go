@@ -37,7 +37,7 @@ func main() {
 			Work: 6500 * time.Microsecond, Duration: 30 * time.Second,
 			Cores: node.AppCores(),
 		}
-		analyses, _, err := apps.FWQAcrossNodes(cfg, node.OS(), 1, 42)
+		analyses, err := apps.FWQAcrossNodes(cfg, node.OS(), 1, 42)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -95,11 +95,11 @@ func TestFWQAcrossNodesStability(t *testing.T) {
 	prof := profileOnly{p}
 	cfg := FWQConfig{Work: 6500 * time.Microsecond, Duration: 200 * time.Millisecond, Cores: []int{0}}
 	// Node k's analysis must be identical whether we simulate 2 or 4 nodes.
-	a2, _, err := FWQAcrossNodes(cfg, prof, 2, 77)
+	a2, err := FWQAcrossNodes(cfg, prof, 2, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a4, _, err := FWQAcrossNodes(cfg, prof, 4, 77)
+	a4, err := FWQAcrossNodes(cfg, prof, 4, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFWQAcrossNodesStability(t *testing.T) {
 			t.Fatalf("node %d differs between 2- and 4-node runs (stream stability broken)", i)
 		}
 	}
-	if _, _, err := FWQAcrossNodes(cfg, prof, 0, 1); !errors.Is(err, ErrBadFWQConfig) {
+	if _, err := FWQAcrossNodes(cfg, prof, 0, 1); !errors.Is(err, ErrBadFWQConfig) {
 		t.Fatalf("zero nodes err = %v", err)
 	}
 }

@@ -94,7 +94,7 @@ type NoiseProfiler interface {
 // FWQAcrossNodes runs FWQ on n independent nodes of the same OS profile,
 // deriving per-node RNG streams from the base seed (node subsets are stable
 // per sim.Rand.Derive semantics). It returns one analysis per node.
-func FWQAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]noise.Analysis, []*FWQRun, error) {
+func FWQAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]noise.Analysis, error) {
 	return FWQAcrossNodesContext(context.Background(), cfg, prof, nodes, seed)
 }
 
@@ -103,9 +103,9 @@ func FWQAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([
 // nodes already simulated are returned alongside the context's error. Node n
 // always sees the same derived RNG stream, so a canceled run's partial
 // results are a prefix of the full run's.
-func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]noise.Analysis, []*FWQRun, error) {
+func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]noise.Analysis, error) {
 	if nodes <= 0 {
-		return nil, nil, ErrBadFWQConfig
+		return nil, ErrBadFWQConfig
 	}
 	p := prof.NoiseProfile()
 	// One generator and one timeline serve every node: RunFWQ keeps no
@@ -116,24 +116,22 @@ func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfile
 	var events []noise.Interruption
 	base, node := sim.NewRand(seed), sim.NewRand(0)
 	analyses := make([]noise.Analysis, 0, nodes)
-	runs := make([]*FWQRun, 0, nodes)
 	for n := 0; n < nodes; n++ {
 		if err := ctx.Err(); err != nil {
-			return analyses, runs, err
+			return analyses, err
 		}
 		base.DeriveInto(node, int64(n))
 		events = g.NodeInto(&tl, events, cfg.Duration, node)
 		g.Publish(p.Sink)
 		run, err := RunFWQ(cfg, &tl)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		a, err := run.Analyze()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		analyses = append(analyses, a)
-		runs = append(runs, run)
 	}
-	return analyses, runs, nil
+	return analyses, nil
 }

@@ -105,7 +105,7 @@ func TestSketchValidation(t *testing.T) {
 func TestSketchAcrossNodesMatchesExact(t *testing.T) {
 	cfg := FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Second, Cores: []int{0, 1}}
 	prof := profileOnly{noisyProfile()}
-	exactAs, _, err := FWQAcrossNodes(cfg, prof, 3, 21)
+	exactAs, err := FWQAcrossNodes(cfg, prof, 3, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

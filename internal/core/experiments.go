@@ -218,7 +218,7 @@ func Table2Variant(cfg Table2Config, disabled string, sink *telemetry.Sink) (Tab
 		return Table2Row{}, err
 	}
 	fwqCfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: cfg.Duration, Cores: node.AppCores()}
-	analyses, _, err := apps.FWQAcrossNodes(fwqCfg, node.Host, cfg.Nodes, cfg.Seed)
+	analyses, err := apps.FWQAcrossNodes(fwqCfg, node.Host, cfg.Nodes, cfg.Seed)
 	if err != nil {
 		return Table2Row{}, err
 	}

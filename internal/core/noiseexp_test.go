@@ -223,7 +223,4 @@ func TestTable1PlatformAttributes(t *testing.T) {
 	if ofp.Tuning.CPUIsolation || !fugaku.Tuning.CPUIsolation {
 		t.Fatal("CPU isolation: cgroups on Fugaku only")
 	}
-	if ofp.Tuning.Containerized || !fugaku.Tuning.Containerized {
-		t.Fatal("containerization: Docker on Fugaku only")
-	}
 }

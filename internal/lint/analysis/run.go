@@ -13,10 +13,12 @@ import (
 // surviving diagnostics sorted by (file, line, column, check, message)
 // — the order is part of the determinism contract simlint itself
 // enforces, so its own output is byte-stable across runs and -j levels
-// of the caller.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// of the caller. suite names every check a directive may name; analyzers
+// may be a subset of it (simlint -checks), and a directive naming a check
+// outside the subset is valid and silences nothing.
+func Run(pkgs []*Package, analyzers, suite []*Analyzer) ([]Diagnostic, error) {
 	known := map[string]bool{}
-	for _, a := range analyzers {
+	for _, a := range suite {
 		known[a.Name] = true
 	}
 	facts := newFactStore()

@@ -80,7 +80,7 @@ func loadSrc(t *testing.T, src string) *analysis.Package {
 
 func TestSuppressionSemantics(t *testing.T) {
 	pkg := loadSrc(t, suppressionSrc)
-	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{fake})
+	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{fake}, []*analysis.Analyzer{fake})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSuppressionSemantics(t *testing.T) {
 
 func TestRunSortsAndEncodesJSON(t *testing.T) {
 	pkg := loadSrc(t, suppressionSrc)
-	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{fake})
+	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{fake}, []*analysis.Analyzer{fake})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
-// Package checks holds the eight simlint analyzers. Each one encodes a
+// Package checks holds the seven simlint analyzers. Each one encodes a
 // determinism or safety invariant of the simulator that the end-to-end
 // double-run cmp gates can only witness after the fact; the analyzers
-// catch the violation at the offending line instead. Five are per-file
-// syntax-and-types checks; lockguard, ctxflow and opstaint use the
-// framework's cross-package facts and dataflow. See
-// internal/lint/README.md for the catalogue, example findings and the
-// suppression syntax.
+// catch the violation at the offending line instead. forbidden applies
+// the module's table of forbidden imports and calls from syntax alone
+// (a tier-1 test applies the same table to the tree); walltime,
+// maporder and simtime are per-file syntax-and-types checks; lockguard,
+// ctxflow and opstaint use the framework's cross-package facts and
+// dataflow. See internal/lint/README.md for the catalogue, example
+// findings and the suppression syntax.
 package checks
 
 import (
@@ -19,7 +21,7 @@ import (
 // All returns the full analyzer suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Walltime, Globalrand, Maporder, Simtime, Opsbound,
+		Forbidden, Walltime, Maporder, Simtime,
 		Lockguard, Ctxflow, Opstaint,
 	}
 }
@@ -27,10 +29,11 @@ func All() []*analysis.Analyzer {
 // opsPrefixes lists the package-path prefixes where wall-clock time and
 // process-wide operational state are legal: the sweep orchestrator's pool and
 // progress machinery, CLI plumbing under cmd/, the runnable examples,
-// and the lint tooling itself. Everything else in the module is
-// trial-unit code bound by the determinism contract: with the same seed
-// it must produce byte-identical artifacts at any -j, under shuffled
-// trial order, and from warm or cold caches.
+// and the lint tooling itself. Everything else in the module, and the
+// campaign specs under internal/sweep/campaigns, is trial-unit code bound
+// by the determinism contract: with the same seed it must produce
+// byte-identical artifacts at any -j, under shuffled trial order, and from
+// warm or cold caches.
 var opsPrefixes = []string{
 	"mkos/internal/sweep",
 	"mkos/internal/lint",
@@ -45,12 +48,20 @@ var opsPrefixes = []string{
 // isOpsPackage reports whether path may touch wall-clock and process-
 // wide operational state.
 func isOpsPackage(path string) bool {
+	if under(path, "mkos/internal/sweep/campaigns") {
+		return false
+	}
 	for _, p := range opsPrefixes {
-		if path == p || strings.HasPrefix(path, p+"/") {
+		if under(path, p) {
 			return true
 		}
 	}
 	return false
+}
+
+// under reports whether path is prefix or one of its subpackages.
+func under(path, prefix string) bool {
+	return path == prefix || strings.HasPrefix(path, prefix+"/")
 }
 
 // calleeObj resolves a call's callee to its types.Object: the function,

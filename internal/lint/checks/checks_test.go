@@ -21,40 +21,12 @@ func TestWalltimeOpsAllowlist(t *testing.T) {
 	linttest.Run(t, checks.Walltime, "testdata/walltime_ops", "mkos/cmd/fake")
 }
 
-func TestGlobalrand(t *testing.T) {
-	linttest.Run(t, checks.Globalrand, "testdata/globalrand", "mkos/internal/fake/globalrand")
-}
-
-// TestGlobalrandSimPackage checks the one import exemption: a package
-// path ending in internal/sim may wrap math/rand, but still may not
-// draw from the global source.
-func TestGlobalrandSimPackage(t *testing.T) {
-	linttest.Run(t, checks.Globalrand, "testdata/globalrand_sim", "mkos/fake/internal/sim")
-}
-
 func TestMaporder(t *testing.T) {
 	linttest.Run(t, checks.Maporder, "testdata/maporder", "mkos/internal/fake/maporder")
 }
 
 func TestSimtime(t *testing.T) {
 	linttest.Run(t, checks.Simtime, "testdata/simtime", "mkos/internal/fake/simtime")
-}
-
-func TestOpsbound(t *testing.T) {
-	linttest.Run(t, checks.Opsbound, "testdata/opsbound", "mkos/internal/fake/opsbound")
-}
-
-// TestOpsboundOpsAllowlist loads the same import under a cmd/ path, where
-// the flight recorder is legal: zero findings expected.
-func TestOpsboundOpsAllowlist(t *testing.T) {
-	linttest.Run(t, checks.Opsbound, "testdata/opsbound_ops", "mkos/cmd/fake")
-}
-
-// TestOpsboundCampaignsException checks the sweep carve-out: the
-// internal/sweep prefix is ops-allowed, but internal/sweep/campaigns
-// holds the deterministic trial units and stays bound.
-func TestOpsboundCampaignsException(t *testing.T) {
-	linttest.Run(t, checks.Opsbound, "testdata/opsbound_campaigns", "mkos/internal/sweep/campaigns")
 }
 
 // TestSuppressionHandling exercises the directive grammar and scoping

@@ -121,7 +121,7 @@ func lintTree(dir string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic
 	if err != nil {
 		return nil, nil, err
 	}
-	diags, err := analysis.Run(pkgs, analyzers)
+	diags, err := analysis.Run(pkgs, analyzers, checks.All())
 	return diags, loader.Fset, err
 }
 

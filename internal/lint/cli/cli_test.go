@@ -42,6 +42,18 @@ import "time"
 func B() time.Time { return time.Now() }
 `
 
+// allowSrc carries a well-formed directive for a check that a -checks
+// subset leaves out: it is valid and silences nothing.
+const allowSrc = `package d
+
+import "context"
+
+func D() context.Context {
+	//simlint:allow ctxflow — a root context for the demo, not a request path
+	return context.Background()
+}
+`
+
 const brokenSrc = `package c
 
 func C() int { return undefinedSymbol }
@@ -53,6 +65,7 @@ func TestExitCodeContract(t *testing.T) {
 	clean := writeModule(t, map[string]string{"a/a.go": cleanSrc})
 	dirty := writeModule(t, map[string]string{"a/a.go": cleanSrc, "b/b.go": dirtySrc})
 	broken := writeModule(t, map[string]string{"c/c.go": brokenSrc})
+	allowed := writeModule(t, map[string]string{"d/d.go": allowSrc})
 
 	tests := []struct {
 		name      string
@@ -70,6 +83,8 @@ func TestExitCodeContract(t *testing.T) {
 			stdoutHas: "b.go:5"},
 		{name: "check subset skips the finding", args: []string{"-checks", "maporder", "-dir", dirty},
 			want: cli.ExitClean},
+		{name: "check subset keeps other checks' directives valid",
+			args: []string{"-checks", "maporder", "-dir", allowed}, want: cli.ExitClean},
 		{name: "unknown flag", args: []string{"-nope"}, want: cli.ExitError},
 		{name: "unknown check", args: []string{"-checks", "nosuch", "-dir", clean}, want: cli.ExitError,
 			stderrHas: `unknown check "nosuch"`},

@@ -77,7 +77,7 @@ func RunDirs(t *testing.T, as []*analysis.Analyzer, dirs ...Dir) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	diags, err := analysis.Run(pkgs, as)
+	diags, err := analysis.Run(pkgs, as, as)
 	if err != nil {
 		t.Fatalf("running %d analyzer(s): %v", len(as), err)
 	}
@@ -100,7 +100,7 @@ func RunFix(t *testing.T, a *analysis.Analyzer, dir, pkgPath string) {
 	if err != nil {
 		t.Fatalf("loading corpus %s: %v", dir, err)
 	}
-	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
+	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{a}, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}

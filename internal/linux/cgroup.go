@@ -21,7 +21,6 @@ type Cgroup struct {
 	CPUs kernel.CPUMask
 	Mems []int // allowed NUMA domains
 
-	tasks    map[int]*kernel.Task
 	children map[string]*Cgroup
 }
 
@@ -29,7 +28,6 @@ type Cgroup struct {
 func NewRootCgroup(cpus kernel.CPUMask, mems []int) *Cgroup {
 	return &Cgroup{
 		Name: "/", CPUs: cpus, Mems: mems,
-		tasks:    make(map[int]*kernel.Task),
 		children: make(map[string]*Cgroup),
 	}
 }
@@ -55,38 +53,18 @@ func (c *Cgroup) NewChild(name string, cpus kernel.CPUMask, mems []int) (*Cgroup
 	}
 	child := &Cgroup{
 		Name: c.Name + name, Parent: c, CPUs: cpus, Mems: mems,
-		tasks:    make(map[int]*kernel.Task),
 		children: make(map[string]*Cgroup),
 	}
 	c.children[name] = child
 	return child, nil
 }
 
-// Attach moves a task into this cgroup, clamping its affinity to the
+// Attach places a task in this cgroup by clamping its affinity to the
 // group's cpuset.
 func (c *Cgroup) Attach(t *kernel.Task) error {
 	eff := t.Affinity.Intersect(c.CPUs)
 	if eff.Empty() {
 		eff = c.CPUs
 	}
-	if err := t.SetAffinity(eff); err != nil {
-		return err
-	}
-	c.tasks[t.ID] = t
-	return nil
-}
-
-// ContainerRuntime holds the application cgroup template containers are
-// created with. On Fugaku all applications run inside a Docker container
-// (Sec. 4.1.1).
-type ContainerRuntime struct {
-	root    *Cgroup
-	appCPUs kernel.CPUMask
-	appMems []int
-}
-
-// NewContainerRuntime returns a runtime for containers under root with the
-// given application cpuset/mems.
-func NewContainerRuntime(root *Cgroup, appCPUs kernel.CPUMask, appMems []int) *ContainerRuntime {
-	return &ContainerRuntime{root: root, appCPUs: appCPUs, appMems: appMems}
+	return t.SetAffinity(eff)
 }

@@ -27,8 +27,6 @@ type Kernel struct {
 	Sar      *kernel.Task
 	IRQs     []*kernel.IRQ
 
-	Runtime *ContainerRuntime
-
 	// Sink receives the kernel's telemetry, including the noise counters
 	// of the profiles it derives and of a McKernel booted beside it.
 	Sink *telemetry.Sink
@@ -91,9 +89,7 @@ func NewKernel(topo *cpu.Topology, tune Tuning, memBytes int64) (*Kernel, error)
 	// hugeTLBfs per policy. The pool draws from the first app domain.
 	switch tune.LargePage {
 	case HugeTLBOvercommit:
-		k.Huge, err = mem.NewHugeTLBfs(mem.HugeTLBConfig{
-			Page: mem.Page2M, Overcommit: true,
-		}, pm.AppNodes()[0].Buddy)
+		k.Huge, err = mem.NewHugeTLBfs(mem.HugeTLBConfig{Page: mem.Page2M}, pm.AppNodes()[0].Buddy)
 	case HugeTLBReserved:
 		pool := pm.AppNodes()[0].Buddy.TotalBytes() / 2 / mem.Page2M.Bytes()
 		k.Huge, err = mem.NewHugeTLBfs(mem.HugeTLBConfig{
@@ -105,10 +101,6 @@ func NewKernel(topo *cpu.Topology, tune Tuning, memBytes int64) (*Kernel, error)
 	}
 	k.spawnSystemTasks(appMask, sysMask)
 	k.setupIRQs(appMask, sysMask)
-
-	if tune.Containerized {
-		k.Runtime = NewContainerRuntime(k.Root, appMask, appMems)
-	}
 	return k, nil
 }
 

@@ -30,7 +30,7 @@ func newOFPKernel(t *testing.T) *Kernel {
 func TestTuningPresets(t *testing.T) {
 	f := FugakuTuning()
 	if !f.NohzFull || !f.CPUIsolation || !f.IRQToAssistant || !f.VirtualNUMA ||
-		!f.SectorCache || !f.Containerized || !f.SarEnabled {
+		!f.SectorCache || !f.SarEnabled {
 		t.Fatalf("Fugaku tuning incomplete: %+v", f)
 	}
 	if f.LargePage != HugeTLBOvercommit {
@@ -108,9 +108,6 @@ func TestFugakuKernelAssembly(t *testing.T) {
 	if k.Huge == nil {
 		t.Fatal("Fugaku kernel must have hugeTLBfs")
 	}
-	if k.Runtime == nil {
-		t.Fatal("Fugaku kernel must have a container runtime")
-	}
 }
 
 func TestOFPKernelAssembly(t *testing.T) {
@@ -130,9 +127,6 @@ func TestOFPKernelAssembly(t *testing.T) {
 	}
 	if k.Huge != nil {
 		t.Fatal("OFP uses THP, not hugeTLBfs")
-	}
-	if k.Runtime != nil {
-		t.Fatal("OFP is not containerized (Table 1)")
 	}
 	if k.System != k.Root || k.App != k.Root {
 		t.Fatal("without isolation both partitions alias the root cgroup")

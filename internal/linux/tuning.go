@@ -88,8 +88,6 @@ type Tuning struct {
 	VirtualNUMA bool
 	// SectorCache partitions L2 ways between system and application.
 	SectorCache bool
-	// Containerized runs applications inside Docker-created cgroups.
-	Containerized bool
 	// SarEnabled keeps the sar activity monitor running (required for
 	// operations on Fugaku; the main residual noise source).
 	SarEnabled bool
@@ -107,7 +105,6 @@ func FugakuTuning() Tuning {
 		IRQToAssistant: true,
 		VirtualNUMA:    true,
 		SectorCache:    true,
-		Containerized:  true,
 		SarEnabled:     true,
 		LargePage:      HugeTLBOvercommit,
 		Counter:        AllCountermeasures(),

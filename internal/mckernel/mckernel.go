@@ -119,7 +119,7 @@ func (in *Instance) Spawn(name string, nThreads int) (*Process, error) {
 	proxy := &Proxy{PID: pid, Task: proxyTask}
 	in.Proxies = append(in.Proxies, proxy)
 
-	p := &Process{PID: pid, Name: name, inst: in, proxy: proxy}
+	p := &Process{PID: pid, Name: name, proxy: proxy}
 	for i := 0; i < nThreads; i++ {
 		th := &Thread{TID: pid*1000 + i, Proc: p}
 		p.Threads = append(p.Threads, th)

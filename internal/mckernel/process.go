@@ -12,7 +12,7 @@ var ErrProcessExited = errors.New("mckernel: process has exited")
 // address-space teardown triggers the TLB-flush burst Sec. 4.2.2
 // describes — on McKernel the flush is confined to the process's own
 // cores, while the Linux path broadcasts.
-func (in *Instance) Exit(p *Process, status int) error {
+func (in *Instance) Exit(p *Process) error {
 	if p.Exited {
 		return fmt.Errorf("%w: pid %d", ErrProcessExited, p.PID)
 	}
@@ -20,6 +20,5 @@ func (in *Instance) Exit(p *Process, status int) error {
 		in.Scheduler.Exit(th)
 	}
 	p.Exited = true
-	p.ExitStatus = status
 	return nil
 }

@@ -11,7 +11,7 @@ func TestExitRetiresThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Exit(child, 0); err != nil {
+	if err := in.Exit(child); err != nil {
 		t.Fatal(err)
 	}
 	if !child.Exited {
@@ -23,7 +23,7 @@ func TestExitRetiresThreads(t *testing.T) {
 		}
 	}
 	// Double exit fails.
-	if err := in.Exit(child, 0); !errors.Is(err, ErrProcessExited) {
+	if err := in.Exit(child); !errors.Is(err, ErrProcessExited) {
 		t.Fatalf("double exit err = %v", err)
 	}
 }

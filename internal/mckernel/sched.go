@@ -12,9 +12,7 @@ type Process struct {
 	Threads []*Thread
 	Exited  bool
 
-	inst       *Instance
-	proxy      *Proxy
-	ExitStatus int
+	proxy *Proxy
 }
 
 // Proxy returns the Linux-side twin.

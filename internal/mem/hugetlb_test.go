@@ -27,7 +27,7 @@ func TestHugeTLBReservedPool(t *testing.T) {
 
 func TestHugeTLBOvercommit(t *testing.T) {
 	b := newHugeBuddy(t)
-	if _, err := NewHugeTLBfs(HugeTLBConfig{Page: Page2M, Overcommit: true}, b); err != nil {
+	if _, err := NewHugeTLBfs(HugeTLBConfig{Page: Page2M}, b); err != nil {
 		t.Fatal(err)
 	}
 	// Fugaku config: no boot pool, pages come from the buddy at runtime.

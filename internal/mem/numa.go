@@ -24,31 +24,10 @@ func (k NodeKind) String() string {
 	return "app"
 }
 
-// MemoryClass distinguishes bandwidth tiers: OFP's KNL nodes run in
-// "Quadrant flat mode; i.e., MCDRAM and DDR4 RAM are addressable at
-// different physical memory locations and appear as different NUMA domains"
-// (Sec. 6.1).
-type MemoryClass int
-
-const (
-	// RegularMemory is DDR-class capacity memory.
-	RegularMemory MemoryClass = iota
-	// FastMemory is MCDRAM/HBM-class bandwidth memory.
-	FastMemory
-)
-
-func (c MemoryClass) String() string {
-	if c == FastMemory {
-		return "fast"
-	}
-	return "regular"
-}
-
 // NUMANode is one NUMA domain's physical memory.
 type NUMANode struct {
 	ID    int
 	Kind  NodeKind
-	Class MemoryClass
 	Buddy *Buddy
 }
 
@@ -67,8 +46,10 @@ type MemoryLayout struct {
 	// on app domains.
 	AppNodes []int64
 	SysNodes []int64
-	// FastAppNodes adds bandwidth-tier application domains (MCDRAM in the
-	// KNL flat mode).
+	// FastAppNodes adds bandwidth-tier application domains: OFP's KNL
+	// nodes run in "Quadrant flat mode; i.e., MCDRAM and DDR4 RAM are
+	// addressable at different physical memory locations and appear as
+	// different NUMA domains" (Sec. 6.1).
 	FastAppNodes []int64
 	BasePage     int64
 	MaxOrder     int
@@ -82,7 +63,7 @@ func NewPhysMemory(layout MemoryLayout) (*PhysMemory, error) {
 	}
 	pm := &PhysMemory{}
 	var base int64
-	add := func(size int64, kind NodeKind, class MemoryClass) error {
+	add := func(size int64, kind NodeKind) error {
 		maxBlock := layout.BasePage << layout.MaxOrder
 		size = (size / maxBlock) * maxBlock
 		if size <= 0 {
@@ -92,22 +73,22 @@ func NewPhysMemory(layout MemoryLayout) (*PhysMemory, error) {
 		if err != nil {
 			return err
 		}
-		pm.Nodes = append(pm.Nodes, &NUMANode{ID: len(pm.Nodes), Kind: kind, Class: class, Buddy: b})
+		pm.Nodes = append(pm.Nodes, &NUMANode{ID: len(pm.Nodes), Kind: kind, Buddy: b})
 		base += size
 		return nil
 	}
 	for _, sz := range layout.AppNodes {
-		if err := add(sz, AppNode, RegularMemory); err != nil {
+		if err := add(sz, AppNode); err != nil {
 			return nil, err
 		}
 	}
 	for _, sz := range layout.FastAppNodes {
-		if err := add(sz, AppNode, FastMemory); err != nil {
+		if err := add(sz, AppNode); err != nil {
 			return nil, err
 		}
 	}
 	for _, sz := range layout.SysNodes {
-		if err := add(sz, SysNode, RegularMemory); err != nil {
+		if err := add(sz, SysNode); err != nil {
 			return nil, err
 		}
 	}

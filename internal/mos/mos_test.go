@@ -74,7 +74,7 @@ func TestMOSNoisierThanMcKernelQuieterThanLinux(t *testing.T) {
 	}
 	run := func(prof apps.NoiseProfiler, cores []int) noise.Analysis {
 		cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Minute, Cores: cores}
-		as, _, err := apps.FWQAcrossNodes(cfg, prof, 4, 3)
+		as, err := apps.FWQAcrossNodes(cfg, prof, 4, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,8 @@
 // and campaign ids the flight recorder threads through the stack.
 //
 // Like everything under internal/telemetry/ops it is wall-clock,
-// ops-side-only machinery: the simlint opsbound analyzer keeps it out of
-// deterministic packages.
+// ops-side-only machinery: simlint's rules table (forbidden) keeps it out
+// of deterministic packages.
 package oplog
 
 import (

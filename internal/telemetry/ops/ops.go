@@ -8,7 +8,7 @@
 // deterministic recorder. The sim-time trace is part of a campaign's
 // byte-deterministic artifact contract; ops spans measure the host — real
 // queues, real goroutines, real milliseconds — and may never leak into
-// deterministic packages (the simlint opsbound analyzer enforces the
+// deterministic packages (simlint's rules table, forbidden, enforces the
 // boundary). Everything here is nil-safe: code instrumented with ops.Start
 // pays a context lookup and nothing else when no tracer is attached, so the
 // sweep orchestrator can carry spans unconditionally while CLI runs without
