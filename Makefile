@@ -148,7 +148,7 @@ bench-engine:
 
 # bench-models records the model-kernel benchmarks (buddy allocator, BSP
 # step noise, Figure 7 points, noise generator node, lognormal draw) with
-# repro -quick and internal/core wall
+# repro -quick wall and CPU times and internal/core wall
 # times into results/BENCH_models.json. BASE=<parent checkout> adds the
 # before side, the speedups and a byte-identity check of repro -quick.
 bench-models:
@@ -166,9 +166,11 @@ bench-shard:
 # GOMAXPROCS=1 and 4: bsp.Run splits its nodes over GOMAXPROCS goroutines,
 # and both outputs must equal the committed results/figure7.txt. Then the
 # Figure 4 FWQ CDFs, which read the noise timelines without bsp.Run, must
-# equal the committed results/figure4.txt. Last, both Figure 3 noise series
+# equal the committed results/figure4.txt. Then both Figure 3 noise series
 # (6-minute FWQ runs with every countermeasure on, and with daemon binding
-# off) must equal results/figure3_{baseline,daemons}.txt.
+# off) must equal results/figure3_{baseline,daemons}.txt. Last, the
+# paper-scale Table 2 (16 nodes, 6-minute runs) must run under a 1 GiB
+# `ulimit -v` and equal results/table2.txt.
 determinism:
 	$(GO) run ./cmd/faultexp -jobs 2 -nodes 4 -report=false \
 		-trace /tmp/mkos-det-1.json -metrics /tmp/mkos-det-1.txt > /dev/null
@@ -190,6 +192,10 @@ determinism:
 	cmp /tmp/mkos-det-fig3-baseline.txt results/figure3_baseline.txt
 	cmp /tmp/mkos-det-fig3-daemons.txt results/figure3_daemons.txt
 	@echo "Figure 3 byte-identical to results/figure3_{baseline,daemons}.txt"
+	$(GO) build -o /tmp/mkos-det-tablegen ./cmd/tablegen
+	(ulimit -v 1048576 && /tmp/mkos-det-tablegen) > /tmp/mkos-det-table2.txt
+	cmp /tmp/mkos-det-table2.txt results/table2.txt
+	@echo "paper-scale Table 2 byte-identical to results/table2.txt within a 1 GiB address space"
 
 # check is what CI runs: formatting, vet, the simlint invariant gate, the
 # reachability gate, build, one run of the benchmark roots, the full suite

@@ -63,11 +63,8 @@ func BenchmarkTable2(b *testing.B) {
 			cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: 30 * time.Second, Cores: k.AppCores()}
 			var last noise.Analysis
 			for i := 0; i < b.N; i++ {
-				analyses, err := apps.FWQAcrossNodes(cfg, k, 4, 12345)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last, err = noise.Merge(analyses)
+				var err error
+				last, err = apps.FWQNoise(cfg, k, 4, 12345)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,12 +95,13 @@ func BenchmarkFigure3(b *testing.B) {
 			cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Minute, Cores: k.AppCores()[:1]}
 			var maxUS float64
 			for i := 0; i < b.N; i++ {
-				analyses, err := apps.FWQAcrossNodes(cfg, k, 1, 5)
+				// One node and one core: the series maximum is the
+				// core's maximum noise length.
+				a, err := apps.FWQNoise(cfg, k, 1, 5)
 				if err != nil {
 					b.Fatal(err)
 				}
-				s := noise.SeriesMicros(analyses[0].Lengths)
-				maxUS = s.MaxV()
+				maxUS = float64(a.MaxNoise) / float64(time.Microsecond)
 			}
 			b.ReportMetric(maxUS, "series_max_us")
 		})
@@ -309,11 +307,8 @@ func BenchmarkAblationStacking(b *testing.B) {
 			cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: 20 * time.Second, Cores: k.AppCores()}
 			var last noise.Analysis
 			for i := 0; i < b.N; i++ {
-				analyses, err := apps.FWQAcrossNodes(cfg, k, 2, 99)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last, err = noise.Merge(analyses)
+				var err error
+				last, err = apps.FWQNoise(cfg, k, 2, 99)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -46,8 +47,8 @@ func main() {
 }
 
 // run measures the platform's nodes. An interrupt stops the per-node loop
-// at the next node boundary (sequential mode) or the next window barrier
-// (sharded mode).
+// once the node being measured is done (sequential mode) or at the next
+// window barrier (sharded mode).
 func run(ctx context.Context, out *bufio.Writer) error {
 	var p *cluster.Platform
 	switch *platform {
@@ -83,13 +84,15 @@ func run(ctx context.Context, out *bufio.Writer) error {
 		Duration: time.Duration(*minutes * float64(time.Minute)),
 		Cores:    node.AppCores(),
 	}
-	analyses, err := apps.FWQAcrossNodesContext(ctx, cfg, node.OS(), *nodes, *seed)
+	var analyses []noise.Analysis
+	err = apps.FWQNodes(cfg, node.OS(), *nodes, *seed, func(cores []apps.FWQCore) error {
+		a, err := apps.NodeAnalysis(cores)
+		analyses = append(analyses, a)
+		return cmp.Or(err, ctx.Err())
+	})
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		return err
-	}
-	if interrupted && len(analyses) == 0 {
-		return errors.New("interrupted before any node finished")
 	}
 	if *perNode {
 		for i, a := range analyses {
@@ -125,7 +128,7 @@ func runFTQ(out io.Writer, p *cluster.Platform, kind cluster.OSKind, node *clust
 		Duration: time.Duration(minutes * float64(time.Minute)),
 		Cores:    node.AppCores(),
 	}
-	tl := node.OS().NoiseProfile().Timeline(cfg.Duration, simRand(seed))
+	tl := node.OS().NoiseProfile().Timeline(cfg.Duration, sim.NewRand(seed))
 	run, err := apps.RunFTQ(cfg, tl)
 	if err != nil {
 		return err
@@ -143,6 +146,3 @@ func runFTQ(out io.Writer, p *cluster.Platform, kind cluster.OSKind, node *clust
 	fmt.Fprintf(out, "  loss rate         %.3g\n", a.LossRate)
 	return nil
 }
-
-// simRand builds the seeded generator the FTQ path uses.
-func simRand(seed int64) *sim.Rand { return sim.NewRand(seed) }

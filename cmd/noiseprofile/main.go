@@ -24,7 +24,6 @@ import (
 	"mkos/internal/apps"
 	"mkos/internal/cluster"
 	"mkos/internal/core"
-	"mkos/internal/noise"
 	"mkos/internal/sweep"
 	"mkos/internal/sweep/campaigns"
 	"mkos/internal/telemetry/ops"
@@ -112,17 +111,14 @@ func runSeries(w io.Writer, cm string, dur time.Duration, seed int64) error {
 		return err
 	}
 	cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: dur, Cores: node.AppCores()[:1]}
-	analyses, err := apps.FWQAcrossNodes(cfg, node.Host, 1, seed)
-	if err != nil {
-		return err
-	}
-	s := noise.SeriesMicros(analyses[0].Lengths)
 	fmt.Fprintf(w, "# Figure 3 noise-length time series, countermeasure disabled: %s\n", cm)
 	fmt.Fprintf(w, "# sample_id noise_length_us\n")
-	for i := 0; i < s.Len(); i++ {
-		fmt.Fprintf(w, "%d %.3f\n", int(s.T[i]), s.V[i])
-	}
-	return nil
+	return apps.FWQNodes(cfg, node.Host, 1, seed, func(cores []apps.FWQCore) error {
+		cores[0].Series(0, 1, 0, func(i int64, us float64) {
+			fmt.Fprintf(w, "%d %.3f\n", i, us)
+		})
+		return nil
+	})
 }
 
 // runCDF shards the figure's (iteration x curve) matrix over the sweep

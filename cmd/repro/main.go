@@ -29,7 +29,6 @@ import (
 	"mkos/internal/fault"
 	"mkos/internal/kernel"
 	"mkos/internal/mckernel"
-	"mkos/internal/noise"
 	"mkos/internal/sim"
 	"mkos/internal/sweep"
 	"mkos/internal/sweep/campaigns"
@@ -136,13 +135,9 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	}
 	err = writeFile(*outdir, "figure3.txt", func(w io.Writer) error {
 		for _, r := range rows {
-			s := noise.SeriesMicros(r.Lengths)
-			fmt.Fprintf(w, "# countermeasure disabled: %s (max %.1f us)\n", r.Disabled, s.MaxV())
-			// Thin the series for the file: every 64th sample plus peaks.
-			for i := 0; i < s.Len(); i++ {
-				if i%64 == 0 || s.V[i] > 100 {
-					fmt.Fprintf(w, "%d %.3f\n", int(s.T[i]), s.V[i])
-				}
+			fmt.Fprintf(w, "# countermeasure disabled: %s (max %.1f us)\n", r.Disabled, r.SeriesMax)
+			for _, pt := range r.Series {
+				fmt.Fprintf(w, "%d %.3f\n", int(pt.X), pt.Y)
 			}
 		}
 		return nil

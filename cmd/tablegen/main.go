@@ -12,12 +12,15 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"time"
 
 	"mkos/cmd/internal/runner"
 	"mkos/internal/core"
+	"mkos/internal/sweep"
+	"mkos/internal/sweep/campaigns"
 )
 
 var (
@@ -29,30 +32,41 @@ var (
 
 func main() {
 	flag.Parse()
-	runner.Main(context.Background(), "tablegen", "stopping after the current Table 2 row, printing the rows done", run)
+	runner.Main(context.Background(), "tablegen", sweep.CampaignStopping, run)
 }
 
-// run regenerates the table row by row: each variant is an independent
-// multi-minute FWQ rerun, so an interrupt stops at the next variant
-// boundary and prints the rows already computed. Rows are deterministic per
-// variant, so a partial table is a prefix of the full one.
+// run regenerates the table through the Table 2 campaign, one trial per
+// row on every core. An interrupt cancels the campaign and prints the rows
+// finished by then, in table order; each row is deterministic on its own.
 func run(ctx context.Context, w *bufio.Writer) error {
 	cfg := core.Table2Config{
 		Nodes:    *nodes,
 		Duration: time.Duration(*minutes * float64(time.Minute)),
 		Seed:     *seed,
 	}
-	var rows []core.Table2Row
+	o, err := sweep.RunContext(ctx, campaigns.Table2(cfg, cfg.Seed), sweep.Options{})
+	if err != nil && !errors.Is(err, sweep.ErrInterrupted) {
+		return err
+	}
+	// row is what the table prints of a core.Table2Row; decoding into it
+	// skips the row's Figure 3 series.
+	type row struct {
+		Disabled  string
+		MaxNoise  time.Duration
+		NoiseRate float64
+	}
+	var rows []row
 	variants := core.Table2Variants()
-	for _, name := range variants {
-		if ctx.Err() != nil {
-			break
+	for i, name := range variants {
+		key := campaigns.Table2Key(i, name)
+		if _, done := o.Result(key); !done {
+			continue
 		}
-		row, err := core.Table2Variant(cfg, name, nil)
-		if err != nil {
+		var r row
+		if err := o.Payload(key, &r); err != nil {
 			return err
 		}
-		rows = append(rows, row)
+		rows = append(rows, r)
 	}
 
 	if *asJSON {

@@ -12,7 +12,6 @@ import (
 	"mkos/internal/apps"
 	"mkos/internal/bsp"
 	"mkos/internal/cluster"
-	"mkos/internal/noise"
 )
 
 func main() {
@@ -37,11 +36,7 @@ func main() {
 			Work: 6500 * time.Microsecond, Duration: 30 * time.Second,
 			Cores: node.AppCores(),
 		}
-		analyses, err := apps.FWQAcrossNodes(cfg, node.OS(), 1, 42)
-		if err != nil {
-			log.Fatal(err)
-		}
-		a, err := noise.Merge(analyses)
+		a, err := apps.FWQNoise(cfg, node.OS(), 1, 42)
 		if err != nil {
 			log.Fatal(err)
 		}

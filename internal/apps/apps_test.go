@@ -2,6 +2,8 @@ package apps
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -86,7 +88,7 @@ func TestDefaultFWQ(t *testing.T) {
 	}
 }
 
-func TestFWQAcrossNodesStability(t *testing.T) {
+func TestFWQNodesStability(t *testing.T) {
 	p := &noise.Profile{}
 	p.MustAdd(&noise.Source{
 		Name: "s", Cores: []int{0}, Mode: noise.TargetOne,
@@ -95,21 +97,110 @@ func TestFWQAcrossNodesStability(t *testing.T) {
 	prof := profileOnly{p}
 	cfg := FWQConfig{Work: 6500 * time.Microsecond, Duration: 200 * time.Millisecond, Cores: []int{0}}
 	// Node k's analysis must be identical whether we simulate 2 or 4 nodes.
-	a2, err := FWQAcrossNodes(cfg, prof, 2, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a4, err := FWQAcrossNodes(cfg, prof, 4, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2 := nodeAnalyses(t, cfg, prof, 2, 77)
+	a4 := nodeAnalyses(t, cfg, prof, 4, 77)
 	for i := 0; i < 2; i++ {
 		if a2[i].MaxNoise != a4[i].MaxNoise || a2[i].Rate != a4[i].Rate {
 			t.Fatalf("node %d differs between 2- and 4-node runs (stream stability broken)", i)
 		}
 	}
-	if _, err := FWQAcrossNodes(cfg, prof, 0, 1); !errors.Is(err, ErrBadFWQConfig) {
+	if err := FWQNodes(cfg, prof, 0, 1, nil); !errors.Is(err, ErrBadFWQConfig) {
 		t.Fatalf("zero nodes err = %v", err)
+	}
+}
+
+// nodeAnalyses returns each node's NodeAnalysis from FWQNodes.
+func nodeAnalyses(t *testing.T, cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) []noise.Analysis {
+	t.Helper()
+	var as []noise.Analysis
+	err := FWQNodes(cfg, prof, nodes, seed, func(cores []FWQCore) error {
+		a, err := NodeAnalysis(cores)
+		as = append(as, a)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return as
+}
+
+// exactNodes is the timeline reference for FWQNodes: node n's
+// Profile.Timeline from the n-th stream derived from seed, run by RunFWQ.
+func exactNodes(t *testing.T, cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) []*FWQRun {
+	t.Helper()
+	base := sim.NewRand(seed)
+	var runs []*FWQRun
+	for n := 0; n < nodes; n++ {
+		run, err := RunFWQ(cfg, prof.NoiseProfile().Timeline(cfg.Duration, base.Derive(int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run)
+	}
+	return runs
+}
+
+// TestFWQNodesMatchesTimelines checks every core of every node FWQNodes
+// walks against RunFWQ's iterations of the node's timeline: the clean and
+// indexed perturbed iterations spell out the same sequence, the analyses
+// equal noise.Analyze's bit for bit, NodeAnalysis equals FWQRun.Analyze's,
+// and FWQNoise merges those.
+func TestFWQNodesMatchesTimelines(t *testing.T) {
+	cfg := FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Second, Cores: []int{0, 1}}
+	prof := profileOnly{noisyProfile()}
+	runs := exactNodes(t, cfg, prof, 3, 21)
+	var want []noise.Analysis
+	n := 0
+	err := FWQNodes(cfg, prof, 3, 21, func(cores []FWQCore) error {
+		for i, core := range cfg.Cores {
+			iters := runs[n].PerCore[core]
+			if got := cores[i].Iterations(); !slices.Equal(got, iters) {
+				t.Fatalf("node %d core %d: walk spells out %d iterations, RunFWQ measures %d, or others", n, core, len(got), len(iters))
+			}
+			a, err := noise.Summarize(iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cores[i].Analysis(); !reflect.DeepEqual(got, a) {
+				t.Fatalf("node %d core %d: analysis %+v, noise.Summarize says %+v", n, core, got, a)
+			}
+			// The series rule over the spelled-out iterations, from place 5.
+			var want, got []float64
+			for j, it := range iters {
+				if us := float64(it-a.Tmin) / float64(time.Microsecond); (5+j)%3 == 0 || us > 100 {
+					want = append(want, float64(5+j), us)
+				}
+			}
+			cores[i].Series(5, 3, 100, func(j int64, us float64) { got = append(got, float64(j), us) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("node %d core %d: series %v, want %v", n, core, got, want)
+			}
+		}
+		got, err := NodeAnalysis(cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := runs[n].Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Lengths = nil
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("node %d: %+v, FWQRun.Analyze says %+v", n, got, w)
+		}
+		want = append(want, w)
+		n++
+		return nil
+	})
+	if err != nil || n != 3 {
+		t.Fatalf("%d nodes visited, err %v", n, err)
+	}
+	m, err := noise.Merge(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := FWQNoise(cfg, prof, 3, 21); err != nil || !reflect.DeepEqual(got, m) {
+		t.Fatalf("FWQNoise = %+v, %v; want %+v", got, err, m)
 	}
 }
 

@@ -5,8 +5,8 @@
 package apps
 
 import (
-	"context"
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -91,47 +91,160 @@ type NoiseProfiler interface {
 	NoiseProfile() *noise.Profile
 }
 
-// FWQAcrossNodes runs FWQ on n independent nodes of the same OS profile,
-// deriving per-node RNG streams from the base seed (node subsets are stable
-// per sim.Rand.Derive semantics). It returns one analysis per node.
-func FWQAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]noise.Analysis, error) {
-	return FWQAcrossNodesContext(context.Background(), cfg, prof, nodes, seed)
+// FWQCore is one measured core's FWQ run, as the walk leaves it: the
+// count of iterations no interruption touched, each of which lasts exactly
+// Work, and every other iteration's duration and place among the core's
+// iterations, in time order.
+type FWQCore struct {
+	Work      time.Duration
+	Clean     int64
+	Perturbed []time.Duration
+	At        []int64
 }
 
-// FWQAcrossNodesContext is FWQAcrossNodes with cooperative cancellation: the
-// context is checked between nodes, and on cancellation the analyses of the
-// nodes already simulated are returned alongside the context's error. Node n
-// always sees the same derived RNG stream, so a canceled run's partial
-// results are a prefix of the full run's.
-func FWQAcrossNodesContext(ctx context.Context, cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]noise.Analysis, error) {
-	if nodes <= 0 {
-		return nil, ErrBadFWQConfig
+// fwqWalk runs the benchmark on one core over evs, the core's interruptions
+// in start order, from 0 until horizon. It returns how many iterations no
+// interruption touched, each of which lasts exactly work, and appends every
+// other iteration's duration to perturbed and its place among the core's
+// iterations to at, in time order.
+func fwqWalk(work, horizon time.Duration, evs []fwqEvent, perturbed []time.Duration, at []int64) (int64, []time.Duration, []int64) {
+	p0 := len(perturbed)
+	deadline := sim.Time(horizon)
+	var clean int64
+	t := sim.Time(0)
+	idx := 0
+	for t < deadline {
+		// Skip interruptions that already ended (consumed by a cascade).
+		for idx < len(evs) && evs[idx].end() <= t {
+			idx++
+		}
+		if idx == len(evs) || evs[idx].start >= deadline {
+			// No more noise before the deadline: the rest are clean.
+			clean += int64((deadline - t + sim.Time(work) - 1) / sim.Time(work))
+			break
+		}
+		// Fast-forward over iterations that finish before the next
+		// interruption starts.
+		if gap := evs[idx].start.Sub(t); gap >= work {
+			k := int64(gap / work)
+			clean += k
+			t = t.Add(time.Duration(k) * work)
+			continue
+		}
+		// This iteration overlaps noise: simulate it as
+		// noise.Timeline.Advance does, from where its search starts (End is
+		// not monotone in start order, so that need not be idx).
+		end := t.Add(work)
+		for i := sort.Search(len(evs), func(i int) bool { return evs[i].end() > t }); i < len(evs) && evs[i].start < end; i++ {
+			stolen := evs[i].len
+			if evs[i].start < t {
+				if stolen = evs[i].end().Sub(t); stolen <= 0 {
+					continue
+				}
+			}
+			end = end.Add(stolen)
+		}
+		at = append(at, clean+int64(len(perturbed)-p0))
+		perturbed = append(perturbed, end.Sub(t))
+		t = end
+	}
+	return clean, perturbed, at
+}
+
+// Analysis returns the core's metrics, field for field those
+// noise.Summarize computes over all its iterations in time order. No
+// iteration is shorter than Work, so a core with a clean iteration has
+// Tmin = Work, and each clean iteration adds exactly 0.0 to the Eq. 2 sum.
+func (c *FWQCore) Analysis() noise.Analysis {
+	a := noise.Analysis{N: int(c.Clean) + len(c.Perturbed), Tmin: c.Work, Tmax: c.Work}
+	if c.Clean == 0 {
+		a.Tmin = slices.Min(c.Perturbed)
+	}
+	for _, t := range c.Perturbed {
+		a.Tmax = max(a.Tmax, t)
+	}
+	a.MaxNoise = a.Tmax - a.Tmin
+	sum := 0.0
+	for _, t := range c.Perturbed {
+		sum += float64(t-a.Tmin) / float64(a.Tmin)
+	}
+	a.Rate = sum / float64(a.N)
+	return a
+}
+
+// Series calls emit(i, us) in time order for each of the core's
+// iterations, placed at i = base, base+1, ..., whose place is a multiple of
+// every or whose noise length over the core's Tmin, us µs, exceeds above
+// (not negative): Figure 3's thinned noise-length series. A clean
+// iteration's noise length is 0, as Tmin = Work when there is one.
+func (c *FWQCore) Series(base, every int64, above float64, emit func(i int64, us float64)) {
+	tmin := c.Analysis().Tmin
+	micros := func(t time.Duration) float64 { return float64(t-tmin) / float64(time.Microsecond) }
+	i, end := base, base+c.Clean+int64(len(c.Perturbed))
+	for k := 0; k <= len(c.Perturbed); k++ {
+		next := end
+		if k < len(c.At) {
+			next = base + c.At[k]
+		}
+		// The clean iterations before the next perturbed one.
+		for i = (i + every - 1) / every * every; i < next; i += every {
+			emit(i, micros(c.Work))
+		}
+		if i = next; k < len(c.Perturbed) {
+			if us := micros(c.Perturbed[k]); i%every == 0 || us > above {
+				emit(i, us)
+			}
+			i++
+		}
+	}
+}
+
+// NodeAnalysis merges a node's core analyses in order, as FWQRun.Analyze
+// merges a timeline run's.
+func NodeAnalysis(cores []FWQCore) (noise.Analysis, error) {
+	as := make([]noise.Analysis, len(cores))
+	for i := range cores {
+		as[i] = cores[i].Analysis()
+	}
+	return noise.Merge(as)
+}
+
+// FWQNodes runs the benchmark on n independent nodes of one OS profile and
+// calls visit with each node's runs, in cfg.Cores order; a visit error
+// stops the loop and is returned. Node n draws from stream n derived from
+// seed, whatever the node count. No timeline is built, the runs are reused
+// for the next node, and the noise counters of every node walked go to the
+// profile's sink once, at the end.
+func FWQNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64, visit func(cores []FWQCore) error) error {
+	if nodes <= 0 || cfg.Work <= 0 || cfg.Duration <= 0 || len(cfg.Cores) == 0 {
+		return ErrBadFWQConfig
 	}
 	p := prof.NoiseProfile()
-	// One generator and one timeline serve every node: RunFWQ keeps no
-	// reference to the timeline, and the generator's tallies go to the
-	// profile's sink node by node, as Profile.Timeline would publish them.
-	g := p.Generator()
-	var tl noise.Timeline
-	var events []noise.Interruption
-	base, node := sim.NewRand(seed), sim.NewRand(0)
-	analyses := make([]noise.Analysis, 0, nodes)
+	c := newCoreEvents(p, cfg.Cores)
+	defer c.gen.Publish(p.Sink)
+	base, rng := sim.NewRand(seed), sim.NewRand(0)
+	cores := make([]FWQCore, len(cfg.Cores))
 	for n := 0; n < nodes; n++ {
-		if err := ctx.Err(); err != nil {
-			return analyses, err
+		base.DeriveInto(rng, int64(n))
+		c.node(cfg.Work, cfg.Duration, rng)
+		if err := visit(c.walks(cfg.Work, cores)); err != nil {
+			return err
 		}
-		base.DeriveInto(node, int64(n))
-		events = g.NodeInto(&tl, events, cfg.Duration, node)
-		g.Publish(p.Sink)
-		run, err := RunFWQ(cfg, &tl)
-		if err != nil {
-			return nil, err
-		}
-		a, err := run.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		analyses = append(analyses, a)
 	}
-	return analyses, nil
+	return nil
+}
+
+// FWQNoise runs the benchmark as FWQNodes does and merges every node's
+// analysis, each node's cores first: the machine-level view of Table 2.
+func FWQNoise(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) (noise.Analysis, error) {
+	var as []noise.Analysis
+	err := FWQNodes(cfg, prof, nodes, seed, func(cores []FWQCore) error {
+		a, err := NodeAnalysis(cores)
+		as = append(as, a)
+		return err
+	})
+	if err != nil {
+		return noise.Analysis{}, err
+	}
+	return noise.Merge(as)
 }

@@ -86,7 +86,10 @@ func digestCases(tb testing.TB) []digestCase {
 //   - the digest equals, field for field, the one of RunFWQSketch's
 //     analysis of the timeline;
 //   - the clean iterations and the perturbed durations are, as a multiset,
-//     every iteration RunFWQ's Timeline.Advance loop measures.
+//     every iteration RunFWQ's Timeline.Advance loop measures;
+//   - on each measured core, the clean iterations and the perturbed ones,
+//     each at its place, spell out RunFWQ's iterations in order, and the
+//     cores' perturbed durations in turn are the digest's.
 //
 // The seed corpus runs every case at its short length, and the Linux
 // daemons, McKernel and both hand-built cases at their long one as well.
@@ -141,6 +144,18 @@ func FuzzFWQDigestMatchesTimeline(f *testing.F) {
 		if len(iters) != got.Digest.N || clean > 0 && iters[clean-1] != c.work || !slices.Equal(iters[clean:], perturbed) {
 			t.Fatalf("%s class %d: %d clean iterations and %d perturbed ones differ from RunFWQ's %d iterations",
 				c.name, cls, clean, len(got.Perturbed), len(iters))
+		}
+		var walked []time.Duration
+		for _, core := range class.Cores {
+			fc := got.Cores[core]
+			if seq := fc.Iterations(); !slices.Equal(seq, run.PerCore[core]) {
+				t.Fatalf("%s class %d core %d: the walk spells out %d iterations, RunFWQ measures %d, or others or in another order",
+					c.name, cls, core, len(seq), len(run.PerCore[core]))
+			}
+			walked = append(walked, fc.Perturbed...)
+		}
+		if !slices.Equal(walked, got.Perturbed) {
+			t.Fatalf("%s class %d: the cores' perturbed iterations are not the digest's", c.name, cls)
 		}
 	})
 }

@@ -27,7 +27,7 @@ import (
 //
 // A node's work is regenerating its interruptions on the measured cores
 // straight from the noise kernel's batches and walking them (coreEvents,
-// fwqWalk); no timeline is built. Each shard spreads that work over w =
+// FWQCore.walk); no timeline is built. Each shard spreads that work over w =
 // max(1, GOMAXPROCS/Shards) workers, chunk by chunk (fwqChunk nodes): the
 // first node event of a chunk splits it into w contiguous blocks, digests
 // every block on its own goroutine and joins them before returning, and
@@ -263,12 +263,12 @@ func (c *fwqShardNodes) fill() {
 }
 
 // fwqNodeWalker runs nodes one after another on reused storage: one
-// coreEvents (generator and event buffers) per class and the
-// perturbed-duration buffer. It belongs to one goroutine.
+// coreEvents (generator, event and walk buffers) per class. It belongs to
+// one goroutine.
 type fwqNodeWalker struct {
 	cfg       *FWQMachineConfig
 	classes   []*coreEvents
-	perturbed []time.Duration // the last node's, in walk order
+	perturbed []time.Duration // the last node's, in its class's walk buffer
 }
 
 func newFWQNodeWalker(cfg *FWQMachineConfig) *fwqNodeWalker {
@@ -305,10 +305,12 @@ func (w *fwqNodeWalker) publish(sink *telemetry.Sink) {
 // next call.
 func (w *fwqNodeWalker) digest(node, cls int, seed int64) (FWQDigest, error) {
 	c := w.classes[cls]
-	c.node(w.cfg.Duration, sim.NewRand(seed))
+	c.node(w.cfg.Work, w.cfg.Duration, sim.NewRand(seed))
 	var clean int64
-	clean, w.perturbed = fwqWalk(FWQConfig{Work: w.cfg.Work, Duration: w.cfg.Duration, Cores: c.cores},
-		c.sorted, w.perturbed[:0])
+	for _, k := range c.clean {
+		clean += k
+	}
+	w.perturbed = c.perturbed
 	// As in newFWQSketch: one clean iteration stands for all of them in the
 	// analysis, and the rate is re-weighted to every iteration afterwards.
 	iters := w.perturbed

@@ -57,11 +57,12 @@ func DigestOf(node int, a noise.Analysis) FWQDigest {
 
 // NodeWalk is what the campaign's per-node walk made of one node: its
 // digest, its perturbed durations in walk order, and each measured core's
-// events in the order it walked them.
+// events in the order it walked them and its run.
 type NodeWalk struct {
 	Digest    FWQDigest
 	Perturbed []time.Duration
 	Events    map[int][]noise.Interruption
+	Cores     map[int]FWQCore
 }
 
 // WalkNode digests one node of class cls from its stream seed the way the
@@ -72,16 +73,39 @@ func WalkNode(cfg *FWQMachineConfig, cls int, seed int64) (NodeWalk, error) {
 	if err != nil {
 		return NodeWalk{}, err
 	}
-	nw := NodeWalk{Digest: d, Perturbed: w.perturbed, Events: map[int][]noise.Interruption{}}
+	nw := NodeWalk{Digest: d, Perturbed: w.perturbed, Events: map[int][]noise.Interruption{}, Cores: map[int]FWQCore{}}
 	srcs := cfg.Classes[cls].Profile.Sources
 	c := w.classes[cls]
-	for _, core := range c.cores {
+	cores := c.walks(cfg.Work, make([]FWQCore, len(c.cores)))
+	for i, core := range c.cores {
+		nw.Cores[core] = cores[i]
 		for _, e := range c.sorted(core) {
 			i := slices.Index(c.rank, e.rank)
 			nw.Events[core] = append(nw.Events[core], noise.Interruption{Start: e.start, Len: e.len, CPU: core, Source: srcs[i].Name})
 		}
 	}
 	return nw, nil
+}
+
+// Iterations spells out the core's run: every iteration's duration in time
+// order, Work at each place At does not name. It returns nil unless At
+// names distinct places of the run in increasing order, one per perturbed
+// iteration.
+func (c *FWQCore) Iterations() []time.Duration {
+	out := make([]time.Duration, c.Clean+int64(len(c.Perturbed)))
+	for i := range out {
+		out[i] = c.Work
+	}
+	if len(c.At) != len(c.Perturbed) {
+		return nil
+	}
+	for k, at := range c.At {
+		if at < 0 || at >= int64(len(out)) || k > 0 && at <= c.At[k-1] {
+			return nil
+		}
+		out[at] = c.Perturbed[k]
+	}
+	return out
 }
 
 // AllIterations flattens every core's samples in core order.

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"mkos/internal/noise"
@@ -25,15 +24,18 @@ func RunFWQSketch(cfg FWQConfig, tl *noise.Timeline) (*FWQSketch, error) {
 	if cfg.Work <= 0 || cfg.Duration <= 0 || len(cfg.Cores) == 0 {
 		return nil, ErrBadFWQConfig
 	}
-	clean, perturbed := fwqWalk(cfg, func(core int) []fwqEvent {
+	cores := make([]FWQCore, len(cfg.Cores))
+	for i, core := range cfg.Cores {
 		ivs := tl.ForCPU(core)
 		evs := make([]fwqEvent, len(ivs))
-		for i, iv := range ivs {
-			evs[i] = fwqEvent{start: iv.Start, len: iv.Len}
+		for j, iv := range ivs {
+			evs[j] = fwqEvent{start: iv.Start, len: iv.Len}
 		}
-		return evs
-	}, nil)
-	return newFWQSketch(cfg.Work, clean, perturbed)
+		c := &cores[i]
+		c.Work = cfg.Work
+		c.Clean, c.Perturbed, c.At = fwqWalk(cfg.Work, cfg.Duration, evs, nil, nil)
+	}
+	return newFWQSketch(cfg.Work, cores)
 }
 
 // fwqEvent is one interruption of a measured core as the FWQ walk sees it:
@@ -52,56 +54,6 @@ func (e fwqEvent) before(o fwqEvent) bool {
 	return e.start < o.start || e.start == o.start && e.rank < o.rank
 }
 
-// fwqWalk runs the benchmark on every core of cfg over events(core), the
-// core's interruptions in start order. It returns how many iterations no
-// interruption touched, each of which lasts exactly cfg.Work, and appends
-// the duration of every other iteration to perturbed, core by core in time
-// order. cfg must be valid.
-func fwqWalk(cfg FWQConfig, events func(core int) []fwqEvent, perturbed []time.Duration) (int64, []time.Duration) {
-	deadline := sim.Time(cfg.Duration)
-	var clean int64
-	for _, core := range cfg.Cores {
-		evs := events(core)
-		t := sim.Time(0)
-		idx := 0
-		for t < deadline {
-			// Skip interruptions that already ended (consumed by a cascade).
-			for idx < len(evs) && evs[idx].end() <= t {
-				idx++
-			}
-			if idx == len(evs) || evs[idx].start >= deadline {
-				// No more noise before the deadline: the rest are clean.
-				clean += int64((deadline - t + sim.Time(cfg.Work) - 1) / sim.Time(cfg.Work))
-				break
-			}
-			// Fast-forward over iterations that finish before the next
-			// interruption starts.
-			if gap := evs[idx].start.Sub(t); gap >= cfg.Work {
-				k := int64(gap / cfg.Work)
-				clean += k
-				t = t.Add(time.Duration(k) * cfg.Work)
-				continue
-			}
-			// This iteration overlaps noise: simulate it as
-			// noise.Timeline.Advance does, from where its search starts (End
-			// is not monotone in start order, so that need not be idx).
-			end := t.Add(cfg.Work)
-			for i := sort.Search(len(evs), func(i int) bool { return evs[i].end() > t }); i < len(evs) && evs[i].start < end; i++ {
-				stolen := evs[i].len
-				if evs[i].start < t {
-					if stolen = evs[i].end().Sub(t); stolen <= 0 {
-						continue
-					}
-				}
-				end = end.Add(stolen)
-			}
-			perturbed = append(perturbed, end.Sub(t))
-			t = end
-		}
-	}
-	return clean, perturbed
-}
-
 // coreEvents draws nodes' interruptions from one profile and keeps only
 // those on the measured cores, straight from the noise kernel's batches.
 // It belongs to one goroutine.
@@ -112,14 +64,21 @@ type coreEvents struct {
 	rank   []int        // per source: its name's place in name order
 	runs   []fwqRun
 	merged []fwqEvent
+	// The last node's walk: by place in cores, each core's clean count and
+	// the end of its part of perturbed and at, which hold every core's
+	// perturbed iterations in turn.
+	clean     []int64
+	ends      []int
+	perturbed []time.Duration
+	at        []int64
 }
 
 // fwqRun is one source's events on a core; evs[next:end] are not merged yet.
 type fwqRun struct{ next, end int }
 
 func newCoreEvents(p *noise.Profile, cores []int) *coreEvents {
-	c := &coreEvents{gen: p.Generator(), cores: cores,
-		evs: make([][]fwqEvent, slices.Max(cores)+1), rank: make([]int, len(p.Sources))}
+	c := &coreEvents{gen: p.Generator(), cores: cores, evs: make([][]fwqEvent, slices.Max(cores)+1),
+		rank: make([]int, len(p.Sources)), clean: make([]int64, len(cores)), ends: make([]int, len(cores))}
 	// Few cores see more than a handful of events in a short run.
 	buf := make([]fwqEvent, 8*len(cores))
 	for i, core := range cores {
@@ -136,12 +95,30 @@ func newCoreEvents(p *noise.Profile, cores []int) *coreEvents {
 }
 
 // node replaces c's events with one node's over [0, horizon), drawn from
-// rng. The generator still tallies the events on other cores.
-func (c *coreEvents) node(horizon time.Duration, rng *sim.Rand) {
+// rng, and walks the benchmark with quantum work on every measured core
+// over them. The generator still tallies the events on other cores.
+func (c *coreEvents) node(work, horizon time.Duration, rng *sim.Rand) {
 	for _, core := range c.cores {
 		c.evs[core] = c.evs[core][:0]
 	}
 	c.gen.VisitNode(horizon, rng, c.add)
+	perturbed, at := c.perturbed[:0], c.at[:0]
+	for i, core := range c.cores {
+		c.clean[i], perturbed, at = fwqWalk(work, horizon, c.sorted(core), perturbed, at)
+		c.ends[i] = len(perturbed)
+	}
+	c.perturbed, c.at = perturbed, at
+}
+
+// walks fills cores, one per measured core, with the last node's walk and
+// returns it; the runs share c's buffers until the next node.
+func (c *coreEvents) walks(work time.Duration, cores []FWQCore) []FWQCore {
+	start := 0
+	for i, end := range c.ends {
+		cores[i] = FWQCore{Work: work, Clean: c.clean[i], Perturbed: c.perturbed[start:end:end], At: c.at[start:end:end]}
+		start = end
+	}
+	return cores
 }
 
 func (c *coreEvents) add(b *noise.Batch) {
@@ -182,10 +159,17 @@ func (c *coreEvents) sorted(core int) []fwqEvent {
 	return out
 }
 
-// newFWQSketch builds a sketch from a walk's clean count and perturbed
-// durations; it keeps no reference to perturbed.
-func newFWQSketch(work time.Duration, clean int64, perturbed []time.Duration) (*FWQSketch, error) {
-	iters := append([]time.Duration(nil), perturbed...)
+// newFWQSketch builds a node's sketch from its cores' runs, perturbed
+// iterations core by core; it keeps no reference to them.
+func newFWQSketch(work time.Duration, cores []FWQCore) (*FWQSketch, error) {
+	var clean int64
+	var iters []time.Duration
+	for _, c := range cores {
+		clean += c.Clean
+		iters = append(iters, c.Perturbed...)
+	}
+	total := clean + int64(len(iters))
+	dist := noise.NewIterationDist(work, clean, iters)
 	// Analysis needs Tmin; clean iterations all equal work.
 	if clean > 0 {
 		iters = append(iters, work)
@@ -196,39 +180,22 @@ func newFWQSketch(work time.Duration, clean int64, perturbed []time.Duration) (*
 	}
 	// Correct the rate for the clean iterations the analysis did not see:
 	// Eq. 2 averages (Ti - Tmin)/Tmin over all n iterations.
-	total := clean + int64(len(perturbed))
 	a.Rate = a.Rate * float64(len(iters)) / float64(total)
 	a.N = int(total)
-	return &FWQSketch{
-		Analysis: a,
-		Dist:     noise.NewIterationDist(work, clean, perturbed),
-	}, nil
+	return &FWQSketch{Analysis: a, Dist: dist}, nil
 }
 
-// FWQSketchAcrossNodes runs the sketch on n independent nodes with the same
-// per-node RNG streams as FWQAcrossNodes. The nodes share one generator
-// and its buffers, no timeline is built, and the noise counters of all of
-// them are published to the profile's sink once.
+// FWQSketchAcrossNodes runs the sketch on n independent nodes, walked as
+// FWQNodes walks them.
 func FWQSketchAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]*FWQSketch, error) {
-	if nodes <= 0 || cfg.Work <= 0 || cfg.Duration <= 0 || len(cfg.Cores) == 0 {
-		return nil, ErrBadFWQConfig
-	}
-	p := prof.NoiseProfile()
-	c := newCoreEvents(p, cfg.Cores)
-	base, node := sim.NewRand(seed), sim.NewRand(0)
-	var perturbed []time.Duration
-	out := make([]*FWQSketch, 0, nodes)
-	for n := 0; n < nodes; n++ {
-		base.DeriveInto(node, int64(n))
-		c.node(cfg.Duration, node)
-		var clean int64
-		clean, perturbed = fwqWalk(cfg, c.sorted, perturbed[:0])
-		sk, err := newFWQSketch(cfg.Work, clean, perturbed)
-		if err != nil {
-			return nil, err
-		}
+	var out []*FWQSketch
+	err := FWQNodes(cfg, prof, nodes, seed, func(cores []FWQCore) error {
+		sk, err := newFWQSketch(cfg.Work, cores)
 		out = append(out, sk)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.gen.Publish(p.Sink)
 	return out, nil
 }

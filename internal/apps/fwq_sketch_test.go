@@ -105,18 +105,19 @@ func TestSketchValidation(t *testing.T) {
 func TestSketchAcrossNodesMatchesExact(t *testing.T) {
 	cfg := FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Second, Cores: []int{0, 1}}
 	prof := profileOnly{noisyProfile()}
-	exactAs, err := FWQAcrossNodes(cfg, prof, 3, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactNodes(t, cfg, prof, 3, 21)
 	sketches, err := FWQSketchAcrossNodes(cfg, prof, 3, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range sketches {
-		if sketches[i].Analysis.MaxNoise != exactAs[i].MaxNoise {
+		a, err := exact[i].Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sketches[i].Analysis.MaxNoise != a.MaxNoise {
 			t.Fatalf("node %d MaxNoise: sketch %v vs exact %v",
-				i, sketches[i].Analysis.MaxNoise, exactAs[i].MaxNoise)
+				i, sketches[i].Analysis.MaxNoise, a.MaxNoise)
 		}
 	}
 }

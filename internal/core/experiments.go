@@ -146,13 +146,19 @@ func RunFigure(spec FigureSpec, seeds []int64) ([]Comparison, error) {
 
 // --- Table 2 / Figure 3: noise countermeasures ----------------------------
 
-// Table2Row is one row of Table 2.
+// Table2Row is one row of Table 2 with its Figure 3 noise-length series as
+// the figure plots it.
 type Table2Row struct {
 	Disabled  string
 	MaxNoise  time.Duration
 	NoiseRate float64
-	// Lengths feed Figure 3's time-series plots.
-	Lengths []time.Duration
+	// SeriesMax is the largest noise length of any iteration in µs, each
+	// measured from its core's Tmin.
+	SeriesMax float64
+	// Series holds the plotted (place, µs) points: every 64th iteration and
+	// every iteration longer than 100 µs, placed in node order and, within a
+	// node, in core order.
+	Series []stats.Point
 }
 
 // Table2Config parameterizes the countermeasure experiment.
@@ -197,8 +203,8 @@ func Table2Variants() []string {
 }
 
 // Table2Variant reruns the FWQ experiment with one countermeasure disabled
-// ("None" keeps all of them on) — a single row of Table 2. Its telemetry
-// goes to sink.
+// ("None" keeps all of them on) — a single row of Table 2 and its Figure 3
+// series, reduced as each node is walked. Its telemetry goes to sink.
 func Table2Variant(cfg Table2Config, disabled string, sink *telemetry.Sink) (Table2Row, error) {
 	var variant *table2Variant
 	for i := range table2Variants {
@@ -218,18 +224,31 @@ func Table2Variant(cfg Table2Config, disabled string, sink *telemetry.Sink) (Tab
 		return Table2Row{}, err
 	}
 	fwqCfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: cfg.Duration, Cores: node.AppCores()}
-	analyses, err := apps.FWQAcrossNodes(fwqCfg, node.Host, cfg.Nodes, cfg.Seed)
+	row := Table2Row{Disabled: variant.name}
+	var nodes []noise.Analysis
+	var place int64
+	err = apps.FWQNodes(fwqCfg, node.Host, cfg.Nodes, cfg.Seed, func(cores []apps.FWQCore) error {
+		for i := range cores {
+			a := cores[i].Analysis()
+			row.SeriesMax = max(row.SeriesMax, float64(a.MaxNoise)/float64(time.Microsecond))
+			cores[i].Series(place, 64, 100, func(at int64, us float64) {
+				row.Series = append(row.Series, stats.Point{X: float64(at), Y: us})
+			})
+			place += int64(a.N)
+		}
+		a, err := apps.NodeAnalysis(cores)
+		nodes = append(nodes, a)
+		return err
+	})
 	if err != nil {
 		return Table2Row{}, err
 	}
-	merged, err := noise.Merge(analyses)
+	merged, err := noise.Merge(nodes)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	return Table2Row{
-		Disabled: variant.name, MaxNoise: merged.MaxNoise, NoiseRate: merged.Rate,
-		Lengths: merged.Lengths,
-	}, nil
+	row.MaxNoise, row.NoiseRate = merged.MaxNoise, merged.Rate
+	return row, nil
 }
 
 // --- Figure 4: FWQ latency CDFs -------------------------------------------

@@ -189,10 +189,3 @@ func CompareIsolation(platform apps.PlatformName, appName string, nodes int, ten
 	}
 	return cg, mk, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

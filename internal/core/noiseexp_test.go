@@ -1,10 +1,16 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"mkos/internal/apps"
+	"mkos/internal/cluster"
+	"mkos/internal/noise"
+	"mkos/internal/sim"
+	"mkos/internal/stats"
 )
 
 // TestTable2Driver runs the Table 2 driver at reduced scale and checks the
@@ -35,7 +41,7 @@ func TestTable2Driver(t *testing.T) {
 		if r.Disabled != wantOrder[i] {
 			t.Errorf("row %d = %q, want %q", i, r.Disabled, wantOrder[i])
 		}
-		if len(r.Lengths) == 0 {
+		if len(r.Series) == 0 || r.Series[0].X != 0 {
 			t.Errorf("row %q has no Figure 3 series data", r.Disabled)
 		}
 		byName[r.Disabled] = r
@@ -49,6 +55,77 @@ func TestTable2Driver(t *testing.T) {
 	}
 	if byName["PMU counter reads"].NoiseRate <= base.NoiseRate {
 		t.Error("PMU row must raise the rate")
+	}
+}
+
+// TestTable2VariantMatchesReference checks every row at 2 nodes x 30 s
+// against the timeline path: RunFWQ on each node's Profile.Timeline,
+// noise.Analyze per core, noise.Merge over each node's cores and then over
+// the nodes, and Figure 3's thinning over the concatenated Lengths. Every
+// field and every point must match bit for bit.
+func TestTable2VariantMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("FWQ sweep")
+	}
+	cfg := Table2Config{Nodes: 2, Duration: 30 * time.Second, Seed: 11}
+	for _, v := range table2Variants {
+		got, err := Table2Variant(cfg, v.name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := cluster.Fugaku()
+		v.mutate(p)
+		node, err := p.NewNode(cluster.Linux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fwqCfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: cfg.Duration, Cores: node.AppCores()}
+		want := Table2Row{Disabled: v.name}
+		var nodes []noise.Analysis
+		var place int64
+		base := sim.NewRand(cfg.Seed)
+		for n := 0; n < cfg.Nodes; n++ {
+			run, err := apps.RunFWQ(fwqCfg, node.Host.NoiseProfile().Timeline(cfg.Duration, base.Derive(int64(n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]int, 0, len(run.PerCore))
+			for core := range run.PerCore {
+				keys = append(keys, core)
+			}
+			slices.Sort(keys)
+			var cores []noise.Analysis
+			for _, core := range keys {
+				a, err := noise.Analyze(run.PerCore[core])
+				if err != nil {
+					t.Fatal(err)
+				}
+				cores = append(cores, a)
+			}
+			a, err := noise.Merge(cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, a)
+			for _, l := range a.Lengths {
+				us := float64(l) / float64(time.Microsecond)
+				if place%64 == 0 || us > 100 {
+					want.Series = append(want.Series, stats.Point{X: float64(place), Y: us})
+				}
+				want.SeriesMax = max(want.SeriesMax, us)
+				place++
+			}
+		}
+		m, err := noise.Merge(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.MaxNoise, want.NoiseRate = m.MaxNoise, m.Rate
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: row (max %v, rate %v, series max %v, %d points) differs from the timeline reference's (max %v, rate %v, series max %v, %d points)",
+				v.name, got.MaxNoise, got.NoiseRate, got.SeriesMax, len(got.Series),
+				want.MaxNoise, want.NoiseRate, want.SeriesMax, len(want.Series))
+		}
 	}
 }
 

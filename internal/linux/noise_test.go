@@ -22,11 +22,7 @@ func probeConfig(t *testing.T, tune Tuning, nodes int, dur time.Duration) noise.
 		t.Fatal(err)
 	}
 	cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: dur, Cores: k.AppCores()}
-	as, err := apps.FWQAcrossNodes(cfg, k, nodes, 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := noise.Merge(as)
+	m, err := apps.FWQNoise(cfg, k, nodes, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,11 +167,7 @@ func TestMcKernelQuieterThanLinux(t *testing.T) {
 	}
 	run := func(prof apps.NoiseProfiler, cores []int) noise.Analysis {
 		cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Minute, Cores: cores}
-		as, err := apps.FWQAcrossNodes(cfg, prof, 4, 999)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := noise.Merge(as)
+		m, err := apps.FWQNoise(cfg, prof, 4, 999)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,13 +7,6 @@ import (
 	"mkos/internal/stats"
 )
 
-// FWQResult is the outcome of a Fixed Work Quanta run on one core: the
-// elapsed time of every loop iteration.
-type FWQResult struct {
-	CPU        int
-	Iterations []time.Duration
-}
-
 // Analysis carries the metrics of Sec. 6.3 computed from FWQ samples.
 type Analysis struct {
 	N int
@@ -106,16 +99,6 @@ func IterationCDF(iterations []time.Duration) *stats.CDF {
 		xs[i] = float64(t) / float64(time.Microsecond)
 	}
 	return stats.NewCDF(xs)
-}
-
-// SeriesMicros converts noise lengths into a (sample id, µs) series, the
-// form of Figure 3's time-series plots.
-func SeriesMicros(lengths []time.Duration) stats.Series {
-	var s stats.Series
-	for i, l := range lengths {
-		s.Append(float64(i), float64(l)/float64(time.Microsecond))
-	}
-	return s
 }
 
 // WorstBy returns the indices of the k analyses with the largest total noise

@@ -100,22 +100,6 @@ func TestIterationCDF(t *testing.T) {
 	}
 }
 
-func TestSeriesMicros(t *testing.T) {
-	s := SeriesMicros([]time.Duration{0, 50 * time.Microsecond, 20 * time.Microsecond})
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.V[1] != 50 {
-		t.Fatalf("V[1] = %v", s.V[1])
-	}
-	if s.T[2] != 2 {
-		t.Fatalf("T[2] = %v", s.T[2])
-	}
-	if s.MaxV() != 50 {
-		t.Fatalf("MaxV = %v", s.MaxV())
-	}
-}
-
 func TestWorstBy(t *testing.T) {
 	mk := func(noises ...time.Duration) Analysis {
 		a := Analysis{N: len(noises)}

@@ -76,20 +76,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest element, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between order statistics. The input need not be sorted.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -183,21 +169,3 @@ func (c *CDF) Max() float64 {
 type Point struct {
 	X, Y float64
 }
-
-// Series is an append-only time series of (t, value) samples.
-type Series struct {
-	T []float64
-	V []float64
-}
-
-// Append adds one sample.
-func (s *Series) Append(t, v float64) {
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.T) }
-
-// MaxV returns the largest value in the series, or 0 if empty.
-func (s *Series) MaxV() float64 { return Max(s.V) }

@@ -5,8 +5,8 @@
 # the Figure 7 points, one Fugaku node's noise timeline (Linux and McKernel),
 # a 1,536-node full-machine FWQ campaign (Linux and McKernel) and one
 # lognormal draw (go test -bench, 5 runs, median ns/op and allocs/op), plus
-# `repro -quick` wall time at -j 1 and -j 2 and `go test ./internal/core`
-# wall time (3 runs each, median).
+# `repro -quick` wall and CPU (user+sys) time at -j 1 and -j 2 and `go test
+# ./internal/core` wall time (3 runs each, median).
 #
 # With BASE set to another checkout (for example the parent commit, made
 # with `git archive`), the same measurements run there too and are
@@ -37,6 +37,13 @@ BENCHES='. ^Benchmark(BuddyAllocFree|BuddyFillDrain|BSPStep|Figure7)$
 
 now() { date +%s.%N; }
 since() { awk "BEGIN { printf \"%.2f\", $(now) - $1 }"; }
+# cpu_between A B: the user+sys seconds between two `times` dumps, the
+# children's line of each (`times` must run in this shell, not in $(...),
+# to see the children this shell waited for).
+cpu_between() {
+  awk 'FNR == 2 { split($1, u, /[ms]/); split($2, s, /[ms]/); t[FILENAME] = u[1] * 60 + u[2] + s[1] * 60 + s[2] }
+    END { printf "%.2f", t[ARGV[2]] - t[ARGV[1]] }' "$1" "$2"
+}
 median() { printf '%s\n' "$@" | sort -g | awk '{ a[NR] = $1 } END {
   if (NR % 2) print a[(NR + 1) / 2]; else printf "%.2f\n", (a[NR / 2] + a[NR / 2 + 1]) / 2 }'; }
 
@@ -61,17 +68,20 @@ bench_round() {
   done >>"$TMP/$2.bench"
 }
 
-# times_round DIR LABEL: one timed repro -quick at -j 1 and at -j 2 and one
-# go test ./internal/core, appended to $TMP/LABEL.times as "name seconds"
-# lines; the repro outdirs are left in $TMP/LABEL-jN.
+# times_round DIR LABEL: one timed repro -quick at -j 1 and at -j 2 (wall
+# and CPU) and one go test ./internal/core, appended to $TMP/LABEL.times as
+# "name seconds" lines; the repro outdirs are left in $TMP/LABEL-jN.
 times_round() {
   for j in 1 2; do
     echo "[$2] repro -quick -j $j..."
     rm -rf "$TMP/$2-j$j"
     mkdir -p "$TMP/$2-j$j"
     t0=$(now)
+    times >"$TMP/cpu0"
     "$TMP/repro-$2" -quick -j "$j" -outdir "$TMP/$2-j$j" -metrics "$TMP/$2-j$j/metrics.txt" >/dev/null 2>&1
+    times >"$TMP/cpu1"
     echo "repro_j$j $(since "$t0")" >>"$TMP/$2.times"
+    echo "repro_cpu_j$j $(cpu_between "$TMP/cpu0" "$TMP/cpu1")" >>"$TMP/$2.times"
   done
   echo "[$2] go test ./internal/core..."
   t0=$(now)
@@ -125,14 +135,23 @@ emit() {
 "
   done
   printf '\n    },\n    "wall_s": {\n'
+  timings "$1" repro_j1 repro_j2 core_test
+  printf '\n    },\n    "cpu_s": {\n'
+  timings "$1" repro_cpu_j1 repro_cpu_j2
+  printf '\n    }'
+}
+
+# timings LABEL NAME...: each timing's samples and median, as JSON members.
+timings() {
+  label=$1
+  shift
   sep=""
-  for n in repro_j1 repro_j2 core_test; do
-    v=$(values "$1" "$n")
+  for n in "$@"; do
+    v=$(values "$label" "$n")
     printf '%s      "%s": {"median": %s, "runs": [%s]}' "$sep" "$n" "$(median $v)" "$(echo $v | tr ' ' ',')"
     sep=",
 "
   done
-  printf '\n    }'
 }
 
 # ratio NAME: before median / after median.
@@ -166,7 +185,7 @@ fi
 mkdir -p "$(dirname "$OUT")"
 {
   echo "{"
-  echo "  \"note\": \"Model-kernel benchmarks: go test -bench medians over $COUNT rounds of -count 1 (ns/op, B/op, allocs/op), and wall-time medians over $REPEAT rounds of repro -quick at -j 1/-j 2 and of go test -count=1 ./internal/core; with a before side the two trees alternate round by round. Speedups are before/after medians. Regenerate with 'make bench-models' (BASE=<parent checkout> for the before side).\","
+  echo "  \"note\": \"Model-kernel benchmarks: go test -bench medians over $COUNT rounds of -count 1 (ns/op, B/op, allocs/op), wall-time medians over $REPEAT rounds of repro -quick at -j 1/-j 2 and of go test -count=1 ./internal/core, and CPU-time (user+sys) medians of the same repro runs; with a before side the two trees alternate round by round. Speedups are before/after medians. Regenerate with 'make bench-models' (BASE=<parent checkout> for the before side).\","
   echo "  \"recorded\": \"$(date -u +%Y-%m-%d)\","
   echo "  \"host\": {\"goos\": \"$($GO env GOOS)\", \"goarch\": \"$($GO env GOARCH)\", \"cores\": $(getconf _NPROCESSORS_ONLN), \"go\": \"$($GO env GOVERSION)\"},"
   if [ -n "$BASE" ]; then
@@ -183,7 +202,7 @@ mkdir -p "$(dirname "$OUT")"
     echo "  },"
     echo "  \"speedup\": {"
     sep=""
-    for n in $(names after) repro_j1 repro_j2 core_test; do
+    for n in $(names after) repro_j1 repro_j2 repro_cpu_j1 repro_cpu_j2 core_test; do
       if [ -n "$(values before "$n")" ]; then
         printf '%s    "%s": %s' "$sep" "$n" "$(ratio "$n")"
         sep=",
