@@ -18,8 +18,8 @@ vet:
 	$(GO) vet ./...
 
 # lint runs simlint, the bespoke determinism-and-invariant multichecker
-# (forbidden, walltime, maporder, simtime, lockguard, ctxflow,
-# opstaint — see internal/lint/README.md). Exits 1 on any finding;
+# (forbidden, maporder, simtime, lockguard, ctxflow, opstaint — see
+# internal/lint/README.md). Exits 1 on any finding;
 # suppress a justified one with //simlint:allow <check> — <reason>,
 # except a forbidden finding, whose exceptions are rows of its table.
 lint:

@@ -43,7 +43,6 @@ var (
 	cacheDir    = flag.String("cache-dir", "", "reuse cached trial results from this directory")
 	tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
 	metricsPath = flag.String("metrics", "", "write the deterministic metrics dump to this file")
-	profilePath = flag.String("profile", "", "write the engine profiler report (host wall times, non-deterministic)")
 	opsTrace    = flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 )
 
@@ -141,7 +140,6 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	}{
 		{*metricsPath, sink.WriteMetricsFile},
 		{*tracePath, sink.WriteTraceFile},
-		{*profilePath, sink.WriteProfileFile},
 	} {
 		if w.path != "" {
 			if err := w.fn(w.path); err != nil {

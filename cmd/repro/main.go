@@ -43,7 +43,6 @@ var (
 	cacheDir    = flag.String("cache-dir", "", "reuse cached trial results from this directory")
 	tracePath   = flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto / chrome://tracing)")
 	metricsPath = flag.String("metrics", "", "write the deterministic metrics dump to this file")
-	profilePath = flag.String("profile", "", "write the engine profiler report (host wall times, non-deterministic)")
 	opsTrace    = flag.String("ops-trace", "", "write the wall-clock ops flight recorder (Chrome trace JSON) to this file")
 	shards      = flag.Int("shards", 4, "shard count for the full-machine FWQ stage (result is shard-count invariant)")
 )
@@ -251,7 +250,6 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	}{
 		{*metricsPath, sink.WriteMetricsFile, "metrics"},
 		{*tracePath, sink.WriteTraceFile, "trace"},
-		{*profilePath, sink.WriteProfileFile, "profile"},
 	} {
 		if w.path == "" {
 			continue
@@ -343,7 +341,6 @@ func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry
 	}
 	eng := sim.NewEngine()
 	eng.SetCancelHook(func() bool { return ctx.Err() != nil }, 0)
-	sink.AttachEngine(eng)
 	d := mckernel.NewDelegator(node.LWK, eng)
 	proc, err := node.LWK.Spawn("ops-probe", 1)
 	if err != nil {
@@ -376,6 +373,7 @@ func runOpsStage(ctx context.Context, out io.Writer, quick bool, sink *telemetry
 	}
 	issue(0)
 	eng.Run()
+	sink.PublishEngine(eng, 0)
 	if issueErr != nil {
 		return issueErr
 	}

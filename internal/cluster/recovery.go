@@ -115,15 +115,11 @@ func NewResilientScheduler(p *Platform, inj *fault.Injector, pol RecoveryPolicy)
 	if inj == nil {
 		inj = fault.NewInjector(fault.Rates{}, 0)
 	}
-	eng := sim.NewEngine()
-	// Every event the recovery machinery schedules lands in the platform
-	// sink's profiler: per-handler counts, queue-depth high-water mark.
-	p.Sink.AttachEngine(eng)
 	return &ResilientScheduler{
 		JobScheduler: NewJobScheduler(p),
 		Injector:     inj,
 		Policy:       pol,
-		Engine:       eng,
+		Engine:       sim.NewEngine(),
 		Report:       &fault.FailureReport{Seed: inj.Seed()},
 		nodeFailures: make(map[int]int),
 		blacklisted:  make(map[int]bool),
@@ -196,8 +192,10 @@ func (rs *ResilientScheduler) Submit(w bsp.Workload, g bsp.Geometry, nodes int, 
 	rs.Engine.Schedule(0, fmt.Sprintf("job%d-start", job.ID), func(*sim.Engine) {
 		rs.runAttempt(job, os, seed, 0, 0)
 	})
+	fired := rs.Engine.Fired()
 	//simlint:allow ctxflow — Submit is a deterministic run-to-completion replay: the engine drains synchronously on the caller's goroutine, and cancellation (when wanted) is the engine cancel hook, not a ctx
 	runErr := rs.Engine.Run()
+	rs.Platform.Sink.PublishEngine(rs.Engine, fired)
 	rs.Report.Makespan = rs.Engine.Now().Duration()
 	if runErr != nil {
 		// Interrupted (cancel hook or event budget) with events still

@@ -13,8 +13,8 @@ import (
 // A finding is silenced with a //simlint:allow directive naming the check
 // and giving a non-empty reason after an em-dash (or "--"):
 //
-//	//simlint:allow walltime — host-side profiling, never simulation state
-//	start := time.Now()
+//	//simlint:allow ctxflow — a root context for the demo, not a request path
+//	ctx := context.Background()
 //
 // Placed on its own line, the directive covers the complete construct
 // that starts on the next code line — a statement (however many lines it

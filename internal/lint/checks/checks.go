@@ -1,13 +1,13 @@
-// Package checks holds the seven simlint analyzers. Each one encodes a
+// Package checks holds the six simlint analyzers. Each one encodes a
 // determinism or safety invariant of the simulator that the end-to-end
 // double-run cmp gates can only witness after the fact; the analyzers
 // catch the violation at the offending line instead. forbidden applies
 // the module's table of forbidden imports and calls from syntax alone
-// (a tier-1 test applies the same table to the tree); walltime,
-// maporder and simtime are per-file syntax-and-types checks; lockguard,
-// ctxflow and opstaint use the framework's cross-package facts and
-// dataflow. See internal/lint/README.md for the catalogue, example
-// findings and the suppression syntax.
+// (a tier-1 test applies the same table to the tree); maporder and
+// simtime are per-file syntax-and-types checks; lockguard, ctxflow and
+// opstaint use the framework's cross-package facts and dataflow. See
+// internal/lint/README.md for the catalogue, example findings and the
+// suppression syntax.
 package checks
 
 import (
@@ -21,7 +21,7 @@ import (
 // All returns the full analyzer suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Forbidden, Walltime, Maporder, Simtime,
+		Forbidden, Maporder, Simtime,
 		Lockguard, Ctxflow, Opstaint,
 	}
 }

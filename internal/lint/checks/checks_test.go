@@ -11,16 +11,6 @@ import (
 // Each corpus demonstrates at least one caught violation (want-comment)
 // and one accepted suppression (//simlint:allow with no want).
 
-func TestWalltime(t *testing.T) {
-	linttest.Run(t, checks.Walltime, "testdata/walltime", "mkos/internal/fake/walltime")
-}
-
-// TestWalltimeOpsAllowlist loads the same kind of code under a cmd/
-// path, where the host clock is legal: zero findings expected.
-func TestWalltimeOpsAllowlist(t *testing.T) {
-	linttest.Run(t, checks.Walltime, "testdata/walltime_ops", "mkos/cmd/fake")
-}
-
 func TestMaporder(t *testing.T) {
 	linttest.Run(t, checks.Maporder, "testdata/maporder", "mkos/internal/fake/maporder")
 }
@@ -35,7 +25,7 @@ func TestSimtime(t *testing.T) {
 // (however many lines it spans), and a trailing directive covers only
 // its line.
 func TestSuppressionHandling(t *testing.T) {
-	linttest.Run(t, checks.Walltime, "testdata/suppress", "mkos/internal/fake/suppress")
+	linttest.Run(t, checks.Forbidden, "testdata/suppress", "mkos/internal/fake/suppress")
 }
 
 func TestLockguard(t *testing.T) {

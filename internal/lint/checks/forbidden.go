@@ -32,6 +32,15 @@ var rules = []rule{
 			"draws are a pure function of its seed",
 	},
 	{
+		// Pure time values and arithmetic (time.Duration, time.Unix) carry
+		// no ambient clock and stay legal.
+		scope: func(p string) bool { return !isOpsPackage(p) },
+		calls: []string{"time.Now", "time.Since", "time.Until", "time.Sleep", "time.After",
+			"time.Tick", "time.NewTimer", "time.NewTicker", "time.AfterFunc"},
+		why: "simulated time must come from the engine (sim.Engine.Now, sim.Timer); the host " +
+			"clock is legal only in ops-side packages (internal/sweep, cmd/*)",
+	},
+	{
 		scope:   func(p string) bool { return !isOpsPackage(p) },
 		imports: []string{"mkos/internal/telemetry/ops"},
 		why: "the ops flight recorder is wall-clock, process-wide state; deterministic code " +
@@ -117,8 +126,8 @@ func Violations(pkgPath string, f *ast.File) []Violation {
 // applies the same table to the tree and honors no directive.
 var Forbidden = &analysis.Analyzer{
 	Name: "forbidden",
-	Doc: "forbid math/rand everywhere, internal/telemetry/ops in deterministic packages, " +
-		"and os.Exit/log.Fatal* in cmd/ outside the runner, simd and simlint",
+	Doc: "forbid math/rand everywhere, host-clock reads and internal/telemetry/ops in " +
+		"deterministic packages, and os.Exit/log.Fatal* in cmd/ outside the runner, simd and simlint",
 	Run: func(pass *analysis.Pass) error {
 		for _, f := range pass.Files {
 			for _, v := range Violations(pass.Pkg.Path(), f) {

@@ -45,6 +45,59 @@ func main() { _ = rand.N(3) }`, []string{"imports math/rand/v2"}},
 import "mkos/internal/sim"
 func draw(r *sim.Rand) float64 { return r.Float64() }`, nil},
 
+		// The host clock, in deterministic packages.
+		{"clock reads and waits in a deterministic package", "mkos/internal/fake/walltime", `package walltime
+import "time"
+const tick = 10 * time.Millisecond
+func bad() time.Duration {
+	t0 := time.Now()
+	time.Sleep(tick)
+	tm := time.NewTimer(tick)
+	tm.Stop()
+	<-time.After(tick)
+	_ = time.Tick(tick)
+	time.NewTicker(tick).Stop()
+	_ = time.Until(t0)
+	return time.Since(t0)
+}`, []string{
+			"package mkos/internal/fake/walltime calls time.Now: simulated time must come from the engine",
+			"calls time.Sleep", "calls time.NewTimer", "calls time.After", "calls time.Tick",
+			"calls time.NewTicker", "calls time.Until", "calls time.Since",
+		}},
+		{"time.Now in noise", "mkos/internal/noise", `package noise
+import "time"
+func seed() int64 { return time.Now().UnixNano() }`, []string{"package mkos/internal/noise calls time.Now"}},
+		{"time.Since in sim, past a directive", "mkos/internal/sim", `package sim
+import "time"
+func elapsed(t0 time.Time) time.Duration {
+	//simlint:allow forbidden — a directive exempts no row
+	return time.Since(t0)
+}`, []string{"package mkos/internal/sim calls time.Since"}},
+		{"time.AfterFunc in bsp through a renamed import", "mkos/internal/bsp", `package bsp
+import clock "time"
+func arm(f func()) { clock.AfterFunc(clock.Second, f) }`, []string{"package mkos/internal/bsp calls time.AfterFunc"}},
+		{"clock read in a cancel hook", "mkos/internal/fake/hook", `package hook
+import "time"
+func install(d time.Duration, set func(func() bool)) {
+	deadline := time.Now().Add(d)
+	set(func() bool { return time.Now().After(deadline) })
+}`, []string{"calls time.Now", "calls time.Now"}},
+		{"clock read in sweep campaigns", "mkos/internal/sweep/campaigns", `package campaigns
+import "time"
+var start = time.Now()`, []string{"package mkos/internal/sweep/campaigns calls time.Now"}},
+		{"pure time values and arithmetic", "mkos/internal/fake/walltime", `package walltime
+import "time"
+func good(d time.Duration, t time.Time) (time.Duration, time.Time) {
+	return d + time.Millisecond, t.Add(d).Round(time.Second)
+}
+var epoch = time.Unix(0, 0)`, nil},
+		{"clock reads under a cmd", "mkos/cmd/fake", `package main
+import "time"
+func main() { start := time.Now(); time.Sleep(time.Millisecond); _ = time.Since(start) }`, nil},
+		{"clock reads in the sweep orchestrator", "mkos/internal/sweep", `package sweep
+import "time"
+func deadline(d time.Duration) <-chan time.Time { return time.After(d) }`, nil},
+
 		// internal/telemetry/ops, in deterministic packages.
 		{"ops and ops log in a deterministic package", "mkos/internal/fake/opsbound", `package opsbound
 import (

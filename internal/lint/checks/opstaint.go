@@ -11,9 +11,9 @@ import (
 // Opstaint tracks wall-clock values through the call graph and flags the
 // point where one reaches the simulation.
 //
-// Walltime and the Forbidden table police direct calls and imports: a
-// deterministic package may not read the host clock or touch the flight
-// recorder. What they cannot see is laundering — an ops-side helper that returns
+// The Forbidden table polices direct calls and imports: a deterministic
+// package may not read the host clock or touch the flight recorder. What
+// it cannot see is laundering — an ops-side helper that returns
 // time.Since(start), stored in a config struct, handed to a trial unit,
 // and finally passed to Engine.Schedule. The byte-identity gates catch
 // that only when two runs happen to diverge; opstaint catches it at the

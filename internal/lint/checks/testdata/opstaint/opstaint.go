@@ -33,7 +33,7 @@ func badTelemetry(sink *telemetry.Sink) {
 }
 
 // goodHostSide keeps the host observation in host-side state: no sink,
-// no finding (walltime polices the package boundary separately).
+// no finding (the forbidden table polices the package boundary separately).
 func goodHostSide() time.Duration {
 	return elapsed(time.Now())
 }

@@ -7,27 +7,35 @@ package suppress
 import "time"
 
 func missingReason() {
-	//simlint:allow walltime // want "missing its reason"
-	t := time.Now() // want "wall-clock time\\.Now"
+	//simlint:allow forbidden // want "missing its reason"
+	t := time.Now() // want "calls time\\.Now"
 	_ = t
 }
 
 func wrongCheckName() {
 	//simlint:allow waltime — typo in the check name // want "unknown check \"waltime\""
-	t := time.Now() // want "wall-clock time\\.Now"
+	t := time.Now() // want "calls time\\.Now"
+	_ = t
+}
+
+// retiredCheckName: the host-clock rule is a row of the forbidden table,
+// so walltime names no check.
+func retiredCheckName() {
+	//simlint:allow walltime — the analyzer became a table row // want "unknown check \"walltime\""
+	t := time.Now() // want "calls time\\.Now"
 	_ = t
 }
 
 func scopedToNextStatementOnly() {
-	//simlint:allow walltime — corpus example: first statement is covered, second is not
+	//simlint:allow forbidden — corpus example: first statement is covered, second is not
 	t0 := time.Now()
-	t1 := time.Now() // want "wall-clock time\\.Now"
+	t1 := time.Now() // want "calls time\\.Now"
 	_, _ = t0, t1
 }
 
 func trailingCoversItsLineOnly() {
-	t0 := time.Now() //simlint:allow walltime — corpus example: trailing form covers this line
-	t1 := time.Now() // want "wall-clock time\\.Now"
+	t0 := time.Now() //simlint:allow forbidden — corpus example: trailing form covers this line
+	t1 := time.Now() // want "calls time\\.Now"
 	_, _ = t0, t1
 }
 
@@ -36,24 +44,24 @@ func trailingCoversItsLineOnly() {
 // lines, and every finding inside it — including one on the last line —
 // is suppressed. The statement after it is not.
 func multiLineStatementFullyCovered() {
-	//simlint:allow walltime — corpus example: the whole multi-line statement is covered
+	//simlint:allow forbidden — corpus example: the whole multi-line statement is covered
 	consume(
 		time.Now(),
 		time.Now(),
 		time.Now())
-	t := time.Now() // want "wall-clock time\\.Now"
+	t := time.Now() // want "calls time\\.Now"
 	_ = t
 }
 
 // multiLineBlockFullyCovered does the same for a statement with a nested
 // block: an if whose body spans lines.
 func multiLineBlockFullyCovered(cond bool) {
-	//simlint:allow walltime — corpus example: the directive covers the if statement and its body
+	//simlint:allow forbidden — corpus example: the directive covers the if statement and its body
 	if cond {
 		t := time.Now()
 		_ = t
 	}
-	t := time.Now() // want "wall-clock time\\.Now"
+	t := time.Now() // want "calls time\\.Now"
 	_ = t
 }
 

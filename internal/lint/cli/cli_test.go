@@ -76,9 +76,9 @@ func TestExitCodeContract(t *testing.T) {
 	}{
 		{name: "clean tree", args: []string{"-dir", clean, "./..."}, want: cli.ExitClean},
 		{name: "findings", args: []string{"-dir", dirty}, want: cli.ExitFindings,
-			stdoutHas: "[walltime] wall-clock time.Now"},
+			stdoutHas: "[forbidden] package fakemod/b calls time.Now"},
 		{name: "findings as json", args: []string{"-json", "-dir", dirty}, want: cli.ExitFindings,
-			stdoutHas: `"check": "walltime"`},
+			stdoutHas: `"check": "forbidden"`},
 		{name: "findings as file:line list", args: []string{"-l", "-dir", dirty}, want: cli.ExitFindings,
 			stdoutHas: "b.go:5"},
 		{name: "check subset skips the finding", args: []string{"-checks", "maporder", "-dir", dirty},
@@ -152,11 +152,11 @@ func use(t sim.Time) {}
 const fixGolden = `{
   "findings": [
     {
-      "check": "walltime",
+      "check": "forbidden",
       "file": "$DIR/b/b.go",
       "line": 5,
       "col": 29,
-      "message": "wall-clock time.Now in deterministic package fakemod/b: simulated time must come from the engine (sim.Engine.Now, sim.Timer); wall clock is legal only in ops-side packages (internal/sweep, cmd/*)"
+      "message": "package fakemod/b calls time.Now: simulated time must come from the engine (sim.Engine.Now, sim.Timer); the host clock is legal only in ops-side packages (internal/sweep, cmd/*)"
     },
     {
       "check": "simtime",
@@ -176,7 +176,7 @@ const fixGolden = `{
 
 // TestFixContract drives simlint -fix end to end: the JSON document
 // matches the golden (field order is part of the contract), the fixable
-// finding is rewritten on disk, the unfixable walltime finding keeps the
+// finding is rewritten on disk, the unfixable forbidden finding keeps the
 // exit at 1, and a second -fix run changes nothing (idempotence). A tree
 // whose only finding is fixable exits 0 after the rewrite.
 func TestFixContract(t *testing.T) {
@@ -257,7 +257,7 @@ func TestJSONDocumentShape(t *testing.T) {
 		t.Fatalf("findings = %d, want 1:\n%s", len(doc.Findings), stdout.String())
 	}
 	f := doc.Findings[0]
-	if f.Check != "walltime" || f.Line != 5 || !strings.HasSuffix(f.File, "b.go") || f.Message == "" {
+	if f.Check != "forbidden" || f.Line != 5 || !strings.HasSuffix(f.File, "b.go") || f.Message == "" {
 		t.Errorf("unexpected finding: %+v", f)
 	}
 }

@@ -6,7 +6,7 @@
 //
 // The split mirrors sweep's Outcome.Ops: internal/shard itself sits inside
 // the determinism boundary (no host clock, no ops import — enforced by
-// simlint's walltime analyzer and forbidden table), while everything measured
+// simlint's forbidden table), while everything measured
 // here is inherently host-dependent. Barrier waits change with core count
 // and load; cross-shard message counts change with the partition. None of
 // it may leak into byte-compared artifacts, so none of it lives anywhere

@@ -4,44 +4,18 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"runtime"
-	"strings"
-	"time"
 )
 
 // Event is a scheduled callback. Events fire in (At, seq) order: ties on the
 // clock are broken by scheduling order, which keeps the simulation
 // deterministic regardless of heap internals.
 type Event struct {
-	At   Time
-	Fn   func(e *Engine)
-	Name string // optional label, consumed by the engine observer and traces
+	At Time
+	Fn func(e *Engine)
 
 	seq   uint64
-	index int    // heap index; -1 once popped or cancelled
-	dead  bool   // set by Cancel
-	sub   string // callsite subsystem, filled for unnamed events when observed
-}
-
-// Label returns the name the observer aggregates this event under: the
-// explicit Name when set, otherwise the callsite subsystem captured at
-// scheduling time (e.g. "(mckernel)").
-func (ev *Event) Label() string {
-	if ev.Name != "" {
-		return ev.Name
-	}
-	if ev.sub != "" {
-		return ev.sub
-	}
-	return "(unnamed)"
-}
-
-// Observer watches engine dispatch. ObserveEvent runs after each event's
-// handler with the event's label, its firing instant, the host wall time the
-// handler consumed, and the pending-queue depth at dispatch. Wall times are
-// host measurements — profiling data, never simulation state.
-type Observer interface {
-	ObserveEvent(label string, at Time, wall Duration, pending int)
+	index int  // heap index; -1 once popped or cancelled
+	dead  bool // set by Cancel
 }
 
 // Cancelled reports whether the event was cancelled before firing.
@@ -90,8 +64,7 @@ type Engine struct {
 	seq      uint64
 	stopped  bool
 	fired    uint64
-	maxQueue int
-	observer Observer
+	maxQueue int // pending events after a handler returned, at most
 
 	budgetLimit uint64 // absolute fired-count ceiling; 0 = unlimited
 	cancelHook  func() bool
@@ -119,8 +92,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// QueueHighWater returns the largest queue depth the engine has held — the
-// capacity-planning number for the event heap.
+// QueueHighWater returns the largest number of events left pending after a
+// dispatched handler returned, the events it scheduled included.
 func (e *Engine) QueueHighWater() int { return e.maxQueue }
 
 // NextAt returns the instant of the earliest pending event. The second
@@ -133,11 +106,6 @@ func (e *Engine) NextAt() (Time, bool) {
 	}
 	return e.queue[0].At, true
 }
-
-// SetObserver installs (or clears, with nil) the dispatch observer. With an
-// observer attached the engine measures per-handler host wall time and labels
-// unnamed events by their scheduling callsite's subsystem.
-func (e *Engine) SetObserver(o Observer) { e.observer = o }
 
 // ErrPastEvent is returned by ScheduleAt when the requested instant precedes
 // the current clock.
@@ -211,7 +179,7 @@ func (e *Engine) EventBudgetRemaining() uint64 {
 // pending queue is left intact for inspection.
 //
 // The hook must be cheap and must not touch engine state; typically it reads
-// an atomic flag or compares against a host deadline.
+// an atomic flag that the other goroutine raises.
 func (e *Engine) SetCancelHook(fn func() bool, pollEvery int) {
 	e.cancelHook = fn
 	if pollEvery <= 0 {
@@ -219,21 +187,6 @@ func (e *Engine) SetCancelHook(fn func() bool, pollEvery int) {
 	} else {
 		e.cancelEvery = uint64(pollEvery)
 	}
-}
-
-// SetWallDeadline arms a last-resort runaway guard against the host clock:
-// once d of wall time elapses, the next cancel-hook poll stops the run with
-// ErrCanceled. Unlike the event budget this is inherently non-deterministic
-// (the same simulation stops at different events on different machines), so
-// it is only for ops-side protection — sweep trial timeouts, CI hang guards —
-// never for model logic. It replaces any previously installed cancel hook.
-func (e *Engine) SetWallDeadline(d time.Duration, pollEvery int) {
-	//simlint:allow walltime — host-side runaway guard: the deadline bounds the run, it never enters simulation state
-	deadline := time.Now().Add(d)
-	e.SetCancelHook(func() bool {
-		//simlint:allow walltime — host-side runaway guard comparison; the result aborts the run, it never enters simulation state
-		return time.Now().After(deadline)
-	}, pollEvery)
 }
 
 // interrupted reports why the run loop must stop before dispatching the next
@@ -252,7 +205,8 @@ func (e *Engine) interrupted() error {
 }
 
 // ScheduleAt enqueues fn to run at instant at. It panics if at precedes the
-// current clock, because silently reordering the past would corrupt a model.
+// current clock, because silently reordering the past would corrupt a model;
+// name identifies the event in that panic.
 func (e *Engine) ScheduleAt(at Time, name string, fn func(*Engine)) *Event {
 	if e.interruptedErr != nil {
 		panic(fmt.Errorf("%w: at=%v (%s) after %v; call ClearInterrupted to resume deliberately",
@@ -262,43 +216,9 @@ func (e *Engine) ScheduleAt(at Time, name string, fn func(*Engine)) *Event {
 		panic(fmt.Errorf("%w: now=%v at=%v (%s)", ErrPastEvent, e.now, at, name))
 	}
 	e.seq++
-	ev := &Event{At: at, Fn: fn, Name: name, seq: e.seq}
-	if name == "" && e.observer != nil {
-		ev.sub = callerSubsystem()
-	}
+	ev := &Event{At: at, Fn: fn, seq: e.seq}
 	heap.Push(&e.queue, ev)
-	if len(e.queue) > e.maxQueue {
-		e.maxQueue = len(e.queue)
-	}
 	return ev
-}
-
-// callerSubsystem walks up the stack past the sim package and returns the
-// first foreign caller's package name, parenthesized — the aggregation key
-// for events scheduled without a name.
-func callerSubsystem() string {
-	var pcs [8]uintptr
-	n := runtime.Callers(2, pcs[:])
-	frames := runtime.CallersFrames(pcs[:n])
-	for {
-		f, more := frames.Next()
-		if f.Function != "" && !strings.Contains(f.Function, "mkos/internal/sim.") {
-			// f.Function looks like "mkos/internal/mckernel.(*Delegator).Issue"
-			// or "main.main"; the package name is the segment between the last
-			// slash and the next dot.
-			fn := f.Function
-			if i := strings.LastIndexByte(fn, '/'); i >= 0 {
-				fn = fn[i+1:]
-			}
-			if i := strings.IndexByte(fn, '.'); i >= 0 {
-				fn = fn[:i]
-			}
-			return "(" + fn + ")"
-		}
-		if !more {
-			return "(unnamed)"
-		}
-	}
 }
 
 // Schedule enqueues fn to run after delay d.
@@ -327,18 +247,11 @@ func (e *Engine) Step() bool {
 	ev := heap.Pop(&e.queue).(*Event)
 	e.now = ev.At
 	e.fired++
-	if obs := e.observer; obs != nil {
-		//simlint:allow walltime — host-side profiling of handler cost for the observer; never enters simulation state
-		start := time.Now()
-		if ev.Fn != nil {
-			ev.Fn(e)
-		}
-		//simlint:allow walltime — host-side profiling measurement handed to the observer, not simulation state
-		obs.ObserveEvent(ev.Label(), ev.At, time.Since(start), len(e.queue))
-		return true
-	}
 	if ev.Fn != nil {
 		ev.Fn(e)
+	}
+	if len(e.queue) > e.maxQueue {
+		e.maxQueue = len(e.queue)
 	}
 	return true
 }

@@ -2,14 +2,12 @@ package sim
 
 import "testing"
 
-// The no-observer dispatch path is the hot loop of every deterministic
-// trial: with observation disabled (the default), popping and firing an
-// event must not allocate, so attaching the ops-side observability stack
-// elsewhere in the process costs trials nothing. The benchmark reports
-// the numbers (expect 0 B/op, 0 allocs/op); the AllocsPerRun test below
-// turns the property into a hard gate.
+// Dispatch is the hot loop of every deterministic trial: popping and
+// firing an event must not allocate. The benchmark reports the numbers
+// (expect 0 B/op, 0 allocs/op); the AllocsPerRun test below turns the
+// property into a hard gate.
 
-func BenchmarkEngineObserverDisabled(b *testing.B) {
+func BenchmarkEngineDispatch(b *testing.B) {
 	e := NewEngine()
 	fn := func(*Engine) {}
 	for i := 0; i < b.N; i++ {
@@ -38,6 +36,6 @@ func TestEngineDispatchNoObserverZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("no-observer dispatch allocated %.1f allocs/op, want 0", allocs)
+		t.Fatalf("dispatch allocated %.1f allocs/op, want 0", allocs)
 	}
 }

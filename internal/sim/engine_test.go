@@ -319,15 +319,29 @@ func TestEngineCancelHook(t *testing.T) {
 	}
 }
 
-// TestEngineWallDeadline: the host-clock guard cancels a runaway run.
-func TestEngineWallDeadline(t *testing.T) {
+// TestEngineQueueHighWater pins the mark sim.queue_depth_hwm publishes:
+// the events left pending after a handler returned, the ones it scheduled
+// included. Scheduling alone does not raise it.
+func TestEngineQueueHighWater(t *testing.T) {
 	e := NewEngine()
-	var spin func(*Engine)
-	spin = func(en *Engine) { en.Schedule(Nanosecond, "spin", spin) }
-	e.Schedule(0, "spin", spin)
-	e.SetWallDeadline(10*time.Millisecond, 64)
-	if err := e.Run(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Run = %v, want ErrCanceled from the wall deadline", err)
+	for i := 0; i < 5; i++ {
+		e.Schedule(Duration(i+1)*Nanosecond, "ev", func(*Engine) {})
+	}
+	if e.QueueHighWater() != 0 {
+		t.Fatalf("HWM before any dispatch = %d, want 0", e.QueueHighWater())
+	}
+	e.Run()
+	if e.QueueHighWater() != 4 {
+		t.Fatalf("HWM = %d, want 4: five queued, one dispatched", e.QueueHighWater())
+	}
+	e.Schedule(Nanosecond, "spawner", func(en *Engine) {
+		for i := 0; i < 8; i++ {
+			en.Schedule(Duration(i+1)*Nanosecond, "child", func(*Engine) {})
+		}
+	})
+	e.Run()
+	if e.QueueHighWater() != 8 {
+		t.Fatalf("HWM after nested burst = %d, want 8", e.QueueHighWater())
 	}
 }
 

@@ -162,3 +162,18 @@ func TestFaultPointMatchesSerialReport(t *testing.T) {
 		t.Fatalf("report jobs = %d, want %d", got.Report.Jobs, spec.Jobs)
 	}
 }
+
+// TestFaultSweepEngineCounts pins the recovery engines' counts in the
+// merged registry to what `faultexp -jobs 2 -nodes 4` publishes: 73 events
+// over the ten points and a pending high-water mark of 4. The resilient
+// scheduler publishes its engine after each job it drains.
+func TestFaultSweepEngineCounts(t *testing.T) {
+	specs := campaigns.FaultPoints("fugaku", []float64{0, 0.5, 1, 2, 4}, campaigns.DefaultFaultRates(), 2, 4, 42)
+	_, o := runArtifacts(t, campaigns.FaultSweep("faultexp", specs, 42), 2)
+	if got := o.Registry.CounterValue("sim.events_fired"); got != 73 {
+		t.Errorf("sim.events_fired = %d, want 73", got)
+	}
+	if got := o.Registry.Gauge("sim.queue_depth_hwm").Value(); got != 4 {
+		t.Errorf("sim.queue_depth_hwm = %g, want 4", got)
+	}
+}

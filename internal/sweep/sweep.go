@@ -24,8 +24,8 @@
 //
 // Wall-clock measurements (per-trial runtimes, pool utilization, ETA) are
 // inherently non-deterministic and therefore live in a separate ops registry
-// (Outcome.Ops), never in the merged deterministic registry — the same
-// split the telemetry package makes between Registry and Profiler.
+// (Outcome.Ops), never in the merged deterministic registry, which holds
+// only what the trials computed from simulated time and their seeds.
 package sweep
 
 import (

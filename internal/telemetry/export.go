@@ -26,16 +26,6 @@ func (s *Sink) WriteTraceFile(path string) error {
 	return writeFile(path, "trace", s.rec.WriteChromeTrace)
 }
 
-// WriteProfileFile dumps the sink's engine profiler report. The report
-// contains host wall times and is NOT deterministic across runs — it never
-// belongs next to the metrics dump in a regression diff.
-func (s *Sink) WriteProfileFile(path string) error {
-	return writeFile(path, "profile", func(w io.Writer) error {
-		_, err := s.prof.WriteTo(w)
-		return err
-	})
-}
-
 func writeFile(path, kind string, write func(io.Writer) error) error {
 	if path == "" {
 		return nil

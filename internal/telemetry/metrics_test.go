@@ -199,7 +199,7 @@ func TestNilSinkDiscards(t *testing.T) {
 	s.Histogram("z", []float64{1}).Observe(0.5)
 	s.Span("cat", "span", 0, 0, 0, 1)
 	s.Instant("cat", "instant", 0, 0, 1)
-	s.AttachEngine(sim.NewEngine())
+	s.PublishEngine(sim.NewEngine(), 0)
 	if s.TraceEnabled() {
 		t.Fatal("nil sink traces")
 	}

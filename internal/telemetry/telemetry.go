@@ -1,16 +1,16 @@
 // Package telemetry is the unified observability substrate of the simulator:
 // a metrics registry (counters, gauges, fixed-bucket histograms) with a
-// byte-deterministic text dump, a sim-time trace recorder exporting Chrome
-// trace_event JSON (opens in Perfetto / chrome://tracing), and an engine
-// profiler for simulator hot spots.
+// byte-deterministic text dump and a sim-time trace recorder exporting
+// Chrome trace_event JSON (opens in Perfetto / chrome://tracing).
 //
 // The paper's methodology is exactly this kind of whole-stack observability:
 // Sec. 4.2.1 attributes noise to its source with ftrace and execution-time
 // profiling, and Eqs. 1-2 quantify what was observed. The instrumented
 // subsystems (sim, mckernel, linux, cluster, fault, bsp, noise) all publish
 // into one Sink so cross-layer questions — "how many syscall offloads, page
-// faults and IKC round trips did this job cost, and where did the wall time
-// go?" — have one answer surface.
+// faults and IKC round trips did this job cost?" — have one answer
+// surface. Where the host's wall time went is the ops side's question
+// (internal/telemetry/ops), never this package's.
 //
 // Plumbing: there is no process-wide sink. Whoever owns a run creates one
 // with NewSink — a sweep trial (sweep.T.Sink), a shard (shard.Shard.Sink),
@@ -22,32 +22,41 @@
 // A component built without a sink carries a nil *Sink, and a nil *Sink
 // keeps nothing: Counter, Gauge and Histogram return working handles that
 // belong to no registry, Span and Instant record nothing, TraceEnabled
-// reports false and AttachEngine attaches nothing. That is the only rule
+// reports false and PublishEngine publishes nothing. That is the only rule
 // for the sinkless case; event sites never test for nil themselves.
 //
 // Determinism contract: everything recorded into the Registry and the
-// Recorder derives from simulated time and seeded randomness only. Host
-// wall-clock measurements exist solely in the Profiler report. Two runs with
-// the same seed produce byte-identical metrics dumps and trace JSON
-// (enforced by the determinism regression test).
+// Recorder derives from simulated time and seeded randomness only; the
+// package reads no host clock (simlint's forbidden table holds it to that).
+// Two runs with the same seed produce byte-identical metrics dumps and trace
+// JSON (enforced by the determinism regression test).
 package telemetry
 
 import "mkos/internal/sim"
 
-// Sink bundles the three telemetry surfaces of one run. Its methods are
+// Sink bundles the two telemetry surfaces of one run. Its methods are
 // safe for concurrent use. The publishing methods also accept a nil *Sink
 // (see the package doc); the accessors, Snapshot and the export methods
 // are for the sink's owner and need a sink made by NewSink.
 type Sink struct {
-	reg  *Registry
-	rec  *Recorder
-	prof *Profiler
+	reg *Registry
+	rec *Recorder
 }
+
+// The engine counts PublishEngine adds to. Every sink's registry holds them
+// from the start, so every metrics dump and trial snapshot lists them
+// whether or not its run drove an engine.
+const (
+	eventsFired   = "sim.events_fired"
+	queueDepthHWM = "sim.queue_depth_hwm"
+)
 
 // NewSink builds an empty sink with tracing disabled.
 func NewSink() *Sink {
 	reg := NewRegistry()
-	return &Sink{reg: reg, rec: NewRecorder(0), prof: NewProfiler(reg)}
+	reg.Counter(eventsFired)
+	reg.Gauge(queueDepthHWM)
+	return &Sink{reg: reg, rec: NewRecorder(0)}
 }
 
 // Registry returns the sink's metrics registry.
@@ -55,9 +64,6 @@ func (s *Sink) Registry() *Registry { return s.reg }
 
 // Recorder returns the sink's trace recorder.
 func (s *Sink) Recorder() *Recorder { return s.rec }
-
-// Profiler returns the sink's engine profiler.
-func (s *Sink) Profiler() *Profiler { return s.prof }
 
 // Counter returns the named counter of the sink's registry, creating it on
 // first use.
@@ -104,9 +110,12 @@ func (s *Sink) Instant(cat, name string, node, cpu int, at sim.Time, args ...Arg
 // use it to skip building span arguments entirely.
 func (s *Sink) TraceEnabled() bool { return s != nil && s.rec.Enabled() }
 
-// AttachEngine wires the sink's profiler into an engine's dispatch loop.
-func (s *Sink) AttachEngine(e *sim.Engine) {
+// PublishEngine records an engine run that the caller has drained: the
+// events e fired since it had fired `since` add to sim.events_fired, and
+// e's queue high-water mark raises sim.queue_depth_hwm.
+func (s *Sink) PublishEngine(e *sim.Engine, since uint64) {
 	if s != nil {
-		s.prof.Attach(e)
+		s.reg.Counter(eventsFired).Add(int64(e.Fired() - since))
+		s.reg.Gauge(queueDepthHWM).SetMax(float64(e.QueueHighWater()))
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench-engine.sh — records raw sim.Engine dispatch throughput into
-# results/BENCH_engine.json: the no-observer schedule+fire path at exactly
+# results/BENCH_engine.json: the schedule+fire path at exactly
 # 1e6 and 1e7 events (fixed -benchtime Nx so the numbers are comparable
 # across hosts and commits), with B/op and allocs/op, which must stay 0.
 #
@@ -15,7 +15,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 # run N -> "ns_per_op bytes_per_op allocs_per_op"
 run() {
-  $GO test -run '^$' -bench BenchmarkEngineObserverDisabled -benchtime "$1"x \
+  $GO test -run '^$' -bench BenchmarkEngineDispatch -benchtime "$1"x \
     ./internal/sim/ | tee -a "$TMP/raw.txt" \
     | awk '/^BenchmarkEngine/ {print $3, $5, $7}'
 }
@@ -35,7 +35,7 @@ EV10=$(eps "$NS10")
 mkdir -p "$(dirname "$OUT")"
 cat > "$OUT" <<EOF
 {
-  "note": "sim.Engine no-observer dispatch (pop + fire one event) at fixed event counts. B/op and allocs/op must be 0: the zero-alloc property is also a hard test gate (TestEngineDispatchNoObserverZeroAlloc). Regenerate with 'make bench-engine'.",
+  "note": "sim.Engine dispatch (pop + fire one event) at fixed event counts. B/op and allocs/op must be 0: the zero-alloc property is also a hard test gate (TestEngineDispatchNoObserverZeroAlloc). Regenerate with 'make bench-engine'.",
   "recorded": "$(date -u +%Y-%m-%d)",
   "host": {
     "goos": "$($GO env GOOS)",
@@ -43,7 +43,7 @@ cat > "$OUT" <<EOF
     "cores": $(getconf _NPROCESSORS_ONLN),
     "go": "$($GO env GOVERSION)"
   },
-  "command": "go test -run '^\$' -bench BenchmarkEngineObserverDisabled -benchtime Nx ./internal/sim/",
+  "command": "go test -run '^\$' -bench BenchmarkEngineDispatch -benchtime Nx ./internal/sim/",
   "runs": [
     {"events": 1000000, "ns_per_op": $NS1, "events_per_s": $EV1, "bytes_per_op": $B1, "allocs_per_op": $A1},
     {"events": 10000000, "ns_per_op": $NS10, "events_per_s": $EV10, "bytes_per_op": $B10, "allocs_per_op": $A10}

@@ -41,18 +41,31 @@ field() { sed -n "s/.*$2=\\([a-z0-9_]*\\).*/\\1/p" "$1" | tail -n 1; }
 metric() { awk -v n="$1" '$1 == n { print $2 }' "$2" | tail -n 1; }
 
 # --- Reference: the same campaign through the CLI, never harassed. --------
+# Timed: phase 1 sizes its kill window from this run's per-trial time.
+START=$(date +%s%N)
 "$WORK/sweep" -spec "$SPEC" -j 1 -outdir "$WORK/clean" | tee "$WORK/clean.txt"
+REF_MS=$(( ($(date +%s%N) - START) / 1000000 ))
 TOTAL=$(executed "$WORK/clean.txt")
+if [ "${TOTAL:-0}" -lt 3 ]; then
+  echo "FAIL: reference run executed ${TOTAL:-0} trials; phase 1 needs at least 3" >&2
+  exit 1
+fi
+TRIAL_MS=$(( REF_MS / TOTAL ))
 
 # --- Phase 1: SIGKILL the worker twice mid-campaign. ----------------------
-# Serial trials take ~3-4.5s each (five OFP GeoFEM points of five runs, the
-# campaign ~18s), so kill delays of 3-5s after each spawn land while the
-# worker is provably mid-campaign, usually with a trial already journaled —
-# exercising the cached-restore resume across incarnations. Budget 2 means
-# the third incarnation runs undisturbed to completion.
+# Each spawn's kill lands one to one and a half serial trials after it
+# (TRIAL_MS, measured above on this host, at its load and GOMAXPROCS).
+# The first incarnation is then killed with at most one trial journaled,
+# usually exactly one, which exercises the cached-restore resume across
+# incarnations; the second still has at least TOTAL-2 trials to run when
+# its kill lands. Budget 2 means the third incarnation runs undisturbed
+# to completion.
+CHAOS_MIN_MS=$TRIAL_MS
+CHAOS_MAX_MS=$(( TRIAL_MS * 3 / 2 ))
+echo "reference: $TOTAL trials in ${REF_MS}ms; worker kills ${CHAOS_MIN_MS}-${CHAOS_MAX_MS}ms after spawn"
 "$WORK/simd" -store "$WORK/store" -addr "127.0.0.1:$PORT" -j 1 \
   -worker-chaos-kills 2 -worker-chaos-seed 7 \
-  -worker-chaos-min 3s -worker-chaos-max 5s \
+  -worker-chaos-min "${CHAOS_MIN_MS}ms" -worker-chaos-max "${CHAOS_MAX_MS}ms" \
   > "$WORK/simd1.log" 2>&1 &
 PID=$!
 # A failed check must not leave a daemon on the port: $PID is expanded when
@@ -109,7 +122,7 @@ wait "$PID" || { echo "FAIL: phase-1 daemon did not drain cleanly" >&2; exit 1; 
 
 # --- Phase 2: crash-loop breaker isolates a poison campaign. --------------
 # Every worker of the poison campaign (name contains "poison") is killed
-# 100-300ms after spawn — before its first trial (>=3s) can journal —
+# 100-300ms after spawn — before its first trial (TRIAL_MS) can journal —
 # so each death is a no-progress death and the breaker must open after K=3.
 # The healthy campaign's workers are never touched and must complete.
 sed 's/"supervise"/"poison-supervise"/' "$SPEC" > "$WORK/poison.json"
