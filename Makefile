@@ -141,8 +141,9 @@ shard-race:
 shard-determinism:
 	sh scripts/shard-determinism-check.sh /tmp/mkos-shard-det
 
-# bench-engine records raw engine dispatch throughput (events/s, B/op,
-# allocs/op) at exactly 1e6 and 1e7 events into results/BENCH_engine.json.
+# bench-engine records engine dispatch (events/s, B/op, allocs/op) at a
+# steady depth of 4 and from a 1,536-deep same-instant queue into
+# results/BENCH_engine.json.
 bench-engine:
 	sh scripts/bench-engine.sh
 
@@ -156,7 +157,8 @@ bench-models:
 
 # bench-shard records the 158,976-node full-machine sharded FWQ run
 # (wall and user+sys CPU time at -shards 1, 2 and 8, window/barrier/
-# cross-shard overhead) into results/BENCH_shard.json.
+# cross-shard overhead, and a McKernel run at -shards 1) into
+# results/BENCH_shard.json.
 bench-shard:
 	sh scripts/bench-shard.sh
 

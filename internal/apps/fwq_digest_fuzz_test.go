@@ -24,9 +24,10 @@ type digestCase struct {
 // digestCases are Fugaku Linux with every countermeasure and with each
 // Table 2 countermeasure off (the last three put the daemons, the TargetAll
 // pmu-read and the TargetAll tlbi-broadcast sources on application cores),
-// Fugaku McKernel, OFP Linux, and two hand-built profiles: one where
+// Fugaku McKernel, OFP Linux, and three hand-built profiles: one where
 // sources often hit a core at the same instant, some events lasting 0 ns,
-// and one where long interruptions are followed by shorter ones.
+// one where long interruptions are followed by shorter ones, and a quiet
+// one where most of the 64 measured cores see no event.
 func digestCases(tb testing.TB) []digestCase {
 	tb.Helper()
 	machine := func(p *cluster.Platform, kind cluster.OSKind) []apps.FWQClass {
@@ -64,6 +65,16 @@ func digestCases(tb testing.TB) []digestCase {
 		Every: 300 * time.Nanosecond, EveryCV: 0.5, Length: 20 * time.Nanosecond, LengthCV: 1,
 		TailProb: 0.3, TailFactor: 0.02})
 
+	quiet := &noise.Profile{}
+	wide := make([]int, 64)
+	for i := range wide {
+		wide[i] = i
+	}
+	quiet.MustAdd(&noise.Source{Name: "rare", Cores: wide, Mode: noise.TargetRandom,
+		Every: 15 * time.Microsecond, EveryCV: 0.5, Length: 2 * time.Microsecond, LengthCV: 0.5})
+	quiet.MustAdd(&noise.Source{Name: "tick", Cores: []int{0}, Mode: noise.TargetAll,
+		Every: 10 * time.Microsecond, Length: 500 * time.Nanosecond})
+
 	return []digestCase{
 		paper("fugaku-linux", fugaku(func(*linux.Countermeasures) {})),
 		paper("fugaku-linux-kworkers", fugaku(func(c *linux.Countermeasures) { c.BindKworkers = false })),
@@ -77,6 +88,8 @@ func digestCases(tb testing.TB) []digestCase {
 			[]apps.FWQClass{{Cores: cores, Profile: ties}}},
 		{"nested", time.Microsecond, 50 * time.Microsecond, time.Millisecond,
 			[]apps.FWQClass{{Cores: []int{0, 1}, Profile: nested}}},
+		{"quiet", time.Microsecond, 40 * time.Microsecond, 300 * time.Microsecond,
+			[]apps.FWQClass{{Cores: wide, Profile: quiet}}},
 	}
 }
 
@@ -92,14 +105,22 @@ func digestCases(tb testing.TB) []digestCase {
 //     cores' perturbed durations in turn are the digest's.
 //
 // The seed corpus runs every case at its short length, and the Linux
-// daemons, McKernel and both hand-built cases at their long one as well.
+// daemons, McKernel and the hand-built cases at their long one as well;
+// the quiet case, whose cores mostly walk no event, runs two more seeds
+// at each length.
 func FuzzFWQDigestMatchesTimeline(f *testing.F) {
 	cases := digestCases(f)
 	for i, c := range cases {
 		f.Add(uint8(i), int64(i+1), false)
 		switch c.name {
-		case "fugaku-linux-daemons", "fugaku-mckernel", "ties", "nested":
+		case "fugaku-linux-daemons", "fugaku-mckernel", "ties", "nested", "quiet":
 			f.Add(uint8(i), int64(100+i), true)
+		}
+		if c.name == "quiet" {
+			for _, seed := range []int64{7, 8} {
+				f.Add(uint8(i), seed, false)
+				f.Add(uint8(i), seed, true)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, seed int64, long bool) {
@@ -117,11 +138,18 @@ func FuzzFWQDigestMatchesTimeline(f *testing.F) {
 		}
 
 		tl := class.Profile.Timeline(horizon, sim.NewRand(seed))
+		idle := 0
 		for _, core := range class.Cores {
 			if want := tl.ForCPU(core); !slices.Equal(got.Events[core], want) {
 				t.Fatalf("%s class %d core %d: walked %d events, the timeline holds %d, or in another order",
 					c.name, cls, core, len(got.Events[core]), len(want))
 			}
+			if len(got.Events[core]) == 0 {
+				idle++
+			}
+		}
+		if c.name == "quiet" && idle == 0 {
+			t.Fatalf("quiet class %d: every measured core saw an event", cls)
 		}
 		fwq := apps.FWQConfig{Work: c.work, Duration: horizon, Cores: class.Cores}
 		sk, err := apps.RunFWQSketch(fwq, tl)

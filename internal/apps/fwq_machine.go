@@ -160,6 +160,7 @@ type fwqMachineModel struct {
 	workers int // per shard
 	digests []FWQDigest
 	got     int
+	counted *telemetry.Counter // fwq.machine.digests, resolved at the first delivery
 }
 
 func (m *fwqMachineModel) Setup(s *shard.Shard) error {
@@ -176,28 +177,29 @@ func (m *fwqMachineModel) Setup(s *shard.Shard) error {
 		jobs:    make([]fwqNodeJob, 0, min(fwqChunk, s.Nodes.Len())),
 	}
 	c.base.Skip(s.Nodes.Lo)
-	at := sim.Time(m.cfg.Duration)
+	// The node's whole benchmark collapses into one event: it fires at the
+	// instant the run completes and reports the digest of the node's
+	// derived stream. The node events all fire at that instant in node
+	// order, so one handler serves them all, counting the node. A failure
+	// is a typed panic the runner converts into a shard error.
+	node := s.Nodes.Lo
+	report := func(e *sim.Engine) {
+		d, err := c.digest(node)
+		if err != nil {
+			panic(fmt.Errorf("fwq machine: node %d: %w", node, err))
+		}
+		lat, err := m.report(node, 0, m.cfg.DigestBytes)
+		if err != nil {
+			panic(fmt.Errorf("fwq machine: node %d report: %w", node, err))
+		}
+		if lat < m.cfg.Lookahead {
+			lat = m.cfg.Lookahead
+		}
+		s.Send(node, 0, e.Now().Add(lat), "fwq-digest", d)
+		node++
+	}
 	for n := s.Nodes.Lo; n < s.Nodes.Hi; n++ {
-		node := n
-		s.Engine.ScheduleAt(at, "fwq-node", func(e *sim.Engine) {
-			// The node's whole benchmark collapses into this one event: it
-			// fires at the instant the run completes and reports the digest
-			// of the timeline built from the node's derived stream. A
-			// failure is a typed panic the runner converts into a shard
-			// error.
-			d, err := c.digest(node)
-			if err != nil {
-				panic(fmt.Errorf("fwq machine: node %d: %w", node, err))
-			}
-			lat, err := m.report(node, 0, m.cfg.DigestBytes)
-			if err != nil {
-				panic(fmt.Errorf("fwq machine: node %d report: %w", node, err))
-			}
-			if lat < m.cfg.Lookahead {
-				lat = m.cfg.Lookahead
-			}
-			s.Send(node, 0, e.Now().Add(lat), "fwq-digest", d)
-		})
+		s.Engine.ScheduleAt(sim.Time(m.cfg.Duration), "fwq-node", report)
 	}
 	return nil
 }
@@ -206,7 +208,10 @@ func (m *fwqMachineModel) Deliver(s *shard.Shard, msg shard.Message) {
 	d := msg.Payload.(FWQDigest)
 	m.digests[d.Node] = d
 	m.got++
-	s.Sink.Counter("fwq.machine.digests").Inc()
+	if m.counted == nil {
+		m.counted = s.Sink.Counter("fwq.machine.digests")
+	}
+	m.counted.Inc()
 }
 
 // fwqShardNodes digests one shard's nodes a chunk at a time. It belongs to

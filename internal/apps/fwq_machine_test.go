@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -166,6 +167,39 @@ func TestFWQMachineRegistryAcrossShardCounts(t *testing.T) {
 		}
 		if dump.String() != want {
 			t.Errorf("%d shards: registry dump differs from 1 shard\n got:\n%s\nwant:\n%s", shards, dump.String(), want)
+		}
+	}
+}
+
+// TestFWQMachineMessageCounters: shard.sent, which each shard publishes
+// once per exchange, and fwq.machine.digests, which the collector counts
+// per delivery, both equal the node count in the folded registry, and the
+// registry dumps identically at 1, 2 and 8 shards under GOMAXPROCS 1 and 4.
+func TestFWQMachineMessageCounters(t *testing.T) {
+	const nodes = 2*fwqChunk + 37
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	var want string
+	for _, procs := range []int{1, 4} {
+		goruntime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 8} {
+			_, sres, err := FWQMachine(machineTestConfig(nodes, shards))
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d, %d shards: %v", procs, shards, err)
+			}
+			for _, name := range []string{"shard.sent", "fwq.machine.digests"} {
+				if got := sres.Registry.CounterValue(name); got != nodes {
+					t.Errorf("GOMAXPROCS %d, %d shards: %s = %d, want %d", procs, shards, name, got, nodes)
+				}
+			}
+			var dump strings.Builder
+			if _, err := sres.Registry.WriteTo(&dump); err != nil {
+				t.Fatal(err)
+			}
+			if want == "" {
+				want = dump.String()
+			} else if dump.String() != want {
+				t.Errorf("GOMAXPROCS %d, %d shards: registry dump differs\n got:\n%s\nwant:\n%s", procs, shards, dump.String(), want)
+			}
 		}
 	}
 }

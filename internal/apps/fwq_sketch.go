@@ -103,8 +103,15 @@ func (c *coreEvents) node(work, horizon time.Duration, rng *sim.Rand) {
 	}
 	c.gen.VisitNode(horizon, rng, c.add)
 	perturbed, at := c.perturbed[:0], c.at[:0]
+	// A core no event reached runs every iteration clean, as fwqWalk
+	// walks an empty slice.
+	quiet := int64((horizon + work - 1) / work)
 	for i, core := range c.cores {
-		c.clean[i], perturbed, at = fwqWalk(work, horizon, c.sorted(core), perturbed, at)
+		if len(c.evs[core]) == 0 {
+			c.clean[i] = quiet
+		} else {
+			c.clean[i], perturbed, at = fwqWalk(work, horizon, c.sorted(core), perturbed, at)
+		}
 		c.ends[i] = len(perturbed)
 	}
 	c.perturbed, c.at = perturbed, at

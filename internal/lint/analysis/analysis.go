@@ -31,6 +31,11 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph invariant statement printed by -help.
 	Doc string
+	// Unsuppressible marks a check whose exceptions live in its own
+	// table: a //simlint:allow directive naming it is itself a finding
+	// and silences nothing, so a test that applies the table to the tree
+	// and simlint never disagree.
+	Unsuppressible bool
 	// Run executes the analyzer over one package and reports findings
 	// through the pass. A non-nil error aborts the whole simlint run
 	// (exit 2), so analyzers reserve it for internal invariant failures,

@@ -15,11 +15,12 @@ import (
 // enforces, so its own output is byte-stable across runs and -j levels
 // of the caller. suite names every check a directive may name; analyzers
 // may be a subset of it (simlint -checks), and a directive naming a check
-// outside the subset is valid and silences nothing.
+// outside the subset is valid and silences nothing. A directive naming an
+// Unsuppressible check is malformed.
 func Run(pkgs []*Package, analyzers, suite []*Analyzer) ([]Diagnostic, error) {
-	known := map[string]bool{}
+	known := map[string]*Analyzer{}
 	for _, a := range suite {
-		known[a.Name] = true
+		known[a.Name] = a
 	}
 	facts := newFactStore()
 	var all []Diagnostic

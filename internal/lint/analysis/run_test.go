@@ -136,3 +136,35 @@ func TestRunSortsAndEncodesJSON(t *testing.T) {
 		t.Errorf("empty run must emit an empty findings array, got:\n%s", buf.String())
 	}
 }
+
+// TestUnsuppressibleCheck: a directive naming an Unsuppressible check is a
+// simlint finding, in own-line and trailing form, and silences nothing.
+func TestUnsuppressibleCheck(t *testing.T) {
+	strict := *fake
+	strict.Unsuppressible = true
+	pkg := loadSrc(t, `package p
+
+func flagme() {}
+
+func f() {
+	//simlint:allow fake — reason present
+	flagme() // line 7: reported
+	flagme() //simlint:allow fake — reason present
+}
+`)
+	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{&strict}, []*analysis.Analyzer{&strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, d.Check+"@"+strconv.Itoa(d.Position.Line))
+		if d.Check == "simlint" && !strings.Contains(d.Message, `cannot silence check "fake"`) {
+			t.Errorf("simlint diagnostic does not name the check: %s", d.Message)
+		}
+	}
+	want := "simlint@6 fake@7 fake@8 simlint@8"
+	if strings.Join(got, " ") != want {
+		t.Errorf("diagnostics:\n got %v\nwant %v", got, want)
+	}
+}

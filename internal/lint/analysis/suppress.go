@@ -21,9 +21,9 @@ import (
 // spans, including any nested block), a declaration, a struct field, or
 // a composite-literal element — but nothing after it. Placed at the end
 // of a line of code, it covers that line only. A directive with an
-// unknown check name or a missing reason is itself a finding (check
-// "simlint"): silent or unexplained suppressions are precisely what a
-// determinism gate must not accumulate.
+// unknown check name, a missing reason, or naming an Unsuppressible check
+// is itself a finding (check "simlint"): silent or unexplained
+// suppressions are precisely what a determinism gate must not accumulate.
 
 // allowDirective is one parsed //simlint:allow comment.
 type allowDirective struct {
@@ -40,8 +40,8 @@ const allowPrefix = "//simlint:allow"
 
 // applySuppressions filters diags through the package's allow directives
 // and appends one "simlint" diagnostic per malformed directive. known
-// names the valid check set for directive validation.
-func applySuppressions(pkg *Package, diags []Diagnostic, known map[string]bool) []Diagnostic {
+// maps the valid check names to their analyzers for directive validation.
+func applySuppressions(pkg *Package, diags []Diagnostic, known map[string]*Analyzer) []Diagnostic {
 	var allows []allowDirective
 	for _, f := range pkg.Files {
 		allows = append(allows, collectAllows(pkg, f, known)...)
@@ -83,7 +83,7 @@ func suppressed(d Diagnostic, allows []allowDirective) bool {
 
 // collectAllows parses every simlint:allow comment in f and resolves each
 // own-line directive to the statement or declaration it covers.
-func collectAllows(pkg *Package, f *ast.File, known map[string]bool) []allowDirective {
+func collectAllows(pkg *Package, f *ast.File, known map[string]*Analyzer) []allowDirective {
 	var allows []allowDirective
 	var src *sourceLines
 	for _, cg := range f.Comments {
@@ -95,9 +95,12 @@ func collectAllows(pkg *Package, f *ast.File, known map[string]bool) []allowDire
 				src = readSourceLines(pkg.Fset.Position(c.Pos()).Filename)
 			}
 			a := parseAllow(c, pkg.Fset, src)
-			if a.bad == "" && !known[a.check] {
+			if an := known[a.check]; a.bad == "" && an == nil {
 				a.bad = "simlint:allow names unknown check \"" + a.check +
 					"\"; valid checks: " + strings.Join(sortedNames(known), ", ")
+			} else if a.bad == "" && an.Unsuppressible {
+				a.bad = "simlint:allow cannot silence check \"" + a.check +
+					"\": its exceptions are rows of its own table, not directives"
 			}
 			if a.bad == "" && a.ownLine {
 				a.from, a.to = nextCoveredRange(f, c.End())
@@ -205,7 +208,7 @@ func nextCoveredRange(f *ast.File, pos token.Pos) (token.Pos, token.Pos) {
 	return first, end
 }
 
-func sortedNames(m map[string]bool) []string {
+func sortedNames(m map[string]*Analyzer) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

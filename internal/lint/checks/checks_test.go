@@ -21,11 +21,12 @@ func TestSimtime(t *testing.T) {
 
 // TestSuppressionHandling exercises the directive grammar and scoping
 // against a real analyzer: missing reason fails, unknown check name
-// fails, an own-line directive covers the complete next statement
-// (however many lines it spans), and a trailing directive covers only
-// its line.
+// fails, a directive naming forbidden fails and silences nothing, an
+// own-line directive covers the complete next statement (however many
+// lines it spans), and a trailing directive covers only its line.
 func TestSuppressionHandling(t *testing.T) {
-	linttest.Run(t, checks.Forbidden, "testdata/suppress", "mkos/internal/fake/suppress")
+	linttest.RunAnalyzers(t, []*analysis.Analyzer{checks.Ctxflow, checks.Forbidden},
+		"testdata/suppress", "mkos/internal/fake/suppress")
 }
 
 func TestLockguard(t *testing.T) {

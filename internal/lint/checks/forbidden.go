@@ -123,9 +123,11 @@ func Violations(pkgPath string, f *ast.File) []Violation {
 
 // Forbidden reports every breach of the rules table. Exceptions are rows
 // of the table, not //simlint:allow directives: TestTreeObeysRulesTable
-// applies the same table to the tree and honors no directive.
+// applies the same table to the tree and honors no directive, and a
+// directive naming forbidden is itself a finding.
 var Forbidden = &analysis.Analyzer{
-	Name: "forbidden",
+	Name:           "forbidden",
+	Unsuppressible: true,
 	Doc: "forbid math/rand everywhere, host-clock reads and internal/telemetry/ops in " +
 		"deterministic packages, and os.Exit/log.Fatal* in cmd/ outside the runner, simd and simlint",
 	Run: func(pass *analysis.Pass) error {

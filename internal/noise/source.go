@@ -91,6 +91,7 @@ func (s *Source) Validate() error {
 // generating many nodes' events from one profile repeats no per-draw setup.
 type sampler struct {
 	src              *Source
+	stream           int64 // sim.LabelStream(src.Name)
 	interval, length sim.LogNormalDist
 	tailAlpha        float64
 }
@@ -102,6 +103,7 @@ func (s *Source) sampler() sampler {
 	}
 	return sampler{
 		src:       s,
+		stream:    sim.LabelStream(s.Name),
 		interval:  sim.NewLogNormalDist(float64(s.Every), s.EveryCV),
 		length:    sim.NewLogNormalDist(float64(s.Length), s.LengthCV),
 		tailAlpha: alpha,
@@ -332,7 +334,7 @@ func (p *Profile) Generator() *Generator {
 func (g *Generator) VisitNode(horizon time.Duration, rng *sim.Rand, visit func(*Batch)) {
 	for i := range g.samplers {
 		sp := &g.samplers[i]
-		rng.DeriveNamedInto(g.rngs[i], sp.src.Name)
+		rng.DeriveInto(g.rngs[i], sp.stream)
 		n, stolen := sp.visitEvents(&g.batch, i, horizon, g.rngs[i], visit)
 		g.events[i] += n
 		g.stolen += stolen

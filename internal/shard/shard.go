@@ -43,11 +43,12 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 
 	"mkos/internal/sim"
@@ -178,7 +179,11 @@ type Shard struct {
 
 	run    *runner
 	outbox []Message
-	seqs   map[int]uint64
+	seqs   []uint64 // per node of the block: its next emission index
+	// batches (by destination shard) and inbox are exchange buffers kept
+	// from window to window.
+	batches [][]Message
+	inbox   []Message
 }
 
 // Lookahead returns the run's conservative window margin.
@@ -202,10 +207,9 @@ func (s *Shard) Send(src, dst int, at sim.Time, kind string, payload any) {
 		panic(fmt.Errorf("%w: %s from node %d at %v delivers at %v, horizon %v",
 			ErrShortSend, kind, src, s.Engine.Now(), at, horizon))
 	}
-	seq := s.seqs[src]
-	s.seqs[src] = seq + 1
+	seq := s.seqs[src-s.Nodes.Lo]
+	s.seqs[src-s.Nodes.Lo] = seq + 1
 	s.outbox = append(s.outbox, Message{At: at, Src: src, Dst: dst, Kind: kind, Payload: payload, seq: seq})
-	s.Sink.Counter("shard.sent").Inc()
 }
 
 // command releases one window to a shard (or, with run=false, ends its loop).
@@ -287,7 +291,8 @@ func RunContext(ctx context.Context, cfg Config, m Model) (*Result, error) {
 		r.cmds[i] = make(chan command, 1)
 		shards[i] = &Shard{
 			Index: i, Nodes: parts[i], Engine: sim.NewEngine(),
-			Sink: telemetry.NewSink(), run: r, seqs: make(map[int]uint64),
+			Sink: telemetry.NewSink(), run: r, seqs: make([]uint64, parts[i].Len()),
+			batches: make([][]Message, nShards),
 		}
 		if cfg.Cancel != nil {
 			shards[i].Engine.SetCancelHook(cfg.Cancel, 0)
@@ -400,39 +405,41 @@ func (r *runner) shardLoop(ctx context.Context, s *Shard) {
 // dead engine (whose ScheduleAt would rightly panic, see
 // sim.ErrScheduleAfterInterrupt).
 func (r *runner) exchange(s *Shard, dead bool) (sent, cross int, err error) {
-	batches := make([][]Message, len(r.parts))
 	for _, msg := range s.outbox {
 		d := Owner(r.parts, msg.Dst)
-		batches[d] = append(batches[d], msg)
+		s.batches[d] = append(s.batches[d], msg)
 	}
 	sent = len(s.outbox)
-	cross = sent - len(batches[s.Index])
-	s.outbox = s.outbox[:0]
-	for j := range r.mail[s.Index] {
-		r.mail[s.Index][j] <- batches[j]
+	cross = sent - len(s.batches[s.Index])
+	if sent > 0 {
+		s.Sink.Counter("shard.sent").Add(int64(sent))
 	}
-	var inbox []Message
+	s.outbox = s.outbox[:0]
+	// A peer copies the batch sent here before it reports at this barrier,
+	// and the next exchange starts after every report: the batch's storage
+	// is free to refill then.
+	for j := range r.mail[s.Index] {
+		r.mail[s.Index][j] <- s.batches[j]
+		s.batches[j] = s.batches[j][:0]
+	}
+	inbox := s.inbox[:0]
 	for j := range r.mail {
 		inbox = append(inbox, <-r.mail[j][s.Index]...)
 	}
+	s.inbox = inbox
 	if dead || len(inbox) == 0 {
 		return sent, cross, nil
 	}
 	err = safely(func() error {
 		// Canonical fold: (At, Src, emission index) is a total order — a
 		// node's emissions are consecutively numbered — and every component
-		// survives repartitioning, unlike engine sequence numbers.
-		sort.Slice(inbox, func(a, b int) bool {
-			if inbox[a].At != inbox[b].At {
-				return inbox[a].At < inbox[b].At
-			}
-			if inbox[a].Src != inbox[b].Src {
-				return inbox[a].Src < inbox[b].Src
-			}
-			return inbox[a].seq < inbox[b].seq
+		// survives repartitioning, unlike engine sequence numbers. The
+		// engine fires by instant, then in scheduling order, so scheduling
+		// in (Src, emission index) order fires in the canonical one.
+		slices.SortFunc(inbox, func(a, b Message) int {
+			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.seq, b.seq))
 		})
 		for _, msg := range inbox {
-			msg := msg
 			s.Engine.ScheduleAt(msg.At, msg.Kind, func(*sim.Engine) {
 				r.model.Deliver(s, msg)
 			})

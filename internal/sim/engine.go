@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 )
@@ -21,32 +20,54 @@ type Event struct {
 // Cancelled reports whether the event was cancelled before firing.
 func (ev *Event) Cancelled() bool { return ev.dead }
 
+// before reports whether ev fires before o: by instant, then by scheduling
+// order.
+func (ev *Event) before(o *Event) bool {
+	return ev.At < o.At || ev.At == o.At && ev.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of pending events in (At, seq) order; each
+// event knows its index, so Cancel removes it in O(log n).
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+func (h eventHeap) place(ev *Event, i int) { h[i], ev.index = ev, i }
+
+// up and down move the event at j toward the root or the leaves, moving
+// the events it passes the other way; down reports whether it moved.
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for ; j > 0 && ev.before(h[(j-1)/2]); j = (j - 1) / 2 {
+		h.place(h[(j-1)/2], j)
 	}
-	return h[i].seq < h[j].seq
+	h.place(ev, j)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+func (h eventHeap) down(i int) bool {
+	ev, i0 := h[i], i
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h.place(h[c], i)
+		i = c
+	}
+	h.place(ev, i)
+	return i > i0
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// remove takes the event at index i out of the heap and returns it.
+func (h *eventHeap) remove(i int) *Event {
+	n := len(*h) - 1
+	ev := (*h)[i]
+	h.place((*h)[n], i)
+	(*h)[n], *h = nil, (*h)[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
 }
 
@@ -216,8 +237,9 @@ func (e *Engine) ScheduleAt(at Time, name string, fn func(*Engine)) *Event {
 		panic(fmt.Errorf("%w: now=%v at=%v (%s)", ErrPastEvent, e.now, at, name))
 	}
 	e.seq++
-	ev := &Event{At: at, Fn: fn, seq: e.seq}
-	heap.Push(&e.queue, ev)
+	ev := &Event{At: at, Fn: fn, seq: e.seq, index: len(e.queue)}
+	e.queue = append(e.queue, ev)
+	e.queue.up(ev.index)
 	return ev
 }
 
@@ -235,7 +257,7 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.dead = true
-	heap.Remove(&e.queue, ev.index)
+	e.queue.remove(ev.index)
 }
 
 // Step executes the single earliest pending event and advances the clock to
@@ -244,7 +266,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.queue.remove(0)
 	e.now = ev.At
 	e.fired++
 	if ev.Fn != nil {

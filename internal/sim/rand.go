@@ -57,7 +57,7 @@ func (r *Rand) Skip(n int) { r.lazy.skip(n) }
 
 // DeriveNamed derives a sub-stream keyed by a string label.
 func (r *Rand) DeriveNamed(label string) *Rand {
-	return r.Derive(labelStream(label))
+	return r.Derive(LabelStream(label))
 }
 
 // DeriveInto resets dst, a generator made by NewRand, to the one
@@ -67,15 +67,10 @@ func (r *Rand) DeriveInto(dst *Rand, stream int64) {
 	dst.lazy.Seed(r.DeriveSeed(stream))
 }
 
-// DeriveNamedInto is DeriveInto for the stream DeriveNamed(label) derives:
-// a caller deriving the same labelled stream for node after node allocates
-// nothing.
-func (r *Rand) DeriveNamedInto(dst *Rand, label string) {
-	r.DeriveInto(dst, labelStream(label))
-}
-
-// labelStream is the stream id of a label: its FNV-64 hash.
-func labelStream(label string) int64 {
+// LabelStream is the stream id DeriveNamed(label) derives: the label's
+// FNV-64 hash. A caller deriving the same labelled stream for node after
+// node hashes the label once and passes the id to DeriveInto.
+func LabelStream(label string) int64 {
 	var h uint64 = 1469598103934665603 // FNV-64 offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])

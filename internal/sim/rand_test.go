@@ -62,16 +62,17 @@ func TestRandDeriveNamed(t *testing.T) {
 	}
 }
 
-// TestDeriveNamedIntoMatchesDeriveNamed checks that a generator reseeded in
-// place draws exactly what a freshly derived one does, also when it had
-// already built its feedback register, and that the parents advance alike.
-func TestDeriveNamedIntoMatchesDeriveNamed(t *testing.T) {
+// TestDeriveIntoLabelStreamMatchesDeriveNamed checks that a generator
+// reseeded in place for a label's stream draws exactly what a freshly
+// derived one does, also when it had already built its feedback register,
+// and that the parents advance alike.
+func TestDeriveIntoLabelStreamMatchesDeriveNamed(t *testing.T) {
 	dst := NewRand(0)
 	for _, seed := range equivalenceSeeds()[:40] {
 		a, b := NewRand(seed), NewRand(seed)
 		for _, label := range []string{"daemon", "kworker", ""} {
 			want := a.DeriveNamed(label)
-			b.DeriveNamedInto(dst, label)
+			b.DeriveInto(dst, LabelStream(label))
 			// 700 draws pass rngTap, so the next reseed reuses a built
 			// register.
 			for i := 0; i < 700; i++ {

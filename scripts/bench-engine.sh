@@ -1,8 +1,13 @@
 #!/bin/sh
-# bench-engine.sh — records raw sim.Engine dispatch throughput into
-# results/BENCH_engine.json: the schedule+fire path at exactly
-# 1e6 and 1e7 events (fixed -benchtime Nx so the numbers are comparable
-# across hosts and commits), with B/op and allocs/op, which must stay 0.
+# bench-engine.sh — records sim.Engine dispatch into results/BENCH_engine.json
+# at the queue depths the commands see, each at a fixed -benchtime Nx so the
+# numbers are comparable across hosts and commits:
+#   - dispatch: schedule and fire one event per op at a steady depth of 4
+#     (a trial's engine peaks at 4 pending events), 1e6 events; the Event
+#     each op schedules is its one allocation;
+#   - drain: fire from a queue of 1,536 events at one instant (a 1,536-node
+#     full-machine FWQ campaign on one shard), 1,536,000 events; firing
+#     must not allocate.
 #
 # Usage: scripts/bench-engine.sh
 #   OUT=results/BENCH_engine.json
@@ -13,29 +18,29 @@ OUT=${OUT:-results/BENCH_engine.json}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# run N -> "ns_per_op bytes_per_op allocs_per_op"
+# run BENCH N -> "ns_per_op bytes_per_op allocs_per_op"
 run() {
-  $GO test -run '^$' -bench BenchmarkEngineDispatch -benchtime "$1"x \
+  $GO test -run '^$' -bench "^$1\$" -benchtime "$2"x \
     ./internal/sim/ | tee -a "$TMP/raw.txt" \
     | awk '/^BenchmarkEngine/ {print $3, $5, $7}'
 }
 
-echo "benchmarking engine dispatch at 1e6 events..."
-M1=$(run 1000000)
-echo "benchmarking engine dispatch at 1e7 events..."
-M10=$(run 10000000)
+echo "benchmarking dispatch at depth 4, 1e6 events..."
+D=$(run BenchmarkEngineDispatch 1000000)
+echo "benchmarking a 1,536-deep same-instant drain, 1,536,000 events..."
+S=$(run BenchmarkEngineDrainSameInstant 1536000)
 
-set -- $M1;  NS1=$1;  B1=$2;  A1=$3
-set -- $M10; NS10=$1; B10=$2; A10=$3
+set -- $D; NSD=$1; BD=$2; AD=$3
+set -- $S; NSS=$1; BS=$2; AS=$3
 
 eps() { awk "BEGIN { printf \"%.0f\", 1e9 / $1 }"; }
-EV1=$(eps "$NS1")
-EV10=$(eps "$NS10")
+EVD=$(eps "$NSD")
+EVS=$(eps "$NSS")
 
 mkdir -p "$(dirname "$OUT")"
-cat > "$OUT" <<EOF
+cat > "$OUT" <<JSON
 {
-  "note": "sim.Engine dispatch (pop + fire one event) at fixed event counts. B/op and allocs/op must be 0: the zero-alloc property is also a hard test gate (TestEngineDispatchNoObserverZeroAlloc). Regenerate with 'make bench-engine'.",
+  "note": "sim.Engine at the queue depths the commands see. dispatch: schedule and fire one event per op at a steady depth of 4 (1 alloc/op, the scheduled Event). drain: fire from a 1,536-deep same-instant queue, timing only the firing, which must not allocate (also a hard test gate: TestEngineDispatchNoObserverZeroAlloc). Regenerate with 'make bench-engine'.",
   "recorded": "$(date -u +%Y-%m-%d)",
   "host": {
     "goos": "$($GO env GOOS)",
@@ -43,16 +48,16 @@ cat > "$OUT" <<EOF
     "cores": $(getconf _NPROCESSORS_ONLN),
     "go": "$($GO env GOVERSION)"
   },
-  "command": "go test -run '^\$' -bench BenchmarkEngineDispatch -benchtime Nx ./internal/sim/",
+  "command": "go test -run '^\$' -bench '^BenchmarkEngine(Dispatch|DrainSameInstant)\$' -benchtime Nx ./internal/sim/",
   "runs": [
-    {"events": 1000000, "ns_per_op": $NS1, "events_per_s": $EV1, "bytes_per_op": $B1, "allocs_per_op": $A1},
-    {"events": 10000000, "ns_per_op": $NS10, "events_per_s": $EV10, "bytes_per_op": $B10, "allocs_per_op": $A10}
+    {"case": "dispatch_depth4", "events": 1000000, "ns_per_op": $NSD, "events_per_s": $EVD, "bytes_per_op": $BD, "allocs_per_op": $AD},
+    {"case": "drain_same_instant_1536", "events": 1536000, "ns_per_op": $NSS, "events_per_s": $EVS, "bytes_per_op": $BS, "allocs_per_op": $AS}
   ]
 }
-EOF
+JSON
 
-[ "$A1" = "0" ] && [ "$A10" = "0" ] || {
-  echo "engine dispatch allocated ($A1 / $A10 allocs/op); expected 0" >&2
+[ "$AD" = "1" ] && [ "$AS" = "0" ] || {
+  echo "engine allocated $AD allocs/op at depth 4 (expected 1, the Event) and $AS firing a same-instant queue (expected 0)" >&2
   exit 1
 }
-echo "wrote $OUT (1e6: $EV1 events/s, 1e7: $EV10 events/s)"
+echo "wrote $OUT (depth 4: $EVD events/s, same-instant drain: $EVS events/s)"

@@ -4,8 +4,10 @@
 # discrete event, digests reduced in situ, worst nodes re-run for their
 # exact iteration distribution) at -shards 1, 2 and 8, with wall time,
 # user+sys CPU time, speedups over -shards 1, and the 8-shard runner's
-# overhead counters (windows, cross-shard messages, barrier wait). The
-# three runs' deterministic artifacts are byte-compared as a side effect.
+# overhead counters (windows, cross-shard messages, barrier wait), then the
+# same campaign under McKernel at -shards 1, whose quiet nodes leave the
+# per-node engine, exchange and walk bookkeeping as its cost. The three
+# Linux runs' deterministic artifacts are byte-compared as a side effect.
 #
 # Usage: scripts/bench-shard.sh [WORKDIR]
 #   NODES=158976 MINUTES=0.1 WORST=100 OUT=results/BENCH_shard.json
@@ -46,6 +48,16 @@ for s in 1 2 8; do
   eval "CPU$s=\$(awk \"BEGIN { printf \\\"%.2f\\\", $(child_cpu "$WORK/times1-s$s.txt") - $(child_cpu "$WORK/times0-s$s.txt") }\")"
 done
 
+echo "full-machine FWQ: $NODES nodes, $MINUTES min, -os mckernel -shards 1..."
+times > "$WORK/times0-mck.txt"
+t0=$(date +%s.%N)
+"$WORK/fwq" -os mckernel -shards 1 -nodes "$NODES" -minutes "$MINUTES" -worst "$WORST" \
+  -out "$WORK/machine-mck.json" > "$WORK/stdout-mck.txt"
+t1=$(date +%s.%N)
+times > "$WORK/times1-mck.txt"
+WALLMCK=$(awk "BEGIN { printf \"%.2f\", $t1 - $t0 }")
+CPUMCK=$(awk "BEGIN { printf \"%.2f\", $(child_cpu "$WORK/times1-mck.txt") - $(child_cpu "$WORK/times0-mck.txt") }")
+
 cmp "$WORK/machine-s1.json" "$WORK/machine-s2.json"
 cmp "$WORK/machine-s1.json" "$WORK/machine-s8.json"
 
@@ -60,7 +72,7 @@ ITERS=$(sed -n 's/^ *"n": \([0-9]*\),$/\1/p' "$WORK/machine-s1.json" | head -n 1
 mkdir -p "$(dirname "$OUT")"
 cat > "$OUT" <<EOF
 {
-  "note": "cmd/fwq sharded full-machine campaign on the Fugaku preset: one digest event per node, in-situ worst-$WORST selection at the collector, re-run of the selected nodes. cpu_s is the run's user+sys CPU time. The -shards 1, 2 and 8 artifacts are byte-compared by this script (and by 'make shard-determinism' / CI on every push). Each shard digests its nodes on max(1, cores/shards) goroutines, so -shards 1 already uses every core and more shards mainly add windows and cross-shard traffic. Regenerate with 'make bench-shard'.",
+  "note": "cmd/fwq sharded full-machine campaign on the Fugaku preset: one digest event per node, in-situ worst-$WORST selection at the collector, re-run of the selected nodes. cpu_s is the run's user+sys CPU time. 'runs' are Linux; 'mckernel' is the same campaign under McKernel at -shards 1. The Linux -shards 1, 2 and 8 artifacts are byte-compared by this script (and by 'make shard-determinism' / CI on every push). Each shard digests its nodes on max(1, cores/shards) goroutines, so -shards 1 already uses every core and more shards mainly add windows and cross-shard traffic. Regenerate with 'make bench-shard'.",
   "recorded": "$(date -u +%Y-%m-%d)",
   "host": {
     "goos": "$($GO env GOOS)",
@@ -83,9 +95,10 @@ cat > "$OUT" <<EOF
      "cross_messages": $CROSS, "messages": $MSGS,
      "barrier_wait_us_total": $BARRIER_US}
   ],
+  "mckernel": {"shards": 1, "wall_s": $WALLMCK, "cpu_s": $CPUMCK},
   "speedup_s2_over_s1": $SPEEDUP2,
   "speedup_s8_over_s1": $SPEEDUP8,
   "determinism": "machine-s1.json byte-identical to machine-s2.json and machine-s8.json"
 }
 EOF
-echo "wrote $OUT (s1 ${WALL1}s/${CPU1}s cpu, s2 ${WALL2}s, s8 ${WALL8}s; speedup s2 ${SPEEDUP2}x, s8 ${SPEEDUP8}x)"
+echo "wrote $OUT (s1 ${WALL1}s/${CPU1}s cpu, s2 ${WALL2}s, s8 ${WALL8}s; speedup s2 ${SPEEDUP2}x, s8 ${SPEEDUP8}x; mckernel s1 ${WALLMCK}s/${CPUMCK}s cpu)"
