@@ -2,7 +2,7 @@ GO ?= go
 J ?= 0
 SWEEP_SPEC ?= specs/ci-sweep.json
 
-.PHONY: all build fmt vet lint lint-fix lint-fix-clean deadcode bench-roots test race check determinism sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard bench-models
+.PHONY: all build fmt vet lint lint-fix lint-fix-clean deadcode bench-roots test race check determinism golden sweep sweep-race sweep-determinism sweep-interrupt bench-sweep simd-race simd-chaos simd-supervise simd-load simd-obs shard-race shard-determinism bench-engine bench-shard bench-models
 
 all: check
 
@@ -164,15 +164,7 @@ bench-shard:
 
 # determinism runs the fault-injection sweep twice with telemetry artifacts
 # enabled and fails on any byte difference — the metrics dump and trace JSON
-# must be identical for identical seeds. It then renders Figure 7 under
-# GOMAXPROCS=1 and 4: bsp.Run splits its nodes over GOMAXPROCS goroutines,
-# and both outputs must equal the committed results/figure7.txt. Then the
-# Figure 4 FWQ CDFs, which read the noise timelines without bsp.Run, must
-# equal the committed results/figure4.txt. Then both Figure 3 noise series
-# (6-minute FWQ runs with every countermeasure on, and with daemon binding
-# off) must equal results/figure3_{baseline,daemons}.txt. Last, the
-# paper-scale Table 2 (16 nodes, 6-minute runs) must run under a 1 GiB
-# `ulimit -v` and equal results/table2.txt.
+# must be identical for identical seeds.
 determinism:
 	$(GO) run ./cmd/faultexp -jobs 2 -nodes 4 -report=false \
 		-trace /tmp/mkos-det-1.json -metrics /tmp/mkos-det-1.txt > /dev/null
@@ -181,26 +173,17 @@ determinism:
 	cmp /tmp/mkos-det-1.json /tmp/mkos-det-2.json
 	cmp /tmp/mkos-det-1.txt /tmp/mkos-det-2.txt
 	@echo "telemetry artifacts byte-identical across runs"
-	GOMAXPROCS=1 $(GO) run ./cmd/mkexp -figure 7 > /tmp/mkos-det-fig7-p1.txt
-	GOMAXPROCS=4 $(GO) run ./cmd/mkexp -figure 7 > /tmp/mkos-det-fig7-p4.txt
-	cmp /tmp/mkos-det-fig7-p1.txt results/figure7.txt
-	cmp /tmp/mkos-det-fig7-p4.txt results/figure7.txt
-	@echo "Figure 7 byte-identical to results/figure7.txt under GOMAXPROCS=1 and 4"
-	$(GO) run ./cmd/noiseprofile -cdf > /tmp/mkos-det-fig4.txt
-	cmp /tmp/mkos-det-fig4.txt results/figure4.txt
-	@echo "Figure 4 byte-identical to results/figure4.txt"
-	$(GO) run ./cmd/noiseprofile -series -minutes 6 -countermeasure none > /tmp/mkos-det-fig3-baseline.txt
-	$(GO) run ./cmd/noiseprofile -series -minutes 6 -countermeasure daemons > /tmp/mkos-det-fig3-daemons.txt
-	cmp /tmp/mkos-det-fig3-baseline.txt results/figure3_baseline.txt
-	cmp /tmp/mkos-det-fig3-daemons.txt results/figure3_daemons.txt
-	@echo "Figure 3 byte-identical to results/figure3_{baseline,daemons}.txt"
-	$(GO) build -o /tmp/mkos-det-tablegen ./cmd/tablegen
-	(ulimit -v 1048576 && /tmp/mkos-det-tablegen) > /tmp/mkos-det-table2.txt
-	cmp /tmp/mkos-det-table2.txt results/table2.txt
-	@echo "paper-scale Table 2 byte-identical to results/table2.txt within a 1 GiB address space"
+
+# golden regenerates results/ and checks it, at GOMAXPROCS=1 and 4: the
+# paper-scale repro (under a 1 GiB ulimit -v) must write every committed
+# results/*.txt byte for byte, and the paper-scale fwq_machine.json, every
+# file of the repro -quick -metrics outdir and the ci-sweep results.json
+# and metrics.txt must match results/golden.sha256, with no file left over.
+golden:
+	sh scripts/golden-check.sh /tmp/mkos-golden
 
 # check is what CI runs: formatting, vet, the simlint invariant gate, the
 # reachability gate, build, one run of the benchmark roots, the full suite
-# under the race detector, the determinism gates, and the daemon
+# under the race detector, the determinism and golden gates, and the daemon
 # chaos/load gates.
-check: fmt vet lint deadcode build bench-roots race determinism sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism
+check: fmt vet lint deadcode build bench-roots race determinism golden sweep-determinism sweep-interrupt simd-chaos simd-supervise simd-load simd-obs shard-determinism

@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mkos/cmd/internal/report"
 	"mkos/cmd/internal/runner"
 	"mkos/internal/apps"
 	"mkos/internal/core"
@@ -130,7 +131,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 		return err
 	}
 	o.MergeTelemetry(sink)
-	printFigures(out, o, specs, *fom)
+	report.Figures(out, o, specs, *fom)
 	if err := writeArtifacts(); err != nil {
 		return err
 	}
@@ -188,40 +189,4 @@ func figureCampaign(specs []core.FigureSpec, runs int, seed int64) (*sweep.Campa
 		seeds[i] = seed + int64(i)
 	}
 	return campaigns.FigurePoints("mkexp", specs, seeds, runs, seed)
-}
-
-// printFigures renders every panel of specs from the campaign outcome to w,
-// skipping failed points (they surface through the exit code) and oversize
-// node counts (never enumerated, matching core.Sweep). fom adds each
-// application's custom metric.
-func printFigures(w io.Writer, o *sweep.Outcome, specs []core.FigureSpec, fom bool) {
-	for _, spec := range specs {
-		printFigure(w, o, spec, fom)
-	}
-}
-
-func printFigure(w io.Writer, o *sweep.Outcome, spec core.FigureSpec, fom bool) {
-	fmt.Fprintf(w, "\n# Figure %s: %s on %s (relative performance, Linux = 1.0)\n",
-		spec.Figure, spec.App, spec.Platform)
-	fmt.Fprintf(w, "%-8s %10s %8s %16s %16s\n", "nodes", "mckernel", "+/-", "linux_runtime", "mck_runtime")
-	app, appErr := apps.ByName(spec.App, spec.Platform)
-	for _, n := range spec.Nodes {
-		if appErr == nil && n > app.MaxNodes {
-			continue
-		}
-		key := campaigns.FigurePointKey(spec.Figure, string(spec.Platform), spec.App, n)
-		var c core.Comparison
-		if err := o.Payload(key, &c); err != nil {
-			fmt.Fprintf(w, "%-8d FAILED: %v\n", n, err)
-			continue
-		}
-		fmt.Fprintf(w, "%-8d %10.3f %8.3f %16s %16s",
-			c.Nodes, c.Relative, c.RelErr, c.LinuxRuntime.Round(0), c.McKRuntime.Round(0))
-		if fom && appErr == nil {
-			lin := app.MetricFor(c.LinuxRuntime, c.Nodes)
-			mck := app.MetricFor(c.McKRuntime, c.Nodes)
-			fmt.Fprintf(w, "   linux %s | mckernel %s", lin, mck)
-		}
-		fmt.Fprintln(w)
-	}
 }

@@ -5,13 +5,15 @@ import (
 	"os"
 	"testing"
 
+	"mkos/cmd/internal/report"
 	"mkos/internal/core"
 	"mkos/internal/sweep"
 )
 
-// TestFigure7Golden renders Figure 7 as `mkexp -figure 7` does and requires it byte for byte equal to the committed
-// results/figure7.txt: a change to any model on the bsp.Run path that moves
-// a printed digit fails here.
+// TestFigure7Golden renders Figure 7 as `mkexp -figure 7` and `repro` do,
+// through report.Figures, and requires it byte for byte equal to the
+// committed results/figure7.txt: a change to any model on the bsp.Run path
+// that moves a printed digit fails here.
 func TestFigure7Golden(t *testing.T) {
 	want, err := os.ReadFile("../../results/figure7.txt")
 	if err != nil {
@@ -30,7 +32,7 @@ func TestFigure7Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	printFigures(&got, o, specs, false)
+	report.Figures(&got, o, specs, false)
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("Figure 7 differs from results/figure7.txt\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}

@@ -20,9 +20,8 @@ import (
 	"os"
 	"time"
 
+	"mkos/cmd/internal/report"
 	"mkos/cmd/internal/runner"
-	"mkos/internal/apps"
-	"mkos/internal/cluster"
 	"mkos/internal/core"
 	"mkos/internal/sweep"
 	"mkos/internal/sweep/campaigns"
@@ -38,7 +37,7 @@ var (
 	fugakuFull  = flag.Int("fugaku-full", 1024, "Fugaku full-scale subsample (paper: 158,976)")
 	fugakuRacks = flag.Int("fugaku-racks", 128, "Fugaku 24-rack subsample (paper: 9,216)")
 	minutes     = flag.Float64("minutes", 2, "FWQ duration per run in minutes")
-	seed        = flag.Int64("seed", 20211114, "simulation seed")
+	seed        = flag.Int64("seed", core.NoiseSeed, "simulation seed")
 	points      = flag.Int("points", 40, "CDF points per curve")
 	iterations  = flag.Int("iterations", 1, "repeat the CDF measurement N times and merge (paper: 10 x ~6 min = 1 hour)")
 	workers     = flag.Int("j", 0, "parallel trial workers for -cdf (0 = all cores)")
@@ -57,7 +56,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	case *attribute:
 		return runAttribute(out, *cm, dur, *seed)
 	case *series:
-		return runSeries(out, *cm, dur, *seed)
+		return report.Figure3(out, *cm, dur, *seed)
 	case *cdf:
 		return runCDF(ctx, out, core.Figure4Config{
 			OFPNodes: *ofpNodes, FugakuFullNodes: *fugakuFull, Fugaku24Racks: *fugakuRacks,
@@ -71,7 +70,7 @@ func run(ctx context.Context, out *bufio.Writer) error {
 // runAttribute writes the per-source stolen-time attribution on app cores
 // to w — the Sec. 4.2.1 ftrace methodology.
 func runAttribute(w io.Writer, cm string, dur time.Duration, seed int64) error {
-	node, err := fugakuLinuxNode(cm)
+	node, err := core.CountermeasureNode(cm, nil)
 	if err != nil {
 		return err
 	}
@@ -81,44 +80,6 @@ func runAttribute(w io.Writer, cm string, dur time.Duration, seed int64) error {
 		fmt.Fprintln(w, a)
 	}
 	return nil
-}
-
-// fugakuLinuxNode builds a Fugaku Linux node with countermeasure cm
-// disabled ("none" keeps them all).
-func fugakuLinuxNode(cm string) (*cluster.Node, error) {
-	p := cluster.Fugaku()
-	switch cm {
-	case "none":
-	case "daemons":
-		p.Tuning.Counter.BindDaemons = false
-	case "kworkers":
-		p.Tuning.Counter.BindKworkers = false
-	case "blkmq":
-		p.Tuning.Counter.BindBlkMQ = false
-	case "pmu":
-		p.Tuning.Counter.StopPMUReads = false
-	case "tlbi":
-		p.Tuning.Counter.SuppressGlobalTLBI = false
-	default:
-		return nil, fmt.Errorf("unknown countermeasure %q", cm)
-	}
-	return p.NewNode(cluster.Linux)
-}
-
-func runSeries(w io.Writer, cm string, dur time.Duration, seed int64) error {
-	node, err := fugakuLinuxNode(cm)
-	if err != nil {
-		return err
-	}
-	cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: dur, Cores: node.AppCores()[:1]}
-	fmt.Fprintf(w, "# Figure 3 noise-length time series, countermeasure disabled: %s\n", cm)
-	fmt.Fprintf(w, "# sample_id noise_length_us\n")
-	return apps.FWQNodes(cfg, node.Host, 1, seed, func(cores []apps.FWQCore) error {
-		cores[0].Series(0, 1, 0, func(i int64, us float64) {
-			fmt.Fprintf(w, "%d %.3f\n", i, us)
-		})
-		return nil
-	})
 }
 
 // runCDF shards the figure's (iteration x curve) matrix over the sweep
@@ -149,14 +110,6 @@ func runCDF(ctx context.Context, w io.Writer, cfg core.Figure4Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "# Figure 4: FWQ iteration-latency CDFs (worst %d nodes per config)\n", cfg.WorstNodes)
-	fmt.Fprintf(w, "# node counts are subsamples of the paper's scales; see EXPERIMENTS.md\n")
-	for _, c := range curves {
-		fmt.Fprintf(w, "\n# curve %s (%d nodes), max iteration %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
-		fmt.Fprintf(w, "# iteration_us cumulative_probability\n")
-		for _, pt := range c.CDF.Points(*points) {
-			fmt.Fprintf(w, "%.2f %.8f\n", pt.X, pt.Y)
-		}
-	}
+	report.Figure4(w, curves, cfg.WorstNodes, *points)
 	return nil
 }

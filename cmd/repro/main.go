@@ -1,12 +1,16 @@
-// Command repro regenerates the paper's entire evaluation in one run —
-// Table 2, Figure 3 series, Figure 4 CDFs, and the Figure 5/6/7 application
-// sweeps — writing data files under -outdir and printing a paper-vs-measured
-// summary at the end.
+// Command repro regenerates the paper's entire evaluation in one run and
+// prints a paper-vs-measured summary at the end. It writes under -outdir
+// (default results/) table2.txt, figure3_baseline.txt, figure3_daemons.txt,
+// figure4.txt, figure5.txt, figure6.txt and figure7.txt through the same
+// printers as tablegen, noiseprofile -series -minutes 6, noiseprofile -cdf
+// and mkexp -figure N, so at the default scale they are byte for byte the
+// committed files (make golden checks it). It also writes fwq_machine.json,
+// the full-machine FWQ stage's artifact.
 //
 // Usage:
 //
-//	repro              # full-scale run (several minutes)
-//	repro -quick       # reduced node counts and durations (~1 minute)
+//	repro              # paper scale, ~15 s and ~0.4 GB at -j 2
+//	repro -quick       # reduced node counts and durations (~2 s)
 package main
 
 import (
@@ -21,8 +25,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"mkos/cmd/internal/report"
 	"mkos/cmd/internal/runner"
-	"mkos/internal/apps"
 	"mkos/internal/bsp"
 	"mkos/internal/cluster"
 	"mkos/internal/core"
@@ -109,40 +113,32 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	if err != nil {
 		return err
 	}
-	variants := core.Table2Variants()
-	rows := make([]core.Table2Row, len(variants))
-	for i, disabled := range variants {
-		if err := t2out.Payload(campaigns.Table2Key(i, disabled), &rows[i]); err != nil {
-			return err
-		}
+	rows, err := report.Table2Rows(t2out)
+	if err != nil {
+		return err
 	}
 	err = writeFile(*outdir, "table2.txt", func(w io.Writer) error {
-		fmt.Fprintf(w, "%-32s %18s %12s\n", "Disabled technique", "Max noise (us)", "Noise rate")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-32s %18.2f %12.3g\n", r.Disabled,
-				float64(r.MaxNoise)/float64(time.Microsecond), r.NoiseRate)
-		}
+		report.Table2(w, t2cfg, rows)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 
-	// --- Figure 3 (series data is embedded in the Table 2 rows) ---
+	// --- Figure 3: one core of one node over the Table 2 run length ---
 	if err := progress(out, "[2/6] Figure 3 noise series...\n"); err != nil {
 		return err
 	}
-	err = writeFile(*outdir, "figure3.txt", func(w io.Writer) error {
-		for _, r := range rows {
-			fmt.Fprintf(w, "# countermeasure disabled: %s (max %.1f us)\n", r.Disabled, r.SeriesMax)
-			for _, pt := range r.Series {
-				fmt.Fprintf(w, "%d %.3f\n", int(pt.X), pt.Y)
-			}
+	for _, f := range []struct{ name, cm string }{
+		{"figure3_baseline.txt", "none"},
+		{"figure3_daemons.txt", "daemons"},
+	} {
+		err := writeFile(*outdir, f.name, func(w io.Writer) error {
+			return report.Figure3(w, f.cm, t2cfg.Duration, core.NoiseSeed)
+		})
+		if err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 
 	// --- Figure 4 ---
@@ -164,19 +160,14 @@ func run(ctx context.Context, out *bufio.Writer) error {
 		return err
 	}
 	err = writeFile(*outdir, "figure4.txt", func(w io.Writer) error {
-		for _, c := range curves {
-			fmt.Fprintf(w, "# %s (%d nodes), tail %.2f us\n", c.Label, c.Nodes, c.CDF.Max())
-			for _, pt := range c.CDF.Points(40) {
-				fmt.Fprintf(w, "%.2f %.8f\n", pt.X, pt.Y)
-			}
-		}
+		report.Figure4(w, curves, f4cfg.WorstNodes, 40)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 
-	// --- Figures 5, 6, 7 ---
+	// --- Figures 5, 6, 7: one campaign, one file per figure ---
 	seeds := []int64{1, 2, 3}
 	if *quick {
 		seeds = []int64{1}
@@ -184,11 +175,15 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	if err := progress(out, "[4/6] application figures...\n"); err != nil {
 		return err
 	}
-	specs := append(append(core.Figure5Specs(), core.Figure6Specs()...), core.Figure7Specs()...)
-	if *quick {
-		for i := range specs {
-			specs[i].Nodes = specs[i].Nodes[len(specs[i].Nodes)-1:] // top of sweep only
+	figures := [][]core.FigureSpec{core.Figure5Specs(), core.Figure6Specs(), core.Figure7Specs()}
+	var specs []core.FigureSpec
+	for _, fig := range figures {
+		if *quick {
+			for i := range fig {
+				fig[i].Nodes = fig[i].Nodes[len(fig[i].Nodes)-1:] // top of sweep only
+			}
 		}
+		specs = append(specs, fig...)
 	}
 	figCampaign, err := campaigns.FigurePoints("repro-figs", specs, seeds, 0, 1)
 	if err != nil {
@@ -198,32 +193,14 @@ func run(ctx context.Context, out *bufio.Writer) error {
 	if err != nil {
 		return err
 	}
-	type key struct{ fig, app string }
-	top := map[key]core.Comparison{}
-	err = writeFile(*outdir, "figures567.txt", func(w io.Writer) error {
-		for _, spec := range specs {
-			app, err := apps.ByName(spec.App, spec.Platform)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "# figure %s: %s on %s\n", spec.Figure, spec.App, spec.Platform)
-			for _, n := range spec.Nodes {
-				if n > app.MaxNodes {
-					continue
-				}
-				var c core.Comparison
-				k := campaigns.FigurePointKey(spec.Figure, string(spec.Platform), spec.App, n)
-				if err := figOut.Payload(k, &c); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "%d %.4f %.4f\n", c.Nodes, c.Relative, c.RelErr)
-				top[key{spec.Figure, spec.App + "/" + string(spec.Platform)}] = c
-			}
+	for _, fig := range figures {
+		err := writeFile(*outdir, "figure"+fig[0].Figure+".txt", func(w io.Writer) error {
+			report.Figures(w, figOut, fig, false)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 
 	// --- Operational stage: engine-driven fault recovery + syscall offload ---
@@ -262,25 +239,25 @@ func run(ctx context.Context, out *bufio.Writer) error {
 
 	// --- Summary ---
 	fmt.Fprintf(out, "\n=== paper vs measured (top-of-sweep relative performance) ===\n")
-	paper := map[key]string{
-		{"5", "AMG2013/oakforest-pacs"}: "~1.18",
-		{"5", "Milc/oakforest-pacs"}:    "~1.22",
-		{"5", "Lulesh/oakforest-pacs"}:  "~2X",
-		{"6", "LQCD/oakforest-pacs"}:    "~1.25",
-		{"6", "GeoFEM/oakforest-pacs"}:  "~1.06",
-		{"6", "GAMERA/oakforest-pacs"}:  ">1.25",
-		{"7", "LQCD/fugaku"}:            "~1.00",
-		{"7", "GeoFEM/fugaku"}:          "~1.03",
-		{"7", "GAMERA/fugaku"}:          "~1.29",
+	paper := map[string]string{
+		"5/AMG2013/oakforest-pacs": "~1.18",
+		"5/Milc/oakforest-pacs":    "~1.22",
+		"5/Lulesh/oakforest-pacs":  "~2X",
+		"6/LQCD/oakforest-pacs":    "~1.25",
+		"6/GeoFEM/oakforest-pacs":  "~1.06",
+		"6/GAMERA/oakforest-pacs":  ">1.25",
+		"7/LQCD/fugaku":            "~1.00",
+		"7/GeoFEM/fugaku":          "~1.03",
+		"7/GAMERA/fugaku":          "~1.29",
 	}
 	for _, spec := range specs {
-		k := key{spec.Figure, spec.App + "/" + string(spec.Platform)}
-		c, ok := top[k]
-		if !ok {
-			continue
+		var c core.Comparison
+		n := spec.Nodes[len(spec.Nodes)-1]
+		if err := figOut.Payload(campaigns.FigurePointKey(spec.Figure, string(spec.Platform), spec.App, n), &c); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "fig %s  %-8s %-15s paper %-6s measured %.3f (at %d nodes)\n",
-			spec.Figure, spec.App, spec.Platform, paper[k], c.Relative, c.Nodes)
+			spec.Figure, spec.App, spec.Platform, paper[spec.Figure+"/"+spec.App+"/"+string(spec.Platform)], c.Relative, c.Nodes)
 	}
 	fmt.Fprintf(out, "\ndone in %v; data in %s/\n", time.Since(start).Round(time.Second), *outdir)
 	return nil

@@ -209,19 +209,16 @@ func TestFWQMachineMessageCounters(t *testing.T) {
 func TestFWQMachineDigestsMatchSequentialSketches(t *testing.T) {
 	const nodes = 8
 	cfg := machineTestConfig(nodes, 4)
-	// Restrict to one class so FWQSketchAcrossNodes (single profile) lines up.
+	// Restrict to one class so sketchNodes (single profile) lines up.
 	cfg.Classes = cfg.Classes[:1]
 	cfg.ClassOf = nil
 	res, _, err := FWQMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sks, err := FWQSketchAcrossNodes(
+	sks := sketchNodes(t,
 		FWQConfig{Work: cfg.Work, Duration: cfg.Duration, Cores: cfg.Classes[0].Cores},
 		profileOnly{cfg.Classes[0].Profile}, nodes, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for n, sk := range sks {
 		want := DigestOf(n, sk.Analysis)
 		if res.Digests[n] != want {

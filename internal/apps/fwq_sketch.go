@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -192,17 +193,54 @@ func newFWQSketch(work time.Duration, cores []FWQCore) (*FWQSketch, error) {
 	return &FWQSketch{Analysis: a, Dist: dist}, nil
 }
 
-// FWQSketchAcrossNodes runs the sketch on n independent nodes, walked as
-// FWQNodes walks them.
-func FWQSketchAcrossNodes(cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) ([]*FWQSketch, error) {
-	var out []*FWQSketch
+// FWQWorstSketches runs the sketch on n independent nodes, walked as
+// FWQNodes walks them, and returns the sketches of the k nodes that
+// noise.WorstBy ranks worst by total noise, in its order: the paper's
+// in-situ selection (Sec. 6.3). A node whose total is below the k-th
+// largest total walked so far can never be among them, so its sketch is
+// dropped once more than 2k are held; memory grows with k, not with n.
+func FWQWorstSketches(cfg FWQConfig, prof NoiseProfiler, nodes, k int, seed int64) ([]*FWQSketch, error) {
+	type candidate struct {
+		node  int
+		total time.Duration
+		sk    *FWQSketch
+	}
+	var (
+		totals []noise.Analysis // each node's total noise, as WorstBy sums it
+		top    []time.Duration  // the k largest totals so far, descending
+		kept   []candidate      // in node order
+	)
+	below := func(t time.Duration) bool { return k <= 0 || len(top) == k && t < top[k-1] }
 	err := FWQNodes(cfg, prof, nodes, seed, func(cores []FWQCore) error {
 		sk, err := newFWQSketch(cfg.Work, cores)
-		out = append(out, sk)
-		return err
+		if err != nil {
+			return err
+		}
+		var total time.Duration
+		for _, l := range sk.Analysis.Lengths {
+			total += l
+		}
+		if k > 0 {
+			i, _ := slices.BinarySearchFunc(top, total, func(a, b time.Duration) int { return cmp.Compare(b, a) })
+			top = slices.Insert(top, i, total)[:min(len(top)+1, k)]
+		}
+		if !below(total) {
+			kept = append(kept, candidate{len(totals), total, sk})
+		}
+		if len(kept) > 2*k {
+			kept = slices.DeleteFunc(kept, func(c candidate) bool { return below(c.total) })
+		}
+		totals = append(totals, noise.Analysis{Lengths: []time.Duration{total}})
+		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	worst := noise.WorstBy(totals, k)
+	out := make([]*FWQSketch, len(worst))
+	for i, n := range worst {
+		j, _ := slices.BinarySearchFunc(kept, n, func(c candidate, n int) int { return cmp.Compare(c.node, n) })
+		out[i] = kept[j].sk
 	}
 	return out, nil
 }

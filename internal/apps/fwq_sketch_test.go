@@ -3,6 +3,7 @@ package apps
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -97,7 +98,7 @@ func TestSketchValidation(t *testing.T) {
 	if _, err := RunFWQSketch(FWQConfig{}, tl); !errors.Is(err, ErrBadFWQConfig) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := FWQSketchAcrossNodes(FWQConfig{Work: time.Millisecond, Duration: time.Second, Cores: []int{0}}, profileOnly{&noise.Profile{}}, 0, 1); !errors.Is(err, ErrBadFWQConfig) {
+	if _, err := FWQWorstSketches(FWQConfig{Work: time.Millisecond, Duration: time.Second, Cores: []int{0}}, profileOnly{&noise.Profile{}}, 0, 1, 1); !errors.Is(err, ErrBadFWQConfig) {
 		t.Fatalf("zero nodes err = %v", err)
 	}
 }
@@ -106,10 +107,7 @@ func TestSketchAcrossNodesMatchesExact(t *testing.T) {
 	cfg := FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Second, Cores: []int{0, 1}}
 	prof := profileOnly{noisyProfile()}
 	exact := exactNodes(t, cfg, prof, 3, 21)
-	sketches, err := FWQSketchAcrossNodes(cfg, prof, 3, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sketches := sketchNodes(t, cfg, prof, 3, 21)
 	for i := range sketches {
 		a, err := exact[i].Analyze()
 		if err != nil {
@@ -118,6 +116,67 @@ func TestSketchAcrossNodesMatchesExact(t *testing.T) {
 		if sketches[i].Analysis.MaxNoise != a.MaxNoise {
 			t.Fatalf("node %d MaxNoise: sketch %v vs exact %v",
 				i, sketches[i].Analysis.MaxNoise, a.MaxNoise)
+		}
+	}
+}
+
+// sketchNodes returns every node's sketch, in node order: the
+// select-after-all reference for FWQWorstSketches.
+func sketchNodes(t *testing.T, cfg FWQConfig, prof NoiseProfiler, nodes int, seed int64) []*FWQSketch {
+	t.Helper()
+	var out []*FWQSketch
+	err := FWQNodes(cfg, prof, nodes, seed, func(cores []FWQCore) error {
+		sk, err := newFWQSketch(cfg.Work, cores)
+		out = append(out, sk)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWorstSketchesMatchSelectAfterAll pins the streaming selection to
+// noise.WorstBy over every node's sketch, for every k. The periodic
+// profile gives many nodes the same total noise with different
+// distributions, so a tie broken otherwise than WorstBy breaks it fails.
+func TestWorstSketchesMatchSelectAfterAll(t *testing.T) {
+	periodic := &noise.Profile{}
+	for _, every := range []time.Duration{20 * time.Millisecond, 30 * time.Millisecond} {
+		periodic.MustAdd(&noise.Source{
+			Name: every.String(), Cores: []int{0, 1}, Mode: noise.TargetAll,
+			Every: every, Length: 900 * time.Microsecond,
+		})
+	}
+	cfg := FWQConfig{Work: 6500 * time.Microsecond, Duration: time.Second, Cores: []int{0, 1}}
+	const nodes = 12
+	for name, p := range map[string]*noise.Profile{"noisy": noisyProfile(), "periodic": periodic} {
+		all := sketchNodes(t, cfg, profileOnly{p}, nodes, 5)
+		as := make([]noise.Analysis, nodes)
+		totals := map[time.Duration]int{}
+		for n, sk := range all {
+			as[n] = sk.Analysis
+			var tot time.Duration
+			for _, l := range sk.Analysis.Lengths {
+				tot += l
+			}
+			totals[tot]++
+		}
+		if name == "periodic" && len(totals) > nodes/2 {
+			t.Fatalf("periodic profile: %d distinct totals over %d nodes, want ties", len(totals), nodes)
+		}
+		for k := 0; k <= nodes+1; k++ {
+			got, err := FWQWorstSketches(cfg, profileOnly{p}, nodes, k, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []*FWQSketch
+			for _, n := range noise.WorstBy(as, k) {
+				want = append(want, all[n])
+			}
+			if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, k=%d: streaming selection differs from noise.WorstBy over all sketches", name, k)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mkos/internal/apps"
@@ -146,19 +147,11 @@ func RunFigure(spec FigureSpec, seeds []int64) ([]Comparison, error) {
 
 // --- Table 2 / Figure 3: noise countermeasures ----------------------------
 
-// Table2Row is one row of Table 2 with its Figure 3 noise-length series as
-// the figure plots it.
+// Table2Row is one row of Table 2, as the table prints it.
 type Table2Row struct {
 	Disabled  string
 	MaxNoise  time.Duration
 	NoiseRate float64
-	// SeriesMax is the largest noise length of any iteration in µs, each
-	// measured from its core's Tmin.
-	SeriesMax float64
-	// Series holds the plotted (place, µs) points: every 64th iteration and
-	// every iteration longer than 100 µs, placed in node order and, within a
-	// node, in core order.
-	Series []stats.Point
 }
 
 // Table2Config parameterizes the countermeasure experiment.
@@ -173,22 +166,28 @@ func DefaultTable2Config() Table2Config {
 	return Table2Config{Nodes: 16, Duration: 6 * time.Minute, Seed: 11}
 }
 
-// table2Variant pairs a countermeasure's table label with the tuning switch
-// that disables it.
+// NoiseSeed is the seed of the committed Figure 3 series and Figure 4
+// curves.
+const NoiseSeed = 20211114
+
+// table2Variant pairs a countermeasure's table label and its
+// noiseprofile -countermeasure name with the tuning switch that disables
+// it.
 type table2Variant struct {
 	name   string
+	flag   string
 	mutate func(*cluster.Platform)
 }
 
 // table2Variants lists the experiment's rows in paper order: the all-enabled
 // baseline first, then one disabled countermeasure per row.
 var table2Variants = []table2Variant{
-	{"None", func(*cluster.Platform) {}},
-	{"Daemon process", func(p *cluster.Platform) { p.Tuning.Counter.BindDaemons = false }},
-	{"Unbound kworker tasks", func(p *cluster.Platform) { p.Tuning.Counter.BindKworkers = false }},
-	{"blk-mq worker tasks", func(p *cluster.Platform) { p.Tuning.Counter.BindBlkMQ = false }},
-	{"PMU counter reads", func(p *cluster.Platform) { p.Tuning.Counter.StopPMUReads = false }},
-	{"CPU-global flush instruction", func(p *cluster.Platform) { p.Tuning.Counter.SuppressGlobalTLBI = false }},
+	{"None", "none", func(*cluster.Platform) {}},
+	{"Daemon process", "daemons", func(p *cluster.Platform) { p.Tuning.Counter.BindDaemons = false }},
+	{"Unbound kworker tasks", "kworkers", func(p *cluster.Platform) { p.Tuning.Counter.BindKworkers = false }},
+	{"blk-mq worker tasks", "blkmq", func(p *cluster.Platform) { p.Tuning.Counter.BindBlkMQ = false }},
+	{"PMU counter reads", "pmu", func(p *cluster.Platform) { p.Tuning.Counter.StopPMUReads = false }},
+	{"CPU-global flush instruction", "tlbi", func(p *cluster.Platform) { p.Tuning.Counter.SuppressGlobalTLBI = false }},
 }
 
 // Table2Variants returns the countermeasure labels in table order. Each is a
@@ -202,40 +201,35 @@ func Table2Variants() []string {
 	return out
 }
 
-// Table2Variant reruns the FWQ experiment with one countermeasure disabled
-// ("None" keeps all of them on) — a single row of Table 2 and its Figure 3
-// series, reduced as each node is walked. Its telemetry goes to sink.
-func Table2Variant(cfg Table2Config, disabled string, sink *telemetry.Sink) (Table2Row, error) {
-	var variant *table2Variant
-	for i := range table2Variants {
-		if table2Variants[i].name == disabled {
-			variant = &table2Variants[i]
-			break
-		}
-	}
-	if variant == nil {
-		return Table2Row{}, fmt.Errorf("core: unknown Table 2 countermeasure %q", disabled)
+// CountermeasureNode builds a Fugaku Linux node with one countermeasure
+// disabled, named as noiseprofile -countermeasure names it: none (all on),
+// daemons, kworkers, blkmq, pmu or tlbi. Its telemetry goes to sink.
+func CountermeasureNode(cm string, sink *telemetry.Sink) (*cluster.Node, error) {
+	i := slices.IndexFunc(table2Variants, func(v table2Variant) bool { return v.flag == cm })
+	if i < 0 {
+		return nil, fmt.Errorf("unknown countermeasure %q", cm)
 	}
 	p := cluster.Fugaku()
 	p.Sink = sink
-	variant.mutate(p)
-	node, err := p.NewNode(cluster.Linux)
+	table2Variants[i].mutate(p)
+	return p.NewNode(cluster.Linux)
+}
+
+// Table2Variant reruns the FWQ experiment with one countermeasure disabled
+// ("None" keeps all of them on): a single row of Table 2, reduced as each
+// node is walked. Its telemetry goes to sink.
+func Table2Variant(cfg Table2Config, disabled string, sink *telemetry.Sink) (Table2Row, error) {
+	i := slices.IndexFunc(table2Variants, func(v table2Variant) bool { return v.name == disabled })
+	if i < 0 {
+		return Table2Row{}, fmt.Errorf("core: unknown Table 2 countermeasure %q", disabled)
+	}
+	node, err := CountermeasureNode(table2Variants[i].flag, sink)
 	if err != nil {
 		return Table2Row{}, err
 	}
 	fwqCfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: cfg.Duration, Cores: node.AppCores()}
-	row := Table2Row{Disabled: variant.name}
 	var nodes []noise.Analysis
-	var place int64
 	err = apps.FWQNodes(fwqCfg, node.Host, cfg.Nodes, cfg.Seed, func(cores []apps.FWQCore) error {
-		for i := range cores {
-			a := cores[i].Analysis()
-			row.SeriesMax = max(row.SeriesMax, float64(a.MaxNoise)/float64(time.Microsecond))
-			cores[i].Series(place, 64, 100, func(at int64, us float64) {
-				row.Series = append(row.Series, stats.Point{X: float64(at), Y: us})
-			})
-			place += int64(a.N)
-		}
 		a, err := apps.NodeAnalysis(cores)
 		nodes = append(nodes, a)
 		return err
@@ -247,8 +241,22 @@ func Table2Variant(cfg Table2Config, disabled string, sink *telemetry.Sink) (Tab
 	if err != nil {
 		return Table2Row{}, err
 	}
-	row.MaxNoise, row.NoiseRate = merged.MaxNoise, merged.Rate
-	return row, nil
+	return Table2Row{Disabled: disabled, MaxNoise: merged.MaxNoise, NoiseRate: merged.Rate}, nil
+}
+
+// Figure3Series runs FWQ for dur on the first application core of one
+// CountermeasureNode(cm) and calls emit(i, us) for every iteration i in
+// time order, us being its noise length in µs: Figure 3's series.
+func Figure3Series(cm string, dur time.Duration, seed int64, emit func(i int64, us float64)) error {
+	node, err := CountermeasureNode(cm, nil)
+	if err != nil {
+		return err
+	}
+	cfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: dur, Cores: node.AppCores()[:1]}
+	return apps.FWQNodes(cfg, node.Host, 1, seed, func(cores []apps.FWQCore) error {
+		cores[0].Series(0, 1, 0, emit)
+		return nil
+	})
 }
 
 // --- Figure 4: FWQ latency CDFs -------------------------------------------
@@ -279,7 +287,7 @@ type Figure4Config struct {
 func DefaultFigure4Config() Figure4Config {
 	return Figure4Config{
 		OFPNodes: 256, FugakuFullNodes: 1024, Fugaku24Racks: 128,
-		Duration: 2 * time.Minute, WorstNodes: 100, Seed: 20211114,
+		Duration: 2 * time.Minute, WorstNodes: 100, Seed: NoiseSeed,
 	}
 }
 
@@ -330,20 +338,15 @@ func Figure4Curve(s Figure4CurveSpec, sink *telemetry.Sink) (CDFCurve, error) {
 		return CDFCurve{}, err
 	}
 	fwqCfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: s.Duration, Cores: node.AppCores()}
-	sketches, err := apps.FWQSketchAcrossNodes(fwqCfg, node.OS(), s.Nodes, s.Seed)
+	// In-situ selection: keep only the worst nodes' raw data, like the
+	// paper's parallel-filesystem-friendly capture (Sec. 6.3).
+	worst, err := apps.FWQWorstSketches(fwqCfg, node.OS(), s.Nodes, s.WorstNodes, s.Seed)
 	if err != nil {
 		return CDFCurve{}, err
 	}
-	// In-situ selection: keep only the worst nodes' raw data, like the
-	// paper's parallel-filesystem-friendly capture (Sec. 6.3).
-	analyses := make([]noise.Analysis, len(sketches))
-	for i, sk := range sketches {
-		analyses[i] = sk.Analysis
-	}
-	worst := noise.WorstBy(analyses, s.WorstNodes)
-	dists := make([]*noise.IterationDist, 0, len(worst))
-	for _, idx := range worst {
-		dists = append(dists, sketches[idx].Dist)
+	dists := make([]*noise.IterationDist, len(worst))
+	for i, sk := range worst {
+		dists[i] = sk.Dist
 	}
 	return CDFCurve{Label: s.Label, Nodes: s.Nodes, CDF: noise.MergeDists(dists)}, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"mkos/internal/cluster"
 	"mkos/internal/noise"
 	"mkos/internal/sim"
-	"mkos/internal/stats"
 )
 
 // TestTable2Driver runs the Table 2 driver at reduced scale and checks the
@@ -41,9 +39,6 @@ func TestTable2Driver(t *testing.T) {
 		if r.Disabled != wantOrder[i] {
 			t.Errorf("row %d = %q, want %q", i, r.Disabled, wantOrder[i])
 		}
-		if len(r.Series) == 0 || r.Series[0].X != 0 {
-			t.Errorf("row %q has no Figure 3 series data", r.Disabled)
-		}
 		byName[r.Disabled] = r
 	}
 	base := byName["None"]
@@ -60,9 +55,8 @@ func TestTable2Driver(t *testing.T) {
 
 // TestTable2VariantMatchesReference checks every row at 2 nodes x 30 s
 // against the timeline path: RunFWQ on each node's Profile.Timeline,
-// noise.Analyze per core, noise.Merge over each node's cores and then over
-// the nodes, and Figure 3's thinning over the concatenated Lengths. Every
-// field and every point must match bit for bit.
+// noise.Analyze per core, and noise.Merge over each node's cores and then
+// over the nodes. Every field must match bit for bit.
 func TestTable2VariantMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("FWQ sweep")
@@ -82,7 +76,6 @@ func TestTable2VariantMatchesReference(t *testing.T) {
 		fwqCfg := apps.FWQConfig{Work: 6500 * time.Microsecond, Duration: cfg.Duration, Cores: node.AppCores()}
 		want := Table2Row{Disabled: v.name}
 		var nodes []noise.Analysis
-		var place int64
 		base := sim.NewRand(cfg.Seed)
 		for n := 0; n < cfg.Nodes; n++ {
 			run, err := apps.RunFWQ(fwqCfg, node.Host.NoiseProfile().Timeline(cfg.Duration, base.Derive(int64(n))))
@@ -107,24 +100,14 @@ func TestTable2VariantMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			nodes = append(nodes, a)
-			for _, l := range a.Lengths {
-				us := float64(l) / float64(time.Microsecond)
-				if place%64 == 0 || us > 100 {
-					want.Series = append(want.Series, stats.Point{X: float64(place), Y: us})
-				}
-				want.SeriesMax = max(want.SeriesMax, us)
-				place++
-			}
 		}
 		m, err := noise.Merge(nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want.MaxNoise, want.NoiseRate = m.MaxNoise, m.Rate
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: row (max %v, rate %v, series max %v, %d points) differs from the timeline reference's (max %v, rate %v, series max %v, %d points)",
-				v.name, got.MaxNoise, got.NoiseRate, got.SeriesMax, len(got.Series),
-				want.MaxNoise, want.NoiseRate, want.SeriesMax, len(want.Series))
+		if got != want {
+			t.Errorf("%s: row %+v differs from the timeline reference's %+v", v.name, got, want)
 		}
 	}
 }
